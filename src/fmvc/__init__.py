@@ -1,32 +1,9 @@
 """Gaze-contingent video codec built on displaced frame differences,
-eccentricity-based bit allocation, and a rate-distortion metrics harness."""
+eccentricity-based bit allocation, and a rate-distortion metrics harness.
 
-from .allocation import MaskStack, expand_masks, level_for_block, rate_estimate
-from .codec import (
-    CodecConfig,
-    FrameBitstream,
-    QuantSchedule,
-    SequenceBitstream,
-    decode_frame,
-    decode_sequence,
-    dequantize_coeffs,
-    encode_frame,
-    encode_sequence,
-    midgray_frame,
-    quantize_coeffs,
-)
-from .displacement import (
-    CATALOGUE,
-    Axis,
-    DisplacedResidualSet,
-    Displacement,
-    DisplacementField,
-    ResidualPlane,
-    displaced_difference,
-    reconstruct_frame,
-    residual_set,
-    select_displacement_per_block,
-)
+Import the layers from their modules (``fmvc.codec``, ``fmvc.metrics``, ...).
+"""
+
 from .errors import (
     BitstreamError,
     ConfigError,
@@ -38,33 +15,5 @@ from .errors import (
     UnsupportedFormat,
     UnsupportedVersion,
 )
-from .foveation import (
-    CsfParams,
-    DisplayGeometry,
-    FoveationMap,
-    LevelMap,
-    contrast_sensitivity,
-    contrast_threshold,
-    cutoff_frequency,
-    default_geometry,
-    display_nyquist,
-    eccentricity,
-    error_sensitivity,
-    foveation_map,
-    gaussian_map,
-    quantize_map,
-    write_pgm,
-)
-from .metrics import (
-    QualityReport,
-    bits_ssim_profile,
-    foveation_weighted_ssim,
-    fw_ssim_from_map,
-    fwqi_approx,
-    mean_ssim,
-    ssim_map,
-)
-from .transform import forward_transform, inverse_transform
-from .video_io import Frame, FramePlane, VideoSequence, read_y4m, write_y4m
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .foveation import FoveationMap, LevelMap
+from .transform import BLOCK, require_block, tile_reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +62,7 @@ def level_for_block(levels: LevelMap, block: tuple[int, int, int, int]) -> int:
     return int(levels.levels[y : y + h, x : x + w].max())
 
 
-def block_levels(levels: LevelMap, block_size: int = 8) -> np.ndarray:
+def block_levels(levels: LevelMap, block_size: int = BLOCK) -> np.ndarray:
     """Per-block maxima over the whole grid; partial edge blocks included."""
-    if block_size < 1:
-        raise ContractViolation(f"block size must be >= 1, got {block_size}")
-    h, w = levels.levels.shape
-    rows = np.arange(0, h, block_size)
-    cols = np.arange(0, w, block_size)
-    return np.maximum.reduceat(np.maximum.reduceat(levels.levels, rows, axis=0), cols, axis=1)
+    require_block(block_size)
+    return tile_reduce(levels.levels, np.maximum)

@@ -179,13 +179,15 @@ def _config_from_args(args, fmsc_specs: tuple[str, ...]) -> EncodeConfig:
     )
 
 
-def _encode_once(seq: VideoSequence, cfg: EncodeConfig, fmsc_spec: str | None):
-    geom = cfg.geometry(seq.width, seq.height)
-    gazes = _resolve_gazes(cfg.gaze_source, len(seq), seq.width, seq.height)
-    if fmsc_spec is None:
-        fmsc_px, code = None, 0
-    else:
-        fmsc_px, code = parse_fmsc(fmsc_spec, seq.height)
+def _encode_once(
+    seq: VideoSequence,
+    cfg: EncodeConfig,
+    gazes: list[tuple[int, int]],
+    geom: DisplayGeometry,
+    fmsc_px: float | None,
+    code: int,
+):
+    """Encode with gaussian maps of width fmsc_px, or CSF maps when it is None."""
     maps = _build_maps(seq, gazes, fmsc_px, geom)
     sched = codec.QuantSchedule(n_levels=cfg.n_levels, q_base=cfg.q_base)
     return codec.encode_sequence(
@@ -202,7 +204,10 @@ def _encode_once(seq: VideoSequence, cfg: EncodeConfig, fmsc_spec: str | None):
 def cmd_encode(args) -> int:
     seq = _read_sequence(args.input)
     cfg = _config_from_args(args, (args.fmsc,) if args.fmsc is not None else ())
-    sbs, _ = _encode_once(seq, cfg, args.fmsc)
+    geom = cfg.geometry(seq.width, seq.height)
+    gazes = _resolve_gazes(cfg.gaze_source, len(seq), seq.width, seq.height)
+    fmsc_px, code = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else (None, 0)
+    sbs, _ = _encode_once(seq, cfg, gazes, geom, fmsc_px, code)
     data = sbs.to_bytes()
     try:
         with open(args.output, "wb") as fh:
@@ -244,16 +249,12 @@ def _frame_reports(
     gazes: list[tuple[int, int]],
     geom: DisplayGeometry,
     per_frame_bits: list[int] | None,
-    block_bits: list | None = None,
 ) -> list[metrics.QualityReport]:
     reports = []
     pixels = ref_seq.width * ref_seq.height
     for i, (ref, test) in enumerate(zip(ref_seq.frames, test_seq.frames)):
         fmap = foveation_map(geom, gazes[i], DEFAULT_CSF)
         smap = metrics.ssim_map(ref.y, test.y)
-        bits_profile = ssim_profile = None
-        if block_bits is not None and block_bits[i] is not None:
-            bits_profile, ssim_profile = metrics.bits_ssim_profile(block_bits[i], smap)
         reports.append(
             metrics.QualityReport(
                 frame_idx=i,
@@ -261,8 +262,6 @@ def _frame_reports(
                 mean_ssim=float(smap.mean()),
                 fw_ssim=metrics.fw_ssim_from_map(smap, fmap),
                 fwqi=metrics.fwqi_approx(ref.y, test.y, gazes[i], geom, DEFAULT_CSF),
-                bits_profile=bits_profile,
-                ssim_profile=ssim_profile,
             )
         )
     return reports
@@ -309,11 +308,10 @@ def cmd_rd_sweep(args) -> int:
 
     rows = []
     for fmsc_spec in cfg.fmsc_specs:
-        fmsc_px, _ = parse_fmsc(fmsc_spec, seq.height)
-        sbs, recon = _encode_once(seq, cfg, fmsc_spec)
+        fmsc_px, code = parse_fmsc(fmsc_spec, seq.height)
+        sbs, recon = _encode_once(seq, cfg, gazes, geom, fmsc_px, code)
         bits = [8 * len(rec.bitstream.payload) for rec in sbs.frames]
-        grids = [rec.bitstream.block_bits for rec in sbs.frames]
-        reports = _frame_reports(seq, recon, gazes, geom, bits, grids)
+        reports = _frame_reports(seq, recon, gazes, geom, bits)
         rows.append(
             (
                 fmsc_px,

@@ -16,22 +16,33 @@ import numpy as np
 
 from .allocation import block_levels
 from .bitio import BitReader, BitWriter, signed_to_symbol, symbol_to_signed
-from .displacement import (
-    CATALOGUE,
-    DisplacementField,
-    residual_set,
-    predicted_plane,
-    select_displacement_per_block,
-)
-from .errors import BitstreamError, ContractViolation, UnsupportedVersion
+from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
+from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
 from .foveation import FoveationMap, LevelMap, quantize_map
-from .transform import BLOCK, forward_blocks, inverse_blocks, zigzag_scan, zigzag_unscan
+from .transform import (
+    BLOCK,
+    forward_blocks,
+    from_tiles,
+    grid_shape,
+    inverse_blocks,
+    to_tiles,
+    zigzag_scan,
+    zigzag_unscan,
+)
 from .video_io import Frame, FramePlane, VideoSequence, chroma_dims
 
 MAGIC = b"FMVC"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHHHHI3d")  # magic, version, W, H, fps, count, geometry
 _FRAME_HEAD = struct.Struct("<HHBI")  # gaze_x, gaze_y, fmsc_code, payload bytes
+
+# Each luma block prefix holds the level in 4 bits; the v1 header does not
+# record the level count, so the decoder assumes MAX_LEVELS.
+MAX_LEVELS = 16
+
+# The block code carries int16 coefficients (the encoder's own stay within
+# +-64 * 255); a longer codeword can only come from a corrupt payload.
+_MAX_SYMBOL = signed_to_symbol(-(1 << 15)) + 1
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,8 @@ class QuantSchedule:
     steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.n_levels < 2:
-            raise ContractViolation(f"level count must be >= 2, got {self.n_levels}")
+        if not 2 <= self.n_levels <= MAX_LEVELS:
+            raise ContractViolation(f"level count must lie in [2, {MAX_LEVELS}], got {self.n_levels}")
         if self.q_base < 1:
             raise ContractViolation(f"base step must be >= 1, got {self.q_base}")
         steps = tuple(
@@ -108,6 +119,10 @@ def entropy_decode_block(reader: BitReader) -> np.ndarray:
         symbol = reader.read_ue()
         if symbol == 0:
             break
+        if symbol > _MAX_SYMBOL:
+            raise BitstreamError(
+                f"coefficient symbol {symbol} exceeds {_MAX_SYMBOL}", byte_offset=reader.bit_position // 8
+            )
         if len(values) >= 64:
             raise BitstreamError(
                 "block carries more than 64 coefficients", byte_offset=reader.bit_position // 8
@@ -119,25 +134,6 @@ def entropy_decode_block(reader: BitReader) -> np.ndarray:
 
 
 # --- plane helpers ------------------------------------------------------
-
-
-def _grid_dims(width: int, height: int) -> tuple[int, int]:
-    return -(-height // BLOCK), -(-width // BLOCK)
-
-
-def _to_blocks(plane: np.ndarray) -> np.ndarray:
-    """Split a plane into (n_blocks, 8, 8), edge-replicating partial tiles."""
-    h, w = plane.shape
-    pad_h, pad_w = -h % BLOCK, -w % BLOCK
-    if pad_h or pad_w:
-        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    nby, nbx = plane.shape[0] // BLOCK, plane.shape[1] // BLOCK
-    return plane.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3).reshape(-1, BLOCK, BLOCK)
-
-
-def _from_blocks(blocks: np.ndarray, nby: int, nbx: int, height: int, width: int) -> np.ndarray:
-    full = blocks.reshape(nby, nbx, BLOCK, BLOCK).transpose(0, 2, 1, 3)
-    return full.reshape(nby * BLOCK, nbx * BLOCK)[:height, :width]
 
 
 def _quantize_plane_blocks(coeffs: np.ndarray, levels_flat: np.ndarray, sched: QuantSchedule) -> np.ndarray:
@@ -155,7 +151,7 @@ def _encode_plane(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Code one plane against its prediction; returns (qblocks, bits per block)."""
     residual = cur.astype(np.int64) - pred.astype(np.int64)
-    coeffs = forward_blocks(_to_blocks(residual))
+    coeffs = forward_blocks(to_tiles(residual))
     levels_flat = levels_grid.reshape(-1)
     qblocks = _quantize_plane_blocks(coeffs, levels_flat, sched)
 
@@ -170,39 +166,26 @@ def _encode_plane(
 
 
 def _reconstruct_plane(
-    qblocks: np.ndarray,
-    levels_grid: np.ndarray,
-    sched: QuantSchedule,
-    pred: np.ndarray,
-    height: int,
-    width: int,
+    qblocks: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule, pred: np.ndarray
 ) -> np.ndarray:
     """Shared encoder/decoder reconstruction; must stay bit-deterministic."""
     steps = sched.steps_array()[levels_grid.reshape(-1)][:, None, None]
-    res_blocks = inverse_blocks(qblocks * steps)
-    nby, nbx = levels_grid.shape
-    residual = _from_blocks(res_blocks, nby, nbx, height, width)
+    residual = from_tiles(inverse_blocks(qblocks * steps), pred.shape)
     # Clamping the residual at +-255 never changes the clamped sum below,
     # because pred lies in [0, 255].
     residual = np.clip(residual, -255, 255)
     return np.clip(pred.astype(np.int64) + residual, 0, 255).astype(np.uint8)
 
 
-def _chroma_block_map(n_luma: int, n_chroma: int) -> np.ndarray:
-    """Chroma block -> covering luma block (top-left of the 2x2 it spans)."""
-    return np.minimum(2 * np.arange(n_chroma), n_luma - 1)
+def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:
+    """Per chroma block, the value of the luma block covering its top-left.
 
-
-def _chroma_grids(
-    field: DisplacementField, levels_grid: np.ndarray, cw: int, ch: int
-) -> tuple[DisplacementField, np.ndarray]:
-    nby, nbx = levels_grid.shape
-    cnby, cnbx = _grid_dims(cw, ch)
-    rows = _chroma_block_map(nby, cnby)
-    cols = _chroma_block_map(nbx, cnbx)
-    cfield = DisplacementField(BLOCK, field.indices[np.ix_(rows, cols)])
-    clevels = levels_grid[np.ix_(rows, cols)]
-    return cfield, clevels
+    Chroma block i spans luma blocks 2i and 2i+1 along each axis, and a
+    chroma plane of ceil(n/2) samples holds ceil(n/16) blocks, one per even
+    luma block of the ceil(n/8); so the even rows and columns of the luma
+    grid are exactly the chroma grid.
+    """
+    return luma_grid[::2, ::2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,23 +207,10 @@ class FrameBitstream:
 
 
 def _spread_chroma_bits(block_bits: np.ndarray, chroma_bits: np.ndarray) -> None:
-    """Distribute chroma block bits onto the luma-block grid, in place."""
-    nby, nbx = block_bits.shape
-    cnby, cnbx = chroma_bits.shape
-    rows = 2 * np.arange(cnby)
-    cols = 2 * np.arange(cnbx)
-    row_span = np.where(rows + 1 < nby, 2, 1)
-    col_span = np.where(cols + 1 < nbx, 2, 1)
-    share = chroma_bits / (row_span[:, None] * col_span[None, :])
-    for di in (0, 1):
-        rr = rows + di
-        rmask = rr < nby
-        for dj in (0, 1):
-            cc = cols + dj
-            cmask = cc < nbx
-            sub = share[np.ix_(rmask, cmask)]
-            valid = (row_span[rmask, None] > di) & (col_span[None, cmask] > dj)
-            block_bits[np.ix_(rr[rmask], cc[cmask])] += np.where(valid, sub, 0.0)
+    """Add each chroma block's bits, split evenly, to the luma blocks it covers, in place."""
+    rows, cols = (np.arange(n) // 2 for n in block_bits.shape)  # covering chroma block
+    span = np.bincount(rows)[:, None] * np.bincount(cols)[None, :]
+    block_bits += (chroma_bits / span)[rows[:, None], cols[None, :]]
 
 
 def encode_frame(
@@ -264,28 +234,29 @@ def encode_frame(
         raise ContractViolation(
             f"level map is {level_map.width}x{level_map.height}, frame is {w}x{h}"
         )
+    if level_map.n != sched.n_levels:
+        raise ContractViolation(f"level map has {level_map.n} levels, schedule has {sched.n_levels}")
 
-    nby, nbx = _grid_dims(w, h)
     if cfg.force_zero_displacement:
-        fld = DisplacementField.uniform(CATALOGUE[0], nby, nbx, BLOCK)
+        fld = DisplacementField.uniform(CATALOGUE[0], *grid_shape((h, w)))
     else:
-        fld = select_displacement_per_block(residual_set(cur.y, prev_recon.y), BLOCK)
-    levels_grid = block_levels(level_map, BLOCK)
+        fld = choose_displacements(cur.y.samples, prev_recon.y.samples)
+    levels_grid = block_levels(level_map)
 
     writer = BitWriter()
     pred_y = predicted_plane(prev_recon.y.samples, fld)
     prefixes = (fld.indices.astype(np.uint8) << 4 | levels_grid.astype(np.uint8)).reshape(-1)
     q_y, bits_y = _encode_plane(writer, cur.y.samples, pred_y, levels_grid, sched, prefixes)
-    recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y, h, w)
+    recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y)
 
     cw, ch = chroma_dims(w, h)
-    cfield, clevels = _chroma_grids(fld, levels_grid, cw, ch)
+    cfield, clevels = DisplacementField(_chroma_grid(fld.indices)), _chroma_grid(levels_grid)
     block_bits = bits_y.astype(np.float64)
     recon_chroma = []
     for cur_plane, prev_plane in ((cur.cb, prev_recon.cb), (cur.cr, prev_recon.cr)):
         pred_c = predicted_plane(prev_plane.samples, cfield, halve_offsets=True)
         q_c, bits_c = _encode_plane(writer, cur_plane.samples, pred_c, clevels, sched, None)
-        recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c, ch, cw))
+        recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c))
         _spread_chroma_bits(block_bits, bits_c)
 
     recon = Frame(
@@ -321,7 +292,7 @@ def decode_frame(
     if len(payload) == 0:
         raise ContractViolation("frame payload records zero blocks")
     w, h = prev_recon.y.width, prev_recon.y.height
-    nby, nbx = _grid_dims(w, h)
+    nby, nbx = grid_shape((h, w))
     reader = BitReader(payload)
 
     prefixes, q_y = _decode_plane(reader, nby * nbx, read_prefix=True)
@@ -332,19 +303,18 @@ def decode_frame(
             f"displacement index {int(disp_idx.max())} outside the catalogue",
             byte_offset=reader.bit_position // 8,
         )
-    fld = DisplacementField(BLOCK, disp_idx.reshape(nby, nbx).astype(np.int8))
+    fld = DisplacementField(disp_idx.reshape(nby, nbx).astype(np.int8))
     levels_grid = levels_flat.reshape(nby, nbx)
     pred_y = predicted_plane(prev_recon.y.samples, fld)
-    recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y, h, w)
+    recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y)
 
     cw, ch = chroma_dims(w, h)
-    cnby, cnbx = _grid_dims(cw, ch)
-    cfield, clevels = _chroma_grids(fld, levels_grid, cw, ch)
+    cfield, clevels = DisplacementField(_chroma_grid(fld.indices)), _chroma_grid(levels_grid)
     recon_chroma = []
     for prev_plane in (prev_recon.cb, prev_recon.cr):
-        _, q_c = _decode_plane(reader, cnby * cnbx, read_prefix=False)
+        _, q_c = _decode_plane(reader, clevels.size, read_prefix=False)
         pred_c = predicted_plane(prev_plane.samples, cfield, halve_offsets=True)
-        recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c, ch, cw))
+        recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c))
 
     return Frame(
         FramePlane(w, h, recon_y),
@@ -354,6 +324,13 @@ def decode_frame(
 
 
 # --- sequence container -------------------------------------------------
+
+
+def _check_fits(**fields: tuple[int, int]) -> None:
+    """Reject a (value, bits) pair that its unsigned container field cannot hold."""
+    for name, (value, bits) in fields.items():
+        if not 0 <= value < 1 << bits:
+            raise ConfigError(f"{name} {value} does not fit the stream's {bits}-bit field")
 
 
 @dataclass(frozen=True)
@@ -396,6 +373,13 @@ class SequenceBitstream:
         return self.payload_bits() / (self.width * self.height * self.frame_count)
 
     def to_bytes(self) -> bytes:
+        _check_fits(
+            width=(self.width, 16),
+            height=(self.height, 16),
+            fps_num=(self.fps_num, 16),
+            fps_den=(self.fps_den, 16),
+            frame_count=(self.frame_count, 32),
+        )
         parts = [
             _HEADER.pack(
                 MAGIC,
@@ -411,6 +395,12 @@ class SequenceBitstream:
             )
         ]
         for rec in self.frames:
+            _check_fits(
+                gaze_x=(rec.gaze_x, 16),
+                gaze_y=(rec.gaze_y, 16),
+                fmsc_code=(rec.fmsc_code, 8),
+                payload_bytes=(len(rec.bitstream.payload), 32),
+            )
             parts.append(
                 _FRAME_HEAD.pack(rec.gaze_x, rec.gaze_y, rec.fmsc_code, len(rec.bitstream.payload))
             )
@@ -474,6 +464,8 @@ def encode_sequence(
     """Code a whole sequence; returns the bitstream and the recon chain."""
     if len(maps) != len(seq):
         raise ContractViolation(f"{len(maps)} maps supplied for {len(seq)} frames")
+    if sched.n_levels != MAX_LEVELS:
+        raise ContractViolation(f"the v1 stream records no level count; it must be {MAX_LEVELS}")
     if fmsc_codes is None:
         fmsc_codes = [0] * len(seq)
     if len(fmsc_codes) != len(seq):

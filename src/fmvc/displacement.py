@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation
+from .transform import BLOCK, from_tiles, grid_shape, require_block, tile_reduce, to_tiles
 from .video_io import FramePlane
 
 DISPLACEMENT_STEPS = (3, 5, 7)
@@ -116,100 +117,53 @@ def displaced_difference(cur: FramePlane, prev_recon: FramePlane, d: Displacemen
     return ResidualPlane(cur.width, cur.height, diff)
 
 
-@dataclass(frozen=True)
-class DisplacedResidualSet:
-    """The 13 displaced residual planes for one (current, previous) frame pair."""
-
-    residuals: dict[Displacement, ResidualPlane]
-
-    def __post_init__(self):
-        if set(self.residuals) != set(CATALOGUE):
-            raise ContractViolation("residual set must contain exactly the 13 catalogue displacements")
-        dims = {(p.width, p.height) for p in self.residuals.values()}
-        if len(dims) != 1:
-            raise ContractViolation(f"residual planes disagree on dimensions: {dims}")
-
-    def __getitem__(self, d: Displacement) -> ResidualPlane:
-        return self.residuals[d]
-
-    def __iter__(self):
-        return iter(self.residuals)
-
-    @property
-    def width(self) -> int:
-        return next(iter(self.residuals.values())).width
-
-    @property
-    def height(self) -> int:
-        return next(iter(self.residuals.values())).height
-
-
-def residual_set(cur: FramePlane, prev_recon: FramePlane) -> DisplacedResidualSet:
+def residual_set(cur: FramePlane, prev_recon: FramePlane) -> dict[Displacement, ResidualPlane]:
     """All 13 displaced differences, keyed and ordered deterministically."""
-    return DisplacedResidualSet(
-        {d: displaced_difference(cur, prev_recon, d) for d in _SET_ORDER}
-    )
-
-
-def _block_reduce_sum(values: np.ndarray, block_size: int) -> np.ndarray:
-    """Sum over block_size x block_size tiles; partial edge tiles allowed."""
-    h, w = values.shape
-    row_starts = np.arange(0, h, block_size)
-    col_starts = np.arange(0, w, block_size)
-    return np.add.reduceat(np.add.reduceat(values, row_starts, axis=0), col_starts, axis=1)
+    return {d: displaced_difference(cur, prev_recon, d) for d in _SET_ORDER}
 
 
 @dataclass(frozen=True, eq=False)
 class DisplacementField:
-    """Per-block displacement choices, stored as catalogue indices."""
+    """Per-block displacement choices on the 8x8 grid, stored as catalogue indices."""
 
-    block_size: int
     indices: np.ndarray  # int8, shape (blocks_y, blocks_x)
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ContractViolation(f"block size must be >= 1, got {self.block_size}")
         if self.indices.min() < 0 or self.indices.max() >= len(CATALOGUE):
             raise ContractViolation("displacement field contains out-of-catalogue indices")
 
     @classmethod
-    def uniform(cls, d: Displacement, blocks_y: int, blocks_x: int, block_size: int = 8):
-        idx = np.full((blocks_y, blocks_x), CATALOGUE_INDEX[d], dtype=np.int8)
-        return cls(block_size, idx)
-
-    def displacement_at(self, block_row: int, block_col: int) -> Displacement:
-        return CATALOGUE[int(self.indices[block_row, block_col])]
+    def uniform(cls, d: Displacement, blocks_y: int, blocks_x: int, block_size: int = BLOCK):
+        require_block(block_size)
+        return cls(np.full((blocks_y, blocks_x), CATALOGUE_INDEX[d], dtype=np.int8))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DisplacementField)
-            and self.block_size == other.block_size
-            and np.array_equal(self.indices, other.indices)
-        )
+        return isinstance(other, DisplacementField) and np.array_equal(self.indices, other.indices)
 
 
-def select_displacement_per_block(dset: DisplacedResidualSet, block_size: int = 8) -> DisplacementField:
-    """Pick, per block, the displacement with minimum sum of squared residuals.
+def _least_sse(residuals) -> DisplacementField:
+    """Per block, the index of the residual with minimum sum of squares.
 
-    Ties go to the earliest catalogue entry, so static content degenerates to
-    the plain frame difference.
+    Residuals come one plane at a time in CATALOGUE order; ties go to the
+    earliest, so static content degenerates to the plain frame difference.
+    Partial edge blocks count only their samples inside the frame.
     """
-    if block_size < 1:
-        raise ContractViolation(f"block size must be >= 1, got {block_size}")
-    energies = np.stack(
-        [
-            _block_reduce_sum(dset[d].samples.astype(np.int64) ** 2, block_size)
-            for d in CATALOGUE
-        ]
-    )
-    choice = np.argmin(energies, axis=0).astype(np.int8)  # first minimum wins
-    return DisplacementField(block_size, choice)
+    sse = np.stack([tile_reduce(np.square(r, dtype=np.int32), np.add) for r in residuals])
+    return DisplacementField(np.argmin(sse, axis=0).astype(np.int8))  # first minimum wins
 
 
-def _per_pixel_choice(field: DisplacementField, height: int, width: int) -> np.ndarray:
-    bs = field.block_size
-    expanded = np.repeat(np.repeat(field.indices, bs, axis=0), bs, axis=1)
-    return expanded[:height, :width]
+def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> DisplacementField:
+    """The encoder's per-block choice, straight from the 13 shifted planes."""
+    cur = cur.astype(np.int16)
+    return _least_sse(cur - shift_plane(prev_recon, d.axis, d.s) for d in CATALOGUE)
+
+
+def select_displacement_per_block(
+    dset: dict[Displacement, ResidualPlane], block_size: int = BLOCK
+) -> DisplacementField:
+    """Pick, per block, the displacement with minimum sum of squared residuals."""
+    require_block(block_size)
+    return _least_sse(dset[d].samples for d in CATALOGUE)
 
 
 def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offsets: bool = False) -> np.ndarray:
@@ -218,15 +172,14 @@ def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offs
     With halve_offsets, shift amounts are halved toward zero (4:2:0 chroma
     reuse of a luma field).
     """
-    h, w = prev_recon.shape
-    used = np.unique(field.indices)
-    planes = np.empty((len(CATALOGUE), h, w), dtype=prev_recon.dtype)
-    for k in used:
+    choice = field.indices.reshape(-1)
+    tiles = np.empty((choice.size, BLOCK, BLOCK), dtype=prev_recon.dtype)
+    for k in np.unique(choice):
         d = CATALOGUE[int(k)]
         s = int(d.s / 2) if halve_offsets else d.s  # int() truncates toward zero
-        planes[k] = shift_plane(prev_recon, d.axis, s)
-    idx = _per_pixel_choice(field, h, w)
-    return np.take_along_axis(planes, idx[None, :, :].astype(np.intp), axis=0)[0]
+        picked = choice == k
+        tiles[picked] = to_tiles(shift_plane(prev_recon, d.axis, s))[picked]
+    return from_tiles(tiles, prev_recon.shape)
 
 
 def reconstruct_frame(
@@ -238,12 +191,9 @@ def reconstruct_frame(
             f"residual is {decoded_residual.width}x{decoded_residual.height}, "
             f"frame is {prev_recon.width}x{prev_recon.height}"
         )
-    blocks_y = -(-prev_recon.height // field.block_size)
-    blocks_x = -(-prev_recon.width // field.block_size)
-    if field.indices.shape != (blocks_y, blocks_x):
-        raise ContractViolation(
-            f"field grid {field.indices.shape} does not cover {blocks_y}x{blocks_x} blocks"
-        )
+    grid = grid_shape(prev_recon.samples.shape)
+    if field.indices.shape != grid:
+        raise ContractViolation(f"field grid {field.indices.shape} does not cover {grid[0]}x{grid[1]} blocks")
     pred = predicted_plane(prev_recon.samples, field).astype(np.int32)
     out = np.clip(pred + decoded_residual.samples, 0, 255).astype(np.uint8)
     return FramePlane(prev_recon.width, prev_recon.height, out)

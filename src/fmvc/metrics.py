@@ -18,7 +18,7 @@ from .foveation import (
     eccentricity,
     error_sensitivity,
 )
-from .transform import BLOCK
+from .transform import BLOCK, grid_shape, tile_reduce
 from .video_io import FramePlane
 
 SSIM_WINDOW = 11
@@ -199,32 +199,23 @@ def bits_ssim_profile(block_bits: np.ndarray, smap: np.ndarray) -> tuple[np.ndar
     """
     block_bits = np.asarray(block_bits, dtype=np.float64)
     h, w = smap.shape
-    nby, nbx = block_bits.shape
-    if nby != -(-h // BLOCK) or nbx != -(-w // BLOCK):
+    if block_bits.shape != grid_shape((h, w)):
         raise ContractViolation(
             f"bits grid {block_bits.shape} does not tile a {h}x{w} frame with {BLOCK}px blocks"
         )
-    col_bits = np.zeros(w, dtype=np.float64)
-    stripe = block_bits.sum(axis=0)
-    for bj in range(nbx):
-        lo = bj * BLOCK
-        hi = min(lo + BLOCK, w)
-        col_bits[lo:hi] += stripe[bj] / (hi - lo)
-    return col_bits, smap.mean(axis=0)
+    widths = tile_reduce(np.ones((1, w), dtype=np.int64), np.add)[0]  # columns per block
+    return np.repeat(block_bits.sum(axis=0) / widths, widths), smap.mean(axis=0)
 
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-frame evaluation record; profiles are present when the caller had
-    encoder-side bit accounting (each has length W)."""
+    """Per-frame evaluation record, one CSV row."""
 
     frame_idx: int
     bpp: float
     mean_ssim: float
     fw_ssim: float
     fwqi: float
-    bits_profile: np.ndarray | None = None
-    ssim_profile: np.ndarray | None = None
 
     CSV_HEADER = "frame_idx,bpp,mean_ssim,fw_ssim,fwqi_approx"
 

@@ -1,11 +1,12 @@
-"""Integer 8x8 block transform with an exact inverse.
+"""The 8x8 block grid and the integer block transform with an exact inverse.
 
 A lifting realization of the 8-point DCT-II flowgraph: unnormalized
 butterflies split even/odd halves (invertible because sums and differences
 share parity), and every rotation is three fixed-point lifting shears, so
 inverse(forward(x)) == x for any integer block regardless of constant
 precision.  Arithmetic is integer-only, which keeps coded output
-byte-identical across platforms.
+byte-identical across platforms.  The grid helpers below are the only
+place that tiles a plane, untiles it, or reduces over its tiles.
 
 Outputs approximate the true DCT-II scaled per 1-D index by
 (sqrt(8), sqrt(2), 2, sqrt(2), sqrt(8), sqrt(2), 2, sqrt(2)); the 2-D gain
@@ -157,6 +158,49 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     if c.shape != (BLOCK, BLOCK):
         raise ContractViolation(f"expected an 8x8 block, got shape {c.shape}")
     return inverse_blocks(c)
+
+
+# --- the block grid -------------------------------------------------------
+# Every layer codes, predicts and allocates on one grid of 8x8 tiles laid
+# from the top-left corner; the last row and column of tiles may be partial.
+
+
+def require_block(block_size: int) -> None:
+    """Reject block sizes other than the grid's fixed BLOCK."""
+    if block_size != BLOCK:
+        raise ContractViolation(f"block size is fixed at {BLOCK}, got {block_size}")
+
+
+def grid_shape(shape: tuple[int, int]) -> tuple[int, int]:
+    """Tiles down and across a (height, width) plane, partial edge tiles included."""
+    return -(-shape[0] // BLOCK), -(-shape[1] // BLOCK)
+
+
+def to_tiles(plane: np.ndarray) -> np.ndarray:
+    """Split a plane into (n_tiles, 8, 8) in raster order, edge-replicating partial tiles."""
+    h, w = plane.shape
+    if h % BLOCK or w % BLOCK:
+        plane = np.pad(plane, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
+    nby, nbx = grid_shape((h, w))
+    return plane.reshape(nby, BLOCK, nbx, BLOCK).swapaxes(1, 2).reshape(-1, BLOCK, BLOCK)
+
+
+def from_tiles(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of to_tiles: reassemble a (height, width) plane, cropping the padding."""
+    nby, nbx = grid_shape(shape)
+    full = tiles.reshape(nby, nbx, BLOCK, BLOCK).swapaxes(1, 2).reshape(nby * BLOCK, nbx * BLOCK)
+    return full[: shape[0], : shape[1]]
+
+
+def tile_reduce(plane: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Reduce each tile to one value with a ufunc such as np.add or np.maximum.
+
+    Only samples inside the plane take part: a partial edge tile is not
+    padded, so sums count its real samples alone.
+    """
+    rows = np.arange(0, plane.shape[0], BLOCK)
+    cols = np.arange(0, plane.shape[1], BLOCK)
+    return ufunc.reduceat(ufunc.reduceat(plane, rows, axis=0), cols, axis=1)
 
 
 def zigzag_scan(block: np.ndarray) -> np.ndarray:

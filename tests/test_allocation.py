@@ -118,3 +118,9 @@ def test_block_levels_grid_matches_per_block_op(rng):
             w = min(8, 27 - bj * 8)
             h = min(8, 20 - bi * 8)
             assert grid[bi, bj] == level_for_block(levels, (bj * 8, bi * 8, w, h))
+
+
+def test_block_levels_block_size_is_fixed(rng):
+    levels = LevelMap(rng.integers(0, 16, (16, 16), dtype=np.uint8), 16)
+    with pytest.raises(ContractViolation):
+        block_levels(levels, 4)

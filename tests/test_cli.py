@@ -1,9 +1,10 @@
 import pytest
 
+from fmvc.bitio import BitWriter
 from fmvc.cli import EncodeConfig, densify_gaze, main, parse_fmsc, read_gaze_track
-from fmvc.codec import SequenceBitstream, decode_sequence
+from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
-from fmvc.video_io import read_y4m, write_y4m
+from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
 from conftest import pan_clip
 
@@ -178,6 +179,25 @@ class TestEncodeDecode:
         bad.write_bytes(bytes(data))
         assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "y.y4m")]) == 3
         assert "byte offset 0" in capsys.readouterr().err
+
+    def test_overlong_codeword_exit_code(self, tmp_path, capsys):
+        w = BitWriter()
+        w.write_bits(0, 8)
+        w.write_ue(2**70)  # 141-bit codeword
+        w.write_ue(0)  # end of block
+        rec = FrameRecord(4, 4, 0, FrameBitstream(w.getvalue()))
+        out = tmp_path / "long.fmvc"
+        out.write_bytes(SequenceBitstream(8, 8, 25, 1, 0.02, 0.012, 4, (rec,)).to_bytes())
+        assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
+        assert "byte offset" in capsys.readouterr().err
+
+    def test_unpackable_frame_rate_is_config_error(self, tmp_path, capsys):
+        seq = pan_clip(16, 16, 1, step=3)
+        path = tmp_path / "fast.y4m"
+        with open(path, "wb") as fh:
+            write_y4m(VideoSequence(seq.frames, 120000, 1001), fh)
+        assert main(["encode", "--input", str(path), "--output", str(tmp_path / "x.fmvc")]) == 2
+        assert "fps_num 120000" in capsys.readouterr().err
 
     def test_future_version_exit_code(self, clip_path, tmp_path, capsys):
         out = tmp_path / "v.fmvc"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fmvc.codec import (
     midgray_frame,
     quantize_coeffs,
 )
-from fmvc.errors import BitstreamError, ContractViolation, UnsupportedVersion
+from fmvc.errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
 from fmvc.foveation import FoveationMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
 from conftest import pan_clip, random_clip
@@ -56,6 +58,27 @@ class TestQuantSchedule:
             QuantSchedule(q_base=0)
         with pytest.raises(ContractViolation):
             QuantSchedule(n_levels=1)
+
+    def test_levels_beyond_the_prefix_field_rejected(self):
+        # a level >= 16 would spill into the 4-bit displacement field
+        QuantSchedule(n_levels=16)
+        with pytest.raises(ContractViolation):
+            QuantSchedule(n_levels=17)
+        with pytest.raises(ContractViolation):
+            QuantSchedule(n_levels=32)
+
+    def test_level_map_must_match_schedule(self):
+        clip = random_clip(16, 16, 1, seed=6)
+        lm = level_map_for(13, 16, 16)  # 16 levels
+        with pytest.raises(ContractViolation):
+            encode_frame(clip.frames[0], midgray_frame(16, 16), lm, QuantSchedule(n_levels=8))
+
+    def test_sequence_level_count_is_fixed(self):
+        # the v1 header records no level count; the decoder assumes 16
+        seq = random_clip(16, 16, 1, seed=6)
+        maps = [gaussian_map((8, 8), 4.0, 16, 16)]
+        with pytest.raises(ContractViolation):
+            encode_sequence(seq, maps, QuantSchedule(n_levels=8))
 
 
 class TestQuantizer:
@@ -209,6 +232,15 @@ class TestFrameCodec:
         with pytest.raises(BitstreamError):
             decode_frame(FrameBitstream(stream.payload[: len(stream.payload) // 2]), prev, DEFAULT_SCHED)
 
+    def test_overlong_codeword_is_bitstream_error(self):
+        # a 141-bit codeword decodes to a symbol far beyond any int16 coefficient
+        w = BitWriter()
+        w.write_bits(0, 8)  # luma prefix: zero displacement, level 0
+        w.write_ue(2**70)
+        w.write_ue(0)  # end of block
+        with pytest.raises(BitstreamError, match="byte offset"):
+            decode_frame(FrameBitstream(w.getvalue()), midgray_frame(8, 8), DEFAULT_SCHED)
+
     def test_empty_payload_is_contract_violation(self):
         with pytest.raises(ContractViolation):
             decode_frame(FrameBitstream(b""), midgray_frame(16, 16), DEFAULT_SCHED)
@@ -306,3 +338,13 @@ class TestSequenceCodec:
         seq = random_clip(16, 16, 2, seed=1)
         with pytest.raises(ContractViolation):
             encode_sequence(seq, self.maps_for(seq)[:1], DEFAULT_SCHED)
+
+    def test_header_fields_range_checked(self):
+        seq = random_clip(16, 16, 2, seed=8)
+        sbs, _ = encode_sequence(seq, self.maps_for(seq), DEFAULT_SCHED)
+        for field, value in (("fps_num", 120000), ("width", 1 << 16), ("height", -1)):
+            with pytest.raises(ConfigError, match=field):
+                replace(sbs, **{field: value}).to_bytes()
+        rec = replace(sbs.frames[0], fmsc_code=256)
+        with pytest.raises(ConfigError, match="fmsc_code"):
+            replace(sbs, frames=(rec,) + sbs.frames[1:]).to_bytes()

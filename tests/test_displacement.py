@@ -7,6 +7,7 @@ from fmvc.displacement import (
     Displacement,
     DisplacementField,
     ZERO_DISPLACEMENT,
+    choose_displacements,
     displaced_difference,
     reconstruct_frame,
     residual_set,
@@ -126,7 +127,7 @@ def test_static_selection_is_zero_displacement():
 
 
 def brute_force_selection(rset, block_size):
-    h, w = rset.height, rset.width
+    h, w = rset[ZERO_DISPLACEMENT].samples.shape
     nby, nbx = -(-h // block_size), -(-w // block_size)
     out = np.zeros((nby, nbx), dtype=np.int8)
     for bi in range(nby):
@@ -180,6 +181,23 @@ def test_selection_matches_brute_force_on_random_pairs(rng):
         rset = residual_set(plane(cur), plane(prev))
         field = select_displacement_per_block(rset, 8)
         assert np.array_equal(field.indices, brute_force_selection(rset, 8))
+
+
+def test_encoder_choice_matches_residual_set_selection(rng):
+    for h, w in ((1, 1), (5, 7), (13, 23), (24, 40)):
+        cur = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        prev = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        rset = residual_set(plane(cur), plane(prev))
+        assert choose_displacements(cur, prev) == select_displacement_per_block(rset, 8)
+        assert np.array_equal(choose_displacements(cur, prev).indices, brute_force_selection(rset, 8))
+
+
+def test_block_size_other_than_8_rejected():
+    a = plane(np.full((16, 16), 77))
+    with pytest.raises(ContractViolation):
+        select_displacement_per_block(residual_set(a, a), 4)
+    with pytest.raises(ContractViolation):
+        DisplacementField.uniform(ZERO_DISPLACEMENT, 2, 2, 16)
 
 
 def test_residual_range_invariant(rng):

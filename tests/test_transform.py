@@ -7,8 +7,13 @@ from fmvc.transform import (
     ZIGZAG,
     forward_blocks,
     forward_transform,
+    from_tiles,
+    grid_shape,
     inverse_blocks,
     inverse_transform,
+    require_block,
+    tile_reduce,
+    to_tiles,
     zigzag_scan,
     zigzag_unscan,
 )
@@ -96,3 +101,40 @@ def test_zigzag_orders_by_frequency():
     zz = zigzag_scan(block)
     assert zz[:3].tolist() == [5, 3, 2]
     assert not zz[3:].any()
+
+
+class TestBlockGrid:
+    def test_grid_shape_counts_partial_tiles(self):
+        assert grid_shape((1, 1)) == (1, 1)
+        assert grid_shape((16, 24)) == (2, 3)
+        assert grid_shape((17, 9)) == (3, 2)
+
+    def test_tiles_round_trip_with_edge_replication(self, rng):
+        for h, w in ((1, 1), (5, 7), (13, 23), (16, 24)):
+            plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            tiles = to_tiles(plane)
+            nby, nbx = grid_shape((h, w))
+            assert tiles.shape == (nby * nbx, 8, 8)
+            assert np.array_equal(from_tiles(tiles, (h, w)), plane)
+        plane = np.arange(9 * 10).reshape(9, 10)
+        padded = np.pad(plane, ((0, 7), (0, 6)), mode="edge")
+        tiles = to_tiles(plane)
+        for k, (bi, bj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):  # raster order
+            assert np.array_equal(tiles[k], padded[bi * 8 : bi * 8 + 8, bj * 8 : bj * 8 + 8])
+
+    def test_tile_reduce_counts_only_inside_samples(self, rng):
+        plane = rng.integers(0, 100, (13, 20))
+        sums = tile_reduce(plane, np.add)
+        maxima = tile_reduce(plane, np.maximum)
+        assert sums.shape == maxima.shape == (2, 3)
+        for bi in range(2):
+            for bj in range(3):
+                tile = plane[bi * 8 : bi * 8 + 8, bj * 8 : bj * 8 + 8]
+                assert sums[bi, bj] == tile.sum()
+                assert maxima[bi, bj] == tile.max()
+
+    def test_block_size_is_fixed(self):
+        require_block(8)
+        for bad in (0, 4, 16):
+            with pytest.raises(ContractViolation):
+                require_block(bad)

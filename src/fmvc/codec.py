@@ -15,20 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import block_levels
-from .bitio import BitReader, BitWriter, signed_to_symbol, symbol_to_signed
+from .bitio import decode_blocks, encode_blocks
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
 from .foveation import FoveationMap, LevelMap, quantize_map
-from .transform import (
-    BLOCK,
-    forward_blocks,
-    from_tiles,
-    grid_shape,
-    inverse_blocks,
-    to_tiles,
-    zigzag_scan,
-    zigzag_unscan,
-)
+from .transform import forward_blocks, from_tiles, grid_shape, inverse_blocks, to_tiles
 from .video_io import Frame, FramePlane, VideoSequence, chroma_dims
 
 MAGIC = b"FMVC"
@@ -39,10 +30,6 @@ _FRAME_HEAD = struct.Struct("<HHBI")  # gaze_x, gaze_y, fmsc_code, payload bytes
 # Each luma block prefix holds the level in 4 bits; the v1 header does not
 # record the level count, so the decoder assumes MAX_LEVELS.
 MAX_LEVELS = 16
-
-# The block code carries int16 coefficients (the encoder's own stay within
-# +-64 * 255); a longer codeword can only come from a corrupt payload.
-_MAX_SYMBOL = signed_to_symbol(-(1 << 15)) + 1
 
 
 @dataclass(frozen=True)
@@ -98,41 +85,6 @@ def dequantize_coeffs(qcoeffs: np.ndarray, level: int, sched: QuantSchedule) -> 
     return np.asarray(qcoeffs, dtype=np.int64) * sched.steps[level]
 
 
-# --- block entropy code ------------------------------------------------
-# Zigzag-ordered values up to the last nonzero coefficient, each coded as
-# exp-golomb of (signed symbol + 1); codeword 0 is the end-of-block marker.
-# The +1 shift keeps in-run zero values distinguishable from the marker.
-
-
-def entropy_encode_block(writer: BitWriter, qblock: np.ndarray) -> None:
-    zz = zigzag_scan(qblock)
-    nonzero = np.nonzero(zz)[0]
-    if len(nonzero):
-        for v in zz[: nonzero[-1] + 1].tolist():
-            writer.write_ue(signed_to_symbol(v) + 1)
-    writer.write_ue(0)
-
-
-def entropy_decode_block(reader: BitReader) -> np.ndarray:
-    values = []
-    while True:
-        symbol = reader.read_ue()
-        if symbol == 0:
-            break
-        if symbol > _MAX_SYMBOL:
-            raise BitstreamError(
-                f"coefficient symbol {symbol} exceeds {_MAX_SYMBOL}", byte_offset=reader.bit_position // 8
-            )
-        if len(values) >= 64:
-            raise BitstreamError(
-                "block carries more than 64 coefficients", byte_offset=reader.bit_position // 8
-            )
-        values.append(symbol_to_signed(symbol - 1))
-    flat = np.zeros(64, dtype=np.int64)
-    flat[: len(values)] = values
-    return zigzag_unscan(flat)
-
-
 # --- plane helpers ------------------------------------------------------
 
 
@@ -141,28 +93,13 @@ def _quantize_plane_blocks(coeffs: np.ndarray, levels_flat: np.ndarray, sched: Q
     return _round_div_half_away(coeffs, steps)
 
 
-def _encode_plane(
-    writer: BitWriter,
-    cur: np.ndarray,
-    pred: np.ndarray,
-    levels_grid: np.ndarray,
-    sched: QuantSchedule,
-    prefixes: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Code one plane against its prediction; returns (qblocks, bits per block)."""
+def _quantized_residual(
+    cur: np.ndarray, pred: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule
+) -> np.ndarray:
+    """Transform and quantize one plane's residual against its prediction."""
     residual = cur.astype(np.int64) - pred.astype(np.int64)
     coeffs = forward_blocks(to_tiles(residual))
-    levels_flat = levels_grid.reshape(-1)
-    qblocks = _quantize_plane_blocks(coeffs, levels_flat, sched)
-
-    bits = np.empty(len(qblocks), dtype=np.int64)
-    for i, qb in enumerate(qblocks):
-        start = writer.bit_length
-        if prefixes is not None:
-            writer.write_bits(int(prefixes[i]), 8)
-        entropy_encode_block(writer, qb)
-        bits[i] = writer.bit_length - start
-    return qblocks, bits.reshape(levels_grid.shape)
+    return _quantize_plane_blocks(coeffs, levels_grid.reshape(-1), sched)
 
 
 def _reconstruct_plane(
@@ -186,6 +123,12 @@ def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:
     grid are exactly the chroma grid.
     """
     return luma_grid[::2, ::2]
+
+
+def _prefix_table(sched: QuantSchedule) -> np.ndarray:
+    """Which of the 256 luma block prefixes (displacement << 4 | level) are valid."""
+    prefix = np.arange(256)
+    return (prefix >> 4 < len(CATALOGUE)) & (prefix & 0x0F < sched.n_levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,43 +186,34 @@ def encode_frame(
         fld = choose_displacements(cur.y.samples, prev_recon.y.samples)
     levels_grid = block_levels(level_map)
 
-    writer = BitWriter()
     pred_y = predicted_plane(prev_recon.y.samples, fld)
     prefixes = (fld.indices.astype(np.uint8) << 4 | levels_grid.astype(np.uint8)).reshape(-1)
-    q_y, bits_y = _encode_plane(writer, cur.y.samples, pred_y, levels_grid, sched, prefixes)
+    q_y = _quantized_residual(cur.y.samples, pred_y, levels_grid, sched)
     recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y)
+    planes = [(q_y, prefixes)]
 
     cw, ch = chroma_dims(w, h)
     cfield, clevels = DisplacementField(_chroma_grid(fld.indices)), _chroma_grid(levels_grid)
-    block_bits = bits_y.astype(np.float64)
     recon_chroma = []
     for cur_plane, prev_plane in ((cur.cb, prev_recon.cb), (cur.cr, prev_recon.cr)):
         pred_c = predicted_plane(prev_plane.samples, cfield, halve_offsets=True)
-        q_c, bits_c = _encode_plane(writer, cur_plane.samples, pred_c, clevels, sched, None)
+        q_c = _quantized_residual(cur_plane.samples, pred_c, clevels, sched)
         recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c))
-        _spread_chroma_bits(block_bits, bits_c)
+        planes.append((q_c, None))
+
+    payload, (bits_y, *bits_chroma) = encode_blocks(planes)
+    block_bits = bits_y.reshape(levels_grid.shape).astype(np.float64)
+    for bits_c in bits_chroma:
+        _spread_chroma_bits(block_bits, bits_c.reshape(clevels.shape))
 
     recon = Frame(
         FramePlane(w, h, recon_y),
         FramePlane(cw, ch, recon_chroma[0]),
         FramePlane(cw, ch, recon_chroma[1]),
     )
-    stream = FrameBitstream(writer.getvalue(), block_bits, int(writer.bit_length))
+    total_bits = sum(int(bits.sum()) for bits in (bits_y, *bits_chroma))
+    stream = FrameBitstream(payload, block_bits, total_bits)
     return stream, recon
-
-
-def _decode_plane(
-    reader: BitReader,
-    n_blocks: int,
-    read_prefix: bool,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    prefixes = np.empty(n_blocks, dtype=np.int64) if read_prefix else None
-    qblocks = np.empty((n_blocks, BLOCK, BLOCK), dtype=np.int64)
-    for i in range(n_blocks):
-        if read_prefix:
-            prefixes[i] = reader.read_bits(8)
-        qblocks[i] = entropy_decode_block(reader)
-    return prefixes, qblocks
 
 
 def decode_frame(
@@ -293,26 +227,19 @@ def decode_frame(
         raise ContractViolation("frame payload records zero blocks")
     w, h = prev_recon.y.width, prev_recon.y.height
     nby, nbx = grid_shape((h, w))
-    reader = BitReader(payload)
-
-    prefixes, q_y = _decode_plane(reader, nby * nbx, read_prefix=True)
-    disp_idx = prefixes >> 4
-    levels_flat = prefixes & 0x0F
-    if disp_idx.max() >= len(CATALOGUE):
-        raise BitstreamError(
-            f"displacement index {int(disp_idx.max())} outside the catalogue",
-            byte_offset=reader.bit_position // 8,
-        )
-    fld = DisplacementField(disp_idx.reshape(nby, nbx).astype(np.int8))
-    levels_grid = levels_flat.reshape(nby, nbx)
+    n_chroma = ((nby + 1) // 2) * ((nbx + 1) // 2)  # the size of _chroma_grid
+    (q_y, prefixes), *q_chroma = decode_blocks(
+        payload, [(nby * nbx, _prefix_table(sched)), (n_chroma, None), (n_chroma, None)]
+    )
+    fld = DisplacementField((prefixes >> 4).reshape(nby, nbx).astype(np.int8))
+    levels_grid = (prefixes & 0x0F).reshape(nby, nbx)
     pred_y = predicted_plane(prev_recon.y.samples, fld)
     recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y)
 
     cw, ch = chroma_dims(w, h)
     cfield, clevels = DisplacementField(_chroma_grid(fld.indices)), _chroma_grid(levels_grid)
     recon_chroma = []
-    for prev_plane in (prev_recon.cb, prev_recon.cr):
-        _, q_c = _decode_plane(reader, clevels.size, read_prefix=False)
+    for prev_plane, (q_c, _) in zip((prev_recon.cb, prev_recon.cr), q_chroma):
         pred_c = predicted_plane(prev_plane.samples, cfield, halve_offsets=True)
         recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c))
 
@@ -331,6 +258,16 @@ def _check_fits(**fields: tuple[int, int]) -> None:
     for name, (value, bits) in fields.items():
         if not 0 <= value < 1 << bits:
             raise ConfigError(f"{name} {value} does not fit the stream's {bits}-bit field")
+
+
+def _check_header_fits(width: int, height: int, fps_num: int, fps_den: int, frame_count: int) -> None:
+    _check_fits(
+        width=(width, 16),
+        height=(height, 16),
+        fps_num=(fps_num, 16),
+        fps_den=(fps_den, 16),
+        frame_count=(frame_count, 32),
+    )
 
 
 @dataclass(frozen=True)
@@ -373,13 +310,7 @@ class SequenceBitstream:
         return self.payload_bits() / (self.width * self.height * self.frame_count)
 
     def to_bytes(self) -> bytes:
-        _check_fits(
-            width=(self.width, 16),
-            height=(self.height, 16),
-            fps_num=(self.fps_num, 16),
-            fps_den=(self.fps_den, 16),
-            frame_count=(self.frame_count, 32),
-        )
+        _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
         parts = [
             _HEADER.pack(
                 MAGIC,
@@ -470,6 +401,7 @@ def encode_sequence(
         fmsc_codes = [0] * len(seq)
     if len(fmsc_codes) != len(seq):
         raise ContractViolation("fmsc codes must match the frame count")
+    _check_header_fits(seq.width, seq.height, seq.fps_num, seq.fps_den, len(seq))
 
     w, h = seq.width, seq.height
     prev = midgray_frame(w, h)

@@ -59,7 +59,6 @@ ZIGZAG = np.array(
     ],
     dtype=np.intp,
 )
-INVERSE_ZIGZAG = np.argsort(ZIGZAG)
 
 
 def _rot_fwd(a, b, p, u):
@@ -202,12 +201,3 @@ def tile_reduce(plane: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     cols = np.arange(0, plane.shape[1], BLOCK)
     return ufunc.reduceat(ufunc.reduceat(plane, rows, axis=0), cols, axis=1)
 
-
-def zigzag_scan(block: np.ndarray) -> np.ndarray:
-    """Flatten an 8x8 block in zigzag order."""
-    return np.asarray(block).reshape(64)[ZIGZAG]
-
-
-def zigzag_unscan(values: np.ndarray) -> np.ndarray:
-    """Rebuild an 8x8 block from its zigzag-ordered values."""
-    return np.asarray(values).reshape(64)[INVERSE_ZIGZAG].reshape(BLOCK, BLOCK)

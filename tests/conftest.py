@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
+from fmvc.codec import QuantSchedule, encode_frame, midgray_frame
+from fmvc.foveation import FoveationMap, quantize_map
 from fmvc.video_io import Frame, FramePlane, VideoSequence, chroma_dims
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit; each test's example count is fixed here or in its own settings.
+settings.register_profile("fmvc", derandomize=True, deadline=None, max_examples=60, database=None)
+settings.load_profile("fmvc")
 
 
 @pytest.fixture
@@ -141,3 +150,18 @@ def natural_clip(width: int = 352, height: int = 288, n_frames: int = 6, seed: i
         cr = 255 - cb
         frames.append(frame_from_planes(y.copy(), cb.copy(), cr.copy()))
     return VideoSequence(tuple(frames), 30, 1)
+
+
+@st.composite
+def frame_payloads(draw, max_size=120):
+    """A frame size of 1-40 px a side and a payload: random bytes, or that
+    size's valid payload with bits flipped, bytes cut off or bytes appended."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return w, h, draw(st.binary(max_size=max_size))
+    clip = random_clip(w, h, 1, seed=draw(st.integers(0, 1000)))
+    lm = quantize_map(FoveationMap(np.full((h, w), draw(st.floats(0.0, 1.0))), (0, 0)), 16)
+    data = bytearray(encode_frame(clip.frames[0], midgray_frame(w, h), lm, QuantSchedule())[0].payload)
+    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1), max_size=4)):
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    return w, h, bytes(data[: draw(st.integers(0, len(data)))]) + draw(st.binary(max_size=4))

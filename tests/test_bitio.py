@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmvc.bitio import BitReader, BitWriter, signed_to_symbol, symbol_to_signed, ue_bits
-from fmvc.errors import BitstreamError
+from fmvc.bitio import decode_blocks, encode_blocks, signed_to_symbol, symbol_to_signed
+from fmvc.errors import BitstreamError, ContractViolation
+
+from bitref import BitReader, BitWriter, decode_stack, encode_stack, ue_bits
 
 
 def test_ue_codewords():
@@ -85,3 +90,149 @@ def test_reader_truncated_codeword():
     r = BitReader(bytes([0x01]))
     with pytest.raises(BitstreamError):
         r.read_ue()
+
+
+# --- the array block coder against the reference ------------------------
+
+INT16_EXTREMES = np.array([-(1 << 15), (1 << 15) - 1])
+
+
+@st.composite
+def block_planes(draw, max_blocks=300):
+    """1-3 planes of random blocks, 0-300 blocks in all, each plane with or
+    without 8-bit prefixes.  Coefficients mix zero runs, small values, the
+    whole int16 range and its two extremes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = draw(st.integers(0, max_blocks))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=2)))
+    planes = []
+    for n in np.diff([0, *cuts, total]):
+        blocks = np.zeros((n, 64), np.int64)
+        density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+        nonzero = rng.random((n, 64)) < density
+        kind = rng.integers(0, 3, (n, 64))
+        small = rng.integers(-5, 6, (n, 64))
+        wide = rng.integers(-(1 << 15), 1 << 15, (n, 64))
+        extreme = INT16_EXTREMES[rng.integers(0, 2, (n, 64))]
+        blocks[nonzero] = np.choose(kind, [small, wide, extreme])[nonzero]
+        prefixes = rng.integers(0, 256, n).astype(np.uint8) if draw(st.booleans()) else None
+        planes.append((blocks.reshape(n, 8, 8), prefixes))
+    return planes
+
+
+def layout_of(planes):
+    return [(len(b), None if p is None else np.ones(256, bool)) for b, p in planes]
+
+
+@given(block_planes())
+def test_array_encoder_matches_reference(planes):
+    payload, bits = encode_blocks(planes)
+    ref_payload, ref_bits = encode_stack(planes)
+    assert payload == ref_payload
+    assert [b.tolist() for b in bits] == [b.tolist() for b in ref_bits]
+
+
+@given(block_planes())
+def test_array_decoder_inverts_encoder(planes):
+    payload, _ = encode_blocks(planes)
+    decoded = decode_blocks(payload, layout_of(planes))
+    assert len(decoded) == len(planes)
+    for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decoded, planes):
+        assert np.array_equal(blocks, want_blocks)
+        assert (prefixes is None) == (want_prefixes is None)
+        if prefixes is not None:
+            assert np.array_equal(prefixes, want_prefixes)
+
+
+def outcome(decode, data, layout):
+    try:
+        return decode(data, layout)
+    except BitstreamError as exc:
+        return exc
+
+
+@st.composite
+def payloads_and_layouts(draw):
+    """Small layouts with random prefix tables, and payloads that are random
+    bytes, random bits with long zero or one runs, or a valid payload with
+    bits flipped, bytes cut off or bytes appended."""
+    planes = draw(block_planes(max_blocks=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    allowed_share = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    layout = [(len(b), None if p is None else rng.random(256) < allowed_share) for b, p in planes]
+    kind = draw(st.sampled_from(["bytes", "runs", "mutated"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40)), layout
+    if kind == "runs":
+        ones = rng.random(8 * draw(st.integers(0, 60))) < draw(st.sampled_from([0.03, 0.2, 0.8]))
+        return np.packbits(ones).tobytes(), layout
+    data = bytearray(encode_blocks(planes)[0])
+    for bit in draw(st.lists(st.integers(0, max(8 * len(data) - 1, 0)), max_size=3)) if data else []:
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    cut = draw(st.integers(0, len(data)))
+    return bytes(data[:cut]) + draw(st.binary(max_size=3)), layout
+
+
+@settings(max_examples=300)
+@given(payloads_and_layouts())
+def test_array_decoder_rejects_exactly_when_reference_does(case):
+    data, layout = case
+    got = outcome(decode_blocks, data, layout)
+    want = outcome(decode_stack, data, layout)
+    assert isinstance(got, BitstreamError) == isinstance(want, BitstreamError)
+    if isinstance(got, BitstreamError):
+        assert 0 <= got.byte_offset < max(len(data), 1)
+    else:
+        for (blocks, prefixes), (ref_blocks, ref_prefixes) in zip(got, want):
+            assert np.array_equal(blocks, ref_blocks)
+            assert (prefixes is None and ref_prefixes is None) or np.array_equal(prefixes, ref_prefixes)
+
+
+def test_encoder_rejects_coefficients_beyond_int16():
+    block = np.zeros((1, 8, 8), np.int64)
+    block[0, 0, 0] = 1 << 15
+    with pytest.raises(ContractViolation):
+        encode_blocks([(block, None)])
+
+
+def test_decoder_rejects_trailing_bits():
+    block = np.zeros((1, 8, 8), np.int64)
+    block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits
+    payload, [bits] = encode_blocks([(block, None)])
+    assert bits.tolist() == [6] and payload == bytes([0b00111100])
+    assert np.array_equal(decode_blocks(payload, [(1, None)])[0][0], block)
+    with pytest.raises(BitstreamError, match="zero padding") as info:
+        decode_blocks(bytes([0b00111101]), [(1, None)])  # a set pad bit
+    assert info.value.byte_offset == 0
+    with pytest.raises(BitstreamError, match="zero padding") as info:
+        decode_blocks(payload + b"\x00", [(1, None)])  # a whole byte more
+    assert info.value.byte_offset == 0
+
+
+def test_decoder_bounds_codewords_by_the_int16_range():
+    for value, accepted in ((-(1 << 15), True), ((1 << 15) - 1, True), (-(1 << 15) - 1, False), (1 << 16, False)):
+        w = BitWriter()
+        w.write_ue(signed_to_symbol(value) + 1)
+        w.write_ue(0)
+        if accepted:
+            [(blocks, _)] = decode_blocks(w.getvalue(), [(1, None)])
+            assert blocks[0, 0, 0] == value
+        else:
+            with pytest.raises(BitstreamError, match="int16"):
+                decode_blocks(w.getvalue(), [(1, None)])
+    w = BitWriter()
+    w.write_ue(2**70)  # a 141-bit codeword
+    w.write_ue(0)
+    with pytest.raises(BitstreamError, match="int16") as info:
+        decode_blocks(w.getvalue(), [(1, None)])
+    assert info.value.byte_offset == 0
+
+
+def test_decoder_checks_prefixes_against_the_table():
+    payload, _ = encode_blocks([(np.zeros((2, 8, 8), np.int64), np.array([7, 9], np.uint8))])
+    allowed = np.ones(256, bool)
+    assert decode_blocks(payload, [(2, allowed)])[0][1].tolist() == [7, 9]
+    allowed[9] = False
+    with pytest.raises(BitstreamError, match="0x09") as info:
+        decode_blocks(payload, [(2, allowed)])
+    assert info.value.byte_offset == 1  # the second prefix starts at bit 9

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from fmvc.bitio import BitWriter
+from fmvc import codec
 from fmvc.cli import EncodeConfig, densify_gaze, main, parse_fmsc, read_gaze_track
 from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
-from conftest import pan_clip
+from bitref import BitWriter
+from conftest import frame_payloads, pan_clip
 
 
 @pytest.fixture(scope="module")
@@ -191,13 +193,33 @@ class TestEncodeDecode:
         assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
         assert "byte offset" in capsys.readouterr().err
 
-    def test_unpackable_frame_rate_is_config_error(self, tmp_path, capsys):
+    # tmp_path and capsys are shared by the examples: each one overwrites
+    # the file and drains the captured output.
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=frame_payloads())
+    def test_decode_of_any_payload_exits_cleanly(self, tmp_path, capsys, case):
+        w, h, payload = case
+        rec = FrameRecord(0, 0, 0, FrameBitstream(payload))
+        path = tmp_path / "any.fmvc"
+        path.write_bytes(SequenceBitstream(w, h, 25, 1, 0.02, 0.012, 4, (rec,)).to_bytes())
+        code = main(["decode", "--input", str(path), "--output", str(path.with_suffix(".y4m"))])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code:
+            assert "error: " in err
+
+    def test_unpackable_frame_rate_is_config_error(self, tmp_path, capsys, monkeypatch):
         seq = pan_clip(16, 16, 1, step=3)
         path = tmp_path / "fast.y4m"
         with open(path, "wb") as fh:
             write_y4m(VideoSequence(seq.frames, 120000, 1001), fh)
+        calls = []
+        original = codec.encode_frame
+        monkeypatch.setattr(codec, "encode_frame", lambda *a, **k: calls.append(1) or original(*a, **k))
         assert main(["encode", "--input", str(path), "--output", str(tmp_path / "x.fmvc")]) == 2
         assert "fps_num 120000" in capsys.readouterr().err
+        assert calls == []  # the header is checked before any frame is coded
 
     def test_future_version_exit_code(self, clip_path, tmp_path, capsys):
         out = tmp_path / "v.fmvc"

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from fmvc.bitio import BitReader, BitWriter
+from fmvc.bitio import decode_blocks, encode_blocks
 from fmvc.codec import (
     CodecConfig,
     FrameBitstream,
@@ -14,15 +15,14 @@ from fmvc.codec import (
     dequantize_coeffs,
     encode_frame,
     encode_sequence,
-    entropy_decode_block,
-    entropy_encode_block,
     midgray_frame,
     quantize_coeffs,
 )
-from fmvc.errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
+from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
 from fmvc.foveation import FoveationMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
-from conftest import pan_clip, random_clip
+from bitref import BitWriter
+from conftest import frame_payloads, pan_clip, random_clip
 
 
 def uniform_map(value, w, h):
@@ -108,22 +108,20 @@ class TestQuantizer:
 
 class TestEntropyCode:
     def roundtrip(self, block):
-        w = BitWriter()
-        entropy_encode_block(w, block)
-        return entropy_decode_block(BitReader(w.getvalue()))
+        payload, _ = encode_blocks([(block[None], None)])
+        [(blocks, _)] = decode_blocks(payload, [(1, None)])
+        return blocks[0]
 
     def test_all_zero_block_is_one_bit(self):
-        w = BitWriter()
-        entropy_encode_block(w, np.zeros((8, 8), np.int64))
-        assert w.bit_length == 1  # bare end-of-block marker
+        _, [bits] = encode_blocks([(np.zeros((1, 8, 8), np.int64), None)])
+        assert bits.tolist() == [1]  # bare end-of-block marker
 
     def test_single_dc(self):
         block = np.zeros((8, 8), np.int64)
         block[0, 0] = 1
-        w = BitWriter()
-        entropy_encode_block(w, block)
+        _, [bits] = encode_blocks([(block[None], None)])
         # +1 maps to symbol 1, shifted to stream symbol 2 ("011"), then EOB ("1")
-        assert w.bit_length == 4
+        assert bits.tolist() == [4]
         assert np.array_equal(self.roundtrip(block), block)
 
     def test_round_trip_random_blocks(self, rng):
@@ -138,19 +136,19 @@ class TestEntropyCode:
                 flat = np.zeros(64, np.int64)
                 flat[rng.integers(0, 64, k)] = rng.integers(-30_000, 30_000, k)
                 blocks[i] = flat.reshape(8, 8)
-        w = BitWriter()
-        for b in blocks:
-            entropy_encode_block(w, b)
-        r = BitReader(w.getvalue())
-        for b in blocks:
-            assert np.array_equal(entropy_decode_block(r), b)
+        payload, _ = encode_blocks([(blocks, None)])
+        [(decoded, _)] = decode_blocks(payload, [(n, None)])
+        assert np.array_equal(decoded, blocks)
 
     def test_decode_rejects_overlong_block(self):
         w = BitWriter()
         for _ in range(70):
             w.write_ue(2)
         with pytest.raises(BitstreamError):
-            entropy_decode_block(BitReader(w.getvalue()))
+            decode_blocks(w.getvalue(), [(1, None)])
+        w.write_ue(0)  # now a complete block of 70 coefficients
+        with pytest.raises(BitstreamError, match="more than 64"):
+            decode_blocks(w.getvalue(), [(1, None)])
 
 
 class TestFrameCodec:
@@ -348,3 +346,44 @@ class TestSequenceCodec:
         rec = replace(sbs.frames[0], fmsc_code=256)
         with pytest.raises(ConfigError, match="fmsc_code"):
             replace(sbs, frames=(rec,) + sbs.frames[1:]).to_bytes()
+
+
+class TestDecodeAnyBytes:
+    @settings(max_examples=200)
+    @given(frame_payloads())
+    def test_decode_frame_raises_only_fmvc_errors(self, case):
+        w, h, payload = case
+        try:
+            frame = decode_frame(FrameBitstream(payload), midgray_frame(w, h), DEFAULT_SCHED)
+        except BitstreamError as exc:
+            assert exc.byte_offset is not None and 0 <= exc.byte_offset < len(payload)
+        except FmvcError:
+            pass
+        else:
+            assert (frame.y.width, frame.y.height) == (w, h)
+
+    def encoded(self):
+        clip = random_clip(24, 16, 1, seed=3)
+        for level in range(16):
+            stream, recon = encode_frame(
+                clip.frames[0], midgray_frame(24, 16), level_map_for(level, 24, 16), DEFAULT_SCHED
+            )
+            if stream.total_bits % 8:
+                return stream, recon
+        raise AssertionError("every level filled whole bytes")
+
+    def test_trailing_bytes_rejected(self):
+        stream, recon = self.encoded()
+        prev = midgray_frame(24, 16)
+        assert decode_frame(stream, prev, DEFAULT_SCHED) == recon
+        for tail in (b"\xff\xff", b"\x00"):
+            with pytest.raises(BitstreamError, match="zero padding") as info:
+                decode_frame(stream.payload + tail, prev, DEFAULT_SCHED)
+            assert info.value.byte_offset == len(stream.payload) - 1
+
+    def test_nonzero_pad_bit_rejected(self):
+        stream, _ = self.encoded()
+        payload = stream.payload[:-1] + bytes([stream.payload[-1] | 1])  # last bit is padding
+        with pytest.raises(BitstreamError, match="zero padding") as info:
+            decode_frame(payload, midgray_frame(24, 16), DEFAULT_SCHED)
+        assert info.value.byte_offset == len(payload) - 1

@@ -14,9 +14,9 @@ from fmvc.transform import (
     require_block,
     tile_reduce,
     to_tiles,
-    zigzag_scan,
-    zigzag_unscan,
 )
+
+from bitref import zigzag_scan, zigzag_unscan
 
 # Per-axis output gains of the lifting network relative to the orthonormal
 # DCT-II (unnormalized butterflies contribute sqrt(2) each, the odd cascade

@@ -7,8 +7,8 @@ parsing error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from . import codec, metrics
 from .errors import (
     BitstreamError,
     ConfigError,
-    ContractViolation,
     FmvcError,
     IoError,
     ParseError,
@@ -28,42 +27,12 @@ from .foveation import (
     DEFAULT_SCREEN_WIDTH_M,
     DEFAULT_VIEWING_DISTANCE_M,
     DisplayGeometry,
-    FoveationMap,
     foveation_map,
     gaussian_map,
 )
 from .video_io import VideoSequence, read_y4m, write_y4m
 
 DEFAULT_FMSC_DIVISORS = (10, 8, 6, 4, 3, 2)
-
-
-@dataclass(frozen=True)
-class EncodeConfig:
-    """Validated run configuration shared by encode and sweep commands.
-
-    fmsc_specs are 'H/k' or pixel strings; an empty tuple selects the
-    contrast-sensitivity map instead of gaussians.
-    """
-
-    fmsc_specs: tuple[str, ...] = ()
-    gaze_source: str = "center"  # 'center' or a gaze-track file path
-    q_base: int = 4
-    n_levels: int = 16
-    screen_width_m: float = DEFAULT_SCREEN_WIDTH_M
-    viewing_distance_m: float = DEFAULT_VIEWING_DISTANCE_M
-
-    def __post_init__(self):
-        if self.q_base < 1:
-            raise ConfigError(f"base quantizer step must be >= 1, got {self.q_base}")
-        if self.n_levels < 2:
-            raise ConfigError(f"level count must be >= 2, got {self.n_levels}")
-        if self.screen_width_m <= 0 or self.viewing_distance_m <= 0:
-            raise ConfigError("screen width and viewing distance must be positive")
-        for fmsc_spec in self.fmsc_specs:
-            parse_fmsc(fmsc_spec, frame_height=1)  # syntax and positivity
-
-    def geometry(self, width: int, height: int) -> DisplayGeometry:
-        return DisplayGeometry(self.screen_width_m, self.viewing_distance_m, width, height)
 
 
 def parse_fmsc(text: str, frame_height: int) -> tuple[float, int]:
@@ -78,16 +47,16 @@ def parse_fmsc(text: str, frame_height: int) -> tuple[float, int]:
             divisor = float(text[2:])
         except ValueError:
             raise ConfigError(f"bad FMSC divisor in {text!r}") from None
-        if divisor <= 0:
-            raise ConfigError(f"FMSC divisor must be positive, got {text!r}")
+        if not (math.isfinite(divisor) and divisor > 0):
+            raise ConfigError(f"FMSC divisor must be positive and finite, got {text!r}")
         code = int(divisor) if divisor == int(divisor) and 1 <= divisor <= 255 else 0
         return frame_height / divisor, code
     try:
         pixels = float(text)
     except ValueError:
         raise ConfigError(f"FMSC must be 'H/k' or a pixel count, got {text!r}") from None
-    if pixels <= 0:
-        raise ConfigError(f"FMSC must be positive, got {text!r}")
+    if not (math.isfinite(pixels) and pixels > 0):
+        raise ConfigError(f"FMSC must be positive and finite, got {text!r}")
     return pixels, 0
 
 
@@ -149,52 +118,30 @@ def _resolve_gazes(gaze_arg: str, frame_count: int, width: int, height: int) -> 
     return densify_gaze(track, frame_count, width, height)
 
 
-def _build_maps(
-    seq: VideoSequence,
-    gazes: list[tuple[int, int]],
-    fmsc_px: float | None,
-    geom: DisplayGeometry,
-) -> list[FoveationMap]:
-    if fmsc_px is None:
-        return [foveation_map(geom, g, DEFAULT_CSF) for g in gazes]
-    return [gaussian_map(g, fmsc_px, seq.width, seq.height) for g in gazes]
-
-
-def _read_sequence(path: str) -> VideoSequence:
+def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}") from exc
-    return read_y4m(data)
 
 
-def _config_from_args(args, fmsc_specs: tuple[str, ...]) -> EncodeConfig:
-    return EncodeConfig(
-        fmsc_specs=fmsc_specs,
-        gaze_source=args.gaze,
-        q_base=getattr(args, "qbase", 4),
-        screen_width_m=args.screen_width,
-        viewing_distance_m=args.distance,
-    )
-
-
-def _encode_once(
+def _encode(
     seq: VideoSequence,
-    cfg: EncodeConfig,
+    sched: codec.QuantSchedule,
     gazes: list[tuple[int, int]],
     geom: DisplayGeometry,
-    fmsc_px: float | None,
-    code: int,
+    fmsc: tuple[float, int] | None,
 ):
-    """Encode with gaussian maps of width fmsc_px, or CSF maps when it is None."""
-    maps = _build_maps(seq, gazes, fmsc_px, geom)
-    sched = codec.QuantSchedule(n_levels=cfg.n_levels, q_base=cfg.q_base)
+    """Encode with gaussian maps for a parsed FMSC (sigma, code), or CSF maps when it is None."""
+    if fmsc is None:
+        maps, code = [foveation_map(geom, g, DEFAULT_CSF) for g in gazes], 0
+    else:
+        maps, code = [gaussian_map(g, fmsc[0], seq.width, seq.height) for g in gazes], fmsc[1]
     return codec.encode_sequence(
         seq,
         maps,
         sched,
-        codec.CodecConfig(),
         fmsc_codes=[code] * len(seq),
         screen_width_m=geom.screen_width_m,
         viewing_distance_m=geom.viewing_distance_m,
@@ -202,12 +149,12 @@ def _encode_once(
 
 
 def cmd_encode(args) -> int:
-    seq = _read_sequence(args.input)
-    cfg = _config_from_args(args, (args.fmsc,) if args.fmsc is not None else ())
-    geom = cfg.geometry(seq.width, seq.height)
-    gazes = _resolve_gazes(cfg.gaze_source, len(seq), seq.width, seq.height)
-    fmsc_px, code = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else (None, 0)
-    sbs, _ = _encode_once(seq, cfg, gazes, geom, fmsc_px, code)
+    seq = read_y4m(_read(args.input))
+    sched = codec.QuantSchedule(q_base=args.qbase)
+    geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
+    fmsc = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else None
+    gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
+    sbs, _ = _encode(seq, sched, gazes, geom, fmsc)
     data = sbs.to_bytes()
     try:
         with open(args.output, "wb") as fh:
@@ -222,12 +169,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    try:
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {args.input!r}: {exc}") from exc
-    sbs = codec.SequenceBitstream.from_bytes(data)
+    sbs = codec.SequenceBitstream.from_bytes(_read(args.input))
     seq = codec.decode_sequence(sbs)
     try:
         with open(args.output, "wb") as fh:
@@ -279,17 +221,16 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_metrics(args) -> int:
-    ref_seq = _read_sequence(args.ref)
-    test_seq = _read_sequence(args.test)
+    ref_seq = read_y4m(_read(args.ref))
+    test_seq = read_y4m(_read(args.test))
     if (ref_seq.width, ref_seq.height, len(ref_seq)) != (
         test_seq.width,
         test_seq.height,
         len(test_seq),
     ):
         raise ConfigError("reference and test sequences disagree on geometry or length")
-    cfg = _config_from_args(args, ())
-    geom = cfg.geometry(ref_seq.width, ref_seq.height)
-    gazes = _resolve_gazes(cfg.gaze_source, len(ref_seq), ref_seq.width, ref_seq.height)
+    geom = DisplayGeometry(args.screen_width, args.distance, ref_seq.width, ref_seq.height)
+    gazes = _resolve_gazes(args.gaze, len(ref_seq), ref_seq.width, ref_seq.height)
     reports = _frame_reports(ref_seq, test_seq, gazes, geom, None)
     lines = [_REPORT_PREAMBLE, metrics.QualityReport.CSV_HEADER]
     lines += [r.csv_row() for r in reports]
@@ -298,23 +239,21 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_rd_sweep(args) -> int:
-    seq = _read_sequence(args.input)
-    specs = tuple(args.fmsc_set.split(",")) if args.fmsc_set else tuple(
-        f"H/{k}" for k in DEFAULT_FMSC_DIVISORS
-    )
-    cfg = _config_from_args(args, specs)
-    geom = cfg.geometry(seq.width, seq.height)
-    gazes = _resolve_gazes(cfg.gaze_source, len(seq), seq.width, seq.height)
+    seq = read_y4m(_read(args.input))
+    specs = args.fmsc_set.split(",") if args.fmsc_set else [f"H/{k}" for k in DEFAULT_FMSC_DIVISORS]
+    sched = codec.QuantSchedule(q_base=args.qbase)
+    geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
+    fmscs = [parse_fmsc(spec, seq.height) for spec in specs]  # all checked before the first encode
+    gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
 
     rows = []
-    for fmsc_spec in cfg.fmsc_specs:
-        fmsc_px, code = parse_fmsc(fmsc_spec, seq.height)
-        sbs, recon = _encode_once(seq, cfg, gazes, geom, fmsc_px, code)
+    for fmsc in fmscs:
+        sbs, recon = _encode(seq, sched, gazes, geom, fmsc)
         bits = [8 * len(rec.bitstream.payload) for rec in sbs.frames]
         reports = _frame_reports(seq, recon, gazes, geom, bits)
         rows.append(
             (
-                fmsc_px,
+                fmsc[0],
                 sbs.bpp(),
                 float(np.mean([r.mean_ssim for r in reports])),
                 float(np.mean([r.fw_ssim for r in reports])),
@@ -388,16 +327,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BitstreamError as exc:
         print(f"bitstream error: {exc}", file=sys.stderr)
         return 3
     except (IoError, ParseError, UnsupportedFormat, TruncatedStream) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except FmvcError as exc:
+    except FmvcError as exc:  # ConfigError, ContractViolation and the rest
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,8 @@
 The coding path is integer-only end to end (transform, quantizer, entropy
 code), so identical inputs produce byte-identical streams on any platform.
 The decoder's output is bit-exactly the encoder's own reconstruction; both
-sides share one reconstruction routine so the recurrent frame chain cannot
-drift.
+sides share one prediction and one reconstruction routine so the recurrent
+frame chain cannot drift.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .displacement import CATALOGUE, DisplacementField, choose_displacements, pr
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
 from .foveation import FoveationMap, LevelMap, quantize_map
 from .transform import forward_blocks, from_tiles, grid_shape, inverse_blocks, to_tiles
-from .video_io import Frame, FramePlane, VideoSequence, chroma_dims
+from .video_io import Frame, FramePlane, VideoSequence
 
 MAGIC = b"FMVC"
 VERSION = 1
@@ -30,6 +30,9 @@ _FRAME_HEAD = struct.Struct("<HHBI")  # gaze_x, gaze_y, fmsc_code, payload bytes
 # Each luma block prefix holds the level in 4 bits; the v1 header does not
 # record the level count, so the decoder assumes MAX_LEVELS.
 MAX_LEVELS = 16
+# Coefficients stay within +-16320, so every base above 32640 already zeroes
+# them all; the bound keeps the stored base an exact, finite integer.
+MAX_Q_BASE = 65535
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class QuantSchedule:
     def __post_init__(self):
         if not 2 <= self.n_levels <= MAX_LEVELS:
             raise ContractViolation(f"level count must lie in [2, {MAX_LEVELS}], got {self.n_levels}")
-        if self.q_base < 1:
-            raise ContractViolation(f"base step must be >= 1, got {self.q_base}")
+        if not 1 <= self.q_base <= MAX_Q_BASE:
+            raise ContractViolation(f"base step must lie in [1, {MAX_Q_BASE}], got {self.q_base}")
         steps = tuple(
             max(1, int(self.q_base * 2.0 ** ((self.n_levels - 1 - l) / 2.0) + 0.5))
             for l in range(self.n_levels)
@@ -102,18 +105,6 @@ def _quantized_residual(
     return _quantize_plane_blocks(coeffs, levels_grid.reshape(-1), sched)
 
 
-def _reconstruct_plane(
-    qblocks: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule, pred: np.ndarray
-) -> np.ndarray:
-    """Shared encoder/decoder reconstruction; must stay bit-deterministic."""
-    steps = sched.steps_array()[levels_grid.reshape(-1)][:, None, None]
-    residual = from_tiles(inverse_blocks(qblocks * steps), pred.shape)
-    # Clamping the residual at +-255 never changes the clamped sum below,
-    # because pred lies in [0, 255].
-    residual = np.clip(residual, -255, 255)
-    return np.clip(pred.astype(np.int64) + residual, 0, 255).astype(np.uint8)
-
-
 def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:
     """Per chroma block, the value of the luma block covering its top-left.
 
@@ -123,6 +114,45 @@ def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:
     grid are exactly the chroma grid.
     """
     return luma_grid[::2, ::2]
+
+
+def _block_counts(width: int, height: int) -> tuple[int, int]:
+    """Blocks in the luma plane and in each chroma plane of a frame."""
+    nby, nbx = grid_shape((height, width))
+    return nby * nbx, ((nby + 1) // 2) * ((nbx + 1) // 2)  # the size of _chroma_grid
+
+
+def _level_grids(luma_levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block levels of Y, Cb and Cr; chroma takes the luma choices."""
+    chroma_levels = _chroma_grid(luma_levels)
+    return luma_levels, chroma_levels, chroma_levels
+
+
+def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y, Cb and Cr predictions from the previous reconstruction.
+
+    Chroma reuses each luma block choice with halved offsets.
+    """
+    cfield = DisplacementField(_chroma_grid(fld.indices))
+    return (
+        predicted_plane(prev.y.samples, fld),
+        predicted_plane(prev.cb.samples, cfield, halve_offsets=True),
+        predicted_plane(prev.cr.samples, cfield, halve_offsets=True),
+    )
+
+
+def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule) -> Frame:
+    """Rebuild the frame from its Y, Cb, Cr blocks and predictions; must stay bit-deterministic."""
+    planes = []
+    for qblocks, pred, levels_grid in zip(qplanes, preds, level_grids):
+        steps = sched.steps_array()[levels_grid.reshape(-1)][:, None, None]
+        residual = from_tiles(inverse_blocks(qblocks * steps), pred.shape)
+        # Clamping the residual at +-255 never changes the clamped sum below,
+        # because pred lies in [0, 255].
+        residual = np.clip(residual, -255, 255)
+        recon = np.clip(pred.astype(np.int64) + residual, 0, 255).astype(np.uint8)
+        planes.append(FramePlane.from_array(recon))
+    return Frame(*planes)
 
 
 def _prefix_table(sched: QuantSchedule) -> np.ndarray:
@@ -149,11 +179,14 @@ class FrameBitstream:
         return isinstance(other, FrameBitstream) and self.payload == other.payload
 
 
-def _spread_chroma_bits(block_bits: np.ndarray, chroma_bits: np.ndarray) -> None:
-    """Add each chroma block's bits, split evenly, to the luma blocks it covers, in place."""
-    rows, cols = (np.arange(n) // 2 for n in block_bits.shape)  # covering chroma block
+def _block_bits(luma_bits: np.ndarray, chroma_bits: np.ndarray) -> np.ndarray:
+    """Each luma block's bits plus an even split of its chroma block's bits.
+
+    Shares are integers over 1, 2 or 4, so every sum is exact.
+    """
+    rows, cols = (np.arange(n) // 2 for n in luma_bits.shape)  # covering chroma block
     span = np.bincount(rows)[:, None] * np.bincount(cols)[None, :]
-    block_bits += (chroma_bits / span)[rows[:, None], cols[None, :]]
+    return luma_bits + (chroma_bits / span)[rows[:, None], cols[None, :]]
 
 
 def encode_frame(
@@ -184,36 +217,21 @@ def encode_frame(
         fld = DisplacementField.uniform(CATALOGUE[0], *grid_shape((h, w)))
     else:
         fld = choose_displacements(cur.y.samples, prev_recon.y.samples)
-    levels_grid = block_levels(level_map)
-
-    pred_y = predicted_plane(prev_recon.y.samples, fld)
-    prefixes = (fld.indices.astype(np.uint8) << 4 | levels_grid.astype(np.uint8)).reshape(-1)
-    q_y = _quantized_residual(cur.y.samples, pred_y, levels_grid, sched)
-    recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y)
-    planes = [(q_y, prefixes)]
-
-    cw, ch = chroma_dims(w, h)
-    cfield, clevels = DisplacementField(_chroma_grid(fld.indices)), _chroma_grid(levels_grid)
-    recon_chroma = []
-    for cur_plane, prev_plane in ((cur.cb, prev_recon.cb), (cur.cr, prev_recon.cr)):
-        pred_c = predicted_plane(prev_plane.samples, cfield, halve_offsets=True)
-        q_c = _quantized_residual(cur_plane.samples, pred_c, clevels, sched)
-        recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c))
-        planes.append((q_c, None))
-
-    payload, (bits_y, *bits_chroma) = encode_blocks(planes)
-    block_bits = bits_y.reshape(levels_grid.shape).astype(np.float64)
-    for bits_c in bits_chroma:
-        _spread_chroma_bits(block_bits, bits_c.reshape(clevels.shape))
-
-    recon = Frame(
-        FramePlane(w, h, recon_y),
-        FramePlane(cw, ch, recon_chroma[0]),
-        FramePlane(cw, ch, recon_chroma[1]),
+    level_grids = _level_grids(block_levels(level_map))
+    preds = _predict(prev_recon, fld)
+    qplanes = [
+        _quantized_residual(plane.samples, pred, levels_grid, sched)
+        for plane, pred, levels_grid in zip((cur.y, cur.cb, cur.cr), preds, level_grids)
+    ]
+    prefixes = (fld.indices.astype(np.uint8) << 4 | level_grids[0].astype(np.uint8)).reshape(-1)
+    payload, (bits_y, bits_cb, bits_cr) = encode_blocks(
+        [(qplanes[0], prefixes), (qplanes[1], None), (qplanes[2], None)]
     )
-    total_bits = sum(int(bits.sum()) for bits in (bits_y, *bits_chroma))
-    stream = FrameBitstream(payload, block_bits, total_bits)
-    return stream, recon
+    block_bits = _block_bits(
+        bits_y.reshape(level_grids[0].shape), (bits_cb + bits_cr).reshape(level_grids[1].shape)
+    )
+    stream = FrameBitstream(payload, block_bits, int(bits_y.sum() + bits_cb.sum() + bits_cr.sum()))
+    return stream, _reconstruct(qplanes, preds, level_grids, sched)
 
 
 def decode_frame(
@@ -225,29 +243,14 @@ def decode_frame(
     payload = bits.payload if isinstance(bits, FrameBitstream) else bytes(bits)
     if len(payload) == 0:
         raise ContractViolation("frame payload records zero blocks")
-    w, h = prev_recon.y.width, prev_recon.y.height
-    nby, nbx = grid_shape((h, w))
-    n_chroma = ((nby + 1) // 2) * ((nbx + 1) // 2)  # the size of _chroma_grid
-    (q_y, prefixes), *q_chroma = decode_blocks(
-        payload, [(nby * nbx, _prefix_table(sched)), (n_chroma, None), (n_chroma, None)]
+    grid = grid_shape(prev_recon.y.samples.shape)
+    n_luma, n_chroma = _block_counts(prev_recon.y.width, prev_recon.y.height)
+    (q_y, prefixes), (q_cb, _), (q_cr, _) = decode_blocks(
+        payload, [(n_luma, _prefix_table(sched)), (n_chroma, None), (n_chroma, None)]
     )
-    fld = DisplacementField((prefixes >> 4).reshape(nby, nbx).astype(np.int8))
-    levels_grid = (prefixes & 0x0F).reshape(nby, nbx)
-    pred_y = predicted_plane(prev_recon.y.samples, fld)
-    recon_y = _reconstruct_plane(q_y, levels_grid, sched, pred_y)
-
-    cw, ch = chroma_dims(w, h)
-    cfield, clevels = DisplacementField(_chroma_grid(fld.indices)), _chroma_grid(levels_grid)
-    recon_chroma = []
-    for prev_plane, (q_c, _) in zip((prev_recon.cb, prev_recon.cr), q_chroma):
-        pred_c = predicted_plane(prev_plane.samples, cfield, halve_offsets=True)
-        recon_chroma.append(_reconstruct_plane(q_c, clevels, sched, pred_c))
-
-    return Frame(
-        FramePlane(w, h, recon_y),
-        FramePlane(cw, ch, recon_chroma[0]),
-        FramePlane(cw, ch, recon_chroma[1]),
-    )
+    fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
+    level_grids = _level_grids((prefixes & 0x0F).reshape(grid))
+    return _reconstruct((q_y, q_cb, q_cr), _predict(prev_recon, fld), level_grids, sched)
 
 
 # --- sequence container -------------------------------------------------
@@ -351,9 +354,13 @@ class SequenceBitstream:
             raise UnsupportedVersion(f"version {version} not supported", byte_offset=4)
         if w < 1 or h < 1 or fps_num < 1 or fps_den < 1 or count < 1:
             raise BitstreamError("header declares empty geometry or frame count", byte_offset=6)
-        q_base = int(reserved)
-        if q_base < 1 or q_base != reserved:
+        # the range test fails NaN and runs before int() could raise
+        if not 1 <= reserved <= MAX_Q_BASE or reserved != int(reserved):
             raise BitstreamError(f"invalid quantizer base {reserved}", byte_offset=_HEADER.size - 8)
+        n_luma, n_chroma = _block_counts(w, h)
+        # at least a prefix byte and an end-of-block bit per luma block and
+        # an end-of-block bit per chroma block
+        min_payload = (9 * n_luma + 2 * n_chroma + 7) // 8
 
         offset = _HEADER.size
         frames = []
@@ -361,6 +368,11 @@ class SequenceBitstream:
             if offset + _FRAME_HEAD.size > len(data):
                 raise BitstreamError(f"frame {i} header truncated", byte_offset=offset)
             gx, gy, fmsc_code, payload_len = _FRAME_HEAD.unpack_from(data, offset)
+            if payload_len < min_payload:
+                raise BitstreamError(
+                    f"frame {i} payload of {payload_len} bytes is shorter than {w}x{h} allows",
+                    byte_offset=offset + _FRAME_HEAD.size - 4,
+                )
             offset += _FRAME_HEAD.size
             if offset + payload_len > len(data):
                 raise BitstreamError(f"frame {i} payload truncated", byte_offset=offset)
@@ -372,7 +384,7 @@ class SequenceBitstream:
             raise BitstreamError(
                 f"{len(data) - offset} trailing bytes after the last frame", byte_offset=offset
             )
-        return cls(w, h, fps_num, fps_den, screen_w, distance, q_base, tuple(frames))
+        return cls(w, h, fps_num, fps_den, screen_w, distance, int(reserved), tuple(frames))
 
     def __eq__(self, other):
         return isinstance(other, SequenceBitstream) and self.to_bytes() == other.to_bytes()

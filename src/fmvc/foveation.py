@@ -28,8 +28,8 @@ class DisplayGeometry:
     height_px: int
 
     def __post_init__(self):
-        if self.screen_width_m <= 0 or self.viewing_distance_m <= 0:
-            raise ContractViolation("screen width and viewing distance must be positive")
+        if not (0 < self.screen_width_m < math.inf and 0 < self.viewing_distance_m < math.inf):
+            raise ContractViolation("screen width and viewing distance must be positive and finite")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ContractViolation("pixel dimensions must be positive")
 
@@ -145,7 +145,7 @@ class FoveationMap:
         if self.values.size == 0:
             raise ContractViolation("map must not be empty")
         lo, hi = float(self.values.min()), float(self.values.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):  # false for NaN too
             raise ContractViolation(f"map values out of [0, 1]: min {lo}, max {hi}")
 
     @property

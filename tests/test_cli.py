@@ -1,8 +1,11 @@
+import math
+import struct
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from fmvc import codec
-from fmvc.cli import EncodeConfig, densify_gaze, main, parse_fmsc, read_gaze_track
+from fmvc.cli import build_parser, densify_gaze, main, parse_fmsc, read_gaze_track
 from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
@@ -33,27 +36,19 @@ class TestFmscParsing:
         assert sigma == 40.0 and code == 0
 
     def test_rejects_garbage(self):
-        for bad in ("H/x", "H/0", "-3", "fovea"):
+        for bad in ("H/x", "H/0", "-3", "fovea", "H/nan", "H/inf", "H/-inf", "nan", "inf"):
             with pytest.raises(ConfigError):
                 parse_fmsc(bad, 100)
 
 
-class TestEncodeConfig:
-    def test_defaults(self):
-        cfg = EncodeConfig()
-        assert cfg.n_levels == 16
-        assert cfg.q_base == 4
-        assert cfg.gaze_source == "center"
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            EncodeConfig(q_base=0)
-        with pytest.raises(ConfigError):
-            EncodeConfig(n_levels=1)
-        with pytest.raises(ConfigError):
-            EncodeConfig(screen_width_m=-0.1)
-        with pytest.raises(ConfigError):
-            EncodeConfig(fmsc_specs=("H/0",))
+class TestDefaults:
+    def test_encode_and_sweep_defaults(self):
+        for command in ("encode", "rd-sweep"):
+            argv = [command, "--input", "a.y4m", "--output" if command == "encode" else "--out", "b"]
+            args = build_parser().parse_args(argv)
+            assert args.qbase == 4
+            assert args.gaze == "center"
+            assert codec.QuantSchedule(q_base=args.qbase).n_levels == 16
 
 
 class TestGazeTrack:
@@ -172,6 +167,55 @@ class TestEncodeDecode:
             == 2
         )
 
+    # Each setting is checked once, by the type that owns it: QuantSchedule,
+    # parse_fmsc, DisplayGeometry, or FoveationMap for a map it makes NaN.
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--qbase", "65536"),
+            ("--qbase", "100000000000000000000"),
+            ("--qbase", "9007199254740993"),
+            ("--fmsc", "H/0"),
+            ("--fmsc", "H/nan"),
+            ("--fmsc", "H/inf"),
+            ("--fmsc", "nan"),
+            ("--fmsc", "1e-300"),
+            ("--screen-width", "-0.1"),
+            ("--screen-width", "nan"),
+            ("--screen-width", "inf"),
+            ("--distance", "nan"),
+        ],
+    )
+    def test_bad_setting_is_config_error(self, clip_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.fmvc"
+        assert main(["encode", "--input", str(clip_path), "--output", str(out), flag, value]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_qbase_round_trips(self, clip_path, tmp_path):
+        out = tmp_path / "coarse.fmvc"
+        assert main(["encode", "--input", str(clip_path), "--output", str(out), "--qbase", "65535"]) == 0
+        assert SequenceBitstream.from_bytes(out.read_bytes()).q_base == 65535
+        assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 0
+
+    @pytest.mark.parametrize("q_base", [math.nan, math.inf, 2.0**63, 65536.0])
+    def test_bad_stream_qbase_exit_code(self, clip_path, tmp_path, capsys, q_base):
+        out = tmp_path / "q.fmvc"
+        main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])
+        data = bytearray(out.read_bytes())
+        struct.pack_into("<d", data, 34, q_base)  # the header's last double
+        out.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
+        assert "byte offset 34" in capsys.readouterr().err
+
+    def test_empty_payload_exit_code(self, tmp_path, capsys):
+        rec = FrameRecord(4, 4, 0, FrameBitstream(b""))
+        out = tmp_path / "empty.fmvc"
+        out.write_bytes(SequenceBitstream(8, 8, 25, 1, 0.02, 0.012, 4, (rec,)).to_bytes())
+        assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
+        assert "byte offset 47" in capsys.readouterr().err  # the frame's length field
+
     def test_corrupted_magic_exit_code_and_offset(self, clip_path, tmp_path, capsys):
         out = tmp_path / "c.fmvc"
         main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])
@@ -244,6 +288,13 @@ class TestMetricsCommand:
         assert float(first[3]) == pytest.approx(1.0, abs=1e-9)
         assert float(first[4]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_non_finite_geometry_is_config_error(self, clip_path, tmp_path):
+        out = tmp_path / "report.csv"
+        argv = ["metrics", "--ref", str(clip_path), "--test", str(clip_path), "--out", str(out)]
+        assert main(argv + ["--distance", "nan"]) == 2
+        assert main(argv + ["--screen-width", "inf"]) == 2
+        assert not out.exists()
+
     def test_geometry_mismatch(self, clip_path, tmp_path):
         other = tmp_path / "small.y4m"
         with open(other, "wb") as fh:
@@ -265,6 +316,19 @@ class TestRdSweep:
         sigmas = [float(r[0]) for r in rows]
         assert sigmas == sorted(sigmas)
         assert sigmas == pytest.approx([64 / k for k in (10, 8, 6, 4, 3, 2)], abs=1e-3)
+
+    @pytest.mark.parametrize("fmsc_set", ["H/4,H/nan", "H/inf", "H/4,H/0"])
+    def test_every_spec_checked_before_encoding(self, tmp_path, capsys, monkeypatch, fmsc_set):
+        clip = tmp_path / "small.y4m"
+        with open(clip, "wb") as fh:
+            write_y4m(pan_clip(16, 16, 1, step=3), fh)
+        calls = []
+        original = codec.encode_frame
+        monkeypatch.setattr(codec, "encode_frame", lambda *a, **k: calls.append(1) or original(*a, **k))
+        out = tmp_path / "sweep.csv"
+        assert main(["rd-sweep", "--input", str(clip), "--out", str(out), "--fmsc-set", fmsc_set]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_custom_fmsc_set(self, tmp_path):
         clip = tmp_path / "small.y4m"

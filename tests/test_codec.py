@@ -1,8 +1,11 @@
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmvc.bitio import decode_blocks, encode_blocks
 from fmvc.codec import (
@@ -19,7 +22,7 @@ from fmvc.codec import (
     quantize_coeffs,
 )
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
-from fmvc.foveation import FoveationMap, gaussian_map, quantize_map
+from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
 from bitref import BitWriter
 from conftest import frame_payloads, pan_clip, random_clip
@@ -36,6 +39,10 @@ def level_map_for(value, w, h, sched=None):
 
 
 DEFAULT_SCHED = QuantSchedule()
+# v1 container layout: a 42-byte sequence header ending in the quantizer
+# base (f64 at byte 34), then per frame a 9-byte head ending in the u32
+# payload length (at byte 5 of the head)
+HEADER_BYTES, Q_BASE_AT, FRAME_HEAD_BYTES, LENGTH_AT = 42, 34, 9, 5
 
 
 class TestQuantSchedule:
@@ -58,6 +65,14 @@ class TestQuantSchedule:
             QuantSchedule(q_base=0)
         with pytest.raises(ContractViolation):
             QuantSchedule(n_levels=1)
+
+    def test_base_fits_the_header(self):
+        # the header stores the base as a double; above 32640 every
+        # coefficient already quantizes to zero
+        assert QuantSchedule(q_base=65535).steps[-1] == 65535
+        for q_base in (65536, 9007199254740993, 10**20):
+            with pytest.raises(ContractViolation):
+                QuantSchedule(q_base=q_base)
 
     def test_levels_beyond_the_prefix_field_rejected(self):
         # a level >= 16 would spill into the 4-bit displacement field
@@ -127,15 +142,12 @@ class TestEntropyCode:
     def test_round_trip_random_blocks(self, rng):
         # mixture of sparse and dense blocks, values across the coded range
         n = 100_000
-        blocks = np.zeros((n, 8, 8), np.int64)
-        dense = rng.integers(-5, 6, (n // 2, 8, 8))
-        blocks[: n // 2] = dense
-        for i in range(n // 2, n):
-            k = int(rng.integers(0, 12))
-            if k:
-                flat = np.zeros(64, np.int64)
-                flat[rng.integers(0, 64, k)] = rng.integers(-30_000, 30_000, k)
-                blocks[i] = flat.reshape(8, 8)
+        blocks = np.zeros((n, 64), np.int64)
+        blocks[: n // 2] = rng.integers(-5, 6, (n // 2, 64))
+        # 0-11 coefficients per sparse block, at random (possibly repeated) positions
+        rows = n // 2 + np.repeat(np.arange(n - n // 2), rng.integers(0, 12, n - n // 2))
+        blocks[rows, rng.integers(0, 64, len(rows))] = rng.integers(-30_000, 30_000, len(rows))
+        blocks = blocks.reshape(n, 8, 8)
         payload, _ = encode_blocks([(blocks, None)])
         [(decoded, _)] = decode_blocks(payload, [(n, None)])
         assert np.array_equal(decoded, blocks)
@@ -252,6 +264,28 @@ class TestFrameCodec:
         wrong = decode_frame(s1, prev, DEFAULT_SCHED)  # stale reference
         assert wrong != r1
 
+    @given(
+        w=st.integers(1, 40),
+        h=st.integers(1, 40),
+        n_levels=st.integers(2, 16),
+        q_base=st.integers(1, 64),
+        force_zero=st.booleans(),
+        pan=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_any_configuration(self, w, h, n_levels, q_base, force_zero, pan, seed):
+        # decoding the payload alone rebuilds the encoder's chain, frame by frame
+        rng = np.random.default_rng(seed)
+        sched = QuantSchedule(n_levels=n_levels, q_base=q_base)
+        cfg = CodecConfig(force_zero_displacement=force_zero)
+        clip = pan_clip(w, h, 3, step=int(rng.integers(-5, 6)), seed=seed) if pan else random_clip(w, h, 3, seed)
+        enc = dec = midgray_frame(w, h)
+        for frame in clip.frames:
+            lm = LevelMap(rng.integers(0, n_levels, (h, w), dtype=np.uint8), n_levels)
+            stream, enc = encode_frame(frame, enc, lm, sched, cfg)
+            dec = decode_frame(stream.payload, dec, sched)
+            assert dec == enc
+
     def test_odd_dimensions_lockstep(self):
         clip = random_clip(23, 13, 2, seed=6)
         prev = midgray_frame(23, 13)
@@ -266,6 +300,10 @@ class TestSequenceCodec:
     def maps_for(self, seq, fmsc_frac=0.25):
         g = (seq.width // 2, seq.height // 2)
         return [gaussian_map(g, seq.height * fmsc_frac, seq.width, seq.height)] * len(seq)
+
+    def one_frame_stream(self):
+        seq = random_clip(16, 16, 1, seed=1)
+        return encode_sequence(seq, self.maps_for(seq), DEFAULT_SCHED)[0]
 
     def test_single_frame_round_trip(self):
         seq = random_clip(32, 32, 1, seed=13)
@@ -346,6 +384,51 @@ class TestSequenceCodec:
         rec = replace(sbs.frames[0], fmsc_code=256)
         with pytest.raises(ConfigError, match="fmsc_code"):
             replace(sbs, frames=(rec,) + sbs.frames[1:]).to_bytes()
+
+    @pytest.mark.parametrize("q_base", [math.nan, math.inf, -math.inf, 0.0, 2.5, 65536.0, 2.0**63, 1e300])
+    def test_quantizer_base_checked(self, q_base):
+        data = bytearray(self.one_frame_stream().to_bytes())
+        struct.pack_into("<d", data, Q_BASE_AT, q_base)
+        with pytest.raises(BitstreamError, match="quantizer base") as info:
+            SequenceBitstream.from_bytes(bytes(data))
+        assert info.value.byte_offset == Q_BASE_AT
+
+    def test_payload_shorter_than_geometry_allows(self):
+        # 16x16: four luma blocks of at least 9 bits and two chroma planes of
+        # one block of at least 1 bit, so at least 5 bytes
+        sbs = self.one_frame_stream()
+
+        def with_payload(size):
+            rec = replace(sbs.frames[0], bitstream=FrameBitstream(b"\0" * size))
+            return replace(sbs, frames=(rec,)).to_bytes()
+
+        SequenceBitstream.from_bytes(with_payload(5))
+        for size in (0, 4):
+            with pytest.raises(BitstreamError, match="shorter") as info:
+                SequenceBitstream.from_bytes(with_payload(size))
+            assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
+
+    def test_huge_geometry_with_short_payload_rejected(self):
+        # caught in the container, before a 65535x65535 reference frame exists
+        sbs = replace(self.one_frame_stream(), width=65535, height=65535)
+        with pytest.raises(BitstreamError, match="shorter"):
+            SequenceBitstream.from_bytes(sbs.to_bytes())
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_corrupt_headers_raise_only_fmvc_errors(self, data):
+        # overwrite 1-4 bytes of the sequence header or of a frame head
+        seq = random_clip(16, 16, 2, seed=data.draw(st.integers(0, 3)))
+        stream = bytearray(encode_sequence(seq, self.maps_for(seq), DEFAULT_SCHED)[0].to_bytes())
+        first_payload = struct.unpack_from("<I", stream, HEADER_BYTES + LENGTH_AT)[0]
+        second = HEADER_BYTES + FRAME_HEAD_BYTES + first_payload
+        heads = [*range(HEADER_BYTES + FRAME_HEAD_BYTES), *range(second, second + FRAME_HEAD_BYTES)]
+        for _ in range(data.draw(st.integers(1, 4))):
+            stream[data.draw(st.sampled_from(heads))] = data.draw(st.integers(0, 255))
+        try:
+            decode_sequence(SequenceBitstream.from_bytes(bytes(stream)))
+        except FmvcError:
+            pass
 
 
 class TestDecodeAnyBytes:

@@ -210,6 +210,23 @@ def test_csf_params_validation():
         DisplayGeometry(0.0, 0.012, 10, 10)
 
 
+@pytest.mark.parametrize(
+    "screen_width, distance",
+    [(-0.1, 0.012), (math.nan, 0.012), (math.inf, 0.012), (0.02, math.nan), (0.02, math.inf)],
+)
+def test_geometry_must_be_positive_and_finite(screen_width, distance):
+    with pytest.raises(ContractViolation):
+        DisplayGeometry(screen_width, distance, 10, 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+def test_map_values_must_lie_in_unit_range(bad):
+    values = np.full((4, 5), 0.5)
+    values[2, 3] = bad
+    with pytest.raises(ContractViolation):
+        FoveationMap(values, (0, 0))
+
+
 def test_write_pgm():
     fmap = gaussian_map((2, 2), 2.0, 5, 4)
     sink = io.BytesIO()

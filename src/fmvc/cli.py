@@ -61,10 +61,12 @@ def parse_fmsc(text: str, frame_height: int) -> tuple[float, int]:
 
 
 def read_gaze_track(text: str) -> list[tuple[int, int, int]]:
-    """Parse 'frame_idx,x,y' rows with strictly increasing frame indices."""
+    """Parse ASCII 'frame_idx,x,y' rows with strictly increasing frame indices."""
     track = []
     prev_idx = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise ParseError(f"non-ASCII character in {raw!r}", line=lineno)
         line = raw.strip()
         if not line:
             continue
@@ -107,7 +109,9 @@ def _resolve_gazes(gaze_arg: str, frame_count: int, width: int, height: int) -> 
     if gaze_arg == "center":
         return [(width // 2, height // 2)] * frame_count
     try:
-        with open(gaze_arg, "r", encoding="ascii") as fh:
+        # undecodable bytes become lone surrogates, which read_gaze_track
+        # rejects with the line they sit on
+        with open(gaze_arg, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read gaze track {gaze_arg!r}: {exc}") from exc

@@ -92,15 +92,24 @@ def dequantize_coeffs(qcoeffs: np.ndarray, level: int, sched: QuantSchedule) -> 
 
 
 def _quantize_plane_blocks(coeffs: np.ndarray, levels_flat: np.ndarray, sched: QuantSchedule) -> np.ndarray:
-    steps = sched.steps_array()[levels_flat][:, None, None]
-    return _round_div_half_away(coeffs, steps)
+    """Quantize a plane's (n, 8, 8) coefficient stack, each block at its level's step.
+
+    A coefficient rounds to zero exactly when twice its magnitude is below
+    the step, so only blocks whose largest coefficient reaches half a step
+    are divided; the rest stay zero.
+    """
+    steps = sched.steps_array()[levels_flat]
+    live = 2 * np.abs(coeffs).reshape(len(coeffs), -1).max(axis=1) >= steps
+    qblocks = np.zeros(coeffs.shape, dtype=np.int64)
+    qblocks[live] = _round_div_half_away(coeffs[live], steps[live][:, None, None])
+    return qblocks
 
 
 def _quantized_residual(
     cur: np.ndarray, pred: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule
 ) -> np.ndarray:
     """Transform and quantize one plane's residual against its prediction."""
-    residual = cur.astype(np.int64) - pred.astype(np.int64)
+    residual = cur.astype(np.int32) - pred
     coeffs = forward_blocks(to_tiles(residual))
     return _quantize_plane_blocks(coeffs, levels_grid.reshape(-1), sched)
 
@@ -142,15 +151,20 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
 
 
 def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule) -> Frame:
-    """Rebuild the frame from its Y, Cb, Cr blocks and predictions; must stay bit-deterministic."""
+    """Rebuild the frame from its Y, Cb, Cr blocks and predictions; must stay bit-deterministic.
+
+    Only blocks with a nonzero coefficient are dequantized and inverse
+    transformed: an all-zero block's residual is exactly zero.
+    """
     planes = []
     for qblocks, pred, levels_grid in zip(qplanes, preds, level_grids):
-        steps = sched.steps_array()[levels_grid.reshape(-1)][:, None, None]
-        residual = from_tiles(inverse_blocks(qblocks * steps), pred.shape)
+        coded = qblocks.reshape(len(qblocks), -1).any(axis=1)
+        steps = sched.steps_array()[levels_grid.reshape(-1)[coded]][:, None, None]
+        residual = np.zeros(qblocks.shape, dtype=np.int16)
         # Clamping the residual at +-255 never changes the clamped sum below,
         # because pred lies in [0, 255].
-        residual = np.clip(residual, -255, 255)
-        recon = np.clip(pred.astype(np.int64) + residual, 0, 255).astype(np.uint8)
+        residual[coded] = np.clip(inverse_blocks(qblocks[coded] * steps), -255, 255)
+        recon = np.clip(from_tiles(residual, pred.shape) + pred, 0, 255).astype(np.uint8)
         planes.append(FramePlane.from_array(recon))
     return Frame(*planes)
 

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation
-from .transform import BLOCK, from_tiles, grid_shape, require_block, tile_reduce, to_tiles
+from .transform import BLOCK, grid_shape, require_block, tile_reduce
 from .video_io import FramePlane
 
 DISPLACEMENT_STEPS = (3, 5, 7)
@@ -63,20 +63,31 @@ _SET_ORDER = (ZERO_DISPLACEMENT,) + tuple(
 CATALOGUE_INDEX = {d: i for i, d in enumerate(CATALOGUE)}
 
 
-def shift_plane(samples: np.ndarray, axis: Axis, s: int) -> np.ndarray:
+def shift_plane(samples: np.ndarray, axis: Axis, s: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sample a plane at coordinates displaced by s, replicating the border.
 
     Horizontal: out(i, j) = samples(i, j - s); vertical: out(i, j) =
     samples(i - s, j).  Accepts any integer s (chroma uses halved offsets).
+    With no shift and no out, returns samples itself.  Writes into out, a
+    plane of the same shape, when one is given.
     """
     if axis is Axis.NONE or s == 0:
-        return samples
-    h, w = samples.shape
-    if axis is Axis.HORIZONTAL:
-        cols = np.clip(np.arange(w) - s, 0, w - 1)
-        return samples[:, cols]
-    rows = np.clip(np.arange(h) - s, 0, h - 1)
-    return samples[rows, :]
+        if out is None:
+            return samples
+        out[...] = samples
+        return out
+    if out is None:
+        out = np.empty_like(samples)
+    src, dst = (samples, out) if axis is Axis.VERTICAL else (samples.T, out.T)
+    n = len(src)
+    k = min(abs(s), n)
+    if s > 0:
+        dst[k:] = src[: n - k]
+        dst[:k] = src[:1]
+    else:
+        dst[: n - k] = src[k:]
+        dst[n - k :] = src[n - 1 :]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +164,18 @@ def _least_sse(residuals) -> DisplacementField:
 
 
 def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> DisplacementField:
-    """The encoder's per-block choice, straight from the 13 shifted planes."""
+    """The encoder's per-block choice, straight from the 13 shifted planes.
+
+    Every candidate is shifted into, and differenced in, the same two int16
+    buffers.
+    """
     cur = cur.astype(np.int16)
-    return _least_sse(cur - shift_plane(prev_recon, d.axis, d.s) for d in CATALOGUE)
+    prev = prev_recon.astype(np.int16)
+    shifted = np.empty_like(prev)
+    diff = np.empty_like(prev)
+    return _least_sse(
+        np.subtract(cur, shift_plane(prev, d.axis, d.s, out=shifted), out=diff) for d in CATALOGUE
+    )
 
 
 def select_displacement_per_block(
@@ -166,20 +186,46 @@ def select_displacement_per_block(
     return _least_sse(dset[d].samples for d in CATALOGUE)
 
 
+def _block_offsets(halve: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per catalogue index, the (rows, columns) shift a block reads at.
+
+    With halve, shift amounts are halved toward zero.
+    """
+    steps = [int(d.s / 2) if halve else d.s for d in CATALOGUE]  # int() truncates toward zero
+    dy = [s if d.axis is Axis.VERTICAL else 0 for d, s in zip(CATALOGUE, steps)]
+    dx = [s if d.axis is Axis.HORIZONTAL else 0 for d, s in zip(CATALOGUE, steps)]
+    return np.array(dy), np.array(dx)
+
+
+_OFFSETS = {halve: _block_offsets(halve) for halve in (False, True)}
+
+
 def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offsets: bool = False) -> np.ndarray:
     """Assemble the prediction: each block reads prev_recon at its displacement.
 
     With halve_offsets, shift amounts are halved toward zero (4:2:0 chroma
-    reuse of a luma field).
+    reuse of a luma field).  Pixel (i, j) of a block shifted by (dy, dx)
+    reads prev_recon at (clip(i - dy), clip(j - dx)), as shift_plane does;
+    the plane is gathered in one take over flat indices, int32 unless the
+    plane has 2**31 samples or more.
     """
-    choice = field.indices.reshape(-1)
-    tiles = np.empty((choice.size, BLOCK, BLOCK), dtype=prev_recon.dtype)
-    for k in np.unique(choice):
-        d = CATALOGUE[int(k)]
-        s = int(d.s / 2) if halve_offsets else d.s  # int() truncates toward zero
-        picked = choice == k
-        tiles[picked] = to_tiles(shift_plane(prev_recon, d.axis, s))[picked]
-    return from_tiles(tiles, prev_recon.shape)
+    h, w = prev_recon.shape
+    nby, nbx = grid_shape((h, w))
+    if field.indices.shape != (nby, nbx):
+        raise ContractViolation(f"field grid {field.indices.shape} does not cover {nby}x{nbx} blocks")
+    dtype = np.int32 if h * w <= 2**31 else np.int64
+    dy, dx = (table[field.indices].astype(dtype) for table in _OFFSETS[halve_offsets])
+    # source row of every pixel row, per block column, pre-multiplied by w
+    rows = np.arange(nby * BLOCK, dtype=dtype).reshape(nby, BLOCK, 1) - dy[:, None, :]
+    np.clip(rows, 0, h - 1, out=rows)
+    rows *= w
+    # source column of every pixel column, per block row
+    cols = np.arange(nbx * BLOCK, dtype=dtype).reshape(nbx, BLOCK) - dx[:, :, None]
+    np.clip(cols, 0, w - 1, out=cols)
+    index = np.empty((nby, BLOCK, nbx, BLOCK), dtype=dtype)
+    np.add(rows[:, :, :, None], cols[:, None, :, :], out=index)
+    index = index.reshape(nby * BLOCK, nbx * BLOCK)[:h, :w]
+    return prev_recon.reshape(-1).take(index)
 
 
 def reconstruct_frame(
@@ -191,9 +237,6 @@ def reconstruct_frame(
             f"residual is {decoded_residual.width}x{decoded_residual.height}, "
             f"frame is {prev_recon.width}x{prev_recon.height}"
         )
-    grid = grid_shape(prev_recon.samples.shape)
-    if field.indices.shape != grid:
-        raise ContractViolation(f"field grid {field.indices.shape} does not cover {grid[0]}x{grid[1]} blocks")
     pred = predicted_plane(prev_recon.samples, field).astype(np.int32)
     out = np.clip(pred + decoded_residual.samples, 0, 255).astype(np.uint8)
     return FramePlane(prev_recon.width, prev_recon.height, out)

@@ -195,21 +195,37 @@ class LevelMap:
         )
 
 
-def _pixel_grid(width: int, height: int):
-    ys, xs = np.mgrid[0:height, 0:width]
-    return xs.astype(np.float64), ys.astype(np.float64)
+def radial_gather(dx: np.ndarray, dy: np.ndarray, fn) -> np.ndarray:
+    """fn over the grid of offsets (dx[j], dy[i]), for fn symmetric in their signs.
+
+    fn(x, y) gets a row of unique |dx| and a column of unique |dy| and must
+    evaluate elementwise; each unique pair is evaluated once and gathered
+    into the (len(dy), len(dx)) result, which is bit-identical to
+    fn(dx[None, :], dy[:, None]) when fn depends on its arguments only
+    through |x| and |y|.
+    """
+    ux, ix = np.unique(np.abs(dx), return_inverse=True)
+    uy, iy = np.unique(np.abs(dy), return_inverse=True)
+    return fn(ux[None, :], uy[:, None])[iy[:, None], ix[None, :]]
 
 
 def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) -> FoveationMap:
-    """Continuous sensitivity map at the display Nyquist frequency."""
+    """Continuous sensitivity map at the display Nyquist frequency.
+
+    Eccentricity depends on the pixel offsets from the gaze only through
+    their magnitudes, so each (|dx|, |dy|) pair is evaluated once.
+    """
     gx, gy = float(gaze[0]), float(gaze[1])
     if not (0 <= gx < geom.width_px and 0 <= gy < geom.height_px):
         raise ContractViolation(
             f"gaze ({gx}, {gy}) outside frame {geom.width_px}x{geom.height_px}"
         )
-    xs, ys = _pixel_grid(geom.width_px, geom.height_px)
-    ecc = eccentricity((xs, ys), (gx, gy), geom)
-    values = error_sensitivity(display_nyquist(geom), ecc, params)
+    nyquist = display_nyquist(geom)
+    values = radial_gather(
+        np.arange(geom.width_px, dtype=np.float64) - gx,
+        np.arange(geom.height_px, dtype=np.float64) - gy,
+        lambda x, y: error_sensitivity(nyquist, eccentricity((x, y), (0.0, 0.0), geom), params),
+    )
     return FoveationMap(np.asarray(values, dtype=np.float64), (gx, gy))
 
 
@@ -223,12 +239,17 @@ def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
 
 def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
     """Isotropic gaussian map with sigma equal to the mask space constant."""
-    if fmsc_px <= 0:
-        raise ContractViolation(f"mask space constant must be positive, got {fmsc_px}")
+    denom = 2.0 * fmsc_px * fmsc_px
+    if not (fmsc_px > 0 and 0 < denom < math.inf):  # false for NaN too
+        raise ContractViolation(
+            f"mask space constant must be positive with a finite, nonzero 2*sigma^2, got {fmsc_px}"
+        )
     gx, gy = float(gaze[0]), float(gaze[1])
-    xs, ys = _pixel_grid(width, height)
-    r2 = (xs - gx) ** 2 + (ys - gy) ** 2
-    values = np.exp(-r2 / (2.0 * fmsc_px * fmsc_px))
+    values = radial_gather(
+        np.arange(width, dtype=np.float64) - gx,
+        np.arange(height, dtype=np.float64) - gy,
+        lambda x, y: np.exp(-(x**2 + y**2) / denom),
+    )
     return FoveationMap(values, (gx, gy))
 
 

@@ -17,6 +17,7 @@ from .foveation import (
     display_nyquist,
     eccentricity,
     error_sensitivity,
+    radial_gather,
 )
 from .transform import BLOCK, grid_shape, tile_reduce
 from .video_io import FramePlane
@@ -63,15 +64,18 @@ def ssim_map(ref, test) -> np.ndarray:
     if x.shape != y.shape:
         raise ContractViolation(f"plane shapes differ: {x.shape} vs {y.shape}")
 
+    # Moments are centred in place and the inputs dropped once used, so at
+    # most ten planes are alive at a time; the arithmetic is unchanged.
     weight = _windowed(np.ones_like(x))
     mu_x = _windowed(x) / weight
     mu_y = _windowed(y) / weight
-    ex2 = _windowed(x * x) / weight
-    ey2 = _windowed(y * y) / weight
-    exy = _windowed(x * y) / weight
-    var_x = ex2 - mu_x * mu_x
-    var_y = ey2 - mu_y * mu_y
-    cov = exy - mu_x * mu_y
+    var_x = _windowed(x * x) / weight
+    var_x -= mu_x * mu_x
+    var_y = _windowed(y * y) / weight
+    var_y -= mu_y * mu_y
+    cov = _windowed(x * y) / weight
+    cov -= mu_x * mu_y
+    del x, y, weight
 
     num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
     den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
@@ -146,9 +150,13 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry, params: Csf
     h, w = shape
     xs = (np.arange(w) + 0.5) * size - 0.5
     ys = (np.arange(h) + 0.5) * size - 0.5
-    ecc = eccentricity(np.meshgrid(xs, ys), gaze, geom)
     freq = display_nyquist(geom) / (2.0 ** scale)
-    return np.asarray(error_sensitivity(freq, ecc, params), dtype=np.float64)
+    values = radial_gather(
+        xs - gaze[0],
+        ys - gaze[1],
+        lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom), params),
+    )
+    return np.asarray(values, dtype=np.float64)
 
 
 def fwqi_approx(

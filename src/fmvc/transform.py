@@ -11,6 +11,13 @@ place that tiles a plane, untiles it, or reduces over its tiles.
 Outputs approximate the true DCT-II scaled per 1-D index by
 (sqrt(8), sqrt(2), 2, sqrt(2), sqrt(8), sqrt(2), 2, sqrt(2)); the 2-D gain
 is the outer product (8 at DC).  Constants use 12-bit fixed point.
+
+The lifting runs in int32 whenever that is exact, else in int64: the
+intermediates of the forward pass stay below 6.6e7 for residuals in
++-255, and those of the inverse below 1.26e9 for coefficients in +-32640,
+the largest dequantized value an encoder emits (|coefficient| <= 16320 plus
+half of a step that does not zero it).  Both bounds come from propagating
+magnitudes through the butterflies and _ODD_OPS.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ BLOCK = 8
 
 _FP = 12
 _HALF = 1 << (_FP - 1)
+
+# Largest input magnitudes for which the int32 lifting cannot overflow.
+FORWARD_INT32_LIMIT = 255
+INVERSE_INT32_LIMIT = 32640
 
 # Even-half rotation by -pi/8 applied to (a3, a2), yielding (X2, -X6):
 # P = round(-tan(theta/2) * 2^12), U = round(sin(theta) * 2^12).
@@ -76,7 +87,7 @@ def _rot_inv(y3, y2, p, u):
 
 
 def _fwd8(x: np.ndarray) -> np.ndarray:
-    """Forward transform along the last axis (length 8, int64)."""
+    """Forward transform along the last axis (length 8), in x's integer dtype."""
     lo, hi = x[..., :4], x[..., 4:][..., ::-1]
     s = lo + hi
     o = [lo[..., i] - hi[..., i] for i in range(4)]
@@ -116,29 +127,37 @@ def _inv8(c: np.ndarray) -> np.ndarray:
     a1 = (c[..., 0] - c[..., 4]) >> 1  # so these halvings are exact
     s = [(a0 + a3) >> 1, (a1 + a2) >> 1, (a1 - a2) >> 1, (a0 - a3) >> 1]
 
-    out = np.empty(c.shape, dtype=np.int64)
+    out = np.empty(c.shape, dtype=c.dtype)
     for i in range(4):
         out[..., i] = (s[i] + o[i]) >> 1
         out[..., 7 - i] = (s[i] - o[i]) >> 1
     return out
 
 
+def _lifting_input(values, limit: int) -> np.ndarray:
+    """values as a (..., 8, 8) integer array in the dtype its lifting runs in:
+    int32 while every magnitude is at most limit, otherwise int64."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.int64)
+    if a.shape[-2:] != (BLOCK, BLOCK):
+        raise ContractViolation(f"expected trailing 8x8 block axes, got {a.shape}")
+    fits = a.size == 0 or (-limit <= int(a.min()) and int(a.max()) <= limit)
+    return a.astype(np.int32 if fits else np.int64, copy=False)
+
+
 def forward_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Transform a batch shaped (..., 8, 8): rows first, then columns."""
-    b = np.asarray(blocks, dtype=np.int64)
-    if b.shape[-2:] != (BLOCK, BLOCK):
-        raise ContractViolation(f"expected trailing 8x8 block axes, got {b.shape}")
+    """Transform a batch shaped (..., 8, 8): rows first, then columns; int64 out."""
+    b = _lifting_input(blocks, FORWARD_INT32_LIMIT)
     rows = _fwd8(b)
-    return _fwd8(rows.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return _fwd8(rows.swapaxes(-1, -2)).swapaxes(-1, -2).astype(np.int64, order="C")
 
 
 def inverse_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse of forward_blocks (column pass undone first)."""
-    c = np.asarray(coeffs, dtype=np.int64)
-    if c.shape[-2:] != (BLOCK, BLOCK):
-        raise ContractViolation(f"expected trailing 8x8 block axes, got {c.shape}")
+    """Exact inverse of forward_blocks (column pass undone first); int64 out."""
+    c = _lifting_input(coeffs, INVERSE_INT32_LIMIT)
     rows = _inv8(c.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return _inv8(rows)
+    return _inv8(rows).astype(np.int64)
 
 
 def forward_transform(block: np.ndarray) -> np.ndarray:
@@ -195,9 +214,12 @@ def tile_reduce(plane: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     """Reduce each tile to one value with a ufunc such as np.add or np.maximum.
 
     Only samples inside the plane take part: a partial edge tile is not
-    padded, so sums count its real samples alone.
+    padded, so sums count its real samples alone.  The 8 rows of each tile
+    row are combined first, then each run of 8 columns, in the dtype
+    ufunc.reduce gives (np.add widens small integers).
     """
-    rows = np.arange(0, plane.shape[0], BLOCK)
-    cols = np.arange(0, plane.shape[1], BLOCK)
-    return ufunc.reduceat(ufunc.reduceat(plane, rows, axis=0), cols, axis=1)
-
+    acc = plane[::BLOCK].astype(ufunc.reduce(plane[:1, :1], axis=0).dtype)
+    for k in range(1, BLOCK):
+        rows = plane[k::BLOCK]  # one row short of acc when the last tile row is partial
+        ufunc(acc[: len(rows)], rows, out=acc[: len(rows)])
+    return ufunc.reduceat(acc, np.arange(0, plane.shape[1], BLOCK), axis=1)

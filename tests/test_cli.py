@@ -65,6 +65,10 @@ class TestGazeTrack:
         with pytest.raises(ParseError):
             read_gaze_track("0,10\n")
 
+    def test_non_ascii_row_names_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            read_gaze_track("0,10,20\n1,2\u00e9,40\n")
+
     def test_indices_strictly_increasing(self):
         with pytest.raises(ParseError):
             read_gaze_track("0,1,1\n0,2,2\n")
@@ -300,6 +304,22 @@ class TestMetricsCommand:
         with open(other, "wb") as fh:
             write_y4m(pan_clip(32, 32, 2, step=3), fh)
         assert main(["metrics", "--ref", str(clip_path), "--test", str(other)]) == 2
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
+def test_non_ascii_gaze_track_is_config_error(clip_path, tmp_path, capsys, command):
+    track = tmp_path / "gaze.csv"
+    track.write_bytes(b"0,10,10\n1,2\xc3\xa9,3\n")
+    out = tmp_path / "out"
+    argv = {
+        "encode": ["--input", str(clip_path), "--output", str(out)],
+        "metrics": ["--ref", str(clip_path), "--test", str(clip_path), "--out", str(out)],
+        "rd-sweep": ["--input", str(clip_path), "--out", str(out)],
+    }[command]
+    assert main([command, *argv, "--gaze", str(track)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2" in err
+    assert not out.exists()
 
 
 class TestRdSweep:

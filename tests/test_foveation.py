@@ -195,6 +195,13 @@ def test_gaussian_fmsc_dominance():
         gaussian_map((0, 0), 0.0, 8, 8)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-170, -1.0, 1e160, math.inf, math.nan])
+def test_gaussian_sigma_with_degenerate_variance_rejected(sigma):
+    # 2 * sigma**2 underflows to zero or is not finite: rejected before any division
+    with pytest.raises(ContractViolation):
+        gaussian_map((1, 1), sigma, 4, 4)
+
+
 def test_quantized_gaussian_dominance():
     wide = quantize_map(gaussian_map((32, 24), 24.0, 64, 48), 16)
     narrow = quantize_map(gaussian_map((32, 24), 12.0, 64, 48), 16)

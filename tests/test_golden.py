@@ -3,7 +3,8 @@ reconstructions and bit accounting byte-identical.
 
 Each digest is SHA-256 over six encodes of one clip (q_base 1, 4, 32, each
 with displacement selection on and off): the serialized stream, every
-reconstructed plane, and every frame's block_bits grid.  A deliberate format
+reconstructed plane, and every frame's block_bits grid.  Every stream must
+also decode to exactly the encoder's reconstruction.  A deliberate format
 change regenerates these literals and says so in CHANGES.md.
 """
 
@@ -11,7 +12,7 @@ import hashlib
 
 import pytest
 
-from fmvc.codec import CodecConfig, QuantSchedule, encode_sequence
+from fmvc.codec import CodecConfig, QuantSchedule, decode_sequence, encode_sequence
 from fmvc.foveation import gaussian_map
 
 from conftest import natural_clip, pan_clip, random_clip
@@ -46,7 +47,9 @@ def clip_digest(seq) -> str:
             sbs, recon = encode_sequence(
                 seq, maps, QuantSchedule(q_base=q_base), CodecConfig(force_zero_displacement=zero)
             )
-            digest.update(sbs.to_bytes())
+            data = sbs.to_bytes()
+            assert decode_sequence(data) == recon
+            digest.update(data)
             for frame in recon.frames:
                 for plane in (frame.y, frame.cb, frame.cr):
                     digest.update(plane.samples.tobytes())

@@ -6,14 +6,20 @@ with displacement selection on and off): the serialized stream, every
 reconstructed plane, and every frame's block_bits grid.  Every stream must
 also decode to exactly the encoder's reconstruction.  A deliberate format
 change regenerates these literals and says so in CHANGES.md.
+
+The CSV digests pin the report commands the same way: SHA-256 over the
+``fmvc rd-sweep`` and ``fmvc metrics`` CSV files for clips whose sides are
+not multiples of 16, so every FWQI crop and block grid is partial.
 """
 
 import hashlib
 
 import pytest
 
+from fmvc.cli import main
 from fmvc.codec import CodecConfig, QuantSchedule, decode_sequence, encode_sequence
 from fmvc.foveation import gaussian_map
+from fmvc.video_io import write_y4m
 
 from conftest import natural_clip, pan_clip, random_clip
 
@@ -61,3 +67,41 @@ def clip_digest(seq) -> str:
 @pytest.mark.parametrize("name", sorted(CLIPS))
 def test_golden_output(name):
     assert clip_digest(CLIPS[name]()) == GOLDEN[name]
+
+
+GOLDEN_CSV = {
+    "rd_sweep_center": "d8a3dcab657186e09494ae2b001ac126b63cb7db5e4b92e7e131d3720ddf5049",
+    "rd_sweep_track": "f0e4f7806dd34fc9215a04e7896a29043bf1415bcc54805880ab0272eabbc8aa",
+    "metrics_track": "aad39b9f74c51a7ed26cfd22833d0b6929ab5bbefca9151cbecd79f6890f2991",
+}
+# a gaze that jumps across the frame, with a gap and a row past the end
+GAZE_TRACK = "0,3,2\n1,40,27\n3,12,20\n9,44,30\n"
+
+
+def _write_clip(path, seq):
+    with open(path, "wb") as fh:
+        write_y4m(seq, fh)
+    return str(path)
+
+
+def csv_digest(name, tmp_path) -> str:
+    clip = _write_clip(tmp_path / "ref.y4m", natural_clip(45, 34, 4, seed=31))
+    track = tmp_path / "gaze.csv"
+    track.write_text(GAZE_TRACK)
+    out = tmp_path / "out.csv"
+    if name == "rd_sweep_center":
+        argv = ["rd-sweep", "--input", clip, "--out", str(out)]
+    elif name == "rd_sweep_track":
+        argv = ["rd-sweep", "--input", clip, "--out", str(out), "--gaze", str(track), "--fmsc-set", "H/4,H/2"]
+    else:
+        seq = natural_clip(45, 34, 4, seed=31)
+        maps = [gaussian_map((10, 8), 9.0, 45, 34)] * len(seq)
+        test = _write_clip(tmp_path / "test.y4m", encode_sequence(seq, maps, QuantSchedule(q_base=12))[1])
+        argv = ["metrics", "--ref", clip, "--test", test, "--out", str(out), "--gaze", str(track)]
+    assert main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_golden_csv(name, tmp_path):
+    assert csv_digest(name, tmp_path) == GOLDEN_CSV[name]

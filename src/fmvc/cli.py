@@ -130,26 +130,12 @@ def _read(path: str) -> bytes:
         raise IoError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _encode(
-    seq: VideoSequence,
-    sched: codec.QuantSchedule,
-    gazes: list[tuple[int, int]],
-    geom: DisplayGeometry,
-    fmsc: tuple[float, int] | None,
-):
-    """Encode with gaussian maps for a parsed FMSC (sigma, code), or CSF maps when it is None."""
+def _maps(seq: VideoSequence, gazes: list[tuple[int, int]], geom: DisplayGeometry, fmsc):
+    """Per-frame maps, each built when taken: gaussian ones for a parsed FMSC
+    (sigma, code), contrast-sensitivity ones when it is None."""
     if fmsc is None:
-        maps, code = [foveation_map(geom, g, DEFAULT_CSF) for g in gazes], 0
-    else:
-        maps, code = [gaussian_map(g, fmsc[0], seq.width, seq.height) for g in gazes], fmsc[1]
-    return codec.encode_sequence(
-        seq,
-        maps,
-        sched,
-        fmsc_codes=[code] * len(seq),
-        screen_width_m=geom.screen_width_m,
-        viewing_distance_m=geom.viewing_distance_m,
-    )
+        return (foveation_map(geom, g, DEFAULT_CSF) for g in gazes)
+    return (gaussian_map(g, fmsc[0], seq.width, seq.height) for g in gazes)
 
 
 def cmd_encode(args) -> int:
@@ -158,7 +144,14 @@ def cmd_encode(args) -> int:
     geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
     fmsc = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else None
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
-    sbs, _ = _encode(seq, sched, gazes, geom, fmsc)
+    sbs, _ = codec.encode_sequence(
+        seq,
+        list(_maps(seq, gazes, geom, fmsc)),
+        sched,
+        fmsc_codes=[fmsc[1] if fmsc else 0] * len(seq),
+        screen_width_m=geom.screen_width_m,
+        viewing_distance_m=geom.viewing_distance_m,
+    )
     data = sbs.to_bytes()
     try:
         with open(args.output, "wb") as fh:
@@ -189,27 +182,24 @@ def cmd_decode(args) -> int:
 _REPORT_PREAMBLE = "# fw_ssim weighted by the continuous foveation map"
 
 
+def _scores(ref: metrics.FrameReference, test, fmap, gaze, geom) -> tuple[float, float, float]:
+    """Mean SSIM, foveation-weighted SSIM and FWQI of one test plane against a reference."""
+    smap = metrics.ssim_map(ref, test)
+    fwqi = metrics.fwqi_approx(ref, test, gaze, geom, DEFAULT_CSF)
+    return float(smap.mean()), metrics.fw_ssim_from_map(smap, fmap), fwqi
+
+
 def _frame_reports(
     ref_seq: VideoSequence,
     test_seq: VideoSequence,
     gazes: list[tuple[int, int]],
     geom: DisplayGeometry,
-    per_frame_bits: list[int] | None,
 ) -> list[metrics.QualityReport]:
     reports = []
-    pixels = ref_seq.width * ref_seq.height
     for i, (ref, test) in enumerate(zip(ref_seq.frames, test_seq.frames)):
         fmap = foveation_map(geom, gazes[i], DEFAULT_CSF)
-        smap = metrics.ssim_map(ref.y, test.y)
-        reports.append(
-            metrics.QualityReport(
-                frame_idx=i,
-                bpp=per_frame_bits[i] / pixels if per_frame_bits else 0.0,
-                mean_ssim=float(smap.mean()),
-                fw_ssim=metrics.fw_ssim_from_map(smap, fmap),
-                fwqi=metrics.fwqi_approx(ref.y, test.y, gazes[i], geom, DEFAULT_CSF),
-            )
-        )
+        scores = _scores(metrics.FrameReference(ref.y), test.y, fmap, gazes[i], geom)
+        reports.append(metrics.QualityReport(i, 0.0, *scores))
     return reports
 
 
@@ -235,7 +225,7 @@ def cmd_metrics(args) -> int:
         raise ConfigError("reference and test sequences disagree on geometry or length")
     geom = DisplayGeometry(args.screen_width, args.distance, ref_seq.width, ref_seq.height)
     gazes = _resolve_gazes(args.gaze, len(ref_seq), ref_seq.width, ref_seq.height)
-    reports = _frame_reports(ref_seq, test_seq, gazes, geom, None)
+    reports = _frame_reports(ref_seq, test_seq, gazes, geom)
     lines = [_REPORT_PREAMBLE, metrics.QualityReport.CSV_HEADER]
     lines += [r.csv_row() for r in reports]
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -250,25 +240,26 @@ def cmd_rd_sweep(args) -> int:
     fmscs = [parse_fmsc(spec, seq.height) for spec in specs]  # all checked before the first encode
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
 
-    rows = []
-    for fmsc in fmscs:
-        sbs, recon = _encode(seq, sched, gazes, geom, fmsc)
-        bits = [8 * len(rec.bitstream.payload) for rec in sbs.frames]
-        reports = _frame_reports(seq, recon, gazes, geom, bits)
-        rows.append(
-            (
-                fmsc[0],
-                sbs.bpp(),
-                float(np.mean([r.mean_ssim for r in reports])),
-                float(np.mean([r.fw_ssim for r in reports])),
-                float(np.mean([r.fwqi for r in reports])),
-            )
-        )
+    # The chains run in lockstep, one clip frame at a time, so each frame's
+    # reference is built once, before any chain codes the frame, scored
+    # against every chain's reconstruction and dropped before the next.
+    steps = zip(*[codec.encode_frames(seq, _maps(seq, gazes, geom, fmsc), sched, fmsc_codes=[fmsc[1]] * len(seq))
+                  for fmsc in fmscs])
+    bits, scores = [0] * len(fmscs), [[] for _ in fmscs]
+    for frame, gaze in zip(seq.frames, gazes):
+        ref = metrics.FrameReference(frame.y)
+        ref.weighted_bands(gaze, geom, DEFAULT_CSF)  # rejects a clip FWQI cannot score
+        fmap = foveation_map(geom, gaze, DEFAULT_CSF)
+        for k, (rec, recon) in enumerate(next(steps)):
+            bits[k] += 8 * len(rec.bitstream.payload)
+            scores[k].append(_scores(ref, recon.y, fmap, gaze, geom))
+        del ref, fmap
 
+    pixels = seq.width * seq.height * len(seq)
     lines = [_REPORT_PREAMBLE, "fmsc,bpp,mean_ssim,fw_ssim,fwqi_approx"]
-    lines += [
-        f"{fmsc:.3f},{bpp:.6f},{ms:.6f},{fw:.6f},{fq:.6f}" for fmsc, bpp, ms, fw, fq in rows
-    ]
+    for (sigma, _), total, point in zip(fmscs, bits, scores):
+        ms, fw, fq = (float(np.mean(column)) for column in zip(*point))
+        lines.append(f"{sigma:.3f},{total / pixels:.6f},{ms:.6f},{fw:.6f},{fq:.6f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -10,6 +10,7 @@ frame chain cannot drift.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,6 +410,42 @@ def midgray_frame(width: int, height: int) -> Frame:
     return Frame.gray(width, height, 128)
 
 
+def encode_frames(
+    seq: VideoSequence,
+    maps: Iterable[FoveationMap],
+    sched: QuantSchedule,
+    cfg: CodecConfig = CodecConfig(),
+    fmsc_codes: list[int] | None = None,
+) -> Iterator[tuple[FrameRecord, Frame]]:
+    """Code a sequence one frame at a time, yielding each record and reconstruction.
+
+    Maps are taken one per frame, each dropped once quantized; a map count
+    other than the frame count raises ValueError when the shorter runs out.
+    The sequence-level checks run on the first next(), before any frame is
+    coded.
+    """
+    if sched.n_levels != MAX_LEVELS:
+        raise ContractViolation(f"the v1 stream records no level count; it must be {MAX_LEVELS}")
+    if fmsc_codes is None:
+        fmsc_codes = [0] * len(seq)
+    if len(fmsc_codes) != len(seq):
+        raise ContractViolation("fmsc codes must match the frame count")
+    _check_header_fits(seq.width, seq.height, seq.fps_num, seq.fps_den, len(seq))
+
+    w, h = seq.width, seq.height
+
+    def levels(fmap: FoveationMap) -> tuple[LevelMap, tuple[int, int]]:
+        if (fmap.width, fmap.height) != (w, h):
+            raise ContractViolation("foveation map dimensions must match the sequence")
+        gaze = (min(max(int(round(fmap.gaze[0])), 0), w - 1), min(max(int(round(fmap.gaze[1])), 0), h - 1))
+        return quantize_map(fmap, sched.n_levels), gaze
+
+    prev = midgray_frame(w, h)
+    for frame, (level_map, (gx, gy)), code in zip(seq.frames, map(levels, maps), fmsc_codes, strict=True):
+        stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
+        yield FrameRecord(gx, gy, int(code), stream), prev
+
+
 def encode_sequence(
     seq: VideoSequence,
     maps: list[FoveationMap],
@@ -421,33 +458,10 @@ def encode_sequence(
     """Code a whole sequence; returns the bitstream and the recon chain."""
     if len(maps) != len(seq):
         raise ContractViolation(f"{len(maps)} maps supplied for {len(seq)} frames")
-    if sched.n_levels != MAX_LEVELS:
-        raise ContractViolation(f"the v1 stream records no level count; it must be {MAX_LEVELS}")
-    if fmsc_codes is None:
-        fmsc_codes = [0] * len(seq)
-    if len(fmsc_codes) != len(seq):
-        raise ContractViolation("fmsc codes must match the frame count")
-    _check_header_fits(seq.width, seq.height, seq.fps_num, seq.fps_den, len(seq))
-
-    w, h = seq.width, seq.height
-    prev = midgray_frame(w, h)
-    records = []
-    recons = []
-    for frame, fmap, code in zip(seq.frames, maps, fmsc_codes):
-        if (fmap.width, fmap.height) != (w, h):
-            raise ContractViolation("foveation map dimensions must match the sequence")
-        level_map = quantize_map(fmap, sched.n_levels)
-        stream, recon = encode_frame(frame, prev, level_map, sched, cfg)
-        gx = min(max(int(round(fmap.gaze[0])), 0), w - 1)
-        gy = min(max(int(round(fmap.gaze[1])), 0), h - 1)
-        records.append(FrameRecord(gx, gy, int(code), stream))
-        recons.append(recon)
-        prev = recon
-
-    sbs = SequenceBitstream(
-        w, h, seq.fps_num, seq.fps_den, screen_width_m, viewing_distance_m, sched.q_base, tuple(records)
-    )
-    return sbs, VideoSequence(tuple(recons), seq.fps_num, seq.fps_den)
+    records, recons = zip(*encode_frames(seq, maps, sched, cfg, fmsc_codes))
+    sbs = SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den,
+                            screen_width_m, viewing_distance_m, sched.q_base, records)
+    return sbs, VideoSequence(recons, seq.fps_num, seq.fps_den)
 
 
 def decode_sequence(source: SequenceBitstream | bytes) -> VideoSequence:

@@ -245,11 +245,12 @@ def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
             f"mask space constant must be positive with a finite, nonzero 2*sigma^2, got {fmsc_px}"
         )
     gx, gy = float(gaze[0]), float(gaze[1])
-    values = radial_gather(
-        np.arange(width, dtype=np.float64) - gx,
-        np.arange(height, dtype=np.float64) - gy,
-        lambda x, y: np.exp(-(x**2 + y**2) / denom),
-    )
+    with np.errstate(over="ignore"):  # a tiny denom sends far samples to -inf, and exp(-inf) is exactly 0
+        values = radial_gather(
+            np.arange(width, dtype=np.float64) - gx,
+            np.arange(height, dtype=np.float64) - gy,
+            lambda x, y: np.exp(-(x**2 + y**2) / denom),
+        )
     return FoveationMap(values, (gx, gy))
 
 

@@ -58,28 +58,29 @@ def ssim_map(ref, test) -> np.ndarray:
 
     Borders truncate the window and renormalize its weights, implemented by
     dividing zero-padded filter responses by the filtered all-ones plane.
+    ``ref`` is a plane or a FrameReference, which keeps its moments.
     """
-    x = _as_float_plane(ref)
+    ref = ref if isinstance(ref, FrameReference) else FrameReference(ref)
     y = _as_float_plane(test)
-    if x.shape != y.shape:
-        raise ContractViolation(f"plane shapes differ: {x.shape} vs {y.shape}")
+    if ref.plane.shape != y.shape:
+        raise ContractViolation(f"plane shapes differ: {ref.plane.shape} vs {y.shape}")
 
-    # Moments are centred in place and the inputs dropped once used, so at
-    # most ten planes are alive at a time; the arithmetic is unchanged.
-    weight = _windowed(np.ones_like(x))
-    mu_x = _windowed(x) / weight
+    # Each window sum is taken and centred in turn and every plane dropped
+    # once used, so beyond the reference's four planes at most five are
+    # alive at a time (this step sets the codec bench's peak memory).
+    x, (weight, mu_x, var_x) = ref.plane, ref.moments()
     mu_y = _windowed(y) / weight
-    var_x = _windowed(x * x) / weight
-    var_x -= mu_x * mu_x
-    var_y = _windowed(y * y) / weight
-    var_y -= mu_y * mu_y
     cov = _windowed(x * y) / weight
     cov -= mu_x * mu_y
-    del x, y, weight
+    y = y * y
+    var_y = _windowed(y) / weight
+    var_y -= mu_y * mu_y
+    del ref, x, y, weight
 
     num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
-    den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
-    return num / den
+    del cov
+    num /= (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
+    return num
 
 
 def mean_ssim(ref, test) -> float:
@@ -159,6 +160,48 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry, params: Csf
     return np.asarray(values, dtype=np.float64)
 
 
+class FrameReference:
+    """A reference plane plus the scoring work that depends on it alone, each
+    part built on first use and then kept: the SSIM window weight, local mean
+    and variance; the cropped Haar bands, and their weights and weighted
+    energy for the last gaze and geometry FWQI was asked for."""
+
+    def __init__(self, plane):
+        self.plane = _as_float_plane(plane)
+        self._moments = self._bands = self._weighted = None
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Window weight, local mean and local variance."""
+        if self._moments is None:
+            weight = _windowed(np.ones_like(self.plane))
+            mu_x = _windowed(self.plane) / weight
+            var_x = _windowed(self.plane * self.plane) / weight
+            var_x -= mu_x * mu_x
+            self._moments = weight, mu_x, var_x
+        return self._moments
+
+    def weighted_bands(self, gaze, geom: DisplayGeometry, params: CsfParams = DEFAULT_CSF):
+        """(bands, weights by scale, weighted energy); rejects a plane FWQI cannot score."""
+        if self._bands is None:
+            shape, unit = self.plane.shape, 2 ** FWQI_LEVELS
+            ch, cw = (shape[0] // unit) * unit, (shape[1] // unit) * unit
+            if ch == 0 or cw == 0:
+                raise ContractViolation(f"frames of shape {shape} cannot host a {FWQI_LEVELS}-level decomposition")
+            self._bands = _haar_decompose(self.plane[:ch, :cw], FWQI_LEVELS)
+        key = (tuple(gaze), geom, params)
+        if self._weighted is None or self._weighted[0] != key:
+            # a band's weights depend on its scale and shape alone, so each scale's are built once
+            weights = {scale: _subband_weights(scale, band.shape, gaze, geom, params)
+                       for scale, band in dict(self._bands).items()}
+            energy = 0.0
+            for scale, band in self._bands:
+                energy += float(((weights[scale] * band) ** 2).sum())
+            if energy == 0.0:
+                raise ContractViolation("weighted reference energy is zero")
+            self._weighted = key, weights, energy
+        return self._bands, self._weighted[1], self._weighted[2]
+
+
 def fwqi_approx(
     ref,
     test,
@@ -170,28 +213,19 @@ def fwqi_approx(
 
     A declared approximation: 4-level Haar decomposition, each subband
     weighted by error sensitivity at its center frequency, scored as
-    1 - ||weighted difference|| / ||weighted reference||.
+    1 - ||weighted difference|| / ||weighted reference||.  ``ref`` is a
+    plane or a FrameReference, which keeps its bands and weights.
     """
-    x = _as_float_plane(ref)
+    ref = ref if isinstance(ref, FrameReference) else FrameReference(ref)
     y = _as_float_plane(test)
-    if x.shape != y.shape:
-        raise ContractViolation(f"plane shapes differ: {x.shape} vs {y.shape}")
-    unit = 2 ** FWQI_LEVELS
-    ch, cw = (x.shape[0] // unit) * unit, (x.shape[1] // unit) * unit
-    if ch == 0 or cw == 0:
-        raise ContractViolation(f"frames of shape {x.shape} cannot host a {FWQI_LEVELS}-level decomposition")
-    x, y = x[:ch, :cw], y[:ch, :cw]
+    if ref.plane.shape != y.shape:
+        raise ContractViolation(f"plane shapes differ: {ref.plane.shape} vs {y.shape}")
+    bands, weights, ref_energy = ref.weighted_bands(gaze, geom, params)
+    ch, cw = (n << FWQI_LEVELS for n in bands[-1][1].shape)  # the final LL band's crop
 
     err_energy = 0.0
-    ref_energy = 0.0
-    for (scale, ref_band), (_, test_band) in zip(
-        _haar_decompose(x, FWQI_LEVELS), _haar_decompose(y, FWQI_LEVELS)
-    ):
-        wts = _subband_weights(scale, ref_band.shape, gaze, geom, params)
-        err_energy += float(((wts * (ref_band - test_band)) ** 2).sum())
-        ref_energy += float(((wts * ref_band) ** 2).sum())
-    if ref_energy == 0.0:
-        raise ContractViolation("weighted reference energy is zero")
+    for (scale, ref_band), (_, test_band) in zip(bands, _haar_decompose(y[:ch, :cw], FWQI_LEVELS)):
+        err_energy += float(((weights[scale] * (ref_band - test_band)) ** 2).sum())
     score = 1.0 - np.sqrt(err_energy) / np.sqrt(ref_energy)
     return float(min(max(score, 0.0), 1.0))
 

@@ -350,6 +350,22 @@ class TestRdSweep:
         assert "error: " in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    def test_unscorable_clip_rejected_before_encoding(self, tmp_path, capsys, monkeypatch):
+        # 8 rows cannot host the 4-level FWQI decomposition
+        clip = tmp_path / "flat.y4m"
+        with open(clip, "wb") as fh:
+            write_y4m(pan_clip(24, 8, 3, step=1), fh)
+        calls = []
+        original = codec.encode_frame
+        monkeypatch.setattr(codec, "encode_frame", lambda *a, **k: calls.append(1) or original(*a, **k))
+        out = tmp_path / "sweep.csv"
+        assert main(["rd-sweep", "--input", str(clip), "--out", str(out)]) == 2
+        assert "cannot host a 4-level decomposition" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+        report = tmp_path / "report.csv"
+        assert main(["metrics", "--ref", str(clip), "--test", str(clip), "--out", str(report)]) == 2
+        assert not report.exists()
+
     def test_custom_fmsc_set(self, tmp_path):
         clip = tmp_path / "small.y4m"
         with open(clip, "wb") as fh:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmvc import codec
 from fmvc.bitio import decode_blocks, encode_blocks
 from fmvc.codec import (
     CodecConfig,
@@ -17,6 +18,7 @@ from fmvc.codec import (
     decode_sequence,
     dequantize_coeffs,
     encode_frame,
+    encode_frames,
     encode_sequence,
     midgray_frame,
     quantize_coeffs,
@@ -24,6 +26,7 @@ from fmvc.codec import (
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
+from fmvc.video_io import VideoSequence
 from bitref import BitWriter
 from conftest import frame_payloads, pan_clip, random_clip
 
@@ -429,6 +432,70 @@ class TestSequenceCodec:
             decode_sequence(SequenceBitstream.from_bytes(bytes(stream)))
         except FmvcError:
             pass
+
+
+class TestEncodeFrames:
+    @given(
+        w=st.integers(1, 40),
+        h=st.integers(1, 40),
+        q_base=st.sampled_from([1, 4, 32, 300]),
+        seed=st.integers(0, 1000),
+    )
+    def test_matches_frame_chain_and_sequence(self, w, h, q_base, seed):
+        seq = random_clip(w, h, 3, seed=seed)
+        sched = QuantSchedule(q_base=q_base)
+        maps = [gaussian_map((w // 3, h // 2), max(1.0, h / (k + 2)), w, h) for k in range(len(seq))]
+        taken = []
+
+        def lazy_maps():
+            for fmap in maps:
+                taken.append(fmap)
+                yield fmap
+
+        sbs, recon = encode_sequence(seq, maps, sched, fmsc_codes=[3, 4, 5])
+        prev = midgray_frame(w, h)
+        frames = encode_frames(seq, lazy_maps(), sched, fmsc_codes=[3, 4, 5])
+        for i, (frame, fmap) in enumerate(zip(seq.frames, maps)):
+            rec, out = next(frames)
+            assert len(taken) == i + 1  # one map is taken per frame coded
+            stream, prev = encode_frame(frame, prev, quantize_map(fmap, sched.n_levels), sched)
+            assert rec.bitstream.payload == stream.payload == sbs.frames[i].bitstream.payload
+            assert np.array_equal(rec.bitstream.block_bits, stream.block_bits)
+            assert np.array_equal(rec.bitstream.block_bits, sbs.frames[i].bitstream.block_bits)
+            assert rec == sbs.frames[i] and rec.fmsc_code == 3 + i
+            assert out == prev == recon.frames[i]
+        assert next(frames, None) is None
+
+    def test_mismatched_map_count_rejected(self):
+        seq = random_clip(16, 16, 2, seed=1)
+        maps = [gaussian_map((8, 8), 4.0, 16, 16)] * 3
+        with pytest.raises(ValueError):
+            list(encode_frames(seq, iter(maps), DEFAULT_SCHED))
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("n_levels", ContractViolation), ("fps_num", ConfigError), ("map_size", ContractViolation),
+         ("fmsc_codes", ContractViolation)],
+    )
+    def test_every_check_runs_before_the_first_frame(self, monkeypatch, bad, error):
+        seq = random_clip(16, 16, 2, seed=1)
+        sched, codes = DEFAULT_SCHED, None
+        maps = [gaussian_map((8, 8), 4.0, 16, 16)] * 2
+        if bad == "n_levels":
+            sched = QuantSchedule(n_levels=8)
+        elif bad == "fps_num":
+            seq = VideoSequence(seq.frames, 120000, 1001)
+        elif bad == "map_size":
+            maps = [gaussian_map((8, 8), 4.0, 16, 17)] * 2
+        else:
+            codes = [0]
+        calls = []
+        original = codec.encode_frame
+        monkeypatch.setattr(codec, "encode_frame", lambda *a, **k: calls.append(1) or original(*a, **k))
+        frames = encode_frames(seq, iter(maps), sched, fmsc_codes=codes)
+        with pytest.raises(error):
+            next(frames)
+        assert calls == []
 
 
 class TestDecodeAnyBytes:

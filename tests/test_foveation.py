@@ -202,6 +202,15 @@ def test_gaussian_sigma_with_degenerate_variance_rejected(sigma):
         gaussian_map((1, 1), sigma, 4, 4)
 
 
+def test_gaussian_with_tiny_variance_is_a_point():
+    # 2 * sigma**2 is subnormal but nonzero: far samples overflow to -inf in
+    # the exponent, which is exactly 0, and no warning is raised
+    fmap = gaussian_map((1, 1), 1e-160, 4, 4)
+    expected = np.zeros((4, 4))
+    expected[1, 1] = 1.0
+    assert np.array_equal(fmap.values, expected)
+
+
 def test_quantized_gaussian_dominance():
     wide = quantize_map(gaussian_map((32, 24), 24.0, 64, 48), 16)
     narrow = quantize_map(gaussian_map((32, 24), 12.0, 64, 48), 16)

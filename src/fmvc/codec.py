@@ -75,20 +75,6 @@ def _round_div_half_away(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.sign(values) * ((2 * np.abs(values) + steps) // (2 * steps))
 
 
-def quantize_coeffs(coeffs: np.ndarray, level: int, sched: QuantSchedule) -> np.ndarray:
-    """Divide by the level's step, rounding half away from zero."""
-    if not 0 <= level < sched.n_levels:
-        raise ContractViolation(f"level {level} outside [0, {sched.n_levels - 1}]")
-    c = np.asarray(coeffs, dtype=np.int64)
-    return _round_div_half_away(c, np.int64(sched.steps[level]))
-
-
-def dequantize_coeffs(qcoeffs: np.ndarray, level: int, sched: QuantSchedule) -> np.ndarray:
-    if not 0 <= level < sched.n_levels:
-        raise ContractViolation(f"level {level} outside [0, {sched.n_levels - 1}]")
-    return np.asarray(qcoeffs, dtype=np.int64) * sched.steps[level]
-
-
 # --- plane helpers ------------------------------------------------------
 
 
@@ -419,10 +405,11 @@ def encode_frames(
 ) -> Iterator[tuple[FrameRecord, Frame]]:
     """Code a sequence one frame at a time, yielding each record and reconstruction.
 
-    Maps are taken one per frame, each dropped once quantized; a map count
-    other than the frame count raises ValueError when the shorter runs out.
-    The sequence-level checks run on the first next(), before any frame is
-    coded.
+    Maps are taken one per frame, each dropped once quantized.  Maps that
+    run out before the frames raise ContractViolation on the first frame
+    left without one; maps that outlast the frames raise it on the next()
+    after the last frame.  The sequence-level checks run on the first
+    next(), before any frame is coded.
     """
     if sched.n_levels != MAX_LEVELS:
         raise ContractViolation(f"the v1 stream records no level count; it must be {MAX_LEVELS}")
@@ -434,16 +421,22 @@ def encode_frames(
 
     w, h = seq.width, seq.height
 
-    def levels(fmap: FoveationMap) -> tuple[LevelMap, tuple[int, int]]:
+    def levels(fmap: FoveationMap | None, coded: int) -> tuple[LevelMap, tuple[int, int]]:
+        if fmap is None:
+            raise ContractViolation(f"{coded} foveation maps supplied for {len(seq)} frames")
         if (fmap.width, fmap.height) != (w, h):
             raise ContractViolation("foveation map dimensions must match the sequence")
         gaze = (min(max(int(round(fmap.gaze[0])), 0), w - 1), min(max(int(round(fmap.gaze[1])), 0), h - 1))
         return quantize_map(fmap, sched.n_levels), gaze
 
+    maps = iter(maps)
     prev = midgray_frame(w, h)
-    for frame, (level_map, (gx, gy)), code in zip(seq.frames, map(levels, maps), fmsc_codes, strict=True):
+    for i, (frame, code) in enumerate(zip(seq.frames, fmsc_codes)):
+        level_map, (gx, gy) = levels(next(maps, None), i)
         stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
         yield FrameRecord(gx, gy, int(code), stream), prev
+    if next(maps, None) is not None:
+        raise ContractViolation(f"more foveation maps supplied than the {len(seq)} frames")
 
 
 def encode_sequence(
@@ -456,8 +449,6 @@ def encode_sequence(
     viewing_distance_m: float = 0.012,
 ) -> tuple[SequenceBitstream, VideoSequence]:
     """Code a whole sequence; returns the bitstream and the recon chain."""
-    if len(maps) != len(seq):
-        raise ContractViolation(f"{len(maps)} maps supplied for {len(seq)} frames")
     records, recons = zip(*encode_frames(seq, maps, sched, cfg, fmsc_codes))
     sbs = SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den,
                             screen_width_m, viewing_distance_m, sched.q_base, records)

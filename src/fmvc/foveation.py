@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, IoError
+from .errors import ContractViolation
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ def contrast_threshold(freq_cpd, ecc_deg, params: CsfParams = DEFAULT_CSF):
     freq_cpd = np.asarray(freq_cpd, dtype=np.float64)
     ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
     out = params.ct0 * np.exp(params.alpha * freq_cpd * (ecc_deg + params.e2) / params.e2)
-    return out if out.ndim else float(out)
-
-
-def contrast_sensitivity(freq_cpd, ecc_deg, params: CsfParams = DEFAULT_CSF):
-    """Reciprocal of the contrast threshold."""
-    out = 1.0 / np.asarray(contrast_threshold(freq_cpd, ecc_deg, params))
     return out if out.ndim else float(out)
 
 
@@ -172,8 +166,8 @@ class LevelMap:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ContractViolation(f"level count must be >= 2, got {self.n}")
+        if not 2 <= self.n <= 256:  # every level must fit the uint8 grid
+            raise ContractViolation(f"level count must lie in [2, 256], got {self.n}")
         if self.levels.dtype != np.uint8 or self.levels.ndim != 2:
             raise ContractViolation("levels must be a 2-D uint8 grid")
         if int(self.levels.max(initial=0)) > self.n - 1:
@@ -231,8 +225,6 @@ def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) 
 
 def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
     """Floor quantization with top clamp: level = min(floor(value * n), n - 1)."""
-    if n < 2:
-        raise ContractViolation(f"level count must be >= 2, got {n}")
     levels = np.minimum(np.floor(fmap.values * n), n - 1).astype(np.uint8)
     return LevelMap(levels, n)
 
@@ -252,13 +244,3 @@ def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
             lambda x, y: np.exp(-(x**2 + y**2) / denom),
         )
     return FoveationMap(values, (gx, gy))
-
-
-def write_pgm(fmap: FoveationMap, sink) -> int:
-    """Dump a map as binary 8-bit PGM (values scaled by 255) for inspection."""
-    header = f"P5\n{fmap.width} {fmap.height}\n255\n".encode("ascii")
-    body = np.round(fmap.values * 255.0).astype(np.uint8).tobytes()
-    try:
-        return sink.write(header) + sink.write(body)
-    except OSError as exc:
-        raise IoError(f"write failed: {exc}") from exc

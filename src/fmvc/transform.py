@@ -160,24 +160,6 @@ def inverse_blocks(coeffs: np.ndarray) -> np.ndarray:
     return _inv8(rows).astype(np.int64)
 
 
-def forward_transform(block: np.ndarray) -> np.ndarray:
-    """Transform one 8x8 residual block (values in [-255, 255])."""
-    b = np.asarray(block, dtype=np.int64)
-    if b.shape != (BLOCK, BLOCK):
-        raise ContractViolation(f"expected an 8x8 block, got shape {b.shape}")
-    if b.min() < -255 or b.max() > 255:
-        raise ContractViolation("residual block values must lie in [-255, 255]")
-    return forward_blocks(b)
-
-
-def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Invert one 8x8 coefficient block."""
-    c = np.asarray(coeffs, dtype=np.int64)
-    if c.shape != (BLOCK, BLOCK):
-        raise ContractViolation(f"expected an 8x8 block, got shape {c.shape}")
-    return inverse_blocks(c)
-
-
 # --- the block grid -------------------------------------------------------
 # Every layer codes, predicts and allocates on one grid of 8x8 tiles laid
 # from the top-left corner; the last row and column of tiles may be partial.

@@ -16,12 +16,10 @@ from fmvc.codec import (
     SequenceBitstream,
     decode_frame,
     decode_sequence,
-    dequantize_coeffs,
     encode_frame,
     encode_frames,
     encode_sequence,
     midgray_frame,
-    quantize_coeffs,
 )
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
@@ -99,28 +97,27 @@ class TestQuantSchedule:
             encode_sequence(seq, maps, QuantSchedule(n_levels=8))
 
 
+def quantize_at(values, level):
+    """Quantize each value alone in the DC slot of its own block, all at one level."""
+    blocks = np.zeros((len(values), 8, 8), dtype=np.int64)
+    blocks[:, 0, 0] = values
+    return codec._quantize_plane_blocks(blocks, np.full(len(values), level), DEFAULT_SCHED)[:, 0, 0]
+
+
 class TestQuantizer:
     def test_round_half_away(self):
-        assert quantize_coeffs(np.array([6]), 15, DEFAULT_SCHED)[0] == 2
-        assert dequantize_coeffs(np.array([2]), 15, DEFAULT_SCHED)[0] == 8
-        assert quantize_coeffs(np.array([-6]), 15, DEFAULT_SCHED)[0] == -2
-        assert quantize_coeffs(np.array([5]), 15, DEFAULT_SCHED)[0] == 1  # 1.25 -> 1
-        assert quantize_coeffs(np.array([2]), 15, DEFAULT_SCHED)[0] == 1  # exactly .5 away
+        # the top level's step is 4; 1 is below half a step, so its block is skipped
+        assert quantize_at([6, -6, 5, 2, 1, -2], 15).tolist() == [2, -2, 1, 1, 0, -1]
+        assert quantize_at([6], 15)[0] * DEFAULT_SCHED.steps[15] == 8  # dequantized
 
     def test_zero_fixed_point(self):
         for level in range(16):
-            assert quantize_coeffs(np.array([0]), level, DEFAULT_SCHED)[0] == 0
-
-    def test_level_bounds(self):
-        with pytest.raises(ContractViolation):
-            quantize_coeffs(np.zeros(1), 16, DEFAULT_SCHED)
-        with pytest.raises(ContractViolation):
-            dequantize_coeffs(np.zeros(1), -1, DEFAULT_SCHED)
+            assert quantize_at([0], level)[0] == 0
 
     def test_coarse_levels_zero_more(self, rng):
         blocks = rng.integers(-400, 400, (50, 8, 8))
-        fine = quantize_coeffs(blocks, 15, DEFAULT_SCHED)
-        coarse = quantize_coeffs(blocks, 0, DEFAULT_SCHED)
+        fine = codec._quantize_plane_blocks(blocks, np.full(50, 15), DEFAULT_SCHED)
+        coarse = codec._quantize_plane_blocks(blocks, np.zeros(50, np.int64), DEFAULT_SCHED)
         assert np.count_nonzero(coarse) <= np.count_nonzero(fine)
 
 
@@ -468,9 +465,10 @@ class TestEncodeFrames:
 
     def test_mismatched_map_count_rejected(self):
         seq = random_clip(16, 16, 2, seed=1)
-        maps = [gaussian_map((8, 8), 4.0, 16, 16)] * 3
-        with pytest.raises(ValueError):
-            list(encode_frames(seq, iter(maps), DEFAULT_SCHED))
+        for n_maps in (1, 3):  # maps that run out, maps that outlast the frames
+            maps = [gaussian_map((8, 8), 4.0, 16, 16)] * n_maps
+            with pytest.raises(ContractViolation, match="maps supplied"):
+                list(encode_frames(seq, iter(maps), DEFAULT_SCHED))
 
     @pytest.mark.parametrize(
         "bad, error",

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from fmvc.foveation import (
     DEFAULT_CSF,
     DisplayGeometry,
     FoveationMap,
-    contrast_sensitivity,
+    LevelMap,
     contrast_threshold,
     cutoff_frequency,
     default_geometry,
@@ -20,7 +19,6 @@ from fmvc.foveation import (
     foveation_map,
     gaussian_map,
     quantize_map,
-    write_pgm,
 )
 
 HD_GEOMETRY = DisplayGeometry(0.02, 0.012, 1920, 1080)
@@ -60,10 +58,11 @@ def test_threshold_rejects_negative_inputs():
 
 
 def test_sensitivity_is_reciprocal():
-    assert contrast_sensitivity(0.0, 5.0) == 64.0
+    # sensitivity is the reciprocal of the threshold
+    assert 1 / contrast_threshold(0.0, 5.0) == 64.0
     for f, e in ((0.0, 0.0), (3.0, 1.5), (10.0, 0.0), (7.7, 21.0)):
-        assert contrast_sensitivity(f, e) * contrast_threshold(f, e) == pytest.approx(1.0, abs=1e-12)
-    assert contrast_sensitivity(10.0, 0.0) == pytest.approx(1.0 / 0.04509954670731185, rel=1e-13)
+        assert (1 / contrast_threshold(f, e)) * contrast_threshold(f, e) == pytest.approx(1.0, abs=1e-12)
+    assert 1 / contrast_threshold(10.0, 0.0) == pytest.approx(1.0 / 0.04509954670731185, rel=1e-13)
 
 
 def test_cutoff_at_fovea():
@@ -180,6 +179,17 @@ def test_quantize_has_at_most_n_values(rng):
         quantize_map(fmap, 1)
 
 
+def test_quantize_rejects_levels_beyond_uint8(rng):
+    # levels are uint8: 257 levels would wrap (300 sends 1.0 to 43), not clamp
+    fmap = FoveationMap(rng.uniform(0, 1, (4, 5)), (0, 0))
+    assert quantize_map(fmap, 256).levels.max() <= 255
+    for n in (257, 300):
+        with pytest.raises(ContractViolation):
+            quantize_map(fmap, n)
+    with pytest.raises(ContractViolation):
+        LevelMap(np.zeros((4, 5), np.uint8), 257)
+
+
 def test_gaussian_map_shape():
     fmap = gaussian_map((0, 0), 16.0, 64, 32)
     assert fmap.values[0, 0] == 1.0
@@ -241,14 +251,3 @@ def test_map_values_must_lie_in_unit_range(bad):
     values[2, 3] = bad
     with pytest.raises(ContractViolation):
         FoveationMap(values, (0, 0))
-
-
-def test_write_pgm():
-    fmap = gaussian_map((2, 2), 2.0, 5, 4)
-    sink = io.BytesIO()
-    count = write_pgm(fmap, sink)
-    data = sink.getvalue()
-    assert count == len(data)
-    assert data.startswith(b"P5\n5 4\n255\n")
-    assert len(data) == len(b"P5\n5 4\n255\n") + 20
-    assert data[len(b"P5\n5 4\n255\n") + 2 * 5 + 2] == 255  # gaze pixel

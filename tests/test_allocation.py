@@ -45,6 +45,28 @@ def test_active_channels_match_channel_enumeration(rng, c, L):
         assert count == brute_force_active_channels(float(v), c, L)
 
 
+def channel_masks(stack):
+    """Per-channel boolean masks, shape (c, h, w), as the group counts imply them."""
+    group_of_channel = np.arange(stack.c) // (stack.c // stack.L)
+    return group_of_channel[:, None, None] < stack.groups[None, :, :]
+
+
+def test_mask_nesting(rng):
+    fmap = FoveationMap(rng.uniform(0, 1, (6, 7)), (0, 0))
+    masks = channel_masks(expand_masks(fmap, 128, 16))
+    assert np.all(np.diff(masks.astype(np.int8), axis=0) <= 0)
+    # every channel follows its own threshold rule, so the nesting is the rule's
+    for k in range(128):
+        assert np.array_equal(masks[k], fmap.values >= (k // 8) / 16)
+
+
+def test_groups_of_eight_identical(rng):
+    fmap = FoveationMap(rng.uniform(0, 1, (5, 5)), (0, 0))
+    masks = channel_masks(expand_masks(fmap, 128, 16))
+    grouped = masks.reshape(16, 8, 5, 5)
+    assert np.all(grouped == grouped[:, :1, :, :])
+
+
 def test_threshold_equality_is_on():
     # map exactly at a group threshold: comparison is >=, the group turns on
     stack = expand_masks(flat_map(8.0 / 16.0), 128, 16)

@@ -4,14 +4,20 @@ A block is coded as its zigzag-ordered values up to the last nonzero
 coefficient, each as the exp-Golomb codeword (ITU-T H.264 section 9.1) of
 its signed symbol + 1, then the codeword of 0, a single '1' bit, as the
 end-of-block marker; the +1 shift keeps in-run zeros distinct from the
-marker.  A block may carry a raw 8-bit prefix in front of its codewords.
-Bits run MSB first and the payload is zero-padded to a whole byte.
+marker.  A block may carry a raw 8-bit prefix.
 
-Both directions work on arrays.  The encoder computes the value and length
-of every codeword that is emitted and packs the whole payload at once.  The
-decoder finds, for every bit position, where a codeword starting there
-would end, walks the codeword starts in one loop, and then pulls every
-value out at once.
+A payload holds three runs, MSB first and zero-padded to a whole byte:
+every block prefix, one byte each; then the first half of every codeword
+in stream order, its leadingZeroBits zeros and its '1'; then the second
+half of every codeword, its leadingZeroBits info bits.  The end-of-block
+codeword is the only one without leading zeros, so a block ends at every
+'1' of the second run that directly follows a '1' (or opens the run).
+
+Both directions work on arrays.  The encoder lays the three runs out as
+one bit array and packs it.  The decoder reads the prefixes as bytes, finds
+every codeword as a set bit of the second run and its zero count as the
+gap to the previous one, and every info field from a running sum of those
+counts.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .transform import ZIGZAG
 
 # A codeword of value v (symbol v - 1) is 2 * bit_length(v) - 1 bits long.
 _EOB_VALUE = 1
-_PREFIX_BITS = 8
 _MAX_COEFFS = 64
 
 
@@ -60,8 +65,9 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
 
 
 def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
-    """Values and lengths of one plane's codewords in stream order, and each
-    block's length in bits."""
+    """Values and leading zero counts of one plane's codewords in stream
+    order, end-of-block markers included, and each block's length in bits,
+    prefix included."""
     n = len(blocks)
     if prefixes is not None:
         prefixes = np.asarray(prefixes)
@@ -76,42 +82,14 @@ def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
     coeffs = scans[np.arange(64) < counts[:, None]].astype(np.int32)
     del scans, nonzero
 
-    per_block = counts + (1 if prefixes is None else 2)
-    eob = np.cumsum(per_block) - 1
-    total = int(per_block.sum())
-    values = np.empty(total, dtype=np.int32)
-    lengths = np.empty(total, dtype=np.int32)
-    is_coeff = np.ones(total, dtype=bool)
+    eob = np.cumsum(counts + 1) - 1
+    values = np.full(len(coeffs) + n, _EOB_VALUE, dtype=np.int32)
+    is_coeff = np.ones(len(values), dtype=bool)
     is_coeff[eob] = False
-    values[eob], lengths[eob] = _EOB_VALUE, 1
-    if prefixes is not None:
-        head = eob - counts - 1
-        is_coeff[head] = False
-        values[head], lengths[head] = prefixes, _PREFIX_BITS
-    codes = signed_to_symbol(coeffs) + 2
-    values[is_coeff] = codes
-    lengths[is_coeff] = 2 * _bit_length(codes) - 1
-    return values, lengths, np.diff(np.cumsum(lengths, dtype=np.int64)[eob], prepend=0)
-
-
-def _pack(values: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Write each value in its codeword's bits, MSB first, zero-padded.
-
-    Codewords are at most 33 bits long, so each one, shifted to its offset
-    in the 16-bit word where it starts, lies within that word and the next
-    two.  Codewords share no bits, so summing their parts per word, exactly
-    in float64, is the same as OR-ing them.
-    """
-    starts = np.cumsum(lengths, dtype=np.int64)
-    nbits = int(starts[-1]) if len(starts) else 0
-    starts -= lengths
-    aligned = values.astype(np.int64) << (48 - lengths - (starts & 15))
-    starts >>= 4  # now the 16-bit word each codeword starts in
-    n_words = (nbits + 15) // 16 + 2
-    out = np.bincount(starts, weights=aligned >> 32, minlength=n_words)
-    out[1:] += np.bincount(starts, weights=(aligned >> 16) & 0xFFFF, minlength=n_words)[:-1]
-    out[2:] += np.bincount(starts, weights=aligned & 0xFFFF, minlength=n_words)[:-2]
-    return out.astype(">u2").tobytes()[: (nbits + 7) // 8]
+    values[is_coeff] = signed_to_symbol(coeffs) + 2
+    zeros = _bit_length(values) - 1
+    block_bits = np.add.reduceat(2 * zeros + 1, eob - counts)  # every block has its end-of-block codeword
+    return values, zeros, block_bits + (0 if prefixes is None else 8)
 
 
 def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tuple[bytes, list[np.ndarray]]:
@@ -125,10 +103,18 @@ def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tup
     """
     coded = [_plane_codewords(blocks, prefixes) for blocks, prefixes in planes]
     values = np.concatenate([values for values, _, _ in coded])
-    lengths = np.concatenate([lengths for _, lengths, _ in coded])
-    block_bits = [bits for _, _, bits in coded]
-    del coded
-    return _pack(values, lengths), block_bits
+    zeros = np.concatenate([zeros for _, zeros, _ in coded])
+    ends = np.cumsum(zeros, dtype=np.int32)  # where each codeword's info bits end
+    n, n_info = len(values), int(zeros.sum())
+    bits = np.zeros(n + 2 * n_info, dtype=np.uint8)
+    bits[ends + np.arange(n, dtype=np.int32)] = 1  # the '1' after each codeword's zeros
+    # info bit k of a codeword with z zeros is bit z - 1 - k of its value
+    shifts = np.repeat(ends - 1, zeros)
+    shifts -= np.arange(n_info, dtype=np.int32)
+    info = np.repeat(values, zeros) >> shifts
+    bits[n + n_info :] = np.bitwise_and(info, 1, out=info)
+    head = b"".join(np.asarray(p, dtype=np.uint8).tobytes() for _, p in planes if p is not None)
+    return head + np.packbits(bits).tobytes(), [block_bits for _, _, block_bits in coded]
 
 
 # --- decode ------------------------------------------------------------
@@ -139,65 +125,6 @@ def _read_fields(windows: np.ndarray, at: np.ndarray, width: np.ndarray | int) -
     32 bits from each byte on, so width + at % 8 must not exceed 32."""
     window = windows[at >> 3].astype(np.int64)
     return (window >> (32 - (at & 7) - width)) & ((1 << width) - 1)
-
-
-def _codeword_ends(bits: np.ndarray) -> np.ndarray:
-    """For each bit position p, where a coefficient codeword starting at p
-    ends, or 0 where the walk leaves the block.
-
-    A codeword starting at p has lead - p zeros, where lead is the first
-    set bit at or after p, then as many bits again after that one.  A set
-    bit at p is a whole end-of-block codeword, so its entry is 0.  So is
-    every entry from the end of the data on; and a codeword that would run
-    past the data ends at `trap`, past the last position a prefix can
-    reach.  A walk that runs out of data therefore leaves its block like
-    one at an end-of-block, but past the data.
-    """
-    nbits = len(bits)
-    trap = nbits + _PREFIX_BITS
-    dtype = np.int32 if 4 * trap < 1 << 31 else np.int64
-    pos = np.arange(nbits, dtype=dtype)
-    clear = 1 - bits
-    end = np.zeros(trap + 1, dtype=dtype)
-    head = end[:nbits]
-    # lead, as a reverse running minimum over p at set bits, p + nbits at clear ones
-    np.multiply(clear, nbits, out=head, dtype=dtype)
-    head += pos
-    np.minimum.accumulate(head[::-1], out=head[::-1])
-    head *= 2  # and on to 2 * lead - p + 1
-    head -= pos
-    head += 1
-    np.minimum(head, trap, out=head)
-    head *= clear
-    return end
-
-
-def _walk(ends: memoryview, layout, nbits: int):
-    """Follow the codeword chain from bit 0 through every block.
-
-    Returns masks of the coefficient codeword starts and of the bit
-    positions where blocks end, and where the last block ends.  Every block
-    takes at least its end-of-block bit, so no two blocks end together.
-    """
-    coded = bytearray(nbits)
-    block_end = bytearray(nbits + 1)
-    p = 0
-    for n, allowed in layout:
-        for _ in range(n):
-            block_start = p
-            if allowed is not None:
-                p += _PREFIX_BITS
-            q = ends[p]
-            while q:
-                coded[p] = 1
-                p = q
-                q = ends[p]
-            p += 1  # past the end-of-block bit
-            if p > nbits:
-                at = max(0, min(block_start, nbits - 1))
-                raise BitstreamError("payload ends inside a block", byte_offset=at // 8)
-            block_end[p] = 1
-    return np.frombuffer(coded, dtype=bool), np.frombuffer(block_end, dtype=bool), p
 
 
 def decode_blocks(
@@ -212,52 +139,61 @@ def decode_blocks(
     remain, all zero.  Any other payload raises BitstreamError with a byte
     offset inside it.
     """
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    nbits = len(bits)
-    end = _codeword_ends(bits)
-    coded, block_end, p = _walk(memoryview(end), layout, nbits)
-    tail_is_padding = nbits - p < 8 and not bits[p:].any()
-    starts = np.flatnonzero(coded)
-    bounds = np.flatnonzero(block_end)
-    zeros = (end[starts] + starts - 1) // 2 - starts
-    del bits, end, coded, block_end
-    marks = np.searchsorted(starts, bounds)  # codewords before each block's end
-    counts = np.diff(marks, prepend=0)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
+    prefixes, head = [], 0
+    for n, allowed in layout:
+        if allowed is None:
+            prefixes.append(None)
+            continue
+        if head + n > len(raw):
+            raise short
+        bad = np.flatnonzero(~np.asarray(allowed)[raw[head : head + n]])
+        if len(bad):
+            at = head + int(bad[0])
+            raise BitstreamError(f"block prefix {int(raw[at]):#04x} not allowed", byte_offset=at)
+        prefixes.append(raw[head : head + n].copy())
+        head += n
+
+    n_blocks = sum(n for n, _ in layout)
+    bits = np.unpackbits(raw)
+    ends = np.flatnonzero(bits[8 * head :])  # the '1' after each codeword's zeros
+    ends += 8 * head
+    zeros = np.diff(ends, prepend=8 * head - 1) - 1
+    eob = np.flatnonzero(zeros == 0)[:n_blocks]
+    if len(eob) < n_blocks:
+        raise short
+    n_codes = int(eob[-1]) + 1 if n_blocks else 0
+    zeros = zeros[:n_codes].copy()  # a copy, so the info run's share can be freed
+    starts = ends[:n_codes] - zeros
+    counts = np.diff(eob, prepend=-1) - 1  # coefficient codewords per block
     over = np.flatnonzero(counts > _MAX_COEFFS)
     if len(over):
-        first = int(marks[over[0]] - counts[over[0]])
+        first = int(eob[over[0]] - counts[over[0]])
         raise BitstreamError(
-            f"block carries more than {_MAX_COEFFS} coefficients",
-            byte_offset=int(starts[first + _MAX_COEFFS]) // 8,
+            f"block carries more than {_MAX_COEFFS} coefficients", byte_offset=int(starts[first + _MAX_COEFFS]) // 8
         )
+    info_start = 8 * head + n_codes + int(zeros.sum())  # where the unary run ends
+    end = info_start + int(zeros.sum())
+    if end > len(bits):
+        raise short
+    if len(bits) - end >= 8 or bits[end:].any():
+        raise BitstreamError(f"{len(bits) - end} bits after the last block are not zero padding", byte_offset=end // 8)
+    del bits, ends
     padded = np.frombuffer(data + bytes(4), dtype=np.uint8)
     windows = np.ascontiguousarray(sliding_window_view(padded, 4)).view(">u4")[:, 0]
-    values = _read_fields(windows, starts + zeros, np.minimum(zeros, _MAX_ZEROS) + 1)
+    width = np.minimum(zeros, _MAX_ZEROS)
+    values = _read_fields(windows, info_start + np.cumsum(zeros) - zeros, width) | (1 << width)
     bad = np.flatnonzero((zeros > _MAX_ZEROS) | (values > _MAX_VALUE))
     if len(bad):
         raise BitstreamError("coefficient codeword beyond the int16 range", byte_offset=int(starts[bad[0]]) // 8)
+    del windows, width, starts
 
-    n_blocks = len(bounds)
-    scan = np.arange(len(starts)) - np.repeat(marks - counts, counts)
+    coded = zeros > 0
+    scan = np.arange(len(zeros)) - np.repeat(eob - counts, counts + 1)
     flat = np.zeros((n_blocks, 64), dtype=np.int16)
-    flat.reshape(-1)[np.repeat(np.arange(n_blocks) * 64, counts) + ZIGZAG[scan]] = symbol_to_signed(values - 2)
-    blocks = flat.reshape(n_blocks, 8, 8)
-
-    block_start = np.concatenate([[0], bounds[:-1]])
-    out = []
-    b = 0
-    for n, allowed in layout:
-        prefixes = None
-        if allowed is not None:
-            heads = block_start[b : b + n]
-            prefixes = _read_fields(windows, heads, _PREFIX_BITS).astype(np.uint8)
-            bad = np.flatnonzero(~np.asarray(allowed)[prefixes])
-            if len(bad):
-                raise BitstreamError(
-                    f"block prefix {int(prefixes[bad[0]]):#04x} not allowed", byte_offset=int(heads[bad[0]]) // 8
-                )
-        out.append((blocks[b : b + n], prefixes))
-        b += n
-    if not tail_is_padding:
-        raise BitstreamError(f"{nbits - p} bits after the last block are not zero padding", byte_offset=p // 8)
-    return out
+    flat.reshape(-1)[np.repeat(np.arange(n_blocks) * 64, counts) + ZIGZAG[scan[coded]]] = symbol_to_signed(
+        values[coded] - 2
+    )
+    blocks = np.split(flat.reshape(n_blocks, 8, 8), np.cumsum([n for n, _ in layout])[:-1])
+    return list(zip(blocks, prefixes))

@@ -10,6 +10,7 @@ frame chain cannot drift.
 from __future__ import annotations
 
 import struct
+import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -24,12 +25,13 @@ from .transform import forward_blocks, from_tiles, grid_shape, inverse_blocks, t
 from .video_io import Frame, FramePlane, VideoSequence
 
 MAGIC = b"FMVC"
-VERSION = 1
-_HEADER = struct.Struct("<4sHHHHHI3d")  # magic, version, W, H, fps, count, geometry
+VERSION = 2
+_HEADER = struct.Struct("<4sHHHHHI3dB")  # magic, version, W, H, fps, count, geometry, n_levels
 _FRAME_HEAD = struct.Struct("<HHBI")  # gaze_x, gaze_y, fmsc_code, payload bytes
+# CRC-32 after the header over it, and after each frame head over it and its payload
+_CRC = struct.Struct("<I")
 
-# Each luma block prefix holds the level in 4 bits; the v1 header does not
-# record the level count, so the decoder assumes MAX_LEVELS.
+# Each luma block prefix holds the level in 4 bits.
 MAX_LEVELS = 16
 # Coefficients stay within +-16320, so every base above 32640 already zeroes
 # them all; the bound keeps the stored base an exact, finite integer.
@@ -264,6 +266,12 @@ def _check_fits(**fields: tuple[int, int]) -> None:
             raise ConfigError(f"{name} {value} does not fit the stream's {bits}-bit field")
 
 
+def _check_crc(data: bytes, at: int, crc: int, what: str) -> None:
+    """Reject a stream whose CRC-32 stored at `at` is not `crc`."""
+    if _CRC.unpack_from(data, at)[0] != crc:
+        raise BitstreamError(f"{what} fails its CRC-32 check", byte_offset=at)
+
+
 def _check_header_fits(width: int, height: int, fps_num: int, fps_den: int, frame_count: int) -> None:
     _check_fits(
         width=(width, 16),
@@ -287,7 +295,8 @@ class SequenceBitstream:
     """Coded sequence: header, per-frame gaze records, per-frame payloads.
 
     The third geometry double is a parameter slot; it carries the quantizer
-    base step so streams decode without out-of-band configuration.
+    base step, and the header records the level count, so streams decode
+    without out-of-band configuration.
     """
 
     width: int
@@ -298,6 +307,7 @@ class SequenceBitstream:
     viewing_distance_m: float
     q_base: int
     frames: tuple[FrameRecord, ...]
+    n_levels: int = MAX_LEVELS
 
     def __post_init__(self):
         if len(self.frames) < 1:
@@ -315,20 +325,21 @@ class SequenceBitstream:
 
     def to_bytes(self) -> bytes:
         _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
-        parts = [
-            _HEADER.pack(
-                MAGIC,
-                VERSION,
-                self.width,
-                self.height,
-                self.fps_num,
-                self.fps_den,
-                self.frame_count,
-                self.screen_width_m,
-                self.viewing_distance_m,
-                float(self.q_base),
-            )
-        ]
+        _check_fits(n_levels=(self.n_levels, 8))
+        header = _HEADER.pack(
+            MAGIC,
+            VERSION,
+            self.width,
+            self.height,
+            self.fps_num,
+            self.fps_den,
+            self.frame_count,
+            self.screen_width_m,
+            self.viewing_distance_m,
+            float(self.q_base),
+            self.n_levels,
+        )
+        parts = [header, _CRC.pack(zlib.crc32(header))]
         for rec in self.frames:
             _check_fits(
                 gaze_x=(rec.gaze_x, 16),
@@ -336,56 +347,59 @@ class SequenceBitstream:
                 fmsc_code=(rec.fmsc_code, 8),
                 payload_bytes=(len(rec.bitstream.payload), 32),
             )
-            parts.append(
-                _FRAME_HEAD.pack(rec.gaze_x, rec.gaze_y, rec.fmsc_code, len(rec.bitstream.payload))
-            )
-            parts.append(rec.bitstream.payload)
+            head = _FRAME_HEAD.pack(rec.gaze_x, rec.gaze_y, rec.fmsc_code, len(rec.bitstream.payload))
+            parts += [head, _CRC.pack(zlib.crc32(rec.bitstream.payload, zlib.crc32(head))), rec.bitstream.payload]
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SequenceBitstream":
-        if len(data) < _HEADER.size:
+        """Parse a stream: magic and version, then each CRC-32 before the fields it covers."""
+        if len(data) < _HEADER.size + _CRC.size:
             raise BitstreamError("stream shorter than the sequence header", byte_offset=len(data))
-        magic, version, w, h, fps_num, fps_den, count, screen_w, distance, reserved = _HEADER.unpack_from(
-            data, 0
+        magic, version, w, h, fps_num, fps_den, count, screen_w, distance, q_base, n_levels = (
+            _HEADER.unpack_from(data, 0)
         )
         if magic != MAGIC:
             raise BitstreamError(f"bad magic {magic!r}, expected {MAGIC!r}", byte_offset=0)
         if version != VERSION:
             raise UnsupportedVersion(f"version {version} not supported", byte_offset=4)
+        _check_crc(data, _HEADER.size, zlib.crc32(data[: _HEADER.size]), "sequence header")
         if w < 1 or h < 1 or fps_num < 1 or fps_den < 1 or count < 1:
             raise BitstreamError("header declares empty geometry or frame count", byte_offset=6)
         # the range test fails NaN and runs before int() could raise
-        if not 1 <= reserved <= MAX_Q_BASE or reserved != int(reserved):
-            raise BitstreamError(f"invalid quantizer base {reserved}", byte_offset=_HEADER.size - 8)
+        if not 1 <= q_base <= MAX_Q_BASE or q_base != int(q_base):
+            raise BitstreamError(f"invalid quantizer base {q_base}", byte_offset=_HEADER.size - 9)
+        if not 2 <= n_levels <= MAX_LEVELS:
+            raise BitstreamError(f"invalid level count {n_levels}", byte_offset=_HEADER.size - 1)
         n_luma, n_chroma = _block_counts(w, h)
         # at least a prefix byte and an end-of-block bit per luma block and
         # an end-of-block bit per chroma block
         min_payload = (9 * n_luma + 2 * n_chroma + 7) // 8
 
-        offset = _HEADER.size
+        offset = _HEADER.size + _CRC.size
         frames = []
         for i in range(count):
-            if offset + _FRAME_HEAD.size > len(data):
+            crc_at = offset + _FRAME_HEAD.size
+            if crc_at + _CRC.size > len(data):
                 raise BitstreamError(f"frame {i} header truncated", byte_offset=offset)
             gx, gy, fmsc_code, payload_len = _FRAME_HEAD.unpack_from(data, offset)
+            payload_at = crc_at + _CRC.size
+            if payload_at + payload_len > len(data):
+                raise BitstreamError(f"frame {i} payload truncated", byte_offset=payload_at)
+            payload = data[payload_at : payload_at + payload_len]
+            _check_crc(data, crc_at, zlib.crc32(payload, zlib.crc32(data[offset:crc_at])), f"frame {i}")
             if payload_len < min_payload:
                 raise BitstreamError(
                     f"frame {i} payload of {payload_len} bytes is shorter than {w}x{h} allows",
-                    byte_offset=offset + _FRAME_HEAD.size - 4,
+                    byte_offset=crc_at - 4,
                 )
-            offset += _FRAME_HEAD.size
-            if offset + payload_len > len(data):
-                raise BitstreamError(f"frame {i} payload truncated", byte_offset=offset)
-            frames.append(
-                FrameRecord(gx, gy, fmsc_code, FrameBitstream(data[offset : offset + payload_len]))
-            )
-            offset += payload_len
+            frames.append(FrameRecord(gx, gy, fmsc_code, FrameBitstream(payload)))
+            offset = payload_at + payload_len
         if offset != len(data):
             raise BitstreamError(
                 f"{len(data) - offset} trailing bytes after the last frame", byte_offset=offset
             )
-        return cls(w, h, fps_num, fps_den, screen_w, distance, int(reserved), tuple(frames))
+        return cls(w, h, fps_num, fps_den, screen_w, distance, int(q_base), tuple(frames), n_levels)
 
     def __eq__(self, other):
         return isinstance(other, SequenceBitstream) and self.to_bytes() == other.to_bytes()
@@ -411,8 +425,6 @@ def encode_frames(
     after the last frame.  The sequence-level checks run on the first
     next(), before any frame is coded.
     """
-    if sched.n_levels != MAX_LEVELS:
-        raise ContractViolation(f"the v1 stream records no level count; it must be {MAX_LEVELS}")
     if fmsc_codes is None:
         fmsc_codes = [0] * len(seq)
     if len(fmsc_codes) != len(seq):
@@ -451,14 +463,14 @@ def encode_sequence(
     """Code a whole sequence; returns the bitstream and the recon chain."""
     records, recons = zip(*encode_frames(seq, maps, sched, cfg, fmsc_codes))
     sbs = SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den,
-                            screen_width_m, viewing_distance_m, sched.q_base, records)
+                            screen_width_m, viewing_distance_m, sched.q_base, records, sched.n_levels)
     return sbs, VideoSequence(recons, seq.fps_num, seq.fps_den)
 
 
 def decode_sequence(source: SequenceBitstream | bytes) -> VideoSequence:
     """Decode a sequence bitstream back into frames."""
     sbs = source if isinstance(source, SequenceBitstream) else SequenceBitstream.from_bytes(source)
-    sched = QuantSchedule(q_base=sbs.q_base)
+    sched = QuantSchedule(sbs.n_levels, sbs.q_base)
     prev = midgray_frame(sbs.width, sbs.height)
     frames = []
     for rec in sbs.frames:

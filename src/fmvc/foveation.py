@@ -158,6 +158,11 @@ class FoveationMap:
         )
 
 
+def _check_level_count(n: int) -> None:
+    if not 2 <= n <= 256:  # every level must fit the uint8 grid
+        raise ContractViolation(f"level count must lie in [2, 256], got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class LevelMap:
     """n-level quantization of a foveation map; level 0 is never dropped."""
@@ -166,8 +171,7 @@ class LevelMap:
     n: int
 
     def __post_init__(self):
-        if not 2 <= self.n <= 256:  # every level must fit the uint8 grid
-            raise ContractViolation(f"level count must lie in [2, 256], got {self.n}")
+        _check_level_count(self.n)
         if self.levels.dtype != np.uint8 or self.levels.ndim != 2:
             raise ContractViolation("levels must be a 2-D uint8 grid")
         if int(self.levels.max(initial=0)) > self.n - 1:
@@ -225,6 +229,7 @@ def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) 
 
 def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
     """Floor quantization with top clamp: level = min(floor(value * n), n - 1)."""
+    _check_level_count(n)  # before the cast, which a huge n would overflow
     levels = np.minimum(np.floor(fmap.values * n), n - 1).astype(np.uint8)
     return LevelMap(levels, n)
 

@@ -3,7 +3,9 @@
 This is the string-based writer and reader the codec once used, kept
 verbatim as the oracle for the array coder in ``fmvc.bitio``.  The block
 code and the stack helpers below restate, one block and one symbol at a
-time, what ``encode_blocks`` and ``decode_blocks`` must produce.
+time, what ``encode_blocks`` and ``decode_blocks`` must produce, in the
+payload's three runs: the 8-bit prefixes, then every codeword's zeros and
+its '1', then every codeword's info bits.
 """
 
 from __future__ import annotations
@@ -97,6 +99,37 @@ class BitReader:
         return value - 1
 
 
+class PayloadWriter:
+    """Writes a payload's three runs: prefixes, codeword zeros and '1's, info bits.
+
+    Each codeword is split as ITU-T H.264 section 9.1 reads it: its
+    leadingZeroBits zeros and a '1' go to the second run, its
+    leadingZeroBits info bits to the third.
+    """
+
+    def __init__(self):
+        self._runs: tuple[list[str], list[str], list[str]] = ([], [], [])
+
+    @property
+    def bit_length(self) -> int:
+        return sum(len(part) for run in self._runs for part in run)
+
+    def write_prefix(self, value: int) -> None:
+        self._runs[0].append(format(value, "08b"))
+
+    def write_ue(self, symbol: int) -> None:
+        code = ue_bits(symbol)
+        zeros = len(code) // 2
+        self._runs[1].append(code[: zeros + 1])
+        self._runs[2].append(code[zeros + 1 :])
+
+    def getvalue(self) -> bytes:
+        w = BitWriter()
+        for part in (part for run in self._runs for part in run if part):
+            w.write_bits(int(part, 2), len(part))
+        return w.getvalue()
+
+
 # --- block code, one block at a time ------------------------------------
 
 INVERSE_ZIGZAG = np.argsort(ZIGZAG)
@@ -117,7 +150,7 @@ def zigzag_unscan(values: np.ndarray) -> np.ndarray:
 _MAX_SYMBOL = signed_to_symbol(-(1 << 15)) + 1
 
 
-def entropy_encode_block(writer: BitWriter, qblock: np.ndarray) -> None:
+def entropy_encode_block(writer: PayloadWriter, qblock: np.ndarray) -> None:
     zz = zigzag_scan(qblock)
     nonzero = np.nonzero(zz)[0]
     if len(nonzero):
@@ -126,19 +159,34 @@ def entropy_encode_block(writer: BitWriter, qblock: np.ndarray) -> None:
     writer.write_ue(0)
 
 
-def entropy_decode_block(reader: BitReader) -> np.ndarray:
+def read_zeros(reader: BitReader) -> int:
+    """The first half of a codeword: its zeros, counted, and the '1' after them."""
+    zeros = 0
+    while reader.read_bits(1) == 0:
+        zeros += 1
+    return zeros
+
+
+def read_block_zeros(reader: BitReader) -> list[int]:
+    """The zero counts of one block's coefficient codewords, from the second run."""
+    block = []
+    while zeros := read_zeros(reader):
+        if len(block) >= 64:
+            raise BitstreamError(
+                "block carries more than 64 coefficients", byte_offset=reader.bit_position // 8
+            )
+        block.append(zeros)
+    return block
+
+
+def read_block_info(reader: BitReader, block_zeros: list[int]) -> np.ndarray:
+    """One block from its codewords' info bits in the third run."""
     values = []
-    while True:
-        symbol = reader.read_ue()
-        if symbol == 0:
-            break
+    for zeros in block_zeros:
+        symbol = ((1 << zeros) | reader.read_bits(zeros)) - 1
         if symbol > _MAX_SYMBOL:
             raise BitstreamError(
                 f"coefficient symbol {symbol} exceeds {_MAX_SYMBOL}", byte_offset=reader.bit_position // 8
-            )
-        if len(values) >= 64:
-            raise BitstreamError(
-                "block carries more than 64 coefficients", byte_offset=reader.bit_position // 8
             )
         values.append(symbol_to_signed(symbol - 1))
     flat = np.zeros(64, dtype=np.int64)
@@ -151,14 +199,14 @@ def entropy_decode_block(reader: BitReader) -> np.ndarray:
 
 def encode_stack(planes) -> tuple[bytes, list[np.ndarray]]:
     """Reference for ``encode_blocks``: payload and each plane's bits per block."""
-    w = BitWriter()
+    w = PayloadWriter()
     per_plane = []
     for blocks, prefixes in planes:
         bits = np.empty(len(blocks), dtype=np.int64)
         for i, block in enumerate(blocks):
             start = w.bit_length
             if prefixes is not None:
-                w.write_bits(int(prefixes[i]), 8)
+                w.write_prefix(int(prefixes[i]))
             entropy_encode_block(w, block)
             bits[i] = w.bit_length - start
         per_plane.append(bits)
@@ -171,17 +219,23 @@ def decode_stack(data: bytes, layout) -> list[tuple[np.ndarray, np.ndarray | Non
     After the last block fewer than 8 bits may remain, and they must be zero.
     """
     r = BitReader(data)
-    out = []
+    prefixes = []
     for n, allowed in layout:
-        prefixes = np.empty(n, dtype=np.uint8) if allowed is not None else None
-        blocks = np.empty((n, 8, 8), dtype=np.int64)
+        if allowed is None:
+            prefixes.append(None)
+            continue
+        prefixes.append(np.empty(n, dtype=np.uint8))
         for i in range(n):
-            if allowed is not None:
-                prefixes[i] = r.read_bits(8)
-                if not allowed[prefixes[i]]:
-                    raise BitstreamError("prefix not allowed", byte_offset=r.bit_position // 8 - 1)
-            blocks[i] = entropy_decode_block(r)
-        out.append((blocks, prefixes))
+            prefixes[-1][i] = r.read_bits(8)
+            if not allowed[prefixes[-1][i]]:
+                raise BitstreamError("prefix not allowed", byte_offset=r.bit_position // 8 - 1)
+    zeros = [[read_block_zeros(r) for _ in range(n)] for n, _ in layout]
+    out = []
+    for plane_zeros, plane_prefixes in zip(zeros, prefixes):
+        blocks = np.empty((len(plane_zeros), 8, 8), dtype=np.int64)
+        for i, block_zeros in enumerate(plane_zeros):
+            blocks[i] = read_block_info(r, block_zeros)
+        out.append((blocks, plane_prefixes))
     if r.bits_left >= 8 or r.read_bits(r.bits_left):
         raise BitstreamError("trailing data", byte_offset=r.bit_position // 8)
     return out

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -165,3 +168,27 @@ def frame_payloads(draw, max_size=120):
     for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1), max_size=4)):
         data[bit // 8] ^= 0x80 >> (bit % 8)
     return w, h, bytes(data[: draw(st.integers(0, len(data)))]) + draw(st.binary(max_size=4))
+
+
+# Container layout: a 47-byte sequence header, 43 bytes of fields with the
+# quantizer base (f64) at byte 34 and the level count (u8) at byte 42, then
+# their CRC-32; per frame a 13-byte head, 9 bytes of fields with the u32
+# payload length at byte 5, then the CRC-32 over them and the payload.
+HEADER_BYTES, Q_BASE_AT, N_LEVELS_AT, FRAME_HEAD_BYTES, LENGTH_AT = 47, 34, 42, 13, 5
+
+
+def reseal(stream) -> bytes:
+    """The stream with every CRC-32 recomputed, so that a poked field
+    reaches its own check.  Frames are found through their own length
+    fields, up to the first one that runs past the end."""
+    data = bytearray(stream)
+    struct.pack_into("<I", data, HEADER_BYTES - 4, zlib.crc32(data[: HEADER_BYTES - 4]))
+    at = HEADER_BYTES
+    while at + FRAME_HEAD_BYTES <= len(data):
+        end = at + FRAME_HEAD_BYTES + struct.unpack_from("<I", data, at + LENGTH_AT)[0]
+        if end > len(data):
+            break
+        crc = zlib.crc32(data[at + FRAME_HEAD_BYTES : end], zlib.crc32(data[at : at + FRAME_HEAD_BYTES - 4]))
+        struct.pack_into("<I", data, at + FRAME_HEAD_BYTES - 4, crc)
+        at = end
+    return bytes(data)

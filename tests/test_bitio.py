@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fmvc.bitio import decode_blocks, encode_blocks, signed_to_symbol, symbol_to_signed
 from fmvc.errors import BitstreamError, ContractViolation
 
-from bitref import BitReader, BitWriter, decode_stack, encode_stack, ue_bits
+from bitref import BitReader, BitWriter, PayloadWriter, decode_stack, encode_stack, ue_bits
 
 
 def test_ue_codewords():
@@ -209,9 +209,20 @@ def test_decoder_rejects_trailing_bits():
     assert info.value.byte_offset == 0
 
 
+def test_payload_runs_are_prefixes_then_zeros_then_info_bits():
+    luma = np.zeros((2, 8, 8), np.int64)
+    luma[0, 0, 0] = 1  # symbol 1 + 1: codeword 011, zeros and '1' 01, info 1
+    chroma = np.zeros((1, 8, 8), np.int64)
+    chroma[0, 0, 0] = -1  # symbol 2 + 1: codeword 00100, zeros and '1' 001, info 00
+    payload, bits = encode_blocks([(luma, np.array([0xA5, 0x3C], np.uint8)), (chroma, None)])
+    # prefixes A5 3C; then 01 1 | 1 | 001 1 (the end-of-block codewords are '1'); then 1 | 00; then padding
+    assert payload == bytes([0xA5, 0x3C, 0b01110011, 0b10000000])
+    assert [b.tolist() for b in bits] == [[12, 9], [6]]
+
+
 def test_decoder_bounds_codewords_by_the_int16_range():
     for value, accepted in ((-(1 << 15), True), ((1 << 15) - 1, True), (-(1 << 15) - 1, False), (1 << 16, False)):
-        w = BitWriter()
+        w = PayloadWriter()
         w.write_ue(signed_to_symbol(value) + 1)
         w.write_ue(0)
         if accepted:
@@ -220,7 +231,7 @@ def test_decoder_bounds_codewords_by_the_int16_range():
         else:
             with pytest.raises(BitstreamError, match="int16"):
                 decode_blocks(w.getvalue(), [(1, None)])
-    w = BitWriter()
+    w = PayloadWriter()
     w.write_ue(2**70)  # a 141-bit codeword
     w.write_ue(0)
     with pytest.raises(BitstreamError, match="int16") as info:
@@ -235,4 +246,4 @@ def test_decoder_checks_prefixes_against_the_table():
     allowed[9] = False
     with pytest.raises(BitstreamError, match="0x09") as info:
         decode_blocks(payload, [(2, allowed)])
-    assert info.value.byte_offset == 1  # the second prefix starts at bit 9
+    assert info.value.byte_offset == 1  # the second prefix byte

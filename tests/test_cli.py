@@ -10,8 +10,8 @@ from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_se
 from fmvc.errors import ConfigError, ParseError
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
-from bitref import BitWriter
-from conftest import frame_payloads, pan_clip
+from bitref import PayloadWriter
+from conftest import HEADER_BYTES, LENGTH_AT, Q_BASE_AT, frame_payloads, pan_clip, reseal
 
 
 @pytest.fixture(scope="module")
@@ -207,18 +207,18 @@ class TestEncodeDecode:
         out = tmp_path / "q.fmvc"
         main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])
         data = bytearray(out.read_bytes())
-        struct.pack_into("<d", data, 34, q_base)  # the header's last double
-        out.write_bytes(bytes(data))
+        struct.pack_into("<d", data, Q_BASE_AT, q_base)  # the header's last double
+        out.write_bytes(reseal(data))
         capsys.readouterr()
         assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
-        assert "byte offset 34" in capsys.readouterr().err
+        assert f"byte offset {Q_BASE_AT}" in capsys.readouterr().err
 
     def test_empty_payload_exit_code(self, tmp_path, capsys):
         rec = FrameRecord(4, 4, 0, FrameBitstream(b""))
         out = tmp_path / "empty.fmvc"
         out.write_bytes(SequenceBitstream(8, 8, 25, 1, 0.02, 0.012, 4, (rec,)).to_bytes())
         assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
-        assert "byte offset 47" in capsys.readouterr().err  # the frame's length field
+        assert f"byte offset {HEADER_BYTES + LENGTH_AT}" in capsys.readouterr().err  # the frame's length field
 
     def test_corrupted_magic_exit_code_and_offset(self, clip_path, tmp_path, capsys):
         out = tmp_path / "c.fmvc"
@@ -231,10 +231,11 @@ class TestEncodeDecode:
         assert "byte offset 0" in capsys.readouterr().err
 
     def test_overlong_codeword_exit_code(self, tmp_path, capsys):
-        w = BitWriter()
-        w.write_bits(0, 8)
+        w = PayloadWriter()
+        w.write_prefix(0)
         w.write_ue(2**70)  # 141-bit codeword
-        w.write_ue(0)  # end of block
+        for _ in range(3):
+            w.write_ue(0)  # end of the luma, Cb and Cr blocks
         rec = FrameRecord(4, 4, 0, FrameBitstream(w.getvalue()))
         out = tmp_path / "long.fmvc"
         out.write_bytes(SequenceBitstream(8, 8, 25, 1, 0.02, 0.012, 4, (rec,)).to_bytes())
@@ -273,7 +274,7 @@ class TestEncodeDecode:
         out = tmp_path / "v.fmvc"
         main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])
         data = bytearray(out.read_bytes())
-        data[4] = 2
+        struct.pack_into("<H", data, 4, codec.VERSION + 1)
         out.write_bytes(bytes(data))
         assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import struct
 from dataclasses import replace
@@ -25,8 +26,18 @@ from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcErro
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
 from fmvc.video_io import VideoSequence
-from bitref import BitWriter
-from conftest import frame_payloads, pan_clip, random_clip
+from bitref import PayloadWriter
+from conftest import (
+    FRAME_HEAD_BYTES,
+    HEADER_BYTES,
+    LENGTH_AT,
+    N_LEVELS_AT,
+    Q_BASE_AT,
+    frame_payloads,
+    pan_clip,
+    random_clip,
+    reseal,
+)
 
 
 def uniform_map(value, w, h):
@@ -40,10 +51,6 @@ def level_map_for(value, w, h, sched=None):
 
 
 DEFAULT_SCHED = QuantSchedule()
-# v1 container layout: a 42-byte sequence header ending in the quantizer
-# base (f64 at byte 34), then per frame a 9-byte head ending in the u32
-# payload length (at byte 5 of the head)
-HEADER_BYTES, Q_BASE_AT, FRAME_HEAD_BYTES, LENGTH_AT = 42, 34, 9, 5
 
 
 class TestQuantSchedule:
@@ -88,13 +95,6 @@ class TestQuantSchedule:
         lm = level_map_for(13, 16, 16)  # 16 levels
         with pytest.raises(ContractViolation):
             encode_frame(clip.frames[0], midgray_frame(16, 16), lm, QuantSchedule(n_levels=8))
-
-    def test_sequence_level_count_is_fixed(self):
-        # the v1 header records no level count; the decoder assumes 16
-        seq = random_clip(16, 16, 1, seed=6)
-        maps = [gaussian_map((8, 8), 4.0, 16, 16)]
-        with pytest.raises(ContractViolation):
-            encode_sequence(seq, maps, QuantSchedule(n_levels=8))
 
 
 def quantize_at(values, level):
@@ -153,7 +153,7 @@ class TestEntropyCode:
         assert np.array_equal(decoded, blocks)
 
     def test_decode_rejects_overlong_block(self):
-        w = BitWriter()
+        w = PayloadWriter()
         for _ in range(70):
             w.write_ue(2)
         with pytest.raises(BitstreamError):
@@ -244,10 +244,11 @@ class TestFrameCodec:
 
     def test_overlong_codeword_is_bitstream_error(self):
         # a 141-bit codeword decodes to a symbol far beyond any int16 coefficient
-        w = BitWriter()
-        w.write_bits(0, 8)  # luma prefix: zero displacement, level 0
+        w = PayloadWriter()
+        w.write_prefix(0)  # luma prefix: zero displacement, level 0
         w.write_ue(2**70)
-        w.write_ue(0)  # end of block
+        for _ in range(3):
+            w.write_ue(0)  # end of the luma, Cb and Cr blocks
         with pytest.raises(BitstreamError, match="byte offset"):
             decode_frame(FrameBitstream(w.getvalue()), midgray_frame(8, 8), DEFAULT_SCHED)
 
@@ -294,6 +295,13 @@ class TestFrameCodec:
             stream, recon = encode_frame(frame, prev, lm, DEFAULT_SCHED)
             assert decode_frame(stream, prev, DEFAULT_SCHED) == recon
             prev = recon
+
+
+@functools.cache
+def small_stream() -> bytes:
+    """A three-frame 32x32 stream of about 4.6 kB."""
+    seq = random_clip(32, 32, 3, seed=11)
+    return encode_sequence(seq, [gaussian_map((16, 16), 8.0, 32, 32)] * 3, DEFAULT_SCHED)[0].to_bytes()
 
 
 class TestSequenceCodec:
@@ -357,7 +365,7 @@ class TestSequenceCodec:
         seq = random_clip(16, 16, 1, seed=1)
         sbs, _ = encode_sequence(seq, self.maps_for(seq), DEFAULT_SCHED)
         data = bytearray(sbs.to_bytes())
-        data[4] = 2
+        struct.pack_into("<H", data, 4, codec.VERSION + 1)
         with pytest.raises(UnsupportedVersion):
             SequenceBitstream.from_bytes(bytes(data))
 
@@ -390,8 +398,54 @@ class TestSequenceCodec:
         data = bytearray(self.one_frame_stream().to_bytes())
         struct.pack_into("<d", data, Q_BASE_AT, q_base)
         with pytest.raises(BitstreamError, match="quantizer base") as info:
-            SequenceBitstream.from_bytes(bytes(data))
+            SequenceBitstream.from_bytes(reseal(data))
         assert info.value.byte_offset == Q_BASE_AT
+
+    @pytest.mark.parametrize("n_levels", [0, 1, 17, 255])
+    def test_level_count_checked(self, n_levels):
+        data = bytearray(self.one_frame_stream().to_bytes())
+        data[N_LEVELS_AT] = n_levels
+        with pytest.raises(BitstreamError, match="level count") as info:
+            SequenceBitstream.from_bytes(reseal(data))
+        assert info.value.byte_offset == N_LEVELS_AT
+
+    def test_unsealed_field_poke_fails_the_crc(self):
+        sbs = self.one_frame_stream()
+        # a valid base step, a gaze the decoder never checks
+        for at, pack, value, crc_at in (
+            (Q_BASE_AT, "<d", 5.0, HEADER_BYTES - 4),
+            (HEADER_BYTES, "<H", 3, HEADER_BYTES + FRAME_HEAD_BYTES - 4),
+        ):
+            data = bytearray(sbs.to_bytes())
+            struct.pack_into(pack, data, at, value)
+            with pytest.raises(BitstreamError, match="CRC-32") as info:
+                SequenceBitstream.from_bytes(bytes(data))
+            assert info.value.byte_offset == crc_at
+            assert SequenceBitstream.from_bytes(reseal(data)) != sbs
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_every_flip_of_up_to_three_bits_is_detected(self, data):
+        stream = bytearray(small_stream())
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(stream) - 1), min_size=1, max_size=3, unique=True)):
+            stream[bit // 8] ^= 0x80 >> (bit % 8)
+        with pytest.raises(BitstreamError):
+            decode_sequence(bytes(stream))
+
+    @given(
+        w=st.integers(1, 24),
+        h=st.integers(1, 24),
+        n_levels=st.integers(2, 16),
+        q_base=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_level_count_round_trips(self, w, h, n_levels, q_base, seed):
+        seq = random_clip(w, h, 2, seed)
+        sched = QuantSchedule(n_levels=n_levels, q_base=q_base)
+        sbs, recon = encode_sequence(seq, self.maps_for(seq), sched)
+        data = sbs.to_bytes()
+        assert SequenceBitstream.from_bytes(data).n_levels == n_levels
+        assert decode_sequence(data) == recon
 
     def test_payload_shorter_than_geometry_allows(self):
         # 16x16: four luma blocks of at least 9 bits and two chroma planes of
@@ -426,7 +480,7 @@ class TestSequenceCodec:
         for _ in range(data.draw(st.integers(1, 4))):
             stream[data.draw(st.sampled_from(heads))] = data.draw(st.integers(0, 255))
         try:
-            decode_sequence(SequenceBitstream.from_bytes(bytes(stream)))
+            decode_sequence(SequenceBitstream.from_bytes(reseal(stream)))
         except FmvcError:
             pass
 
@@ -472,16 +526,13 @@ class TestEncodeFrames:
 
     @pytest.mark.parametrize(
         "bad, error",
-        [("n_levels", ContractViolation), ("fps_num", ConfigError), ("map_size", ContractViolation),
-         ("fmsc_codes", ContractViolation)],
+        [("fps_num", ConfigError), ("map_size", ContractViolation), ("fmsc_codes", ContractViolation)],
     )
     def test_every_check_runs_before_the_first_frame(self, monkeypatch, bad, error):
         seq = random_clip(16, 16, 2, seed=1)
-        sched, codes = DEFAULT_SCHED, None
+        codes = None
         maps = [gaussian_map((8, 8), 4.0, 16, 16)] * 2
-        if bad == "n_levels":
-            sched = QuantSchedule(n_levels=8)
-        elif bad == "fps_num":
+        if bad == "fps_num":
             seq = VideoSequence(seq.frames, 120000, 1001)
         elif bad == "map_size":
             maps = [gaussian_map((8, 8), 4.0, 16, 17)] * 2
@@ -490,7 +541,7 @@ class TestEncodeFrames:
         calls = []
         original = codec.encode_frame
         monkeypatch.setattr(codec, "encode_frame", lambda *a, **k: calls.append(1) or original(*a, **k))
-        frames = encode_frames(seq, iter(maps), sched, fmsc_codes=codes)
+        frames = encode_frames(seq, iter(maps), DEFAULT_SCHED, fmsc_codes=codes)
         with pytest.raises(error):
             next(frames)
         assert calls == []

@@ -183,7 +183,8 @@ def test_quantize_rejects_levels_beyond_uint8(rng):
     # levels are uint8: 257 levels would wrap (300 sends 1.0 to 43), not clamp
     fmap = FoveationMap(rng.uniform(0, 1, (4, 5)), (0, 0))
     assert quantize_map(fmap, 256).levels.max() <= 255
-    for n in (257, 300):
+    # n past int64 is rejected before the uint8 cast could warn
+    for n in (257, 300, 2**70, 10**30, -(10**30)):
         with pytest.raises(ContractViolation):
             quantize_map(fmap, n)
     with pytest.raises(ContractViolation):

@@ -36,13 +36,13 @@ CLIPS = {
 }
 
 GOLDEN_STREAM = {
-    "random_1x1": "c8cdee9d2a20e1a1557b5055893fe3c66c9f87e5afab47c4ff06c880c1cd5c62",
-    "random_7x5": "25115a32c6bffa630ea82c5b43555d03bdaae52504b6990ebdd9dd4b4cb462d1",
-    "random_23x13": "838fa9a85539b347e294c11913fab94d19de29e2c4cac432c25b7b0e7b0647f7",
-    "random_17x9": "cbc313b0863dbb55f8d90d3f10b375d3a0e4c52f8dc5821552c52fbf4034ef88",
-    "random_64x48": "5b30c7c93f3c947c4ad07c8c2d0d96406ca067f51c3b6f6020b404ca8f99d263",
-    "pan_64x64_chroma": "b4f205d9659f89727172a6bcaf2180a96a69e9655bfb663aa4517e75fa7bc9cf",
-    "natural_cif": "38c550ec5a342bb0765279faf144243c28ca353dc8cca1a10b19db340e8936f2",
+    "random_1x1": "705065592bf2f9f1160ca2dc904c21c7767895982df03a1c661c5633c510f9d3",
+    "random_7x5": "2ec803a4678713007ac029779b49cf04ad5edb9f233d2b99c33a36c96be41395",
+    "random_23x13": "8ce1d306ed1c7e09556b9ac620438e0095165c63d45c411bdf1d388d55d61605",
+    "random_17x9": "a6293602251de411c29d8ca97172ba784f9c5e5c4f9315cb9622683b24caed11",
+    "random_64x48": "00b17b97065543ac6a3d8d03e399352043371a7a04d601fc6066aca8942a940a",
+    "pan_64x64_chroma": "c8ed52c3459e46d3fbde5dd4ae796e8976dba1a83c62b487f22e21de113de1d7",
+    "natural_cif": "e4a3563d749a5ee250f0cdb89779dce9644e0e3faa7e4652af5b1b228121b5dd",
 }
 GOLDEN_RECON = {
     "random_1x1": "3ff8149a3bad79ab2c9d89504489725c02d45a713f0bac9eb255e989e3d39a38",

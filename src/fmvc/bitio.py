@@ -1,4 +1,4 @@
-"""Order-0 exponential-Golomb block code over whole stacks of 8x8 blocks.
+"""Order-0 exponential-Golomb block code over whole planes of 8x8 blocks.
 
 A block is coded as its zigzag-ordered values up to the last nonzero
 coefficient, each as the exp-Golomb codeword (ITU-T H.264 section 9.1) of
@@ -13,7 +13,10 @@ half of every codeword, its leadingZeroBits info bits.  The end-of-block
 codeword is the only one without leading zeros, so a block ends at every
 '1' of the second run that directly follows a '1' (or opens the run).
 
-Both directions work on arrays.  The encoder lays the three runs out as
+Both directions work on arrays, with a plane's blocks laid out (8, 8, ...)
+as the transform leaves them: viewed as (64, n), each column is a block in
+raster order and the zigzag scan is a permutation of the rows.  The encoder
+scans only the blocks that hold a nonzero value, lays the three runs out as
 one bit array and packs it.  The decoder reads the prefixes as bytes, finds
 every codeword as a set bit of the second run and its zero count as the
 gap to the previous one, and every info field from a running sum of those
@@ -68,19 +71,25 @@ def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
     """Values and leading zero counts of one plane's codewords in stream
     order, end-of-block markers included, and each block's length in bits,
     prefix included."""
-    n = len(blocks)
+    blocks = np.asarray(blocks)
+    if blocks.shape[:2] != (8, 8):
+        raise ContractViolation(f"expected leading 8x8 block axes, got {blocks.shape}")
+    raster = blocks.reshape(64, -1)
+    n = raster.shape[1]
     if prefixes is not None:
         prefixes = np.asarray(prefixes)
         if prefixes.shape != (n,) or ((prefixes < 0) | (prefixes > 255)).any():
             raise ContractViolation("need one 8-bit prefix per block")
-    raster = np.asarray(blocks).reshape(n, 64)
-    if raster.size and not -(1 << 15) <= raster.min() <= raster.max() < 1 << 15:
+    coded = np.flatnonzero(raster.any(axis=0))
+    scans = raster.take(coded, axis=1)
+    if scans.size and not -(1 << 15) <= scans.min() <= scans.max() < 1 << 15:
         raise ContractViolation("the block code carries int16 coefficients only")
-    scans = raster.astype(np.int16)[:, ZIGZAG]
-    nonzero = scans != 0
-    counts = np.where(nonzero.any(axis=1), 64 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    coeffs = scans[np.arange(64) < counts[:, None]].astype(np.int32)
-    del scans, nonzero
+    scans = scans.astype(np.int16)[ZIGZAG]
+    counts = np.zeros(n, dtype=np.intp)
+    counts[coded] = 64 - np.argmax(scans[::-1] != 0, axis=0)
+    # the transposed views walk block by block, each in scan order
+    coeffs = scans.T[np.arange(64) < counts[coded, None]].astype(np.int32)
+    del scans
 
     eob = np.cumsum(counts + 1) - 1
     values = np.full(len(coeffs) + n, _EOB_VALUE, dtype=np.int32)
@@ -95,8 +104,9 @@ def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
 def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tuple[bytes, list[np.ndarray]]:
     """Code planes of blocks, in order, into one payload.
 
-    Each plane is (blocks, prefixes): blocks is an (n, 8, 8) stack of int16
-    coefficients, prefixes holds each block's 8-bit prefix, or is None for
+    Each plane is (blocks, prefixes): blocks holds int16 coefficients laid
+    out (8, 8, ...), the trailing axes running over the plane's n blocks in
+    raster order; prefixes holds each block's 8-bit prefix, or is None for
     none.  Returns the payload and, per plane, each block's bit count,
     prefix included; the counts sum to the payload's length in bits before
     padding.
@@ -135,9 +145,9 @@ def decode_blocks(
     Each layout entry is (block count, allowed prefixes): a 256-entry
     boolean table of the prefix values the plane's blocks may carry, or None
     when they carry no prefix.  Returns per plane (blocks, prefixes), blocks
-    as an (n, 8, 8) int16 stack.  After the last block fewer than 8 bits may
-    remain, all zero.  Any other payload raises BitstreamError with a byte
-    offset inside it.
+    as (8, 8, n) int16 coefficients.  After the last block fewer than 8 bits
+    may remain, all zero.  Any other payload raises BitstreamError with a
+    byte offset inside it.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
@@ -191,9 +201,9 @@ def decode_blocks(
 
     coded = zeros > 0
     scan = np.arange(len(zeros)) - np.repeat(eob - counts, counts + 1)
-    flat = np.zeros((n_blocks, 64), dtype=np.int16)
-    flat.reshape(-1)[np.repeat(np.arange(n_blocks) * 64, counts) + ZIGZAG[scan[coded]]] = symbol_to_signed(
+    flat = np.zeros((64, n_blocks), dtype=np.int16)
+    flat.reshape(-1)[ZIGZAG[scan[coded]] * n_blocks + np.repeat(np.arange(n_blocks), counts)] = symbol_to_signed(
         values[coded] - 2
     )
-    blocks = np.split(flat.reshape(n_blocks, 8, 8), np.cumsum([n for n, _ in layout])[:-1])
+    blocks = np.split(flat.reshape(8, 8, n_blocks), np.cumsum([n for n, _ in layout])[:-1], axis=2)
     return list(zip(blocks, prefixes))

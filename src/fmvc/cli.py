@@ -132,10 +132,17 @@ def _read(path: str) -> bytes:
 
 def _maps(seq: VideoSequence, gazes: list[tuple[int, int]], geom: DisplayGeometry, fmsc):
     """Per-frame maps, each built when taken: gaussian ones for a parsed FMSC
-    (sigma, code), contrast-sensitivity ones when it is None."""
-    if fmsc is None:
-        return (foveation_map(geom, g, DEFAULT_CSF) for g in gazes)
-    return (gaussian_map(g, fmsc[0], seq.width, seq.height) for g in gazes)
+    (sigma, code), contrast-sensitivity ones when it is None.  While the gaze
+    repeats, the previous frame's map object is yielded again."""
+    last = fmap = None
+    for g in gazes:
+        if g != last:
+            if fmsc is None:
+                fmap = foveation_map(geom, g, DEFAULT_CSF)
+            else:
+                fmap = gaussian_map(g, fmsc[0], seq.width, seq.height)
+            last = g
+        yield fmap
 
 
 def cmd_encode(args) -> int:

@@ -13,6 +13,7 @@ import struct
 import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +39,16 @@ MAX_LEVELS = 16
 MAX_Q_BASE = 65535
 
 
+def _check_schedule(n_levels, q_base) -> None:
+    """Reject a level count or base step that no schedule, and so no stream
+    header, can hold: both are integers, the level count fits the prefix's
+    4-bit field and the base step the header's bound."""
+    if not (isinstance(n_levels, Integral) and 2 <= n_levels <= MAX_LEVELS):
+        raise ContractViolation(f"level count must be an integer in [2, {MAX_LEVELS}], got {n_levels}")
+    if not (isinstance(q_base, Integral) and 1 <= q_base <= MAX_Q_BASE):
+        raise ContractViolation(f"base step must be an integer in [1, {MAX_Q_BASE}], got {q_base}")
+
+
 @dataclass(frozen=True)
 class QuantSchedule:
     """Per-level quantizer steps: geometric in the level, q_base at the top.
@@ -52,10 +63,7 @@ class QuantSchedule:
     steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not 2 <= self.n_levels <= MAX_LEVELS:
-            raise ContractViolation(f"level count must lie in [2, {MAX_LEVELS}], got {self.n_levels}")
-        if not 1 <= self.q_base <= MAX_Q_BASE:
-            raise ContractViolation(f"base step must lie in [1, {MAX_Q_BASE}], got {self.q_base}")
+        _check_schedule(self.n_levels, self.q_base)
         steps = tuple(
             max(1, int(self.q_base * 2.0 ** ((self.n_levels - 1 - l) / 2.0) + 0.5))
             for l in range(self.n_levels)
@@ -74,23 +82,37 @@ class CodecConfig:
 
 
 def _round_div_half_away(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    return np.sign(values) * ((2 * np.abs(values) + steps) // (2 * steps))
+    """values / steps rounded half away from zero: sign(v) * floor((2|v| + s) / 2s).
+
+    The quotient is taken in float64 and floors as integer division does:
+    for integers a >= 0 and b > 0 with a + b < 2**53, both convert exactly,
+    a / b lies at least 1/b below floor(a / b) + 1, and rounding moves it by
+    at most (a / b) * 2**-53 < (a + b) / b * 2**-53 < 1/b, so
+    floor(a / b) == a // b.  Here a = 2|v| + s and b = 2s, with |v| <= 16320
+    and every step below 2**24.
+    """
+    quotient = (2 * np.abs(values) + steps) / (2 * steps)
+    return np.copysign(np.floor(quotient), values).astype(np.int64)
 
 
 # --- plane helpers ------------------------------------------------------
 
 
-def _quantize_plane_blocks(coeffs: np.ndarray, levels_flat: np.ndarray, sched: QuantSchedule) -> np.ndarray:
-    """Quantize a plane's (n, 8, 8) coefficient stack, each block at its level's step.
+def _quantize_plane_blocks(coeffs: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule) -> np.ndarray:
+    """Quantize a plane's (8, 8, nby, nbx) coefficients, each block at its level's step.
 
     A coefficient rounds to zero exactly when twice its magnitude is below
     the step, so only blocks whose largest coefficient reaches half a step
-    are divided; the rest stay zero.
+    are divided; the rest stay zero.  No value grows in magnitude, so
+    coefficients within the block code's int16 range quantize to int16.
     """
-    steps = sched.steps_array()[levels_flat]
-    live = 2 * np.abs(coeffs).reshape(len(coeffs), -1).max(axis=1) >= steps
-    qblocks = np.zeros(coeffs.shape, dtype=np.int64)
-    qblocks[live] = _round_div_half_away(coeffs[live], steps[live][:, None, None])
+    peak = np.maximum(coeffs.max(axis=(0, 1)), -coeffs.min(axis=(0, 1)))
+    if peak.size and peak.max() >= 1 << 15:
+        raise ContractViolation("the block code carries int16 coefficients only")
+    steps = sched.steps_array()[levels_grid]
+    live = 2 * peak >= steps
+    qblocks = np.zeros(coeffs.shape, dtype=np.int16)
+    qblocks[:, :, live] = _round_div_half_away(coeffs[:, :, live], steps[live])
     return qblocks
 
 
@@ -100,7 +122,7 @@ def _quantized_residual(
     """Transform and quantize one plane's residual against its prediction."""
     residual = cur.astype(np.int32) - pred
     coeffs = forward_blocks(to_tiles(residual))
-    return _quantize_plane_blocks(coeffs, levels_grid.reshape(-1), sched)
+    return _quantize_plane_blocks(coeffs, levels_grid, sched)
 
 
 def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:
@@ -142,19 +164,18 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
 def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule) -> Frame:
     """Rebuild the frame from its Y, Cb, Cr blocks and predictions; must stay bit-deterministic.
 
-    Only blocks with a nonzero coefficient are dequantized and inverse
-    transformed: an all-zero block's residual is exactly zero.
+    Only blocks with a nonzero coefficient are dequantized, inverse
+    transformed and added to their prediction: an all-zero block's residual
+    is exactly zero.
     """
     planes = []
     for qblocks, pred, levels_grid in zip(qplanes, preds, level_grids):
-        coded = qblocks.reshape(len(qblocks), -1).any(axis=1)
-        steps = sched.steps_array()[levels_grid.reshape(-1)[coded]][:, None, None]
-        residual = np.zeros(qblocks.shape, dtype=np.int16)
-        # Clamping the residual at +-255 never changes the clamped sum below,
-        # because pred lies in [0, 255].
-        residual[coded] = np.clip(inverse_blocks(qblocks[coded] * steps), -255, 255)
-        recon = np.clip(from_tiles(residual, pred.shape) + pred, 0, 255).astype(np.uint8)
-        planes.append(FramePlane.from_array(recon))
+        coded = qblocks.any(axis=(0, 1))
+        steps = sched.steps_array()[levels_grid[coded]]
+        tiles = to_tiles(pred)
+        residual = inverse_blocks(qblocks[:, :, coded] * steps)
+        tiles[:, :, coded] = np.clip(residual + tiles[:, :, coded], 0, 255)
+        planes.append(FramePlane.from_array(np.ascontiguousarray(from_tiles(tiles, pred.shape))))
     return Frame(*planes)
 
 
@@ -253,7 +274,8 @@ def decode_frame(
     )
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     level_grids = _level_grids((prefixes & 0x0F).reshape(grid))
-    return _reconstruct((q_y, q_cb, q_cr), _predict(prev_recon, fld), level_grids, sched)
+    qplanes = [q.reshape(8, 8, *g.shape) for q, g in zip((q_y, q_cb, q_cr), level_grids)]
+    return _reconstruct(qplanes, _predict(prev_recon, fld), level_grids, sched)
 
 
 # --- sequence container -------------------------------------------------
@@ -312,6 +334,7 @@ class SequenceBitstream:
     def __post_init__(self):
         if len(self.frames) < 1:
             raise ContractViolation("a sequence bitstream must contain at least one frame")
+        _check_schedule(self.n_levels, self.q_base)  # so that from_bytes accepts what to_bytes writes
 
     @property
     def frame_count(self) -> int:
@@ -325,7 +348,6 @@ class SequenceBitstream:
 
     def to_bytes(self) -> bytes:
         _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
-        _check_fits(n_levels=(self.n_levels, 8))
         header = _HEADER.pack(
             MAGIC,
             VERSION,
@@ -419,11 +441,13 @@ def encode_frames(
 ) -> Iterator[tuple[FrameRecord, Frame]]:
     """Code a sequence one frame at a time, yielding each record and reconstruction.
 
-    Maps are taken one per frame, each dropped once quantized.  Maps that
-    run out before the frames raise ContractViolation on the first frame
-    left without one; maps that outlast the frames raise it on the next()
-    after the last frame.  The sequence-level checks run on the first
-    next(), before any frame is coded.
+    Maps are taken one per frame, each dropped once the next is taken; a
+    frame given the previous frame's map object again reuses its
+    quantization.  Maps that run out before the frames raise
+    ContractViolation on the first frame left without one; maps that
+    outlast the frames raise it on the next() after the last frame.  The
+    sequence-level checks run on the first next(), before any frame is
+    coded.
     """
     if fmsc_codes is None:
         fmsc_codes = [0] * len(seq)
@@ -443,8 +467,12 @@ def encode_frames(
 
     maps = iter(maps)
     prev = midgray_frame(w, h)
+    fmap = None
     for i, (frame, code) in enumerate(zip(seq.frames, fmsc_codes)):
-        level_map, (gx, gy) = levels(next(maps, None), i)
+        taken = next(maps, None)
+        if taken is None or taken is not fmap:
+            fmap = taken
+            level_map, (gx, gy) = levels(fmap, i)
         stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
         yield FrameRecord(gx, gy, int(code), stream), prev
     if next(maps, None) is not None:

@@ -204,7 +204,7 @@ def radial_gather(dx: np.ndarray, dy: np.ndarray, fn) -> np.ndarray:
     """
     ux, ix = np.unique(np.abs(dx), return_inverse=True)
     uy, iy = np.unique(np.abs(dy), return_inverse=True)
-    return fn(ux[None, :], uy[:, None])[iy[:, None], ix[None, :]]
+    return fn(ux[None, :], uy[:, None]).take(iy, axis=0).take(ix, axis=1)
 
 
 def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) -> FoveationMap:
@@ -230,8 +230,10 @@ def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) 
 def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
     """Floor quantization with top clamp: level = min(floor(value * n), n - 1)."""
     _check_level_count(n)  # before the cast, which a huge n would overflow
-    levels = np.minimum(np.floor(fmap.values * n), n - 1).astype(np.uint8)
-    return LevelMap(levels, n)
+    # values lie in [0, 1], so the cast's truncation is the floor
+    levels = fmap.values * n
+    np.minimum(levels, n - 1, out=levels)
+    return LevelMap(levels.astype(np.uint8), n)
 
 
 def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:

@@ -8,6 +8,12 @@ precision.  Arithmetic is integer-only, which keeps coded output
 byte-identical across platforms.  The grid helpers below are the only
 place that tiles a plane, untiles it, or reduces over its tiles.
 
+Blocks have one layout, block-last: (8, 8, nby, nbx), the row and column
+in the block, then the block row and column.  Coefficients are indexed
+(vertical frequency, horizontal frequency, by, bx).  Each lifting step
+then reads and writes whole (8, nby, nbx) slabs, runs of blocks that are
+contiguous in memory, instead of strided 8-sample rows.
+
 Outputs approximate the true DCT-II scaled per 1-D index by
 (sqrt(8), sqrt(2), 2, sqrt(2), sqrt(8), sqrt(2), 2, sqrt(2)); the 2-D gain
 is the outer product (8 at DC).  Constants use 12-bit fixed point.
@@ -72,30 +78,42 @@ ZIGZAG = np.array(
 )
 
 
+def _shear(k, x):
+    """round(k * x / 2**_FP), in one temporary."""
+    t = k * x
+    t += _HALF
+    t >>= _FP
+    return t
+
+
 def _rot_fwd(a, b, p, u):
-    y1 = a + ((p * b + _HALF) >> _FP)
-    y2 = b + ((u * y1 + _HALF) >> _FP)
-    y3 = y1 + ((p * y2 + _HALF) >> _FP)
+    y1 = _shear(p, b)
+    y1 += a
+    y2 = _shear(u, y1)
+    y2 += b
+    y3 = _shear(p, y2)
+    y3 += y1
     return y3, y2
 
 
 def _rot_inv(y3, y2, p, u):
-    y1 = y3 - ((p * y2 + _HALF) >> _FP)
-    b = y2 - ((u * y1 + _HALF) >> _FP)
-    a = y1 - ((p * b + _HALF) >> _FP)
+    y1 = y3 - _shear(p, y2)
+    b = y2 - _shear(u, y1)
+    a = y1 - _shear(p, b)
     return a, b
 
 
-def _fwd8(x: np.ndarray) -> np.ndarray:
-    """Forward transform along the last axis (length 8), in x's integer dtype."""
-    lo, hi = x[..., :4], x[..., 4:][..., ::-1]
+def _fwd8(x: np.ndarray, dtype=None) -> np.ndarray:
+    """Forward transform along the leading axis (length 8), in x's integer
+    dtype; the result is stacked in dtype if given."""
+    lo, hi = x[:4], x[4:][::-1]
     s = lo + hi
-    o = [lo[..., i] - hi[..., i] for i in range(4)]
+    o = [lo[i] - hi[i] for i in range(4)]
 
-    a0 = s[..., 0] + s[..., 3]
-    a1 = s[..., 1] + s[..., 2]
-    a3 = s[..., 0] - s[..., 3]
-    a2 = s[..., 1] - s[..., 2]
+    a0 = s[0] + s[3]
+    a1 = s[1] + s[2]
+    a3 = s[0] - s[3]
+    a2 = s[1] - s[2]
     x0 = a0 + a1
     x4 = a0 - a1
     x2, neg_x6 = _rot_fwd(a3, a2, _EVEN_P, _EVEN_U)
@@ -108,12 +126,12 @@ def _fwd8(x: np.ndarray) -> np.ndarray:
             _, i, j = op
             o[i], o[j] = -o[i], -o[j]
 
-    return np.stack([x0, o[0], x2, o[1], x4, o[2], -neg_x6, o[3]], axis=-1)
+    return np.stack([x0, o[0], x2, o[1], x4, o[2], -neg_x6, o[3]], dtype=dtype)
 
 
 def _inv8(c: np.ndarray) -> np.ndarray:
-    """Exact inverse of _fwd8 along the last axis."""
-    o = [c[..., 1], c[..., 3], c[..., 5], c[..., 7]]
+    """Exact inverse of _fwd8 along the leading axis."""
+    o = [c[1], c[3], c[5], c[7]]
     for op in reversed(_ODD_OPS):
         if op[0] == "rot":
             _, i, j, p, u = op
@@ -122,42 +140,45 @@ def _inv8(c: np.ndarray) -> np.ndarray:
             _, i, j = op
             o[i], o[j] = -o[i], -o[j]
 
-    a3, a2 = _rot_inv(c[..., 2], -c[..., 6], _EVEN_P, _EVEN_U)
-    a0 = (c[..., 0] + c[..., 4]) >> 1  # forward butterflies share parity,
-    a1 = (c[..., 0] - c[..., 4]) >> 1  # so these halvings are exact
+    a3, a2 = _rot_inv(c[2], -c[6], _EVEN_P, _EVEN_U)
+    a0 = (c[0] + c[4]) >> 1  # forward butterflies share parity,
+    a1 = (c[0] - c[4]) >> 1  # so these halvings are exact
     s = [(a0 + a3) >> 1, (a1 + a2) >> 1, (a1 - a2) >> 1, (a0 - a3) >> 1]
 
     out = np.empty(c.shape, dtype=c.dtype)
     for i in range(4):
-        out[..., i] = (s[i] + o[i]) >> 1
-        out[..., 7 - i] = (s[i] - o[i]) >> 1
+        out[i] = (s[i] + o[i]) >> 1
+        out[7 - i] = (s[i] - o[i]) >> 1
     return out
 
 
 def _lifting_input(values, limit: int) -> np.ndarray:
-    """values as a (..., 8, 8) integer array in the dtype its lifting runs in:
+    """values as an (8, 8, ...) integer array in the dtype its lifting runs in:
     int32 while every magnitude is at most limit, otherwise int64."""
     a = np.asarray(values)
     if a.dtype.kind not in "iu":
         a = a.astype(np.int64)
-    if a.shape[-2:] != (BLOCK, BLOCK):
-        raise ContractViolation(f"expected trailing 8x8 block axes, got {a.shape}")
+    if a.shape[:2] != (BLOCK, BLOCK):
+        raise ContractViolation(f"expected leading 8x8 block axes, got {a.shape}")
     fits = a.size == 0 or (-limit <= int(a.min()) and int(a.max()) <= limit)
     return a.astype(np.int32 if fits else np.int64, copy=False)
 
 
 def forward_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Transform a batch shaped (..., 8, 8): rows first, then columns; int64 out."""
+    """Transform blocks laid out (8, 8, ...): rows first, then columns; int64 out.
+
+    Axis 0 is the row in the block and axis 1 the column; out[l, k, ...] is
+    the coefficient of vertical frequency l and horizontal frequency k.
+    """
     b = _lifting_input(blocks, FORWARD_INT32_LIMIT)
-    rows = _fwd8(b)
-    return _fwd8(rows.swapaxes(-1, -2)).swapaxes(-1, -2).astype(np.int64, order="C")
+    rows = _fwd8(b.swapaxes(0, 1))  # (k, row, ...)
+    return _fwd8(rows.swapaxes(0, 1), dtype=np.int64)
 
 
 def inverse_blocks(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse of forward_blocks (column pass undone first); int64 out."""
-    c = _lifting_input(coeffs, INVERSE_INT32_LIMIT)
-    rows = _inv8(c.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return _inv8(rows).astype(np.int64)
+    cols = _inv8(_lifting_input(coeffs, INVERSE_INT32_LIMIT))  # (row, k, ...)
+    return _inv8(cols.swapaxes(0, 1)).swapaxes(0, 1).astype(np.int64)
 
 
 # --- the block grid -------------------------------------------------------
@@ -177,18 +198,23 @@ def grid_shape(shape: tuple[int, int]) -> tuple[int, int]:
 
 
 def to_tiles(plane: np.ndarray) -> np.ndarray:
-    """Split a plane into (n_tiles, 8, 8) in raster order, edge-replicating partial tiles."""
+    """Split a plane into tiles laid out (8, 8, nby, nbx), edge-replicating partial tiles.
+
+    tiles[i, j, by, bx] is plane[8 * by + i, 8 * bx + j]; one transposing
+    copy makes each (i, j) slab contiguous, and the tiles never share
+    memory with the plane.
+    """
     h, w = plane.shape
     if h % BLOCK or w % BLOCK:
         plane = np.pad(plane, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
     nby, nbx = grid_shape((h, w))
-    return plane.reshape(nby, BLOCK, nbx, BLOCK).swapaxes(1, 2).reshape(-1, BLOCK, BLOCK)
+    return plane.reshape(nby, BLOCK, nbx, BLOCK).transpose(1, 3, 0, 2).copy()
 
 
 def from_tiles(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of to_tiles: reassemble a (height, width) plane, cropping the padding."""
     nby, nbx = grid_shape(shape)
-    full = tiles.reshape(nby, nbx, BLOCK, BLOCK).swapaxes(1, 2).reshape(nby * BLOCK, nbx * BLOCK)
+    full = tiles.transpose(2, 0, 3, 1).reshape(nby * BLOCK, nbx * BLOCK)
     return full[: shape[0], : shape[1]]
 
 

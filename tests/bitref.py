@@ -5,7 +5,8 @@ verbatim as the oracle for the array coder in ``fmvc.bitio``.  The block
 code and the stack helpers below restate, one block and one symbol at a
 time, what ``encode_blocks`` and ``decode_blocks`` must produce, in the
 payload's three runs: the 8-bit prefixes, then every codeword's zeros and
-its '1', then every codeword's info bits.
+its '1', then every codeword's info bits.  They take and give blocks in the
+codec's (8, 8, n) layout and walk them as an (n, 8, 8) stack.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from fmvc.bitio import signed_to_symbol, symbol_to_signed
 from fmvc.errors import BitstreamError
 from fmvc.transform import BLOCK, ZIGZAG
+from kernelref import planes, stack
 
 # Precomputed codewords for small symbols; the hot path is table lookups.
 _UE_CACHE_SIZE = 1024
@@ -197,11 +199,12 @@ def read_block_info(reader: BitReader, block_zeros: list[int]) -> np.ndarray:
 # --- stacks, with the same arguments as fmvc.bitio ----------------------
 
 
-def encode_stack(planes) -> tuple[bytes, list[np.ndarray]]:
+def encode_stack(coded_planes) -> tuple[bytes, list[np.ndarray]]:
     """Reference for ``encode_blocks``: payload and each plane's bits per block."""
     w = PayloadWriter()
     per_plane = []
-    for blocks, prefixes in planes:
+    for blocks, prefixes in coded_planes:
+        blocks = stack(blocks)
         bits = np.empty(len(blocks), dtype=np.int64)
         for i, block in enumerate(blocks):
             start = w.bit_length
@@ -235,7 +238,7 @@ def decode_stack(data: bytes, layout) -> list[tuple[np.ndarray, np.ndarray | Non
         blocks = np.empty((len(plane_zeros), 8, 8), dtype=np.int64)
         for i, block_zeros in enumerate(plane_zeros):
             blocks[i] = read_block_info(r, block_zeros)
-        out.append((blocks, plane_prefixes))
+        out.append((planes(blocks), plane_prefixes))
     if r.bits_left >= 8 or r.read_bits(r.bits_left):
         raise BitstreamError("trailing data", byte_offset=r.bit_position // 8)
     return out

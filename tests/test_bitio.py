@@ -7,6 +7,7 @@ from fmvc.bitio import decode_blocks, encode_blocks, signed_to_symbol, symbol_to
 from fmvc.errors import BitstreamError, ContractViolation
 
 from bitref import BitReader, BitWriter, PayloadWriter, decode_stack, encode_stack, ue_bits
+from kernelref import planes as as_planes
 
 
 def test_ue_codewords():
@@ -99,7 +100,7 @@ INT16_EXTREMES = np.array([-(1 << 15), (1 << 15) - 1])
 
 @st.composite
 def block_planes(draw, max_blocks=300):
-    """1-3 planes of random blocks, 0-300 blocks in all, each plane with or
+    """1-3 planes of random blocks laid out (8, 8, n), 0-300 blocks in all, each plane with or
     without 8-bit prefixes.  Coefficients mix zero runs, small values, the
     whole int16 range and its two extremes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -116,12 +117,12 @@ def block_planes(draw, max_blocks=300):
         extreme = INT16_EXTREMES[rng.integers(0, 2, (n, 64))]
         blocks[nonzero] = np.choose(kind, [small, wide, extreme])[nonzero]
         prefixes = rng.integers(0, 256, n).astype(np.uint8) if draw(st.booleans()) else None
-        planes.append((blocks.reshape(n, 8, 8), prefixes))
+        planes.append((as_planes(blocks.reshape(n, 8, 8)), prefixes))
     return planes
 
 
 def layout_of(planes):
-    return [(len(b), None if p is None else np.ones(256, bool)) for b, p in planes]
+    return [(b.shape[2], None if p is None else np.ones(256, bool)) for b, p in planes]
 
 
 @given(block_planes())
@@ -159,7 +160,7 @@ def payloads_and_layouts(draw):
     planes = draw(block_planes(max_blocks=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     allowed_share = draw(st.sampled_from([1.0, 0.9, 0.5]))
-    layout = [(len(b), None if p is None else rng.random(256) < allowed_share) for b, p in planes]
+    layout = [(b.shape[2], None if p is None else rng.random(256) < allowed_share) for b, p in planes]
     kind = draw(st.sampled_from(["bytes", "runs", "mutated"]))
     if kind == "bytes":
         return draw(st.binary(max_size=40)), layout
@@ -189,14 +190,14 @@ def test_array_decoder_rejects_exactly_when_reference_does(case):
 
 
 def test_encoder_rejects_coefficients_beyond_int16():
-    block = np.zeros((1, 8, 8), np.int64)
+    block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 1 << 15
     with pytest.raises(ContractViolation):
         encode_blocks([(block, None)])
 
 
 def test_decoder_rejects_trailing_bits():
-    block = np.zeros((1, 8, 8), np.int64)
+    block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits
     payload, [bits] = encode_blocks([(block, None)])
     assert bits.tolist() == [6] and payload == bytes([0b00111100])
@@ -210,9 +211,9 @@ def test_decoder_rejects_trailing_bits():
 
 
 def test_payload_runs_are_prefixes_then_zeros_then_info_bits():
-    luma = np.zeros((2, 8, 8), np.int64)
+    luma = np.zeros((8, 8, 2), np.int64)
     luma[0, 0, 0] = 1  # symbol 1 + 1: codeword 011, zeros and '1' 01, info 1
-    chroma = np.zeros((1, 8, 8), np.int64)
+    chroma = np.zeros((8, 8, 1), np.int64)
     chroma[0, 0, 0] = -1  # symbol 2 + 1: codeword 00100, zeros and '1' 001, info 00
     payload, bits = encode_blocks([(luma, np.array([0xA5, 0x3C], np.uint8)), (chroma, None)])
     # prefixes A5 3C; then 01 1 | 1 | 001 1 (the end-of-block codewords are '1'); then 1 | 00; then padding
@@ -240,7 +241,7 @@ def test_decoder_bounds_codewords_by_the_int16_range():
 
 
 def test_decoder_checks_prefixes_against_the_table():
-    payload, _ = encode_blocks([(np.zeros((2, 8, 8), np.int64), np.array([7, 9], np.uint8))])
+    payload, _ = encode_blocks([(np.zeros((8, 8, 2), np.int64), np.array([7, 9], np.uint8))])
     allowed = np.ones(256, bool)
     assert decode_blocks(payload, [(2, allowed)])[0][1].tolist() == [7, 9]
     allowed[9] = False

@@ -4,7 +4,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from fmvc import codec
+from fmvc import cli, codec
 from fmvc.cli import build_parser, densify_gaze, main, parse_fmsc, read_gaze_track
 from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
@@ -337,6 +337,19 @@ class TestRdSweep:
         sigmas = [float(r[0]) for r in rows]
         assert sigmas == sorted(sigmas)
         assert sigmas == pytest.approx([64 / k for k in (10, 8, 6, 4, 3, 2)], abs=1e-3)
+
+    def test_center_gaze_builds_one_map_per_chain(self, tmp_path, monkeypatch):
+        # the gaze never moves, so each chain's one map, quantized once, serves every frame
+        clip = tmp_path / "small.y4m"
+        with open(clip, "wb") as fh:
+            write_y4m(pan_clip(64, 64, 3, step=3, seed=5), fh)
+        calls = []
+        for module, name in ((cli, "gaussian_map"), (codec, "quantize_map")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        out = tmp_path / "sweep.csv"
+        assert main(["rd-sweep", "--input", str(clip), "--out", str(out), "--gaze", "center"]) == 0
+        assert calls.count("gaussian_map") == calls.count("quantize_map") == 6
 
     @pytest.mark.parametrize("fmsc_set", ["H/4,H/nan", "H/inf", "H/4,H/0"])
     def test_every_spec_checked_before_encoding(self, tmp_path, capsys, monkeypatch, fmsc_set):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from fmvc import codec
 from fmvc.bitio import decode_blocks, encode_blocks
 from fmvc.codec import (
+    MAX_LEVELS,
+    MAX_Q_BASE,
     CodecConfig,
     FrameBitstream,
     QuantSchedule,
@@ -27,6 +29,7 @@ from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
 from fmvc.video_io import VideoSequence
 from bitref import PayloadWriter
+from kernelref import planes
 from conftest import (
     FRAME_HEAD_BYTES,
     HEADER_BYTES,
@@ -99,9 +102,9 @@ class TestQuantSchedule:
 
 def quantize_at(values, level):
     """Quantize each value alone in the DC slot of its own block, all at one level."""
-    blocks = np.zeros((len(values), 8, 8), dtype=np.int64)
-    blocks[:, 0, 0] = values
-    return codec._quantize_plane_blocks(blocks, np.full(len(values), level), DEFAULT_SCHED)[:, 0, 0]
+    blocks = np.zeros((8, 8, len(values)), dtype=np.int64)
+    blocks[0, 0] = values
+    return codec._quantize_plane_blocks(blocks, np.full(len(values), level), DEFAULT_SCHED)[0, 0]
 
 
 class TestQuantizer:
@@ -115,7 +118,7 @@ class TestQuantizer:
             assert quantize_at([0], level)[0] == 0
 
     def test_coarse_levels_zero_more(self, rng):
-        blocks = rng.integers(-400, 400, (50, 8, 8))
+        blocks = rng.integers(-400, 400, (8, 8, 50))
         fine = codec._quantize_plane_blocks(blocks, np.full(50, 15), DEFAULT_SCHED)
         coarse = codec._quantize_plane_blocks(blocks, np.zeros(50, np.int64), DEFAULT_SCHED)
         assert np.count_nonzero(coarse) <= np.count_nonzero(fine)
@@ -123,18 +126,18 @@ class TestQuantizer:
 
 class TestEntropyCode:
     def roundtrip(self, block):
-        payload, _ = encode_blocks([(block[None], None)])
+        payload, _ = encode_blocks([(block[:, :, None], None)])
         [(blocks, _)] = decode_blocks(payload, [(1, None)])
-        return blocks[0]
+        return blocks[:, :, 0]
 
     def test_all_zero_block_is_one_bit(self):
-        _, [bits] = encode_blocks([(np.zeros((1, 8, 8), np.int64), None)])
+        _, [bits] = encode_blocks([(np.zeros((8, 8, 1), np.int64), None)])
         assert bits.tolist() == [1]  # bare end-of-block marker
 
     def test_single_dc(self):
         block = np.zeros((8, 8), np.int64)
         block[0, 0] = 1
-        _, [bits] = encode_blocks([(block[None], None)])
+        _, [bits] = encode_blocks([(block[:, :, None], None)])
         # +1 maps to symbol 1, shifted to stream symbol 2 ("011"), then EOB ("1")
         assert bits.tolist() == [4]
         assert np.array_equal(self.roundtrip(block), block)
@@ -147,7 +150,7 @@ class TestEntropyCode:
         # 0-11 coefficients per sparse block, at random (possibly repeated) positions
         rows = n // 2 + np.repeat(np.arange(n - n // 2), rng.integers(0, 12, n - n // 2))
         blocks[rows, rng.integers(0, 64, len(rows))] = rng.integers(-30_000, 30_000, len(rows))
-        blocks = blocks.reshape(n, 8, 8)
+        blocks = planes(blocks.reshape(n, 8, 8))
         payload, _ = encode_blocks([(blocks, None)])
         [(decoded, _)] = decode_blocks(payload, [(n, None)])
         assert np.array_equal(decoded, blocks)
@@ -484,6 +487,30 @@ class TestSequenceCodec:
         except FmvcError:
             pass
 
+    @given(
+        q_base=st.one_of(st.integers(-2, MAX_Q_BASE + 2), st.floats(), st.sampled_from([4.0, True])),
+        n_levels=st.one_of(st.integers(-2, 258), st.floats(0, 20)),
+        gaze=st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+        fmsc_code=st.integers(0, 255),
+        geometry=st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+    )
+    def test_every_stream_that_constructs_round_trips(self, q_base, n_levels, gaze, fmsc_code, geometry):
+        base = SequenceBitstream.from_bytes(small_stream())
+        frames = tuple(replace(rec, gaze_x=gaze[0], gaze_y=gaze[1], fmsc_code=fmsc_code) for rec in base.frames)
+        args = (base.width, base.height, base.fps_num, base.fps_den, *geometry, q_base, frames, n_levels)
+        in_range = (
+            isinstance(q_base, int) and 1 <= q_base <= MAX_Q_BASE
+            and isinstance(n_levels, int) and 2 <= n_levels <= MAX_LEVELS
+        )
+        if not in_range:
+            with pytest.raises(ContractViolation):
+                SequenceBitstream(*args)
+            return
+        sbs = SequenceBitstream(*args)
+        parsed = SequenceBitstream.from_bytes(sbs.to_bytes())
+        assert parsed == sbs
+        assert (parsed.q_base, parsed.n_levels) == (q_base, n_levels)
+
 
 class TestEncodeFrames:
     @given(
@@ -516,6 +543,21 @@ class TestEncodeFrames:
             assert rec == sbs.frames[i] and rec.fmsc_code == 3 + i
             assert out == prev == recon.frames[i]
         assert next(frames, None) is None
+
+    def test_a_repeated_map_object_is_quantized_once(self, monkeypatch):
+        seq = random_clip(24, 16, 4, seed=3)
+        fmap = gaussian_map((12, 8), 6.0, 24, 16)
+        same = [fmap] * 4
+        equal = [gaussian_map((12, 8), 6.0, 24, 16) for _ in range(4)]  # equal values, distinct objects
+        calls = []
+        monkeypatch.setattr(codec, "quantize_map", lambda *a: calls.append(a[0]) or quantize_map(*a))
+        reused = encode_sequence(seq, same, DEFAULT_SCHED)[0].to_bytes()
+        assert calls == [fmap]
+        assert encode_sequence(seq, equal, DEFAULT_SCHED)[0].to_bytes() == reused
+        assert calls[1:] == equal
+        alternating = [fmap, equal[0], fmap, fmap]
+        assert encode_sequence(seq, alternating, DEFAULT_SCHED)[0].to_bytes() == reused
+        assert calls[5:] == [fmap, equal[0], fmap]
 
     def test_mismatched_map_count_rejected(self):
         seq = random_clip(16, 16, 2, seed=1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fmvc.errors import ContractViolation
 from fmvc.foveation import (
@@ -168,6 +170,16 @@ def test_quantize_examples():
     vals = np.array([[1.0, 0.031, 0.0625, 0.9374, 0.9375]])
     lm = quantize_map(FoveationMap(vals, (0, 0)), 16)
     assert lm.levels.tolist() == [[15, 0, 1, 14, 15]]
+
+
+@given(st.integers(2, 256), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_quantize_matches_floor_formula(n, extra):
+    # every threshold j/n, one ulp either side of it, 0.0 and 1.0
+    thresholds = np.arange(n + 1) / n
+    near = [thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)]
+    values = np.clip(np.concatenate([*near, [0.0, 1.0], extra]), 0.0, 1.0)
+    got = quantize_map(FoveationMap(values[None, :], (0, 0)), n).levels[0]
+    assert np.array_equal(got, np.minimum(np.floor(values * n), n - 1))
 
 
 def test_quantize_has_at_most_n_values(rng):

@@ -112,18 +112,18 @@ def test_predicted_plane_rejects_wrong_grid():
 # --- transform ------------------------------------------------------------
 
 
-def _extreme_stack(rng, n, limit):
-    """Blocks of +-limit in random sign patterns, with some random interiors."""
-    blocks = rng.choice([-limit, limit], (n, 8, 8))
-    blocks[: n // 2] = rng.integers(-limit, limit + 1, (n // 2, 8, 8))
-    blocks[0] = limit
-    blocks[1] = -limit
+def _extreme_planes(rng, n, limit):
+    """n blocks laid out (8, 8, n): +-limit in random sign patterns, with some random interiors."""
+    blocks = rng.choice([-limit, limit], (8, 8, n))
+    blocks[:, :, : n // 2] = rng.integers(-limit, limit + 1, (8, 8, n // 2))
+    blocks[:, :, 0] = limit
+    blocks[:, :, 1] = -limit
     return blocks
 
 
 @given(seeds, st.integers(2, 64))
 def test_forward_blocks_matches_int64_reference(seed, n):
-    blocks = _extreme_stack(_rng(seed), n, FORWARD_INT32_LIMIT)
+    blocks = _extreme_planes(_rng(seed), n, FORWARD_INT32_LIMIT)
     assert _lifting_input(blocks, FORWARD_INT32_LIMIT).dtype == np.int32
     got = forward_blocks(blocks)
     assert got.dtype == np.int64
@@ -132,7 +132,7 @@ def test_forward_blocks_matches_int64_reference(seed, n):
 
 @given(seeds, st.integers(2, 64))
 def test_inverse_blocks_matches_int64_reference(seed, n):
-    coeffs = _extreme_stack(_rng(seed), n, INVERSE_INT32_LIMIT)
+    coeffs = _extreme_planes(_rng(seed), n, INVERSE_INT32_LIMIT)
     assert _lifting_input(coeffs, INVERSE_INT32_LIMIT).dtype == np.int32
     got = inverse_blocks(coeffs)
     assert got.dtype == np.int64
@@ -141,7 +141,7 @@ def test_inverse_blocks_matches_int64_reference(seed, n):
 
 def test_zero_blocks_invert_to_zero():
     # the reconstruction skips all-zero blocks on this identity
-    assert not inverse_blocks(np.zeros((3, 8, 8), np.int64)).any()
+    assert not inverse_blocks(np.zeros((8, 8, 3), np.int64)).any()
 
 
 @given(seeds, st.integers(1, 64))
@@ -149,11 +149,11 @@ def test_hostile_coefficients_take_the_int64_path(seed, n):
     # a decoded int16 codeword times the largest step any schedule holds
     step = max(QuantSchedule(q_base=MAX_Q_BASE).steps)
     rng = _rng(seed)
-    coeffs = rng.integers(-(2**15), 2**15, (n, 8, 8)) * step
+    coeffs = rng.integers(-(2**15), 2**15, (8, 8, n)) * step
     coeffs[0, 0, 0] = (2**15 - 1) * step
     assert _lifting_input(coeffs, INVERSE_INT32_LIMIT).dtype == np.int64
     assert np.array_equal(inverse_blocks(coeffs), ref.inverse_blocks(coeffs))
-    blocks = rng.integers(-(2**20), 2**20, (n, 8, 8))
+    blocks = rng.integers(-(2**20), 2**20, (8, 8, n))
     blocks[0, 0, 0] = 2**20
     assert np.array_equal(forward_blocks(blocks), ref.forward_blocks(blocks))
 
@@ -210,8 +210,8 @@ def _peak_intermediate(two_passes, limit):
 
 def test_int32_bounds_by_magnitude_propagation():
     # the same _fwd8/_inv8 code, run on intervals instead of integers
-    forward = _peak_intermediate(lambda b: _fwd8(_fwd8(b).swapaxes(-1, -2)), FORWARD_INT32_LIMIT)
-    inverse = _peak_intermediate(lambda c: _inv8(_inv8(c.swapaxes(-1, -2)).swapaxes(-1, -2)), INVERSE_INT32_LIMIT)
+    forward = _peak_intermediate(lambda b: _fwd8(_fwd8(b.swapaxes(0, 1)).swapaxes(0, 1)), FORWARD_INT32_LIMIT)
+    inverse = _peak_intermediate(lambda c: _inv8(_inv8(c).swapaxes(0, 1)), INVERSE_INT32_LIMIT)
     assert forward < 6.6e7 < 2**31
     assert inverse < 1.26e9 < 2**31
 
@@ -219,13 +219,23 @@ def test_int32_bounds_by_magnitude_propagation():
 def test_inverse_limit_covers_every_dequantized_coefficient():
     # DC and the (4, 4) coefficient are exact sums, 64 * 255 at most; no
     # other coefficient exceeds them
-    extremes = np.stack([np.full((8, 8), 255), np.where(np.indices((8, 8)).sum(0) % 2, -255, 255)])
+    extremes = np.stack([np.full((8, 8), 255), np.where(np.indices((8, 8)).sum(0) % 2, -255, 255)], axis=-1)
     assert np.abs(forward_blocks(extremes)).max() == 16320
     # a coefficient survives quantization only if step <= 2|c|, and then
     # dequantizes to at most |c| + step / 2; q * step is nondecreasing in |c|
     steps = np.arange(1, 3 * 16320, dtype=np.int64)
     dequantized = _round_div_half_away(np.int64(16320), steps) * steps
     assert dequantized.max() == INVERSE_INT32_LIMIT
+
+
+def test_float_quotient_matches_integer_division():
+    # every coefficient an encoder can produce, at the smallest step, the
+    # largest step of any schedule and every step of the default schedule
+    values = np.arange(-16320, 16321)
+    largest = max(QuantSchedule(q_base=MAX_Q_BASE).steps)
+    for step in sorted({1, largest, *QuantSchedule().steps}):
+        got = _round_div_half_away(values, np.int64(step))
+        assert np.array_equal(got, ref.round_div_half_away(values, step)), step
 
 
 # --- foveation maps -------------------------------------------------------

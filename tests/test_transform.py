@@ -15,6 +15,7 @@ from fmvc.transform import (
 )
 
 from bitref import zigzag_scan, zigzag_unscan
+from kernelref import stack
 
 # Per-axis output gains of the lifting network relative to the orthonormal
 # DCT-II (unnormalized butterflies contribute sqrt(2) each, the odd cascade
@@ -41,7 +42,7 @@ def test_constant_block_is_dc_only(value):
 
 
 def test_round_trip_on_admissible_range(rng):
-    blocks = rng.integers(-255, 256, (10_000, 8, 8))
+    blocks = rng.integers(-255, 256, (8, 8, 10_000))
     coeffs = forward_blocks(blocks)
     assert np.array_equal(inverse_blocks(coeffs), blocks)
 
@@ -57,7 +58,7 @@ def test_round_trip_extremes():
 def test_inverse_is_total_and_deterministic(rng):
     # dequantized coefficients are arbitrary integers; the inverse must be a
     # fixed deterministic map on them (lockstep), not only on forward outputs
-    coeffs = rng.integers(-20_000, 20_000, (64, 8, 8))
+    coeffs = rng.integers(-20_000, 20_000, (8, 8, 64))
     first = inverse_blocks(coeffs)
     second = inverse_blocks(coeffs)
     assert np.array_equal(first, second)
@@ -65,10 +66,10 @@ def test_inverse_is_total_and_deterministic(rng):
 
 
 def test_approximates_scaled_dct(rng):
-    blocks = rng.integers(-255, 256, (500, 8, 8))
+    blocks = rng.integers(-255, 256, (8, 8, 500))
     got = forward_blocks(blocks).astype(float)
     worst = 0.0
-    for b, g in zip(blocks, got):
+    for b, g in zip(stack(blocks), stack(got)):
         worst = max(worst, np.max(np.abs(g - reference_scaled_dct2(b))))
     # rounding noise from ~21 lifting steps per axis stays within a few units
     assert worst < 16.0
@@ -110,13 +111,14 @@ class TestBlockGrid:
             plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
             tiles = to_tiles(plane)
             nby, nbx = grid_shape((h, w))
-            assert tiles.shape == (nby * nbx, 8, 8)
+            assert tiles.shape == (8, 8, nby, nbx)
             assert np.array_equal(from_tiles(tiles, (h, w)), plane)
         plane = np.arange(9 * 10).reshape(9, 10)
         padded = np.pad(plane, ((0, 7), (0, 6)), mode="edge")
         tiles = to_tiles(plane)
         for k, (bi, bj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):  # raster order
-            assert np.array_equal(tiles[k], padded[bi * 8 : bi * 8 + 8, bj * 8 : bj * 8 + 8])
+            assert np.array_equal(tiles[:, :, bi, bj], padded[bi * 8 : bi * 8 + 8, bj * 8 : bj * 8 + 8])
+            assert np.array_equal(stack(tiles)[k], tiles[:, :, bi, bj])
 
     def test_tile_reduce_counts_only_inside_samples(self, rng):
         plane = rng.integers(0, 100, (13, 20))

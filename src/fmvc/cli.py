@@ -75,8 +75,8 @@ def read_gaze_track(text: str) -> list[tuple[int, int, int]]:
             raise ParseError(f"expected 'frame_idx,x,y', got {raw!r}", line=lineno)
         try:
             idx, x, y = int(parts[0]), int(float(parts[1])), int(float(parts[2]))
-        except ValueError:
-            raise ParseError(f"non-numeric field in {raw!r}", line=lineno) from None
+        except (ValueError, OverflowError):  # int() of an infinite coordinate overflows
+            raise ParseError(f"non-numeric or infinite field in {raw!r}", line=lineno) from None
         if idx <= prev_idx:
             raise ParseError(f"frame indices must be strictly increasing, got {idx}", line=lineno)
         prev_idx = idx
@@ -153,7 +153,7 @@ def cmd_encode(args) -> int:
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
     sbs, _ = codec.encode_sequence(
         seq,
-        list(_maps(seq, gazes, geom, fmsc)),
+        _maps(seq, gazes, geom, fmsc),
         sched,
         fmsc_codes=[fmsc[1] if fmsc else 0] * len(seq),
         screen_width_m=geom.screen_width_m,

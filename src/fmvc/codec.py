@@ -119,9 +119,8 @@ def _quantize_plane_blocks(coeffs: np.ndarray, levels_grid: np.ndarray, sched: Q
 def _quantized_residual(
     cur: np.ndarray, pred: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule
 ) -> np.ndarray:
-    """Transform and quantize one plane's residual against its prediction."""
-    residual = cur.astype(np.int32) - pred
-    coeffs = forward_blocks(to_tiles(residual))
+    """Transform and quantize one plane's residual against its prediction tiles."""
+    coeffs = forward_blocks(np.subtract(to_tiles(cur), pred, dtype=np.int32))
     return _quantize_plane_blocks(coeffs, levels_grid, sched)
 
 
@@ -149,7 +148,7 @@ def _level_grids(luma_levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Y, Cb and Cr predictions from the previous reconstruction.
+    """Y, Cb and Cr prediction tiles from the previous reconstruction.
 
     Chroma reuses each luma block choice with halved offsets.
     """
@@ -161,21 +160,21 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule) -> Frame:
-    """Rebuild the frame from its Y, Cb, Cr blocks and predictions; must stay bit-deterministic.
+def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule, prev: Frame) -> Frame:
+    """Rebuild the frame from its Y, Cb, Cr blocks and prediction tiles; must stay bit-deterministic.
 
     Only blocks with a nonzero coefficient are dequantized, inverse
-    transformed and added to their prediction: an all-zero block's residual
-    is exactly zero.
+    transformed and added, in place, to their prediction tiles: an all-zero
+    block's residual is exactly zero.  Each plane is untiled once, to the
+    size of prev's plane.
     """
     planes = []
-    for qblocks, pred, levels_grid in zip(qplanes, preds, level_grids):
+    for qblocks, tiles, levels_grid, ref in zip(qplanes, preds, level_grids, (prev.y, prev.cb, prev.cr)):
         coded = qblocks.any(axis=(0, 1))
         steps = sched.steps_array()[levels_grid[coded]]
-        tiles = to_tiles(pred)
         residual = inverse_blocks(qblocks[:, :, coded] * steps)
         tiles[:, :, coded] = np.clip(residual + tiles[:, :, coded], 0, 255)
-        planes.append(FramePlane.from_array(np.ascontiguousarray(from_tiles(tiles, pred.shape))))
+        planes.append(FramePlane.from_array(np.ascontiguousarray(from_tiles(tiles, ref.samples.shape))))
     return Frame(*planes)
 
 
@@ -255,7 +254,7 @@ def encode_frame(
         bits_y.reshape(level_grids[0].shape), (bits_cb + bits_cr).reshape(level_grids[1].shape)
     )
     stream = FrameBitstream(payload, block_bits, int(bits_y.sum() + bits_cb.sum() + bits_cr.sum()))
-    return stream, _reconstruct(qplanes, preds, level_grids, sched)
+    return stream, _reconstruct(qplanes, preds, level_grids, sched, prev_recon)
 
 
 def decode_frame(
@@ -275,7 +274,7 @@ def decode_frame(
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     level_grids = _level_grids((prefixes & 0x0F).reshape(grid))
     qplanes = [q.reshape(8, 8, *g.shape) for q, g in zip((q_y, q_cb, q_cr), level_grids)]
-    return _reconstruct(qplanes, _predict(prev_recon, fld), level_grids, sched)
+    return _reconstruct(qplanes, _predict(prev_recon, fld), level_grids, sched, prev_recon)
 
 
 # --- sequence container -------------------------------------------------
@@ -481,7 +480,7 @@ def encode_frames(
 
 def encode_sequence(
     seq: VideoSequence,
-    maps: list[FoveationMap],
+    maps: Iterable[FoveationMap],
     sched: QuantSchedule,
     cfg: CodecConfig = CodecConfig(),
     fmsc_codes: list[int] | None = None,

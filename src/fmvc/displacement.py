@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation
-from .transform import BLOCK, grid_shape, require_block, tile_reduce
+from .transform import BLOCK, from_tiles, grid_shape, require_block, tile_reduce
 from .video_io import FramePlane
 
 DISPLACEMENT_STEPS = (3, 5, 7)
@@ -63,21 +64,16 @@ _SET_ORDER = (ZERO_DISPLACEMENT,) + tuple(
 CATALOGUE_INDEX = {d: i for i, d in enumerate(CATALOGUE)}
 
 
-def shift_plane(samples: np.ndarray, axis: Axis, s: int, out: np.ndarray | None = None) -> np.ndarray:
+def shift_plane(samples: np.ndarray, axis: Axis, s: int) -> np.ndarray:
     """Sample a plane at coordinates displaced by s, replicating the border.
 
     Horizontal: out(i, j) = samples(i, j - s); vertical: out(i, j) =
     samples(i - s, j).  Accepts any integer s (chroma uses halved offsets).
-    With no shift and no out, returns samples itself.  Writes into out, a
-    plane of the same shape, when one is given.
+    With no shift, returns samples itself.
     """
     if axis is Axis.NONE or s == 0:
-        if out is None:
-            return samples
-        out[...] = samples
-        return out
-    if out is None:
-        out = np.empty_like(samples)
+        return samples
+    out = np.empty_like(samples)
     src, dst = (samples, out) if axis is Axis.VERTICAL else (samples.T, out.T)
     n = len(src)
     k = min(abs(s), n)
@@ -152,38 +148,18 @@ class DisplacementField:
         return isinstance(other, DisplacementField) and np.array_equal(self.indices, other.indices)
 
 
-def _least_sse(residuals) -> DisplacementField:
-    """Per block, the index of the residual with minimum sum of squares.
-
-    Residuals come one plane at a time in CATALOGUE order; ties go to the
-    earliest, so static content degenerates to the plain frame difference.
-    Partial edge blocks count only their samples inside the frame.
-    """
-    sse = np.stack([tile_reduce(np.square(r, dtype=np.int32), np.add) for r in residuals])
-    return DisplacementField(np.argmin(sse, axis=0).astype(np.int8))  # first minimum wins
-
-
-def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> DisplacementField:
-    """The encoder's per-block choice, straight from the 13 shifted planes.
-
-    Every candidate is shifted into, and differenced in, the same two int16
-    buffers.
-    """
-    cur = cur.astype(np.int16)
-    prev = prev_recon.astype(np.int16)
-    shifted = np.empty_like(prev)
-    diff = np.empty_like(prev)
-    return _least_sse(
-        np.subtract(cur, shift_plane(prev, d.axis, d.s, out=shifted), out=diff) for d in CATALOGUE
-    )
-
-
 def select_displacement_per_block(
     dset: dict[Displacement, ResidualPlane], block_size: int = BLOCK
 ) -> DisplacementField:
-    """Pick, per block, the displacement with minimum sum of squared residuals."""
+    """Pick, per block, the displacement with minimum sum of squared residuals.
+
+    Ties go to the earliest in CATALOGUE order, so static content
+    degenerates to the plain frame difference.  Partial edge blocks count
+    only their samples inside the frame.
+    """
     require_block(block_size)
-    return _least_sse(dset[d].samples for d in CATALOGUE)
+    sse = np.stack([tile_reduce(np.square(dset[d].samples, dtype=np.int32), np.add) for d in CATALOGUE])
+    return DisplacementField(np.argmin(sse, axis=0).astype(np.int8))  # first minimum wins
 
 
 def _block_offsets(halve: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -200,32 +176,87 @@ def _block_offsets(halve: bool) -> tuple[np.ndarray, np.ndarray]:
 _OFFSETS = {halve: _block_offsets(halve) for halve in (False, True)}
 
 
+# Every window a shift reads lies inside the plane edge-padded by the largest
+# shift.  A selection strip of 2 block rows holds the 13 differences in about
+# 1 MB of float32 at 720p, which stays in a core's L2 cache.
+_PAD = max(DISPLACEMENT_STEPS)
+_STRIP = 2
+
+
+def _edge_padded(plane: np.ndarray, height: int, width: int) -> np.ndarray:
+    """plane edge-padded to height x width, with _PAD samples above and to the
+    left: a block row or column shifted by s reads at _PAD - s, as shift_plane does."""
+    h, w = plane.shape
+    return np.pad(plane, ((_PAD, height - h - _PAD), (_PAD, width - w - _PAD)), mode="edge")
+
+
+def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> DisplacementField:
+    """The encoder's per-block choice, as select_displacement_per_block makes it.
+
+    Both planes get one row stride, a multiple of 8, so each candidate's
+    rows of a strip are one contiguous run of the flat padded reference.
+    Per strip, the 13 differences are squared in place and block-summed by
+    two matmuls with a ones vector: the 8 rows of each block row, then each
+    8 columns.  Rows and columns past the frame (where a run wraps) are
+    zeroed first, so a partial edge block counts only its own samples.
+
+    The sums are float32 and exact: |d| <= 255, so a block's SSE is at most
+    64 * 255**2 = 4161600 < 2**24.  Every square and partial sum is a
+    non-negative integer below that bound, so each is exactly representable
+    and any order of summation, FMA included, gives the integer sum; the
+    argmin therefore keeps the first minimum of the integer SSEs.
+    """
+    h, w = cur.shape
+    nby, nbx = grid_shape((h, w))
+    stride = -(-(w + 2 * _PAD) // BLOCK) * BLOCK
+    # one spare row: a run that starts past column 0 ends in the row below
+    ref = _edge_padded(prev_recon, nby * BLOCK + 2 * _PAD + 1, stride).astype(np.float32).reshape(-1)
+    cur = np.pad(cur, ((0, nby * BLOCK - h), (0, stride - w))).astype(np.float32).reshape(-1)
+    dy, dx = _OFFSETS[False]
+    starts = (_PAD - dy) * stride + _PAD - dx
+    diff = np.empty((len(CATALOGUE), _STRIP * BLOCK * stride), dtype=np.float32)
+    ones = np.ones(BLOCK, dtype=np.float32)
+    indices = np.empty((nby, nbx), dtype=np.int8)
+    for by in range(0, nby, _STRIP):
+        rows = min(_STRIP, nby - by) * BLOCK
+        lo, size = by * BLOCK * stride, rows * stride
+        d = diff[:, :size]
+        for k, start in enumerate(starts):
+            np.subtract(cur[lo : lo + size], ref[lo + start : lo + start + size], out=d[k])
+        d = d.reshape(len(CATALOGUE), rows, stride)
+        d[:, h - by * BLOCK :] = 0
+        np.square(d, out=d)
+        column_sums = ones @ d.reshape(-1, BLOCK, stride)
+        column_sums[:, w:] = 0
+        sse = (column_sums.reshape(-1, BLOCK) @ ones).reshape(len(CATALOGUE), rows // BLOCK, -1)
+        indices[by : by + rows // BLOCK] = np.argmin(sse[:, :, :nbx], axis=0)  # first minimum wins
+    return DisplacementField(indices)
+
+
 def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offsets: bool = False) -> np.ndarray:
-    """Assemble the prediction: each block reads prev_recon at its displacement.
+    """The prediction as tiles (8, 8, nby, nbx): each block reads prev_recon at its displacement.
 
     With halve_offsets, shift amounts are halved toward zero (4:2:0 chroma
     reuse of a luma field).  Pixel (i, j) of a block shifted by (dy, dx)
-    reads prev_recon at (clip(i - dy), clip(j - dx)), as shift_plane does;
-    the plane is gathered in one take over flat indices, int32 unless the
-    plane has 2**31 samples or more.
+    reads prev_recon at (clip(i - dy), clip(j - dx)), as shift_plane does:
+    each block is one 8x8 window of the edge-padded plane.  Partial edge
+    tiles then replicate their last row and column inside the plane, as
+    to_tiles does.  The tiles are C-contiguous and share no memory with
+    prev_recon.
     """
     h, w = prev_recon.shape
     nby, nbx = grid_shape((h, w))
     if field.indices.shape != (nby, nbx):
         raise ContractViolation(f"field grid {field.indices.shape} does not cover {nby}x{nbx} blocks")
-    dtype = np.int32 if h * w <= 2**31 else np.int64
-    dy, dx = (table[field.indices].astype(dtype) for table in _OFFSETS[halve_offsets])
-    # source row of every pixel row, per block column, pre-multiplied by w
-    rows = np.arange(nby * BLOCK, dtype=dtype).reshape(nby, BLOCK, 1) - dy[:, None, :]
-    np.clip(rows, 0, h - 1, out=rows)
-    rows *= w
-    # source column of every pixel column, per block row
-    cols = np.arange(nbx * BLOCK, dtype=dtype).reshape(nbx, BLOCK) - dx[:, :, None]
-    np.clip(cols, 0, w - 1, out=cols)
-    index = np.empty((nby, BLOCK, nbx, BLOCK), dtype=dtype)
-    np.add(rows[:, :, :, None], cols[:, None, :, :], out=index)
-    index = index.reshape(nby * BLOCK, nbx * BLOCK)[:h, :w]
-    return prev_recon.reshape(-1).take(index)
+    dy, dx = (table[field.indices] for table in _OFFSETS[halve_offsets])
+    padded = _edge_padded(prev_recon, nby * BLOCK + 2 * _PAD, nbx * BLOCK + 2 * _PAD)
+    ys = np.arange(0, nby * BLOCK, BLOCK)[:, None] + _PAD - dy
+    xs = np.arange(0, nbx * BLOCK, BLOCK) + _PAD - dx
+    tiles = sliding_window_view(padded, (BLOCK, BLOCK))[ys, xs].transpose(2, 3, 0, 1).copy()
+    r, c = h - (nby - 1) * BLOCK, w - (nbx - 1) * BLOCK  # samples inside the last tile row and column
+    tiles[r:, :, -1] = tiles[r - 1 : r, :, -1]
+    tiles[:, c:, :, -1] = tiles[:, c - 1 : c, :, -1]
+    return tiles
 
 
 def reconstruct_frame(
@@ -237,6 +268,6 @@ def reconstruct_frame(
             f"residual is {decoded_residual.width}x{decoded_residual.height}, "
             f"frame is {prev_recon.width}x{prev_recon.height}"
         )
-    pred = predicted_plane(prev_recon.samples, field).astype(np.int32)
+    pred = from_tiles(predicted_plane(prev_recon.samples, field), prev_recon.samples.shape).astype(np.int32)
     out = np.clip(pred + decoded_residual.samples, 0, 255).astype(np.uint8)
     return FramePlane(prev_recon.width, prev_recon.height, out)

@@ -146,7 +146,7 @@ def _parse_header(line: bytes) -> tuple[int, int, int, int]:
             height = int(rest)
         elif tag == b"F":
             parts = rest.split(":")
-            if len(parts) != 2 or not all(p.isdigit() for p in parts) or int(parts[1]) == 0:
+            if len(parts) != 2 or not all(p.isdigit() for p in parts) or 0 in map(int, parts):
                 raise ParseError(f"bad frame-rate token {token!r}")
             fps_num, fps_den = int(parts[0]), int(parts[1])
         elif tag == b"C":

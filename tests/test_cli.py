@@ -8,6 +8,7 @@ from fmvc import cli, codec
 from fmvc.cli import build_parser, densify_gaze, main, parse_fmsc, read_gaze_track
 from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
+from fmvc.foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, gaussian_map
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
 from bitref import PayloadWriter
@@ -59,6 +60,12 @@ class TestGazeTrack:
     def test_non_numeric_field_names_line(self):
         with pytest.raises(ParseError) as info:
             read_gaze_track("0,10,20\n1,x,40\n")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("row", ["0,inf,5", "0,1e400,5", "0,5,-inf", "0,-1e999,5"])
+    def test_infinite_coordinate_names_line(self, row):
+        with pytest.raises(ParseError) as info:
+            read_gaze_track("0,10,20\n" + row.replace("0,", "1,", 1) + "\n")
         assert info.value.line == 2
 
     def test_row_arity_checked(self):
@@ -307,10 +314,10 @@ class TestMetricsCommand:
         assert main(["metrics", "--ref", str(clip_path), "--test", str(other)]) == 2
 
 
-@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
-def test_non_ascii_gaze_track_is_config_error(clip_path, tmp_path, capsys, command):
+def _check_bad_gaze_track(clip_path, tmp_path, capsys, command, track_bytes):
+    """command with a gaze track whose second row is bad exits 2, names the line and writes nothing."""
     track = tmp_path / "gaze.csv"
-    track.write_bytes(b"0,10,10\n1,2\xc3\xa9,3\n")
+    track.write_bytes(track_bytes)
     out = tmp_path / "out"
     argv = {
         "encode": ["--input", str(clip_path), "--output", str(out)],
@@ -321,6 +328,51 @@ def test_non_ascii_gaze_track_is_config_error(clip_path, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 2" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
+def test_non_ascii_gaze_track_is_config_error(clip_path, tmp_path, capsys, command):
+    _check_bad_gaze_track(clip_path, tmp_path, capsys, command, b"0,10,10\n1,2\xc3\xa9,3\n")
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
+@pytest.mark.parametrize("row", [b"1,inf,5", b"1,1e400,5"])
+def test_infinite_gaze_coordinate_is_config_error(clip_path, tmp_path, capsys, command, row):
+    _check_bad_gaze_track(clip_path, tmp_path, capsys, command, b"0,10,10\n" + row + b"\n")
+
+
+def test_zero_frame_rate_input_is_parse_error(tmp_path, capsys):
+    clip = tmp_path / "still.y4m"
+    clip.write_bytes(b"YUV4MPEG2 W8 H8 F0:1 Ip C420jpeg\nFRAME\n" + bytes(64 + 16 + 16))
+    out = tmp_path / "never.fmvc"
+    assert main(["encode", "--input", str(clip), "--output", str(out)]) == 4
+    assert "frame-rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encode_builds_each_map_as_its_frame_is_coded(clip_path, tmp_path, monkeypatch):
+    # a gaze that moves every frame: one map build, then that frame's encode, and so on
+    track = tmp_path / "gaze.csv"
+    track.write_text("".join(f"{i},{4 + 5 * i},{3 + 4 * i}\n" for i in range(7)))
+    events = []
+    for owner, name in ((cli, "gaussian_map"), (codec, "encode_frame")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k: events.append(_n) or _f(*a, **k))
+    out = tmp_path / "moving.fmvc"
+    argv = ["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4", "--gaze", str(track)]
+    assert main(argv) == 0
+    assert events == ["gaussian_map", "encode_frame"] * 7
+    monkeypatch.undo()
+    # the same bytes as coding from every map built up front
+    with open(clip_path, "rb") as fh:
+        seq = read_y4m(fh.read())
+    gazes = densify_gaze(read_gaze_track(track.read_text()), len(seq), seq.width, seq.height)
+    maps = [gaussian_map(g, seq.height / 4, seq.width, seq.height) for g in gazes]
+    listed, _ = codec.encode_sequence(
+        seq, maps, codec.QuantSchedule(q_base=4), fmsc_codes=[4] * len(seq),
+        screen_width_m=DEFAULT_SCREEN_WIDTH_M, viewing_distance_m=DEFAULT_VIEWING_DISTANCE_M,
+    )
+    assert out.read_bytes() == listed.to_bytes()
 
 
 class TestRdSweep:

@@ -32,6 +32,7 @@ from fmvc.transform import (
     grid_shape,
     inverse_blocks,
     tile_reduce,
+    to_tiles,
 )
 
 sides = st.integers(1, 40)
@@ -59,11 +60,9 @@ def test_shift_plane_matches_gather(h, w, seed, axis, s):
     plane = _rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
     if axis is Axis.NONE:
         s = 0
-    want = ref.shift_plane(plane, axis, s)
-    assert np.array_equal(shift_plane(plane, axis, s), want)
-    out = np.full_like(plane, 7)
-    assert shift_plane(plane, axis, s, out=out) is out
-    assert np.array_equal(out, want)
+    got = shift_plane(plane, axis, s)
+    assert np.array_equal(got, ref.shift_plane(plane, axis, s))
+    assert got is plane or not np.shares_memory(got, plane)
 
 
 @given(sides, sides, seeds)
@@ -78,6 +77,34 @@ def test_choose_displacements_matches_reference(h, w, seed):
     assert choose_displacements(cur, prev) == ref.choose_displacements(cur, prev)
 
 
+@given(sides, sides)
+def test_choose_displacements_at_the_sse_bound(h, w):
+    # every difference is 255, so a full block's SSE is 64 * 255**2, the largest there is
+    cur, prev = np.full((h, w), 255, np.uint8), np.zeros((h, w), np.uint8)
+    assert choose_displacements(cur, prev) == ref.choose_displacements(cur, prev)
+    assert not choose_displacements(cur, prev).indices.any()
+
+
+@given(sides, sides, st.integers(0, 255), st.integers(0, 255))
+def test_choose_displacements_ties_go_to_zero_shift(h, w, a, b):
+    # on constant planes every candidate has the same SSE in every block
+    cur, prev = np.full((h, w), a, np.uint8), np.full((h, w), b, np.uint8)
+    got = choose_displacements(cur, prev)
+    assert got == ref.choose_displacements(cur, prev)
+    assert np.array_equal(got.indices, np.zeros(grid_shape((h, w)), np.int8))
+
+
+@pytest.mark.parametrize("side", range(1, 41))
+def test_choose_displacements_partial_tiles(side):
+    # side x 40 and 40 x side planes: every partial tile height and width, shifts past the plane
+    rng = _rng(side)
+    for h, w in ((side, 40), (40, side), (side, side)):
+        for _ in range(3):
+            prev = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            cur = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            assert choose_displacements(cur, prev) == ref.choose_displacements(cur, prev)
+
+
 # --- prediction -----------------------------------------------------------
 
 
@@ -86,9 +113,11 @@ def _check_prediction(h, w, seed, halve):
     prev = rng.integers(0, 256, (h, w), dtype=np.uint8)
     field = DisplacementField(rng.integers(0, len(CATALOGUE), grid_shape((h, w))).astype(np.int8))
     got = predicted_plane(prev, field, halve_offsets=halve)
-    want = ref.predicted_plane(prev, field, halve_offsets=halve)
+    want = to_tiles(ref.predicted_plane(prev, field, halve_offsets=halve))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    assert got.flags.c_contiguous
+    assert not np.shares_memory(got, prev)
 
 
 @given(sides, sides, seeds, st.booleans())

@@ -111,6 +111,13 @@ def test_truncated_frame_payload():
         read_y4m(data[:-5])
 
 
+@pytest.mark.parametrize("rate", [b"F0:1", b"F0:1001", b"F00:25"])
+def test_zero_frame_rate_is_parse_error(rate):
+    data = build_y4m(b"YUV4MPEG2 W4 H4 " + rate + b"\n", [bytes(16 + 8)])
+    with pytest.raises(ParseError, match="frame-rate"):
+        read_y4m(data)
+
+
 def test_zero_frames_is_error():
     with pytest.raises(ParseError):
         read_y4m(b"YUV4MPEG2 W4 H4 F25:1\n")

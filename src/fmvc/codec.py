@@ -1,10 +1,17 @@
 """Residual codec: level-indexed quantization, entropy coding, bitstreams.
 
-The coding path is integer-only end to end (transform, quantizer, entropy
-code), so identical inputs produce byte-identical streams on any platform.
-The decoder's output is bit-exactly the encoder's own reconstruction; both
-sides share one prediction and one reconstruction routine so the recurrent
-frame chain cannot drift.
+Given the per-block levels, the coding path is integer-exact (transform,
+quantizer, entropy code), so identical inputs produce byte-identical
+streams.  The levels themselves are the one float-to-integer step: they
+come from a foveation map built with libm exp and arctan (or exp for a
+gaussian map), so a platform whose libm rounds differently could move a
+block to another level.  Before transforming, the encoder proves which
+blocks quantize to all zeros with a float32 pre-test (_may_be_nonzero).
+That test only decides what to skip and is provably conservative: every
+block it skips is zero through the full path, so streams do not depend
+on it.  The decoder's output is bit-exactly the encoder's own
+reconstruction; both sides share one prediction and one reconstruction
+routine so the recurrent frame chain cannot drift.
 """
 
 from __future__ import annotations
@@ -22,7 +29,16 @@ from .bitio import decode_blocks, encode_blocks
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
 from .foveation import FoveationMap, LevelMap, quantize_map
-from .transform import forward_blocks, from_tiles, grid_shape, inverse_blocks, to_tiles
+from .transform import (
+    BLOCK,
+    FORWARD_MATRIX,
+    FORWARD_ROUNDING,
+    forward_blocks,
+    from_tiles,
+    grid_shape,
+    inverse_blocks,
+    to_tiles,
+)
 from .video_io import Frame, FramePlane, VideoSequence
 
 MAGIC = b"FMVC"
@@ -82,46 +98,102 @@ class CodecConfig:
 
 
 def _round_div_half_away(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """values / steps rounded half away from zero: sign(v) * floor((2|v| + s) / 2s).
+    """values / steps rounded half away from zero, as int16: sign(v) * floor((2|v| + s) / 2s).
 
     The quotient is taken in float64 and floors as integer division does:
     for integers a >= 0 and b > 0 with a + b < 2**53, both convert exactly,
     a / b lies at least 1/b below floor(a / b) + 1, and rounding moves it by
     at most (a / b) * 2**-53 < (a + b) / b * 2**-53 < 1/b, so
     floor(a / b) == a // b.  Here a = 2|v| + s and b = 2s, with |v| <= 16320
-    and every step below 2**24.
+    and every step below 2**24; 2|v| and a are exact in float64 too.  The
+    quotient is built in one buffer and is at most |v|, so it fits int16.
     """
-    quotient = (2 * np.abs(values) + steps) / (2 * steps)
-    return np.copysign(np.floor(quotient), values).astype(np.int64)
+    steps = np.asarray(steps, dtype=np.float64)
+    quotient = np.abs(values, dtype=np.float64)
+    quotient *= 2
+    quotient += steps
+    quotient /= 2 * steps
+    np.floor(quotient, out=quotient)
+    np.copysign(quotient, values, out=quotient)
+    return quotient.astype(np.int16)
 
 
 # --- plane helpers ------------------------------------------------------
 
 
 def _quantize_plane_blocks(coeffs: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule) -> np.ndarray:
-    """Quantize a plane's (8, 8, nby, nbx) coefficients, each block at its level's step.
+    """Quantize (8, 8, ...) coefficients, each block at its level's step.
 
-    A coefficient rounds to zero exactly when twice its magnitude is below
-    the step, so only blocks whose largest coefficient reaches half a step
-    are divided; the rest stay zero.  No value grows in magnitude, so
-    coefficients within the block code's int16 range quantize to int16.
+    No value grows in magnitude, so coefficients within the block code's
+    int16 range quantize to int16.
     """
-    peak = np.maximum(coeffs.max(axis=(0, 1)), -coeffs.min(axis=(0, 1)))
-    if peak.size and peak.max() >= 1 << 15:
+    if coeffs.size and max(coeffs.max(), -coeffs.min()) >= 1 << 15:
         raise ContractViolation("the block code carries int16 coefficients only")
-    steps = sched.steps_array()[levels_grid]
-    live = 2 * peak >= steps
-    qblocks = np.zeros(coeffs.shape, dtype=np.int16)
-    qblocks[:, :, live] = _round_div_half_away(coeffs[:, :, live], steps[live])
-    return qblocks
+    return _round_div_half_away(coeffs, sched.steps_array()[levels_grid])
+
+
+# The all-zero pre-test (_may_be_nonzero).  A block's coefficients are
+# c = T x + d, with T = FORWARD_MATRIX (within 2**-40 of the exact linear
+# part) and |d| <= FORWARD_ROUNDING = eps, and no exact entry of T exceeds
+# 1 in magnitude (the DC row is all ones).  Residuals of 8-bit planes lie
+# within +-255, so a block's SAD S is at most 64 * 255 = 16320, and a
+# coefficient quantizes to zero exactly when 2|c| < step.
+#
+# Stage 1: |c| <= S + max(eps), so a block with 2S + _SAD_MARGIN < step is
+# all zeros; the margin is 2 max(eps) rounded up to an integer.
+#
+# Stage 2: y = T32 x in float32, T32 the float32 rounding of T, so each
+# T32 entry is within 2**-23 of the exact one and at most 1 in magnitude.
+# A float32 sum of 64 products, in any order and with or without FMA, is
+# within gamma_64 = 64u / (1 - 64u) < 2**-17 (u = 2**-24) of exact per
+# unit of sum |T32 x| <= S.  So |T x - y| < 2**-16 S < 1/4, and
+# |c| < |y| + eps + 1/4.  The envelope adds 1/2 to eps and rounds up to a
+# multiple of 1/16, which float32 holds exactly; |y| + envelope stays
+# below 2**15, so its float32 sum z is within 2**-10 of exact, and |c| < z.
+# A block whose every 2z is below its step is all zeros.  z is at least
+# the envelope, so only blocks with a step above _MATMUL_STEP can pass; the
+# others skip the matmul.  A plane where stage 1 clears no block is busy
+# (CIF luma at q_base 4 is one): there the matmul clears too few blocks to
+# pay for itself and the gather, so the whole plane is transformed.
+#
+# The float arithmetic only decides what to skip.  A skipped block is
+# provably zero, and every other block is transformed and quantized as
+# before, so streams do not depend on it.
+_SAD_MARGIN = int(np.ceil(2 * FORWARD_ROUNDING.max()))
+_T32 = FORWARD_MATRIX.astype(np.float32)
+_ENVELOPE = (np.ceil((FORWARD_ROUNDING + 0.5) * 16) / 16).astype(np.float32)[:, None]
+_MATMUL_STEP = 2 * float(_ENVELOPE.max())
+
+
+def _may_be_nonzero(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Which residual blocks, laid out (64, n), may quantize to a nonzero
+    coefficient at their steps (n,); the others provably quantize to zeros."""
+    live = np.abs(blocks).sum(axis=0, dtype=blocks.dtype) >= (steps - _SAD_MARGIN + 1) // 2
+    tested = np.flatnonzero(live & (steps > _MATMUL_STEP))
+    if tested.size and not live.all():
+        z = _T32 @ blocks[:, tested].astype(np.float32)
+        np.abs(z, out=z)
+        z += _ENVELOPE
+        live[tested] = 2 * z.max(axis=0) >= steps[tested]
+    return live
 
 
 def _quantized_residual(
     cur: np.ndarray, pred: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule
 ) -> np.ndarray:
-    """Transform and quantize one plane's residual against its prediction tiles."""
-    coeffs = forward_blocks(np.subtract(to_tiles(cur), pred, dtype=np.int32))
-    return _quantize_plane_blocks(coeffs, levels_grid, sched)
+    """Transform and quantize one plane's residual against its prediction tiles.
+
+    Only the blocks _may_be_nonzero keeps are transformed and quantized;
+    the rest stay zero.
+    """
+    residual = np.subtract(to_tiles(cur), pred, dtype=np.int16)
+    steps = sched.steps_array()[levels_grid]
+    live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), steps.reshape(-1)).reshape(steps.shape)
+    if live.all():
+        return _quantize_plane_blocks(forward_blocks(residual), levels_grid, sched)
+    qblocks = np.zeros(residual.shape, dtype=np.int16)
+    qblocks[:, :, live] = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), levels_grid[live], sched)
+    return qblocks
 
 
 def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ A lifting realization of the 8-point DCT-II flowgraph: unnormalized
 butterflies split even/odd halves (invertible because sums and differences
 share parity), and every rotation is three fixed-point lifting shears, so
 inverse(forward(x)) == x for any integer block regardless of constant
-precision.  Arithmetic is integer-only, which keeps coded output
-byte-identical across platforms.  The grid helpers below are the only
+precision.  Arithmetic is integer-only, so the coefficients are the same
+on every platform.  The grid helpers below are the only
 place that tiles a plane, untiles it, or reduces over its tiles.
 
 Blocks have one layout, block-last: (8, 8, nby, nbx), the row and column
@@ -24,6 +24,11 @@ intermediates of the forward pass stay below 6.6e7 for residuals in
 the largest dequantized value an encoder emits (|coefficient| <= 16320 plus
 half of a step that does not zero it).  Both bounds come from propagating
 magnitudes through the butterflies and _ODD_OPS.
+
+FORWARD_MATRIX and FORWARD_ROUNDING describe forward_blocks as a linear
+map plus bounded rounding, for the encoder's all-zero pre-test.  Both are
+derived at import by running _fwd8 itself, unrounded, on gain vectors
+(_linear_forward); no coded value is computed from them.
 """
 
 from __future__ import annotations
@@ -86,12 +91,12 @@ def _shear(k, x):
     return t
 
 
-def _rot_fwd(a, b, p, u):
-    y1 = _shear(p, b)
+def _rot_fwd(a, b, p, u, shear=_shear):
+    y1 = shear(p, b)
     y1 += a
-    y2 = _shear(u, y1)
+    y2 = shear(u, y1)
     y2 += b
-    y3 = _shear(p, y2)
+    y3 = shear(p, y2)
     y3 += y1
     return y3, y2
 
@@ -103,9 +108,10 @@ def _rot_inv(y3, y2, p, u):
     return a, b
 
 
-def _fwd8(x: np.ndarray, dtype=None) -> np.ndarray:
+def _fwd8(x: np.ndarray, dtype=None, shear=_shear) -> np.ndarray:
     """Forward transform along the leading axis (length 8), in x's integer
-    dtype; the result is stacked in dtype if given."""
+    dtype; the result is stacked in dtype if given.  shear(k, v) stands in
+    for each rounded shear, so the same steps can run unrounded."""
     lo, hi = x[:4], x[4:][::-1]
     s = lo + hi
     o = [lo[i] - hi[i] for i in range(4)]
@@ -116,12 +122,12 @@ def _fwd8(x: np.ndarray, dtype=None) -> np.ndarray:
     a2 = s[1] - s[2]
     x0 = a0 + a1
     x4 = a0 - a1
-    x2, neg_x6 = _rot_fwd(a3, a2, _EVEN_P, _EVEN_U)
+    x2, neg_x6 = _rot_fwd(a3, a2, _EVEN_P, _EVEN_U, shear)
 
     for op in _ODD_OPS:
         if op[0] == "rot":
             _, i, j, p, u = op
-            o[i], o[j] = _rot_fwd(o[i], o[j], p, u)
+            o[i], o[j] = _rot_fwd(o[i], o[j], p, u, shear)
         else:
             _, i, j = op
             o[i], o[j] = -o[i], -o[j]
@@ -179,6 +185,32 @@ def inverse_blocks(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse of forward_blocks (column pass undone first); int64 out."""
     cols = _inv8(_lifting_input(coeffs, INVERSE_INT32_LIMIT))  # (row, k, ...)
     return _inv8(cols.swapaxes(0, 1)).swapaxes(0, 1).astype(np.int64)
+
+
+def _linear_forward() -> tuple[np.ndarray, np.ndarray]:
+    """forward_blocks as a linear map plus rounding: (T, eps) with
+    |forward_blocks(x) - T x| <= eps for every integer block x.
+
+    T is (64, 64), from a block's samples (row-major) to its coefficients
+    (l, k) in row-major order; eps is (64,) in the same coefficient order.
+    _fwd8 runs once on gain vectors instead of samples: each holds its gain
+    on the 8 inputs and on the rounding error of each shear.  A shear is
+    unrounded, k v / 2**_FP, plus a new error term e = floor(y + 1/2) - y
+    in (-1/2, 1/2].  Every other step is linear, so one 1-D pass gives
+    T1 x + sum_s g_s e_s, off its linear part by at most
+    e1_l = sum_s |g_ls| / 2.  The row pass leaves each sample of row m,
+    column k, within e1_k of linear; the column pass carries that through
+    T1 and adds its own rounding: eps_lk = sum_m |T1_lm| e1_k + e1_l.
+    """
+    width = BLOCK + 3 * (1 + sum(op[0] == "rot" for op in _ODD_OPS))  # inputs, then shears
+    errors = iter(np.eye(width)[BLOCK:])
+    gains = _fwd8(np.eye(BLOCK, width), shear=lambda k, v: k * v / (1 << _FP) + next(errors))
+    t1, e1 = gains[:, :BLOCK], np.abs(gains[:, BLOCK:]).sum(axis=1) / 2
+    eps = np.abs(t1).sum(axis=1)[:, None] * e1 + e1[:, None]
+    return (t1[:, None, :, None] * t1[None, :, None, :]).reshape(BLOCK * BLOCK, -1), eps.reshape(-1)
+
+
+FORWARD_MATRIX, FORWARD_ROUNDING = _linear_forward()
 
 
 # --- the block grid -------------------------------------------------------

@@ -27,8 +27,10 @@ from fmvc.codec import (
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
-from fmvc.video_io import VideoSequence
+from fmvc.transform import from_tiles
+from fmvc.video_io import Frame, VideoSequence
 from bitref import PayloadWriter
+import kernelref
 from kernelref import planes
 from conftest import (
     FRAME_HEAD_BYTES,
@@ -109,7 +111,7 @@ def quantize_at(values, level):
 
 class TestQuantizer:
     def test_round_half_away(self):
-        # the top level's step is 4; 1 is below half a step, so its block is skipped
+        # the top level's step is 4; 1 is below half a step, so it quantizes to zero
         assert quantize_at([6, -6, 5, 2, 1, -2], 15).tolist() == [2, -2, 1, 1, 0, -1]
         assert quantize_at([6], 15)[0] * DEFAULT_SCHED.steps[15] == 8  # dequantized
 
@@ -122,6 +124,128 @@ class TestQuantizer:
         fine = codec._quantize_plane_blocks(blocks, np.full(50, 15), DEFAULT_SCHED)
         coarse = codec._quantize_plane_blocks(blocks, np.zeros(50, np.int64), DEFAULT_SCHED)
         assert np.count_nonzero(coarse) <= np.count_nonzero(fine)
+
+
+# Every step of these schedules is covered by the all-zero pre-test's tests.
+PRETEST_SCHEDULES = [QuantSchedule(n, q) for n in (2, 16) for q in (1, 4, 32, MAX_Q_BASE)]
+
+
+def _adversarial_blocks(steps) -> np.ndarray:
+    """Residual blocks (8, 8, n) in +-255 at the edges of the pre-test's bounds.
+
+    Zero, constant +-255, one +-255 impulse at each of the 64 positions,
+    checkerboards of both phases, and, for each step, blocks whose SAD sits
+    at the SAD stage's bound or whose DC sits at half a step, spread evenly,
+    packed into whole 255s, or with alternating signs.
+    """
+    signs = np.where(np.indices((8, 8)).sum(0) % 2, -1, 1)
+    impulses = np.eye(64, dtype=np.int64).reshape(8, 8, 64) * 255
+    out = [np.zeros((8, 8, 1), np.int64), np.stack([np.full((8, 8), 255), np.full((8, 8), -255)], -1)]
+    out += [impulses, -impulses, np.stack([255 * signs, -255 * signs], -1)]
+    for step in steps:
+        first_kept = (step - codec._SAD_MARGIN + 1) // 2  # smallest SAD the SAD stage keeps
+        for sad in {first_kept - 1, first_kept, step // 2 - 1, step // 2, (step + 1) // 2}:
+            if not 0 < sad <= 64 * 255:
+                continue
+            even = (np.arange(64) < sad % 64) + sad // 64
+            packed = np.clip(sad - 255 * np.arange(64), 0, 255)
+            out.append(np.stack([even.reshape(8, 8), packed.reshape(8, 8), signs * even.reshape(8, 8)], -1))
+    return np.concatenate(out, axis=-1)
+
+
+def _quantized_residual_of(residual, levels_grid, sched):
+    """codec._quantized_residual on planes whose tile difference is residual (8, 8, nby, nbx)."""
+    cur = from_tiles(np.maximum(residual, 0).astype(np.uint8), (8 * residual.shape[2], 8 * residual.shape[3]))
+    return codec._quantized_residual(cur, np.maximum(-residual, 0).astype(np.uint8), levels_grid, sched)
+
+
+def _check_against_unskipped_path(blocks, sched):
+    """Code residual blocks (8, 8, n) at every level of sched; the pre-test
+    may skip only blocks that quantize to zero through the full integer path."""
+    residual = np.broadcast_to(blocks[:, :, None], (8, 8, sched.n_levels, blocks.shape[2]))
+    levels_grid = np.broadcast_to(np.arange(sched.n_levels)[:, None], residual.shape[2:])
+    got = _quantized_residual_of(residual, levels_grid, sched)
+    full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), levels_grid, sched)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, full)
+
+
+class TestAllZeroPretest:
+    @pytest.mark.parametrize("sched", PRETEST_SCHEDULES, ids=lambda s: f"n{s.n_levels}-q{s.q_base}")
+    def test_adversarial_blocks_match_the_unskipped_path(self, sched):
+        _check_against_unskipped_path(_adversarial_blocks(sched.steps), sched)
+
+    @pytest.mark.parametrize("sched", PRETEST_SCHEDULES, ids=lambda s: f"n{s.n_levels}-q{s.q_base}")
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), amplitude=st.integers(1, 255), sparse=st.booleans())
+    def test_random_blocks_match_the_unskipped_path(self, sched, seed, amplitude, sparse):
+        rng = np.random.default_rng(seed)
+        blocks = rng.integers(-amplitude, amplitude + 1, (8, 8, 32))
+        if sparse:
+            blocks *= rng.random((8, 8, 32)) < 0.1
+        blocks[:, :, 0] = 0  # a cleared block, so that the matmul stage runs
+        _check_against_unskipped_path(blocks, sched)
+
+    def test_both_stages_clear_blocks(self):
+        # at q_base 32 the SAD stage clears small residuals and the matmul
+        # clears some it keeps; every cleared block is zero through the full path
+        sched = QuantSchedule(q_base=32)
+        rng = np.random.default_rng(3)
+        residual = rng.integers(-6, 7, (8, 8, 16, 40))
+        levels_grid = np.broadcast_to(np.arange(16)[:, None], (16, 40))
+        steps = sched.steps_array()[levels_grid].reshape(-1)
+        blocks = residual.reshape(64, -1)
+        sad_kept = np.abs(blocks).sum(axis=0) * 2 + codec._SAD_MARGIN >= steps
+        kept = codec._may_be_nonzero(blocks, steps)
+        full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), levels_grid, sched)
+        assert not (kept & ~sad_kept).any()
+        assert (~sad_kept).any()
+        assert (sad_kept & ~kept).any()
+        assert not full.reshape(64, -1)[:, ~kept].any()
+
+    def _lockstep_blocks_transformed(self, monkeypatch, clip, sched, level_map):
+        """Code clip frame by frame; return the block count of each forward_blocks call.
+
+        Each frame decodes to the encoder's reconstruction, and the payloads
+        and reconstructions equal those of the unskipped path, where every
+        block is transformed and quantized.
+        """
+        seen = []
+        forward = codec.forward_blocks
+        monkeypatch.setattr(codec, "forward_blocks", lambda blocks: seen.append(blocks[0, 0].size) or forward(blocks))
+        enc = dec = midgray_frame(clip.width, clip.height)
+        coded = []
+        for frame in clip.frames:
+            stream, enc = encode_frame(frame, enc, level_map, sched)
+            dec = decode_frame(stream.payload, dec, sched)
+            assert dec == enc
+            coded.append((stream.payload, enc))
+        counts = seen.copy()
+        monkeypatch.setattr(codec, "_may_be_nonzero", lambda blocks, steps: np.ones(steps.shape, bool))
+        prev = midgray_frame(clip.width, clip.height)
+        for frame, (payload, recon) in zip(clip.frames, coded):
+            stream, prev = encode_frame(frame, prev, level_map, sched)
+            assert stream.payload == payload
+            assert prev == recon
+        return counts
+
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_every_block_cleared(self, monkeypatch, flat):
+        # no residual of 8-bit planes survives the coarsest base step
+        w, h = 37, 29
+        clip = VideoSequence((Frame.gray(w, h, 200),) * 3, 30, 1) if flat else random_clip(w, h, 3, seed=8)
+        sched = QuantSchedule(q_base=MAX_Q_BASE)
+        level_map = LevelMap(np.random.default_rng(1).integers(0, 16, (h, w), dtype=np.uint8), 16)
+        assert not any(self._lockstep_blocks_transformed(monkeypatch, clip, sched, level_map))
+
+    def test_no_block_cleared(self, monkeypatch):
+        # every step is 1, so neither stage can clear a block
+        w, h = 37, 29
+        sched = QuantSchedule(n_levels=2, q_base=1)
+        level_map = LevelMap(np.random.default_rng(1).integers(0, 2, (h, w), dtype=np.uint8), 2)
+        counts = self._lockstep_blocks_transformed(monkeypatch, random_clip(w, h, 3, seed=8), sched, level_map)
+        n_luma, n_chroma = codec._block_counts(w, h)
+        assert counts == [n_luma, n_chroma, n_chroma] * 3
 
 
 class TestEntropyCode:

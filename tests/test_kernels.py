@@ -4,13 +4,17 @@ Sizes run from 1 to 40 px, so partial edge tiles and shifts longer than the
 plane are covered.  Every comparison is exact.
 """
 
+import functools
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import kernelref as ref
-from fmvc.codec import MAX_Q_BASE, QuantSchedule, _round_div_half_away
+from fmvc.codec import MAX_Q_BASE, QuantSchedule, _ENVELOPE, _SAD_MARGIN, _T32, _round_div_half_away
 from fmvc.displacement import (
     CATALOGUE,
     Axis,
@@ -24,7 +28,10 @@ from fmvc.foveation import DEFAULT_CSF, DisplayGeometry, foveation_map, gaussian
 from fmvc.metrics import _subband_weights
 from fmvc.transform import (
     FORWARD_INT32_LIMIT,
+    FORWARD_MATRIX,
+    FORWARD_ROUNDING,
     INVERSE_INT32_LIMIT,
+    _FP,
     _fwd8,
     _inv8,
     _lifting_input,
@@ -265,6 +272,112 @@ def test_float_quotient_matches_integer_division():
     for step in sorted({1, largest, *QuantSchedule().steps}):
         got = _round_div_half_away(values, np.int64(step))
         assert np.array_equal(got, ref.round_div_half_away(values, step)), step
+
+
+# --- the linear part and rounding envelope of the forward transform -------
+
+
+class _Rounding:
+    """The rounding a lifting value carries: exact gains on independent
+    errors e_s in [-1/2, 1/2], one error per shear."""
+
+    def __init__(self, gains):
+        self.gains = gains
+
+    def __add__(self, other):
+        gains = dict(self.gains)
+        for s, g in other.gains.items():
+            gains[s] = gains.get(s, 0) + g
+        return _Rounding(gains)
+
+    def __neg__(self):
+        return _Rounding({s: -g for s, g in self.gains.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, k):
+        return _Rounding({s: g * k for s, g in self.gains.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return _Rounding({s: g / k for s, g in self.gains.items()})
+
+
+def _forward_2d(block, shear):
+    return _fwd8(_fwd8(block.swapaxes(0, 1), shear=shear).swapaxes(0, 1), shear=shear)
+
+
+@functools.cache
+def _exact_linear_part():
+    """T as (64, 64) Fractions: the lifting's response to each unit impulse
+    with every shear's rounding removed."""
+    impulses = np.full((8, 8, 64), Fraction(0), dtype=object)
+    for n in range(64):
+        impulses[n // 8, n % 8, n] = Fraction(1)
+    return _forward_2d(impulses, lambda k, x: k * x / 2**_FP).reshape(64, 64)
+
+
+@functools.cache
+def _exact_envelope():
+    """eps as (64,) Fractions: each shear's rounding error, within 1/2,
+    carried through the rest of _fwd8 and the column pass, as intervals on
+    independent errors.  One interval per value, as _peak_intermediate
+    propagates, would treat a value's two uses inside a rotation as
+    independent and roughly triple the bound."""
+    ids = itertools.count()
+
+    def shear(k, x):
+        fresh = np.empty(np.shape(x), dtype=object)
+        for i in np.ndindex(fresh.shape):
+            fresh[i] = _Rounding({next(ids): Fraction(1)})
+        return k * x / 2**_FP + fresh
+
+    block = np.empty((8, 8), dtype=object)
+    for i in np.ndindex(8, 8):
+        block[i] = _Rounding({})
+    out = _forward_2d(block, shear)
+    return np.array([sum(map(abs, v.gains.values())) / 2 for v in out.flat], dtype=object)
+
+
+def test_linear_part_is_the_unrounded_impulse_response():
+    exact = _exact_linear_part()
+    assert np.abs(FORWARD_MATRIX - exact.astype(np.float64)).max() <= 2.0**-40
+    # the SAD stage needs every |T| <= 1 exactly; float32 would read a
+    # value just above 1 as 1.0, so the check runs on Fractions
+    assert max(abs(v) for v in exact.flat) == 1
+    assert all(exact[0] == 1)  # the DC row is the block sum
+    assert all(abs(Fraction(float(t)) - v) <= Fraction(1, 2**23) for t, v in zip(_T32.flat, exact.flat))
+
+
+def test_rounding_envelope_covers_every_shear():
+    exact = _exact_envelope()
+    assert np.abs(FORWARD_ROUNDING - exact.astype(np.float64)).max() <= 1e-9
+    assert _SAD_MARGIN >= 2 * max(exact)
+    # the matmul envelope keeps 1/2 over eps for the float32 error (< 1/4 + 2**-10)
+    assert all(Fraction(float(e)) >= v + Fraction(1, 2) for e, v in zip(_ENVELOPE[:, 0], exact))
+
+
+@given(seeds, st.integers(2, 64))
+def test_forward_blocks_within_envelope_of_linear_part(seed, n):
+    rng = _rng(seed)
+    blocks = _extreme_planes(rng, n, FORWARD_INT32_LIMIT)
+    blocks[:, :, -1] = rng.integers(-3, 4, (8, 8))  # small residuals too
+    flat = blocks.reshape(64, n)
+    error = forward_blocks(blocks).reshape(64, n) - FORWARD_MATRIX @ flat
+    assert (np.abs(error) <= FORWARD_ROUNDING[:, None] + 1e-9).all()
+
+
+def test_forward_blocks_within_envelope_on_structured_blocks():
+    signs = np.where(np.indices((8, 8)).sum(0) % 2, -1, 1)
+    impulses = np.eye(64, dtype=np.int64).reshape(8, 8, 64)
+    blocks = np.concatenate(
+        [impulses * 255, impulses * -255, np.stack([signs * 255, -signs * 255, np.full((8, 8), 255)], axis=-1)],
+        axis=-1,
+    )
+    error = forward_blocks(blocks).reshape(64, -1) - FORWARD_MATRIX @ blocks.reshape(64, -1)
+    assert (np.abs(error) <= FORWARD_ROUNDING[:, None] + 1e-9).all()
 
 
 # --- foveation maps -------------------------------------------------------

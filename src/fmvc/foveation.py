@@ -6,6 +6,12 @@ falls off radially from the point of gaze.  Maps come in three forms: the
 continuous sensitivity map evaluated at the display Nyquist frequency, its
 n-level quantization, and an isotropic gaussian test map whose width (the
 mask space constant) acts as a rate-control knob.
+
+The sensitivity map is exactly 0 beyond the visibility radius r*, where the
+cutoff frequency drops below the display Nyquist frequency: eccentricity
+only grows with distance from the gaze, so no farther pixel is visible.  At
+the default geometry r* is about 152 px at 720p and 224 px at CIF, and only
+the offsets within it are evaluated.
 """
 
 from __future__ import annotations
@@ -207,33 +213,64 @@ def radial_gather(dx: np.ndarray, dy: np.ndarray, fn) -> np.ndarray:
     return fn(ux[None, :], uy[:, None]).take(iy, axis=0).take(ix, axis=1)
 
 
+def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry, params: CsfParams) -> np.ndarray:
+    """error_sensitivity(freq, eccentricity) over the grid of ascending offsets (dx[j], dy[i]),
+    evaluated only inside the visibility radius: the rest is exactly 0, as in full."""
+    # Why the window is exact.  In real arithmetic a sample is visible iff
+    # e(r) + e2 <= Q = e2*ln(1/ct0) / (alpha*freq), and e(r) = degrees(atan(r*pitch/d))
+    # rises with r, so visibility is monotone in r: visible iff r <= (d/pitch)*tan(Q - e2).
+    # eccentricity and cutoff_frequency (hypot, *, /, arctan, degrees, +, /) each err by a
+    # few ulps relative to e + e2 <= Q, and both sides use the same float e2*log(1/ct0), so
+    # a sample the float path calls visible has e(r) < Q*(1 + 2**-20) - e2 with room to
+    # spare.  Turning that angle into r* (tan and the products) errs by a few ulps times
+    # tan's condition number, under 2**-29 while tan < 2**20; widening r* by a relative
+    # 2**-20 and 1 px covers that, so no sample outside the window can come out nonzero.
+    # Past tan = 2**20 (within 5.5e-5 degrees of 90) the window is unbounded.
+    reach_deg = params.e2 * math.log(1.0 / params.ct0) / (params.alpha * freq) * (1 + 2**-20) - params.e2
+    tan = math.tan(math.radians(min(max(reach_deg, 0.0), 90.0)))
+    reach = tan * geom.viewing_distance_m / geom.pixel_pitch_m * (1 + 2**-20) + 1 if tan < 2**20 else math.inf
+    fn = lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom), params)
+    if -reach <= min(dx[0], dy[0]) and max(dx[-1], dy[-1]) < reach:
+        return radial_gather(dx, dy, fn)
+    (j0, j1), (i0, i1) = np.searchsorted(dx, (-reach, reach)), np.searchsorted(dy, (-reach, reach))
+    values = np.zeros((dy.size, dx.size))
+    values[i0:i1, j0:j1] = radial_gather(dx[j0:j1], dy[i0:i1], fn)
+    return values
+
+
 def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) -> FoveationMap:
     """Continuous sensitivity map at the display Nyquist frequency.
 
     Eccentricity depends on the pixel offsets from the gaze only through
-    their magnitudes, so each (|dx|, |dy|) pair is evaluated once.
+    their magnitudes, so each (|dx|, |dy|) pair is evaluated once, and only
+    inside the visibility radius, past which the map is exactly 0.
     """
     gx, gy = float(gaze[0]), float(gaze[1])
     if not (0 <= gx < geom.width_px and 0 <= gy < geom.height_px):
         raise ContractViolation(
             f"gaze ({gx}, {gy}) outside frame {geom.width_px}x{geom.height_px}"
         )
-    nyquist = display_nyquist(geom)
-    values = radial_gather(
-        np.arange(geom.width_px, dtype=np.float64) - gx,
-        np.arange(geom.height_px, dtype=np.float64) - gy,
-        lambda x, y: error_sensitivity(nyquist, eccentricity((x, y), (0.0, 0.0), geom), params),
-    )
-    return FoveationMap(np.asarray(values, dtype=np.float64), (gx, gy))
+    dx, dy = np.arange(geom.width_px, dtype=np.float64) - gx, np.arange(geom.height_px, dtype=np.float64) - gy
+    return FoveationMap(_csf_grid(dx, dy, display_nyquist(geom), geom, params), (gx, gy))
+
+
+# samples per strip of quantize_map: its float buffer (512 KiB) stays in cache
+_STRIP_SAMPLES = 1 << 16
 
 
 def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
     """Floor quantization with top clamp: level = min(floor(value * n), n - 1)."""
     _check_level_count(n)  # before the cast, which a huge n would overflow
-    # values lie in [0, 1], so the cast's truncation is the floor
-    levels = fmap.values * n
-    np.minimum(levels, n - 1, out=levels)
-    return LevelMap(levels.astype(np.uint8), n)
+    values = fmap.values
+    levels = np.empty(values.shape, dtype=np.uint8)
+    rows = max(1, _STRIP_SAMPLES // values.shape[1])
+    strip = np.empty((rows, values.shape[1]))
+    for i in range(0, values.shape[0], rows):
+        part = strip[: min(rows, values.shape[0] - i)]
+        np.multiply(values[i : i + rows], n, out=part)
+        np.minimum(part, n - 1, out=part)
+        levels[i : i + rows] = part  # values lie in [0, 1], so the cast's truncation is the floor
+    return LevelMap(levels, n)
 
 
 def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:

@@ -14,10 +14,8 @@ from .foveation import (
     DEFAULT_CSF,
     DisplayGeometry,
     FoveationMap,
+    _csf_grid,
     display_nyquist,
-    eccentricity,
-    error_sensitivity,
-    radial_gather,
 )
 from .transform import BLOCK, grid_shape, tile_reduce
 from .video_io import FramePlane
@@ -151,13 +149,7 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry, params: Csf
     h, w = shape
     xs = (np.arange(w) + 0.5) * size - 0.5
     ys = (np.arange(h) + 0.5) * size - 0.5
-    freq = display_nyquist(geom) / (2.0 ** scale)
-    values = radial_gather(
-        xs - gaze[0],
-        ys - gaze[1],
-        lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom), params),
-    )
-    return np.asarray(values, dtype=np.float64)
+    return _csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom, params)
 
 
 class FrameReference:

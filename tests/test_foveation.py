@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fmvc.foveation
 from fmvc.errors import ContractViolation
 from fmvc.foveation import (
     CsfParams,
@@ -21,6 +23,7 @@ from fmvc.foveation import (
     foveation_map,
     gaussian_map,
     quantize_map,
+    radial_gather,
 )
 
 HD_GEOMETRY = DisplayGeometry(0.02, 0.012, 1920, 1080)
@@ -158,6 +161,38 @@ def test_foveation_map_zero_beyond_cutoff():
     assert fmap.values[287, 351] == 0.0
 
 
+def test_foveation_map_evaluates_only_inside_the_visibility_radius(monkeypatch):
+    # at the 720p default the map is 0 beyond r* = 151.6 px, so the window is |dx|, |dy| <= 153
+    seen = []
+
+    def counting_gather(dx, dy, fn):
+        seen.append(dx.size * dy.size)
+        return radial_gather(dx, dy, fn)
+
+    monkeypatch.setattr(fmvc.foveation, "radial_gather", counting_gather)
+    fmap = foveation_map(default_geometry(1280, 720), (640, 360))
+    assert len(seen) == 1 and seen[0] <= (2 * 153 + 1) ** 2
+    assert fmap.values[360, 640 + 151] > 0.0 and fmap.values[360, 640 + 152] == 0.0
+
+
+# SHA-256 of quantize_map(foveation_map(default_geometry(w, h), gaze), 16).levels,
+# taken before the map was pruned to its visibility radius and quantized in strips
+LEVEL_DIGESTS = {
+    (1280, 720, (640, 360)): "10c3e55f9166199353fc8f14f00ce84fe7ec960e7331852db417e34bc0929b8d",
+    (1280, 720, (619, 336)): "cb9300d1ee27b7e6e3245c27824f54b9ff6c4364fa089c7b904a66c31d239cdd",
+    (1280, 720, (0, 0)): "a28892991a99f9dd46ab665a29e8fdacafee3ddfac8da08cd78512c76a749d91",
+    (1280, 720, (1279, 719)): "770804e64833e03ee094eb75f4b53b0809043f69db5c46b0834307036a0ebe09",
+    (352, 288, (176, 144)): "a73df73c47141636c0267543447fe210b56148b3b0177c5c35f85fbb1ead00c1",
+}
+
+
+@pytest.mark.parametrize("w, h, gaze", LEVEL_DIGESTS)
+def test_csf_level_map_digests(w, h, gaze):
+    levels = quantize_map(foveation_map(default_geometry(w, h), gaze), 16).levels
+    assert levels.shape == (h, w) and levels.dtype == np.uint8
+    assert hashlib.sha256(levels.tobytes()).hexdigest() == LEVEL_DIGESTS[w, h, gaze]
+
+
 def test_foveation_map_gaze_bounds():
     geom = default_geometry(64, 48)
     with pytest.raises(ContractViolation):
@@ -180,6 +215,15 @@ def test_quantize_matches_floor_formula(n, extra):
     values = np.clip(np.concatenate([*near, [0.0, 1.0], extra]), 0.0, 1.0)
     got = quantize_map(FoveationMap(values[None, :], (0, 0)), n).levels[0]
     assert np.array_equal(got, np.minimum(np.floor(values * n), n - 1))
+
+
+@pytest.mark.parametrize("shape", [(300, 257), (3, 70000)])
+def test_quantize_matches_floor_formula_across_strips(shape, rng):
+    # more samples than one strip holds, with a partial last strip, and rows wider than a strip
+    values = rng.uniform(0, 1, shape)
+    values[0, :3] = [0.0, 1.0, np.nextafter(1.0, 0.0)]
+    got = quantize_map(FoveationMap(values, (0, 0)), 16).levels
+    assert np.array_equal(got, np.minimum(np.floor(values * 16), 15))
 
 
 def test_quantize_has_at_most_n_values(rng):

@@ -6,11 +6,12 @@ plane are covered.  Every comparison is exact.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelref as ref
@@ -24,7 +25,7 @@ from fmvc.displacement import (
     shift_plane,
 )
 from fmvc.errors import ContractViolation
-from fmvc.foveation import DEFAULT_CSF, DisplayGeometry, foveation_map, gaussian_map
+from fmvc.foveation import DEFAULT_CSF, CsfParams, DisplayGeometry, display_nyquist, foveation_map, gaussian_map
 from fmvc.metrics import _subband_weights
 from fmvc.transform import (
     FORWARD_INT32_LIMIT,
@@ -421,3 +422,47 @@ def test_subband_weights_match_per_pixel_formula(w, h, rng):
             shape = (max(1, h >> scale), max(1, w >> scale))
             got = _subband_weights(scale, shape, gaze, geom, DEFAULT_CSF)
             assert np.array_equal(got, ref.subband_weights(scale, shape, gaze, geom, DEFAULT_CSF))
+
+
+@st.composite
+def csf_crossing_cases(draw, scale):
+    """(geometry, CsfParams, gaze) whose visibility radius at display_nyquist / 2**scale
+    is drawn first, mostly inside the frame diagonal, and alpha solved for it."""
+    w, h = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    geom = DisplayGeometry(draw(st.floats(0.5e-3, 50e-3)), draw(st.floats(5e-3, 200e-3)), w, h)
+    e2, ct0 = draw(st.floats(0.5, 10.0)), draw(st.floats(1e-3, 0.5))
+    kind = draw(st.sampled_from(["crossing", "crossing", "under 1 px", "nothing visible", "near 90 degrees"]))
+    if kind == "nothing visible":
+        e_star = -draw(st.floats(0.0, 0.99)) * e2
+    elif kind == "near 90 degrees":
+        e_star = 90.0 - draw(st.floats(1e-9, 1e-3))
+    else:
+        r_star = draw(st.floats(0.0, 1.0 if kind == "under 1 px" else math.hypot(w, h)))
+        e_star = math.degrees(math.atan(r_star * geom.pixel_pitch_m / geom.viewing_distance_m))
+    freq = display_nyquist(geom) / 2**scale
+    params = CsfParams(e2 * math.log(1.0 / ct0) / (freq * (e_star + e2)), e2, ct0)
+    gaze = draw(
+        st.one_of(
+            st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+            st.tuples(st.floats(0.0, w, exclude_max=True), st.floats(0.0, h, exclude_max=True)),
+            st.sampled_from([(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]),
+        )
+    )
+    return geom, params, gaze
+
+
+@settings(max_examples=300)
+@given(csf_crossing_cases(0))
+def test_foveation_map_matches_per_pixel_formula_where_the_radius_crosses_the_frame(case):
+    geom, params, gaze = case
+    got = foveation_map(geom, gaze, params).values
+    assert np.array_equal(got, ref.foveation_map_values(geom, gaze, params))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda s: st.tuples(st.just(s), csf_crossing_cases(s))))
+def test_subband_weights_match_per_pixel_formula_where_the_radius_crosses_the_frame(scale_case):
+    scale, (geom, params, gaze) = scale_case
+    shape = (max(1, geom.height_px >> scale), max(1, geom.width_px >> scale))
+    got = _subband_weights(scale, shape, gaze, geom, params)
+    assert np.array_equal(got, ref.subband_weights(scale, shape, gaze, geom, params))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,3 +250,66 @@ def test_decoder_checks_prefixes_against_the_table():
     with pytest.raises(BitstreamError, match="0x09") as info:
         decode_blocks(payload, [(2, allowed)])
     assert info.value.byte_offset == 1  # the second prefix byte
+
+
+def corrupt_payloads():
+    """About 500 (payload, layout) cases from a seeded rng: bit flips, cuts
+    and appended bytes of a CIF-sized high-rate payload and of small ones,
+    plus random bytes."""
+    rng = np.random.default_rng(0xB17)
+    allowed = (np.arange(256) >> 4 < 13) & (np.arange(256) & 0x0F < 8)
+    prefix_values = np.flatnonzero(allowed)
+
+    def payload(n_luma, n_chroma, scale):
+        planes = []
+        for n, prefixed in ((n_luma, True), (n_chroma, False), (n_chroma, False)):
+            # Laplacian coefficients whose spread falls along the zigzag scan
+            spread = scale * np.exp(-np.arange(64) / 12)[:, None]
+            blocks = np.clip(np.round(rng.laplace(0.0, spread, (64, n))), -(1 << 15), (1 << 15) - 1).astype(np.int64)
+            blocks[:, rng.random(n) < 0.2] = 0
+            prefixes = rng.choice(prefix_values, n).astype(np.uint8) if prefixed else None
+            planes.append((blocks.reshape(8, 8, n), prefixes))
+        layout = [(b.shape[2], None if p is None else allowed) for b, p in planes]
+        return encode_blocks(planes)[0], layout
+
+    sources = [payload(1584, 396, 12.0)] + [
+        payload(int(rng.integers(0, 5)), int(rng.integers(0, 3)), scale) for scale in [3.0, 3e5] * 20
+    ]
+    cases = []
+    for i in range(500):
+        data, layout = sources[0] if i % 4 == 0 else sources[int(rng.integers(1, len(sources)))]
+        kind = i % 5
+        if kind == 4:
+            cases.append((rng.bytes(int(rng.integers(0, 64))), layout))
+            continue
+        data = bytearray(data)
+        if kind in (0, 3) and data:
+            # odd cases flip only the payload's second half, mostly info bits
+            for bit in rng.integers(4 * len(data) * (i % 2), 8 * len(data), int(rng.integers(1, 4))):
+                data[bit // 8] ^= 0x80 >> (bit % 8)
+        if kind in (1, 3):
+            del data[int(rng.integers(0, len(data) + 1)) :]
+        if kind == 2:
+            data += rng.bytes(int(rng.integers(1, 5)))
+        cases.append((bytes(data), layout))
+    return cases
+
+
+# SHA-256 over every outcome of corrupt_payloads(): each error's message and
+# byte offset, or the decoded blocks and prefixes.
+REJECTION_DIGEST = "5cb29401b7665d69d854978b1df8fa793726bc8bcea29c4ae9dc9ac56fcfbcb3"
+
+
+def test_decoder_outcomes_on_corrupt_payloads_are_pinned():
+    digest = hashlib.sha256()
+    for data, layout in corrupt_payloads():
+        try:
+            decoded = decode_blocks(data, layout)
+        except BitstreamError as exc:
+            digest.update(f"{type(exc).__name__}: {exc} at {exc.byte_offset}\n".encode())
+            continue
+        digest.update(b"blocks\n")
+        for blocks, prefixes in decoded:
+            digest.update(blocks.astype("<i2").tobytes())
+            digest.update(b"-" if prefixes is None else prefixes.tobytes())
+    assert digest.hexdigest() == REJECTION_DIGEST

@@ -16,11 +16,11 @@ codeword is the only one without leading zeros, so a block ends at every
 Both directions work on arrays, with a plane's blocks laid out (8, 8, ...)
 as the transform leaves them: viewed as (64, n), each column is a block in
 raster order and the zigzag scan is a permutation of the rows.  The encoder
-scans only the blocks that hold a nonzero value, lays the three runs out as
-one bit array and packs it.  The decoder reads the prefixes as bytes, finds
-every codeword as a set bit of the second run and its zero count as the
-gap to the previous one, and every info field from a running sum of those
-counts.
+scans only the blocks that hold a nonzero value, sets the second run's '1's
+in a bit array and sums the third run's fields into 32-bit words.  The
+decoder finds every codeword as a set bit of the second run, its zero count
+as the gap to the one before, and its info field in the 24-bit window from
+the field's first byte, then scatters all values to their blocks at once.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BitstreamError, ContractViolation
 from .transform import ZIGZAG
 
-# A codeword of value v (symbol v - 1) is 2 * bit_length(v) - 1 bits long.
-_EOB_VALUE = 1
 _MAX_COEFFS = 64
 
 
@@ -59,18 +56,21 @@ _MAX_VALUE = signed_to_symbol(-(1 << 15)) + 2
 _MAX_ZEROS = _MAX_VALUE.bit_length() - 1
 
 
-def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Bit length of each non-negative integer (exact below 2**53)."""
-    return np.frexp(values.astype(np.float64))[1]
+# Bit positions are int32 while they all fit; a frame payload may reach 2**32 bytes.
+_INT32_BITS = 1 << 31
+
+
+def _index_dtype(n_bits: int) -> type:
+    """The integer type of positions within a run of n_bits bits."""
+    return np.int32 if n_bits < _INT32_BITS else np.int64
 
 
 # --- encode ------------------------------------------------------------
 
 
 def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
-    """Values and leading zero counts of one plane's codewords in stream
-    order, end-of-block markers included, and each block's length in bits,
-    prefix included."""
+    """Values of one plane's coefficient codewords in stream order, and each
+    block's count of them."""
     blocks = np.asarray(blocks)
     if blocks.shape[:2] != (8, 8):
         raise ContractViolation(f"expected leading 8x8 block axes, got {blocks.shape}")
@@ -89,16 +89,7 @@ def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
     counts[coded] = 64 - np.argmax(scans[::-1] != 0, axis=0)
     # the transposed views walk block by block, each in scan order
     coeffs = scans.T[np.arange(64) < counts[coded, None]].astype(np.int32)
-    del scans
-
-    eob = np.cumsum(counts + 1) - 1
-    values = np.full(len(coeffs) + n, _EOB_VALUE, dtype=np.int32)
-    is_coeff = np.ones(len(values), dtype=bool)
-    is_coeff[eob] = False
-    values[is_coeff] = signed_to_symbol(coeffs) + 2
-    zeros = _bit_length(values) - 1
-    block_bits = np.add.reduceat(2 * zeros + 1, eob - counts)  # every block has its end-of-block codeword
-    return values, zeros, block_bits + (0 if prefixes is None else 8)
+    return signed_to_symbol(coeffs) + 2, counts
 
 
 def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tuple[bytes, list[np.ndarray]]:
@@ -112,29 +103,39 @@ def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tup
     padding.
     """
     coded = [_plane_codewords(blocks, prefixes) for blocks, prefixes in planes]
-    values = np.concatenate([values for values, _, _ in coded])
-    zeros = np.concatenate([zeros for _, zeros, _ in coded])
-    ends = np.cumsum(zeros, dtype=np.int32)  # where each codeword's info bits end
-    n, n_info = len(values), int(zeros.sum())
-    bits = np.zeros(n + 2 * n_info, dtype=np.uint8)
-    bits[ends + np.arange(n, dtype=np.int32)] = 1  # the '1' after each codeword's zeros
-    # info bit k of a codeword with z zeros is bit z - 1 - k of its value
-    shifts = np.repeat(ends - 1, zeros)
-    shifts -= np.arange(n_info, dtype=np.int32)
-    info = np.repeat(values, zeros) >> shifts
-    bits[n + n_info :] = np.bitwise_and(info, 1, out=info)
+    values = np.concatenate([values for values, _ in coded])
+    counts = np.concatenate([counts for _, counts in coded])
+    zeros = np.frexp(values.astype(np.float32))[1] - 1  # bit lengths, exact below 2**24, less one
+    n_codes, n_info = len(values) + len(counts), int(zeros.sum())
+    n_bits = n_codes + 2 * n_info
+    pos = _index_dtype(n_bits)
+    ends = np.zeros(len(values) + 1, dtype=pos)
+    np.cumsum(zeros, out=ends[1:])  # where each coefficient's info bits end
+    through = np.cumsum(counts)  # coefficients up to each block's end
+    block_zeros = ends[through]
+    # a block's bits: its zeros, once more as info bits, and a '1' per codeword
+    block_bits = 2 * np.diff(block_zeros, prepend=pos(0)) + counts + 1
+    block_bits = np.split(block_bits, np.cumsum([len(c) for _, c in coded])[:-1])
+
+    # codeword i's '1' follows its own zeros and every earlier codeword's zeros and '1';
+    # coefficient k in block b is codeword k + b, and b's end-of-block codeword through[b] + b
+    unary = np.zeros(n_codes + n_info, dtype=np.uint8)
+    unary[ends[1:] + np.arange(len(values)) + np.repeat(np.arange(len(counts)), counts)] = 1
+    unary[block_zeros + through + np.arange(len(counts))] = 1
+    # info field k ends at bit `last`; placed below 2**47 in the 64 bits ending with that bit's 32-bit word,
+    # it adds its low half to the word and its high half to the one before, and float64 sums stay exact
+    last = ends[1:] + (n_codes + n_info - 1)
+    sums = np.bincount(last >> 5, np.ldexp(values - (1 << zeros), 31 - (last & 31)), (n_bits + 31) // 32 + 1)
+    sums = sums.astype(np.int64)
+    payload = ((sums[:-1] & 0xFFFFFFFF) + (sums[1:] >> 32)).astype(">u4").view(np.uint8)
+    packed = np.packbits(unary)
+    payload[: len(packed)] |= packed
     head = b"".join(np.asarray(p, dtype=np.uint8).tobytes() for _, p in planes if p is not None)
-    return head + np.packbits(bits).tobytes(), [block_bits for _, _, block_bits in coded]
+    block_bits = [bits + (0 if p is None else 8) for bits, (_, p) in zip(block_bits, planes)]
+    return head + payload[: (n_bits + 7) // 8].tobytes(), block_bits
 
 
 # --- decode ------------------------------------------------------------
-
-
-def _read_fields(windows: np.ndarray, at: np.ndarray, width: np.ndarray | int) -> np.ndarray:
-    """The width-bit fields starting at bit positions `at`; windows holds the
-    32 bits from each byte on, so width + at % 8 must not exceed 32."""
-    window = windows[at >> 3].astype(np.int64)
-    return (window >> (32 - (at & 7) - width)) & ((1 << width) - 1)
 
 
 def decode_blocks(
@@ -166,44 +167,52 @@ def decode_blocks(
         head += n
 
     n_blocks = sum(n for n, _ in layout)
-    bits = np.unpackbits(raw)
-    ends = np.flatnonzero(bits[8 * head :])  # the '1' after each codeword's zeros
-    ends += 8 * head
-    zeros = np.diff(ends, prepend=8 * head - 1) - 1
-    eob = np.flatnonzero(zeros == 0)[:n_blocks]
+    pos = _index_dtype(8 * len(data))
+    bits = np.unpackbits(raw[head:]).view(bool)  # bit positions count from here on
+    ends = np.flatnonzero(bits).astype(pos)  # the '1' after each codeword's zeros
+    zeros = np.diff(ends, prepend=pos(-1)) - 1
+    eob = np.flatnonzero(zeros == 0)[:n_blocks].astype(pos)
     if len(eob) < n_blocks:
         raise short
     n_codes = int(eob[-1]) + 1 if n_blocks else 0
-    zeros = zeros[:n_codes].copy()  # a copy, so the info run's share can be freed
+    zeros = zeros[:n_codes]
     starts = ends[:n_codes] - zeros
-    counts = np.diff(eob, prepend=-1) - 1  # coefficient codewords per block
+    counts = np.diff(eob, prepend=pos(-1)) - 1  # coefficient codewords per block
     over = np.flatnonzero(counts > _MAX_COEFFS)
     if len(over):
-        first = int(eob[over[0]] - counts[over[0]])
-        raise BitstreamError(
-            f"block carries more than {_MAX_COEFFS} coefficients", byte_offset=int(starts[first + _MAX_COEFFS]) // 8
-        )
-    info_start = 8 * head + n_codes + int(zeros.sum())  # where the unary run ends
-    end = info_start + int(zeros.sum())
+        extra = int(starts[eob[over[0]] - counts[over[0]] + _MAX_COEFFS])  # where the 65th coefficient starts
+        raise BitstreamError(f"block carries more than {_MAX_COEFFS} coefficients", byte_offset=head + extra // 8)
+    info_start = n_codes + int(zeros.sum())  # where the unary run ends
+    end = 2 * info_start - n_codes  # the info run has a bit per zero of the unary run
     if end > len(bits):
         raise short
     if len(bits) - end >= 8 or bits[end:].any():
-        raise BitstreamError(f"{len(bits) - end} bits after the last block are not zero padding", byte_offset=end // 8)
+        excess = len(bits) - end
+        raise BitstreamError(f"{excess} bits after the last block are not zero padding", byte_offset=head + end // 8)
     del bits, ends
-    padded = np.frombuffer(data + bytes(4), dtype=np.uint8)
-    windows = np.ascontiguousarray(sliding_window_view(padded, 4)).view(">u4")[:, 0]
-    width = np.minimum(zeros, _MAX_ZEROS)
-    values = _read_fields(windows, info_start + np.cumsum(zeros) - zeros, width) | (1 << width)
-    bad = np.flatnonzero((zeros > _MAX_ZEROS) | (values > _MAX_VALUE))
-    if len(bad):
-        raise BitstreamError("coefficient codeword beyond the int16 range", byte_offset=int(starts[bad[0]]) // 8)
-    del windows, width, starts
 
-    coded = zeros > 0
-    scan = np.arange(len(zeros)) - np.repeat(eob - counts, counts + 1)
-    flat = np.zeros((64, n_blocks), dtype=np.int16)
-    flat.reshape(-1)[ZIGZAG[scan[coded]] * n_blocks + np.repeat(np.arange(n_blocks), counts)] = symbol_to_signed(
-        values[coded] - 2
-    )
-    blocks = np.split(flat.reshape(8, 8, n_blocks), np.cumsum([n for n, _ in layout])[:-1], axis=2)
+    # info field k starts after the info bits of the codewords before it; the 24 bits
+    # from its byte on hold it, as a field of up to 17 bits from bit 7 ends at bit 23,
+    # and a wider one reads as too large
+    at = starts - np.arange(n_codes, dtype=pos) + (8 * head + info_start)
+    padded = np.frombuffer(data + bytes(3), dtype=np.uint8).astype(np.int32)
+    windows = padded[:-2] << 16 | padded[1:-1] << 8 | padded[2:]
+    width = np.minimum(zeros, _MAX_ZEROS + 1)
+    values = windows.take(at >> 3)
+    values <<= at & 7
+    values &= 0xFFFFFF
+    values >>= 24 - width
+    values |= 1 << width
+    if values.max(initial=0) > _MAX_VALUE:
+        bad = int(np.argmax(values > _MAX_VALUE))
+        raise BitstreamError("coefficient codeword beyond the int16 range", byte_offset=head + int(starts[bad]) // 8)
+    del windows, width, at, starts
+
+    # each codeword goes to its zigzag row in its block's column; an end-of-block
+    # (signed 0) to the zero after its block's coefficients, or to a spare 65th row
+    scan = np.arange(n_codes, dtype=pos) - np.repeat(eob - counts, counts + 1)
+    flat = np.zeros((65, n_blocks), dtype=np.int16)
+    index = (np.append(ZIGZAG, 64) * n_blocks).take(scan) + np.repeat(np.arange(n_blocks), counts + 1)
+    flat.reshape(-1)[index] = symbol_to_signed(values - 2)
+    blocks = np.split(flat[:64].reshape(8, 8, n_blocks), np.cumsum([n for n, _ in layout])[:-1], axis=2)
     return list(zip(blocks, prefixes))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmvc import bitio
 from fmvc.bitio import decode_blocks, encode_blocks, signed_to_symbol, symbol_to_signed
 from fmvc.errors import BitstreamError, ContractViolation
 
@@ -300,7 +301,10 @@ def corrupt_payloads():
 REJECTION_DIGEST = "5cb29401b7665d69d854978b1df8fa793726bc8bcea29c4ae9dc9ac56fcfbcb3"
 
 
-def test_decoder_outcomes_on_corrupt_payloads_are_pinned():
+@pytest.mark.parametrize("int32_bits", [bitio._INT32_BITS, 8], ids=["int32", "int64"])
+def test_decoder_outcomes_on_corrupt_payloads_are_pinned(int32_bits, monkeypatch):
+    # the int64 case lowers the bit count up to which positions are int32
+    monkeypatch.setattr(bitio, "_INT32_BITS", int32_bits)
     digest = hashlib.sha256()
     for data, layout in corrupt_payloads():
         try:
@@ -313,3 +317,77 @@ def test_decoder_outcomes_on_corrupt_payloads_are_pinned():
             digest.update(blocks.astype("<i2").tobytes())
             digest.update(b"-" if prefixes is None else prefixes.tobytes())
     assert digest.hexdigest() == REJECTION_DIGEST
+
+
+def test_position_width_follows_the_bit_count():
+    assert bitio._index_dtype(0) is np.int32
+    assert bitio._index_dtype((1 << 31) - 1) is np.int32
+    assert bitio._index_dtype(1 << 31) is np.int64
+    assert bitio._index_dtype(8 * ((1 << 32) - 1)) is np.int64  # a frame payload's largest bit count
+
+
+def test_int64_positions_code_exactly_as_int32(rng, monkeypatch):
+    planes = []
+    for n, prefixed in ((300, True), (75, False), (75, False)):
+        blocks = np.round(rng.laplace(0.0, 20.0 * np.exp(-np.arange(64) / 12)[:, None], (64, n))).astype(np.int64)
+        blocks[:, rng.random(n) < 0.3] = 0
+        blocks[0, :3] = INT16_EXTREMES[[0, 1, 0]]
+        planes.append((blocks.reshape(8, 8, n), rng.integers(0, 256, n).astype(np.uint8) if prefixed else None))
+    payload, bits = encode_blocks(planes)
+    decoded = decode_blocks(payload, layout_of(planes))
+    monkeypatch.setattr(bitio, "_INT32_BITS", 8)
+    assert bitio._index_dtype(len(payload)) is np.int64
+    wide_payload, wide_bits = encode_blocks(planes)
+    assert wide_payload == payload
+    assert [b.tolist() for b in wide_bits] == [b.tolist() for b in bits]
+    for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decode_blocks(payload, layout_of(planes)), decoded):
+        assert np.array_equal(blocks, want_blocks)
+        assert np.array_equal(prefixes, want_prefixes) if want_prefixes is not None else prefixes is None
+
+
+@st.composite
+def aligned_field_payloads(draw):
+    """One-plane payloads whose info fields take every width from 1 to 16 at
+    every offset mod 8 from the info run's start, and so at all 8 byte
+    alignments, however far into its byte the run starts.  End-of-block
+    codewords are the width-0 fields.  The last field ends in the payload's
+    last byte, so its window reads past the end.  Width-16 fields hold
+    int16 values, unless one is drawn to be beyond them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths, at = [], 0
+    for width in range(1, 17):
+        for offset in range(8):
+            while at % 8 != offset:
+                filler = int(rng.integers(1, 4))
+                widths.append(filler)
+                at += filler
+            widths.append(width)
+            at += width
+    widths.append(draw(st.integers(1, 16)))
+    # width 16 holds -32767 (info 0) and -32768 (info 2); info 1 would be +32768
+    infos = [int(rng.choice([0, 2])) if width == 16 else int(rng.integers(0, 1 << width)) for width in widths]
+    if draw(st.booleans()):
+        infos[int(rng.choice(np.flatnonzero(np.array(widths) == 16)))] = int(rng.integers(3, 1 << 16))
+    w, n_blocks = PayloadWriter(), 0
+    while n_blocks == 0 or infos:
+        take = int(rng.integers(1, 65))
+        for width, info in zip(widths[:take], infos[:take]):
+            w.write_ue(((1 << width) | info) - 1)
+        del widths[:take], infos[:take]
+        w.write_ue(0)
+        n_blocks += 1
+    for _ in range(draw(st.integers(0, 7))):  # moves the info run's start
+        w.write_ue(0)
+        n_blocks += 1
+    return w.getvalue(), [(n_blocks, None)]
+
+
+@settings(max_examples=40)
+@given(aligned_field_payloads())
+def test_decoder_reads_fields_of_every_width_at_every_alignment(case):
+    data, layout = case
+    got = outcome(decode_blocks, data, layout)
+    want = outcome(decode_stack, data, layout)
+    assert isinstance(got, BitstreamError) == isinstance(want, BitstreamError)
+    if not isinstance(got, BitstreamError):
+        assert np.array_equal(got[0][0], want[0][0])

@@ -48,12 +48,11 @@ def symbol_to_signed(symbol):
     return ((symbol + 1) >> 1) * (2 * (symbol & 1) - 1)
 
 
-# Codeword value of the most negative int16 coefficient.  The block code
-# carries int16 coefficients (the encoder's own stay within +-64 * 255), so
-# a larger value, or a run of more than 16 leading zeros, is a corrupt
-# payload.
-_MAX_VALUE = signed_to_symbol(-(1 << 15)) + 2
-_MAX_ZEROS = _MAX_VALUE.bit_length() - 1
+# The block code carries int16 coefficients (the encoder's own stay within
+# +-64 * 255).  The longest codeword, that of -32768, has 16 leading zeros;
+# a codeword with more, or of any other value outside int16 (65537 codes
+# +32768), is a corrupt payload.
+_MAX_ZEROS = (signed_to_symbol(-(1 << 15)) + 2).bit_length() - 1
 
 
 # Bit positions are int32 while they all fit; a frame payload may reach 2**32 bytes.
@@ -203,16 +202,17 @@ def decode_blocks(
     values &= 0xFFFFFF
     values >>= 24 - width
     values |= 1 << width
-    if values.max(initial=0) > _MAX_VALUE:
-        bad = int(np.argmax(values > _MAX_VALUE))
+    signed = symbol_to_signed(values - 2)
+    if len(signed) and not -(1 << 15) <= signed.min() <= signed.max() < 1 << 15:
+        bad = int(np.argmax((signed < -(1 << 15)) | (signed >= 1 << 15)))
         raise BitstreamError("coefficient codeword beyond the int16 range", byte_offset=head + int(starts[bad]) // 8)
-    del windows, width, at, starts
+    del windows, width, at, starts, values
 
     # each codeword goes to its zigzag row in its block's column; an end-of-block
     # (signed 0) to the zero after its block's coefficients, or to a spare 65th row
     scan = np.arange(n_codes, dtype=pos) - np.repeat(eob - counts, counts + 1)
     flat = np.zeros((65, n_blocks), dtype=np.int16)
     index = (np.append(ZIGZAG, 64) * n_blocks).take(scan) + np.repeat(np.arange(n_blocks), counts + 1)
-    flat.reshape(-1)[index] = symbol_to_signed(values - 2)
+    flat.reshape(-1)[index] = signed
     blocks = np.split(flat[:64].reshape(8, 8, n_blocks), np.cumsum([n for n, _ in layout])[:-1], axis=2)
     return list(zip(blocks, prefixes))

@@ -34,8 +34,8 @@ from .transform import (
     FORWARD_MATRIX,
     FORWARD_ROUNDING,
     forward_blocks,
-    from_tiles,
     grid_shape,
+    grid_tiles,
     inverse_blocks,
     to_tiles,
 )
@@ -181,12 +181,12 @@ def _may_be_nonzero(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def _quantized_residual(
     cur: np.ndarray, pred: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule
 ) -> np.ndarray:
-    """Transform and quantize one plane's residual against its prediction tiles.
+    """Transform and quantize one plane's residual against its raster prediction.
 
-    Only the blocks _may_be_nonzero keeps are transformed and quantized;
-    the rest stay zero.
+    The residual is the one plane tiled.  Only the blocks _may_be_nonzero
+    keeps are transformed and quantized; the rest stay zero.
     """
-    residual = np.subtract(to_tiles(cur), pred, dtype=np.int16)
+    residual = to_tiles(np.subtract(cur, pred, dtype=np.int16))
     steps = sched.steps_array()[levels_grid]
     live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), steps.reshape(-1)).reshape(steps.shape)
     if live.all():
@@ -220,7 +220,7 @@ def _level_grids(luma_levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Y, Cb and Cr prediction tiles from the previous reconstruction.
+    """Y, Cb and Cr raster predictions from the previous reconstruction.
 
     Chroma reuses each luma block choice with halved offsets.
     """
@@ -232,21 +232,23 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule, prev: Frame) -> Frame:
-    """Rebuild the frame from its Y, Cb, Cr blocks and prediction tiles; must stay bit-deterministic.
+def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule) -> Frame:
+    """Rebuild the frame from its Y, Cb, Cr blocks and raster predictions; must stay bit-deterministic.
 
-    Only blocks with a nonzero coefficient are dequantized, inverse
-    transformed and added, in place, to their prediction tiles: an all-zero
-    block's residual is exactly zero.  Each plane is untiled once, to the
-    size of prev's plane.
+    Each prediction, padded to whole tiles, becomes its plane in place
+    through a tile view.  Only blocks with a nonzero coefficient are
+    dequantized, inverse transformed and added, as a zero block's residual
+    is exactly zero; but a plane with at least 3/4 of its blocks coded
+    takes the view whole, as that costs less than gathering the blocks.
     """
     planes = []
-    for qblocks, tiles, levels_grid, ref in zip(qplanes, preds, level_grids, (prev.y, prev.cb, prev.cr)):
+    for qblocks, pred, levels_grid in zip(qplanes, preds, level_grids):
+        plane, tiles = grid_tiles(pred)
         coded = qblocks.any(axis=(0, 1))
-        steps = sched.steps_array()[levels_grid[coded]]
-        residual = inverse_blocks(qblocks[:, :, coded] * steps)
-        tiles[:, :, coded] = np.clip(residual + tiles[:, :, coded], 0, 255)
-        planes.append(FramePlane.from_array(np.ascontiguousarray(from_tiles(tiles, ref.samples.shape))))
+        at = np.s_[...] if 4 * np.count_nonzero(coded) >= 3 * coded.size else coded
+        residual = inverse_blocks(qblocks[:, :, at] * sched.steps_array()[levels_grid[at]])
+        tiles[:, :, at] = np.clip(residual + tiles[:, :, at], 0, 255)
+        planes.append(FramePlane.from_array(np.ascontiguousarray(plane[: pred.shape[0], : pred.shape[1]])))
     return Frame(*planes)
 
 
@@ -326,7 +328,7 @@ def encode_frame(
         bits_y.reshape(level_grids[0].shape), (bits_cb + bits_cr).reshape(level_grids[1].shape)
     )
     stream = FrameBitstream(payload, block_bits, int(bits_y.sum() + bits_cb.sum() + bits_cr.sum()))
-    return stream, _reconstruct(qplanes, preds, level_grids, sched, prev_recon)
+    return stream, _reconstruct(qplanes, preds, level_grids, sched)
 
 
 def decode_frame(
@@ -346,7 +348,7 @@ def decode_frame(
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     level_grids = _level_grids((prefixes & 0x0F).reshape(grid))
     qplanes = [q.reshape(8, 8, *g.shape) for q, g in zip((q_y, q_cb, q_cr), level_grids)]
-    return _reconstruct(qplanes, _predict(prev_recon, fld), level_grids, sched, prev_recon)
+    return _reconstruct(qplanes, _predict(prev_recon, fld), level_grids, sched)
 
 
 # --- sequence container -------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation
-from .transform import BLOCK, from_tiles, grid_shape, require_block, tile_reduce
+from .transform import BLOCK, grid_shape, require_block, tile_reduce
 from .video_io import FramePlane
 
 DISPLACEMENT_STEPS = (3, 5, 7)
@@ -187,7 +187,11 @@ def _edge_padded(plane: np.ndarray, height: int, width: int) -> np.ndarray:
     """plane edge-padded to height x width, with _PAD samples above and to the
     left: a block row or column shifted by s reads at _PAD - s, as shift_plane does."""
     h, w = plane.shape
-    return np.pad(plane, ((_PAD, height - h - _PAD), (_PAD, width - w - _PAD)), mode="edge")
+    out = np.empty((height, width), plane.dtype)  # twice as fast as np.pad
+    rows = out[_PAD : _PAD + h]
+    rows[:, :_PAD], rows[:, _PAD : _PAD + w], rows[:, _PAD + w :] = plane[:, :1], plane, plane[:, -1:]
+    out[:_PAD], out[_PAD + h :] = rows[0], rows[-1]
+    return out
 
 
 def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> DisplacementField:
@@ -234,29 +238,33 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
 
 
 def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offsets: bool = False) -> np.ndarray:
-    """The prediction as tiles (8, 8, nby, nbx): each block reads prev_recon at its displacement.
+    """The prediction, a new (h, w) uint8 plane: each block reads prev_recon at its displacement.
 
     With halve_offsets, shift amounts are halved toward zero (4:2:0 chroma
     reuse of a luma field).  Pixel (i, j) of a block shifted by (dy, dx)
     reads prev_recon at (clip(i - dy), clip(j - dx)), as shift_plane does:
-    each block is one 8x8 window of the edge-padded plane.  Partial edge
-    tiles then replicate their last row and column inside the plane, as
-    to_tiles does.  The tiles are C-contiguous and share no memory with
-    prev_recon.
+    each block is one 8x8 window of the edge-padded plane.  One slice of
+    it, at the offset most blocks take, fills the plane; then each block
+    whose offset (not catalogue entry) differs takes its own window.  The
+    plane is C-contiguous and shares no memory with prev_recon.
     """
     h, w = prev_recon.shape
     nby, nbx = grid_shape((h, w))
     if field.indices.shape != (nby, nbx):
         raise ContractViolation(f"field grid {field.indices.shape} does not cover {nby}x{nbx} blocks")
-    dy, dx = (table[field.indices] for table in _OFFSETS[halve_offsets])
+    dy, dx = _OFFSETS[halve_offsets]
+    common = np.bincount(field.indices.reshape(-1)).argmax()
+    y0, x0 = _PAD - dy[common], _PAD - dx[common]
     padded = _edge_padded(prev_recon, nby * BLOCK + 2 * _PAD, nbx * BLOCK + 2 * _PAD)
-    ys = np.arange(0, nby * BLOCK, BLOCK)[:, None] + _PAD - dy
-    xs = np.arange(0, nbx * BLOCK, BLOCK) + _PAD - dx
-    tiles = sliding_window_view(padded, (BLOCK, BLOCK))[ys, xs].transpose(2, 3, 0, 1).copy()
-    r, c = h - (nby - 1) * BLOCK, w - (nbx - 1) * BLOCK  # samples inside the last tile row and column
-    tiles[r:, :, -1] = tiles[r - 1 : r, :, -1]
-    tiles[:, c:, :, -1] = tiles[:, c - 1 : c, :, -1]
-    return tiles
+    out = padded[y0 : y0 + nby * BLOCK, x0 : x0 + nbx * BLOCK].copy()
+    moved = np.flatnonzero(((dy != dy[common]) | (dx != dx[common])).take(field.indices))
+    k = field.indices.take(moved)
+    by, bx = np.divmod(moved, nbx)
+    # runs[y, x] is padded[y, x : x + 8] as one uint64; a block moves as 8 runs
+    runs = sliding_window_view(padded, BLOCK, axis=1).view(np.uint64)[..., 0]
+    windows = sliding_window_view(runs, BLOCK, axis=0)[BLOCK * by + _PAD - dy[k], BLOCK * bx + _PAD - dx[k]]
+    out.view(np.uint64).reshape(nby, BLOCK, nbx)[by, :, bx] = windows
+    return np.ascontiguousarray(out[:h, :w])
 
 
 def reconstruct_frame(
@@ -268,6 +276,6 @@ def reconstruct_frame(
             f"residual is {decoded_residual.width}x{decoded_residual.height}, "
             f"frame is {prev_recon.width}x{prev_recon.height}"
         )
-    pred = from_tiles(predicted_plane(prev_recon.samples, field), prev_recon.samples.shape).astype(np.int32)
+    pred = predicted_plane(prev_recon.samples, field)
     out = np.clip(pred + decoded_residual.samples, 0, 255).astype(np.uint8)
     return FramePlane(prev_recon.width, prev_recon.height, out)

@@ -6,13 +6,14 @@ share parity), and every rotation is three fixed-point lifting shears, so
 inverse(forward(x)) == x for any integer block regardless of constant
 precision.  Arithmetic is integer-only, so the coefficients are the same
 on every platform.  The grid helpers below are the only
-place that tiles a plane, untiles it, or reduces over its tiles.
+place that tiles a plane or reduces over its tiles.
 
-Blocks have one layout, block-last: (8, 8, nby, nbx), the row and column
-in the block, then the block row and column.  Coefficients are indexed
-(vertical frequency, horizontal frequency, by, bx).  Each lifting step
-then reads and writes whole (8, nby, nbx) slabs, runs of blocks that are
-contiguous in memory, instead of strided 8-sample rows.
+Planes, predictions included, are raster; residuals and coefficients are
+tiled, block-last: (8, 8, nby, nbx), the row and column in the block, then
+the block row and column.  Coefficients are indexed (vertical frequency,
+horizontal frequency, by, bx).  Each lifting step then reads and writes
+whole (8, nby, nbx) slabs, runs of blocks that are contiguous in memory,
+instead of strided 8-sample rows.
 
 Outputs approximate the true DCT-II scaled per 1-D index by
 (sqrt(8), sqrt(2), 2, sqrt(2), sqrt(8), sqrt(2), 2, sqrt(2)); the 2-D gain
@@ -229,25 +230,24 @@ def grid_shape(shape: tuple[int, int]) -> tuple[int, int]:
     return -(-shape[0] // BLOCK), -(-shape[1] // BLOCK)
 
 
-def to_tiles(plane: np.ndarray) -> np.ndarray:
-    """Split a plane into tiles laid out (8, 8, nby, nbx), edge-replicating partial tiles.
-
-    tiles[i, j, by, bx] is plane[8 * by + i, 8 * bx + j]; one transposing
-    copy makes each (i, j) slab contiguous, and the tiles never share
-    memory with the plane.
-    """
+def grid_tiles(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plane edge-padded to whole tiles (a copy unless its sides are multiples
+    of 8), and a view of it as tiles (8, 8, nby, nbx), tiles[i, j, by, bx] being
+    padded[8 by + i, 8 bx + j]; writes through the view land in a C-contiguous one."""
     h, w = plane.shape
     if h % BLOCK or w % BLOCK:
         plane = np.pad(plane, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
     nby, nbx = grid_shape((h, w))
-    return plane.reshape(nby, BLOCK, nbx, BLOCK).transpose(1, 3, 0, 2).copy()
+    return plane, plane.reshape(nby, BLOCK, nbx, BLOCK).transpose(1, 3, 0, 2)
 
 
-def from_tiles(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of to_tiles: reassemble a (height, width) plane, cropping the padding."""
-    nby, nbx = grid_shape(shape)
-    full = tiles.transpose(2, 0, 3, 1).reshape(nby * BLOCK, nbx * BLOCK)
-    return full[: shape[0], : shape[1]]
+def to_tiles(plane: np.ndarray) -> np.ndarray:
+    """Split a plane into tiles laid out (8, 8, nby, nbx), edge-replicating partial tiles.
+
+    One transposing copy makes each (i, j) slab contiguous, and the tiles
+    never share memory with the plane.
+    """
+    return grid_tiles(plane)[1].copy()
 
 
 def tile_reduce(plane: np.ndarray, ufunc: np.ufunc) -> np.ndarray:

@@ -147,11 +147,6 @@ def zigzag_unscan(values: np.ndarray) -> np.ndarray:
     return np.asarray(values).reshape(64)[INVERSE_ZIGZAG].reshape(BLOCK, BLOCK)
 
 
-# The block code carries int16 coefficients; a longer codeword can only
-# come from a corrupt payload.
-_MAX_SYMBOL = signed_to_symbol(-(1 << 15)) + 1
-
-
 def entropy_encode_block(writer: PayloadWriter, qblock: np.ndarray) -> None:
     zz = zigzag_scan(qblock)
     nonzero = np.nonzero(zz)[0]
@@ -186,11 +181,12 @@ def read_block_info(reader: BitReader, block_zeros: list[int]) -> np.ndarray:
     values = []
     for zeros in block_zeros:
         symbol = ((1 << zeros) | reader.read_bits(zeros)) - 1
-        if symbol > _MAX_SYMBOL:
+        value = symbol_to_signed(symbol - 1)
+        if not -(1 << 15) <= value < 1 << 15:
             raise BitstreamError(
-                f"coefficient symbol {symbol} exceeds {_MAX_SYMBOL}", byte_offset=reader.bit_position // 8
+                f"coefficient symbol {symbol} codes {value}, outside int16", byte_offset=reader.bit_position // 8
             )
-        values.append(symbol_to_signed(symbol - 1))
+        values.append(value)
     flat = np.zeros(64, dtype=np.int64)
     flat[: len(values)] = values
     return zigzag_unscan(flat)

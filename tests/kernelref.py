@@ -7,7 +7,7 @@ one displacement at a time, the lifting transform in int64 throughout on
 an (n, 8, 8) stack of blocks, and foveation maps evaluated at every pixel.
 ``tests/test_kernels.py`` checks the kernels against them bit for bit.
 ``planes`` and ``stack`` convert between the codec's (8, 8, ...) block
-layout and such a stack.
+layout and such a stack, and ``from_tiles`` untiles a plane.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from fmvc.displacement import CATALOGUE, Axis, DisplacementField
 from fmvc.foveation import display_nyquist, eccentricity, error_sensitivity
-from fmvc.transform import _EVEN_P, _EVEN_U, _FP, _HALF, _ODD_OPS, BLOCK, from_tiles, to_tiles
+from fmvc.transform import _EVEN_P, _EVEN_U, _FP, _HALF, _ODD_OPS, BLOCK, grid_shape, to_tiles
 
 
 def planes(blocks: np.ndarray) -> np.ndarray:
@@ -28,6 +28,12 @@ def stack(blocks: np.ndarray) -> np.ndarray:
     """Inverse of planes: blocks laid out (8, 8, ...) as an (n, 8, 8) stack in raster order."""
     blocks = np.asarray(blocks)
     return blocks.reshape(BLOCK, BLOCK, -1).transpose(2, 0, 1)
+
+
+def from_tiles(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of to_tiles: reassemble a (height, width) plane, cropping the padding."""
+    nby, nbx = grid_shape(shape)
+    return tiles.transpose(2, 0, 3, 1).reshape(nby * BLOCK, nbx * BLOCK)[: shape[0], : shape[1]]
 
 
 def tile_reduce(plane: np.ndarray, ufunc: np.ufunc) -> np.ndarray:

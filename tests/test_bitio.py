@@ -225,16 +225,20 @@ def test_payload_runs_are_prefixes_then_zeros_then_info_bits():
 
 
 def test_decoder_bounds_codewords_by_the_int16_range():
-    for value, accepted in ((-(1 << 15), True), ((1 << 15) - 1, True), (-(1 << 15) - 1, False), (1 << 16, False)):
+    # +32768 is ue 65536, one codeword short of -32768's: it must not decode as a second -32768
+    bounds = ((-(1 << 15), True), ((1 << 15) - 1, True), (-(1 << 15) - 1, False), (1 << 15, False), (1 << 16, False))
+    for value, accepted in bounds:
         w = PayloadWriter()
         w.write_ue(signed_to_symbol(value) + 1)
         w.write_ue(0)
-        if accepted:
-            [(blocks, _)] = decode_blocks(w.getvalue(), [(1, None)])
-            assert blocks[0, 0, 0] == value
-        else:
-            with pytest.raises(BitstreamError, match="int16"):
-                decode_blocks(w.getvalue(), [(1, None)])
+        for decode in (decode_blocks, decode_stack):
+            if accepted:
+                [(blocks, _)] = decode(w.getvalue(), [(1, None)])
+                assert blocks[0, 0, 0] == value
+            else:
+                with pytest.raises(BitstreamError, match="int16") as info:
+                    decode(w.getvalue(), [(1, None)])
+                assert 0 <= info.value.byte_offset < len(w.getvalue())
     w = PayloadWriter()
     w.write_ue(2**70)  # a 141-bit codeword
     w.write_ue(0)

@@ -25,13 +25,13 @@ from fmvc.codec import (
     midgray_frame,
 )
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
+from fmvc.displacement import DisplacementField
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
-from fmvc.transform import from_tiles
 from fmvc.video_io import Frame, VideoSequence
-from bitref import PayloadWriter
+from bitref import PayloadWriter, decode_stack
 import kernelref
-from kernelref import planes
+from kernelref import from_tiles, planes
 from conftest import (
     FRAME_HEAD_BYTES,
     HEADER_BYTES,
@@ -154,9 +154,10 @@ def _adversarial_blocks(steps) -> np.ndarray:
 
 
 def _quantized_residual_of(residual, levels_grid, sched):
-    """codec._quantized_residual on planes whose tile difference is residual (8, 8, nby, nbx)."""
-    cur = from_tiles(np.maximum(residual, 0).astype(np.uint8), (8 * residual.shape[2], 8 * residual.shape[3]))
-    return codec._quantized_residual(cur, np.maximum(-residual, 0).astype(np.uint8), levels_grid, sched)
+    """codec._quantized_residual on planes whose difference is residual (8, 8, nby, nbx)."""
+    shape = (8 * residual.shape[2], 8 * residual.shape[3])
+    cur, pred = (from_tiles(np.maximum(r, 0).astype(np.uint8), shape) for r in (residual, -residual))
+    return codec._quantized_residual(cur, pred, levels_grid, sched)
 
 
 def _check_against_unskipped_path(blocks, sched):
@@ -246,6 +247,76 @@ class TestAllZeroPretest:
         counts = self._lockstep_blocks_transformed(monkeypatch, random_clip(w, h, 3, seed=8), sched, level_map)
         n_luma, n_chroma = codec._block_counts(w, h)
         assert counts == [n_luma, n_chroma, n_chroma] * 3
+
+
+def _reconstruction_oracle(payload, prev, sched):
+    """prev's planes as kernelref predicts them, plus the inverse transform of
+    the payload's dequantized coefficients, clipped: each decoded plane."""
+    grid = codec.grid_shape((prev.y.height, prev.y.width))
+    n_luma, n_chroma = codec._block_counts(prev.y.width, prev.y.height)
+    (q_y, prefixes), (q_cb, _), (q_cr, _) = decode_stack(
+        payload, [(n_luma, codec._prefix_table(sched)), (n_chroma, None), (n_chroma, None)]
+    )
+    luma_field = (prefixes >> 4).reshape(grid).astype(np.int8)
+    levels = (prefixes & 0x0F).reshape(grid)
+    out = []
+    for q, ref, halve in zip((q_y, q_cb, q_cr), (prev.y, prev.cb, prev.cr), (False, True, True)):
+        pick = np.s_[::2, ::2] if halve else np.s_[:, :]
+        pred = kernelref.predicted_plane(ref.samples, DisplacementField(luma_field[pick]), halve_offsets=halve)
+        coeffs = q.reshape(8, 8, *levels[pick].shape) * sched.steps_array()[levels[pick]]
+        residual = from_tiles(kernelref.inverse_blocks(coeffs), pred.shape)
+        out.append(np.clip(residual + pred, 0, 255).astype(np.uint8))
+    return out
+
+
+class TestReconstructPaths:
+    """_reconstruct takes a plane's tile view whole, or gathers its coded
+    blocks, or finds none; each way, the encoder's reconstruction, the
+    decoder's output and the oracle agree."""
+
+    def _lockstep(self, monkeypatch, clip, sched, level_map):
+        """Code clip frame by frame against the oracle; return how each
+        inverse_blocks call was fed: "whole", "some" blocks or "none"."""
+        seen = []
+        inverse = codec.inverse_blocks
+
+        def spy(coeffs):
+            seen.append("whole" if coeffs.ndim == 4 else "some" if coeffs.shape[2] else "none")
+            return inverse(coeffs)
+
+        monkeypatch.setattr(codec, "inverse_blocks", spy)
+        enc = dec = midgray_frame(clip.width, clip.height)
+        for frame in clip.frames:
+            stream, recon = encode_frame(frame, enc, level_map, sched)
+            dec = decode_frame(stream.payload, dec, sched)
+            assert dec == recon
+            want = _reconstruction_oracle(stream.payload, enc, sched)
+            assert all(np.array_equal(p.samples, o) for p, o in zip((recon.y, recon.cb, recon.cr), want))
+            enc = recon
+        return set(seen)
+
+    @pytest.mark.parametrize(
+        "w, h, coding",
+        [(37, 29, "all"), (37, 29, "none"), (37, 29, "mixed"), (9, 17, "all"), (9, 17, "none"),
+         (9, 17, "mixed"), (1, 1, "all"), (1, 1, "none")],
+    )  # a 1x1 plane is one block, so it cannot be mixed
+    def test_each_path_matches_the_oracle(self, monkeypatch, w, h, coding):
+        clip = random_clip(w, h, 3, seed=8)
+        rng = np.random.default_rng(1)
+        if coding == "all":  # every step is 1: noise leaves no block all zero
+            sched = QuantSchedule(n_levels=2, q_base=1)
+            level_map = LevelMap(rng.integers(0, 2, (h, w), dtype=np.uint8), 2)
+        elif coding == "none":
+            sched = QuantSchedule(q_base=MAX_Q_BASE)
+            level_map = LevelMap(rng.integers(0, 16, (h, w), dtype=np.uint8), 16)
+        else:  # fine steps near the gaze, none of the periphery coded
+            sched = QuantSchedule(q_base=64)
+            level_map = quantize_map(gaussian_map((w // 4, h // 4), 3.0, w, h), sched.n_levels)
+        paths = self._lockstep(monkeypatch, clip, sched, level_map)
+        if coding == "mixed":
+            assert "some" in paths
+        else:
+            assert paths == {"all": {"whole"}, "none": {"none"}}[coding]
 
 
 class TestEntropyCode:

@@ -18,7 +18,9 @@ import kernelref as ref
 from fmvc.codec import MAX_Q_BASE, QuantSchedule, _ENVELOPE, _SAD_MARGIN, _T32, _round_div_half_away
 from fmvc.displacement import (
     CATALOGUE,
+    CATALOGUE_INDEX,
     Axis,
+    Displacement,
     DisplacementField,
     choose_displacements,
     predicted_plane,
@@ -40,7 +42,6 @@ from fmvc.transform import (
     grid_shape,
     inverse_blocks,
     tile_reduce,
-    to_tiles,
 )
 
 sides = st.integers(1, 40)
@@ -120,9 +121,14 @@ def _check_prediction(h, w, seed, halve):
     rng = _rng(seed)
     prev = rng.integers(0, 256, (h, w), dtype=np.uint8)
     field = DisplacementField(rng.integers(0, len(CATALOGUE), grid_shape((h, w))).astype(np.int8))
+    _check_field(prev, field, halve)
+
+
+def _check_field(prev, field, halve):
     got = predicted_plane(prev, field, halve_offsets=halve)
-    want = to_tiles(ref.predicted_plane(prev, field, halve_offsets=halve))
-    assert got.dtype == want.dtype
+    want = ref.predicted_plane(prev, field, halve_offsets=halve)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == prev.shape
     assert np.array_equal(got, want)
     assert got.flags.c_contiguous
     assert not np.shares_memory(got, prev)
@@ -131,6 +137,42 @@ def _check_prediction(h, w, seed, halve):
 @given(sides, sides, seeds, st.booleans())
 def test_predicted_plane_matches_tile_oracle(h, w, seed, halve):
     _check_prediction(h, w, seed, halve)
+
+
+# Halving maps +-3, +-5, +-7 to +-1, +-2, +-3.  No two entries then share an
+# offset, but a halved +-7 reads where an unhalved +-3 does; these pairs mix
+# the two entries of one axis and sign in a field.
+_PAIRED = [
+    [CATALOGUE_INDEX[Displacement(axis, sign * 3)], CATALOGUE_INDEX[Displacement(axis, sign * 7)]]
+    for axis in (Axis.HORIZONTAL, Axis.VERTICAL)
+    for sign in (1, -1)
+]
+
+
+@st.composite
+def prediction_fields(draw):
+    """A plane and a field that is uniform, uniform but for one block, random,
+    tied between two entries for the most blocks, or mixes +-3 with +-7."""
+    h, w, kind = draw(sides), draw(sides), draw(st.sampled_from(["uniform", "outlier", "random", "tied", "paired"]))
+    rng = _rng(draw(seeds))
+    shape = grid_shape((h, w))
+    a, b = rng.choice(len(CATALOGUE), 2, replace=False)
+    if kind == "paired":
+        a, b = _PAIRED[rng.integers(len(_PAIRED))]
+    indices = np.full(shape, a)
+    if kind == "outlier":
+        indices.flat[rng.integers(indices.size)] = b
+    elif kind == "random":
+        indices = rng.integers(0, len(CATALOGUE), shape)
+    elif kind in ("tied", "paired"):
+        indices.flat[rng.permutation(indices.size)[: indices.size // 2]] = b
+    return rng.integers(0, 256, (h, w), dtype=np.uint8), DisplacementField(indices.astype(np.int8))
+
+
+@settings(max_examples=300)
+@given(prediction_fields(), st.booleans())
+def test_predicted_plane_matches_oracle_on_field_kinds(case, halve):
+    _check_field(*case, halve)
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (5, 7), (8, 8), (9, 17)])

@@ -6,7 +6,6 @@ from fmvc.errors import ContractViolation
 from fmvc.transform import (
     ZIGZAG,
     forward_blocks,
-    from_tiles,
     grid_shape,
     inverse_blocks,
     require_block,
@@ -15,7 +14,7 @@ from fmvc.transform import (
 )
 
 from bitref import zigzag_scan, zigzag_unscan
-from kernelref import stack
+from kernelref import from_tiles, stack
 
 # Per-axis output gains of the lifting network relative to the orthonormal
 # DCT-II (unnormalized butterflies contribute sqrt(2) each, the odd cascade

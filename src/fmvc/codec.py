@@ -28,7 +28,7 @@ from .allocation import block_levels
 from .bitio import decode_blocks, encode_blocks
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
-from .foveation import FoveationMap, LevelMap, quantize_map
+from .foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, FoveationMap, LevelMap, quantize_map
 from .transform import (
     BLOCK,
     FORWARD_MATRIX,
@@ -558,8 +558,8 @@ def encode_sequence(
     sched: QuantSchedule,
     cfg: CodecConfig = CodecConfig(),
     fmsc_codes: list[int] | None = None,
-    screen_width_m: float = 0.02,
-    viewing_distance_m: float = 0.012,
+    screen_width_m: float = DEFAULT_SCREEN_WIDTH_M,
+    viewing_distance_m: float = DEFAULT_VIEWING_DISTANCE_M,
 ) -> tuple[SequenceBitstream, VideoSequence]:
     """Code a whole sequence; returns the bitstream and the recon chain."""
     records, recons = zip(*encode_frames(seq, maps, sched, cfg, fmsc_codes))

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation
-from .transform import BLOCK, grid_shape, require_block, tile_reduce
+from .transform import BLOCK, edge_padded, grid_shape, require_block, tile_reduce
 from .video_io import FramePlane
 
 DISPLACEMENT_STEPS = (3, 5, 7)
@@ -54,37 +54,6 @@ CATALOGUE = (ZERO_DISPLACEMENT,) + tuple(
     for sign in (1, -1)
 )
 
-# Iteration order of a residual set: zero first, then s ascending per axis.
-_SET_ORDER = (ZERO_DISPLACEMENT,) + tuple(
-    Displacement(axis, s)
-    for axis in (Axis.HORIZONTAL, Axis.VERTICAL)
-    for s in sorted(step * sign for step in DISPLACEMENT_STEPS for sign in (1, -1))
-)
-
-CATALOGUE_INDEX = {d: i for i, d in enumerate(CATALOGUE)}
-
-
-def shift_plane(samples: np.ndarray, axis: Axis, s: int) -> np.ndarray:
-    """Sample a plane at coordinates displaced by s, replicating the border.
-
-    Horizontal: out(i, j) = samples(i, j - s); vertical: out(i, j) =
-    samples(i - s, j).  Accepts any integer s (chroma uses halved offsets).
-    With no shift, returns samples itself.
-    """
-    if axis is Axis.NONE or s == 0:
-        return samples
-    out = np.empty_like(samples)
-    src, dst = (samples, out) if axis is Axis.VERTICAL else (samples.T, out.T)
-    n = len(src)
-    k = min(abs(s), n)
-    if s > 0:
-        dst[k:] = src[: n - k]
-        dst[:k] = src[:1]
-    else:
-        dst[: n - k] = src[k:]
-        dst[n - k :] = src[n - 1 :]
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class ResidualPlane:
@@ -105,28 +74,23 @@ class ResidualPlane:
         if lo < -255 or hi > 255:
             raise ContractViolation(f"residual samples out of [-255, 255]: min {lo}, max {hi}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidualPlane)
-            and (self.width, self.height) == (other.width, other.height)
-            and np.array_equal(self.samples, other.samples)
-        )
-
 
 def displaced_difference(cur: FramePlane, prev_recon: FramePlane, d: Displacement) -> ResidualPlane:
-    """Residual of the current frame against a shifted previous reconstruction."""
+    """Residual of the current frame against the previous reconstruction shifted by d,
+    its border replicated: the prediction of a field that is d in every block."""
     if (cur.width, cur.height) != (prev_recon.width, prev_recon.height):
         raise ContractViolation(
             f"frame dimensions differ: {cur.width}x{cur.height} vs {prev_recon.width}x{prev_recon.height}"
         )
-    shifted = shift_plane(prev_recon.samples, d.axis, d.s)
-    diff = cur.samples.astype(np.int16) - shifted.astype(np.int16)
+    field = DisplacementField.uniform(d, *grid_shape((cur.height, cur.width)))
+    diff = cur.samples.astype(np.int16) - predicted_plane(prev_recon.samples, field)
     return ResidualPlane(cur.width, cur.height, diff)
 
 
 def residual_set(cur: FramePlane, prev_recon: FramePlane) -> dict[Displacement, ResidualPlane]:
-    """All 13 displaced differences, keyed and ordered deterministically."""
-    return {d: displaced_difference(cur, prev_recon, d) for d in _SET_ORDER}
+    """All 13 displaced differences, keyed in order: zero first, then s ascending per axis."""
+    order = sorted(CATALOGUE, key=lambda d: (list(Axis).index(d.axis), d.s))
+    return {d: displaced_difference(cur, prev_recon, d) for d in order}
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +106,7 @@ class DisplacementField:
     @classmethod
     def uniform(cls, d: Displacement, blocks_y: int, blocks_x: int, block_size: int = BLOCK):
         require_block(block_size)
-        return cls(np.full((blocks_y, blocks_x), CATALOGUE_INDEX[d], dtype=np.int8))
+        return cls(np.full((blocks_y, blocks_x), CATALOGUE.index(d), dtype=np.int8))
 
     def __eq__(self, other):
         return isinstance(other, DisplacementField) and np.array_equal(self.indices, other.indices)
@@ -176,22 +140,11 @@ def _block_offsets(halve: bool) -> tuple[np.ndarray, np.ndarray]:
 _OFFSETS = {halve: _block_offsets(halve) for halve in (False, True)}
 
 
-# Every window a shift reads lies inside the plane edge-padded by the largest
-# shift.  A selection strip of 2 block rows holds the 13 differences in about
-# 1 MB of float32 at 720p, which stays in a core's L2 cache.
+# Windows lie in the plane edge-padded by _PAD, the largest shift: a row or column
+# shifted by s reads at _PAD - s.  A selection strip of 2 block rows holds the 13
+# differences in about 1 MB of float32 at 720p, which stays in a core's L2 cache.
 _PAD = max(DISPLACEMENT_STEPS)
 _STRIP = 2
-
-
-def _edge_padded(plane: np.ndarray, height: int, width: int) -> np.ndarray:
-    """plane edge-padded to height x width, with _PAD samples above and to the
-    left: a block row or column shifted by s reads at _PAD - s, as shift_plane does."""
-    h, w = plane.shape
-    out = np.empty((height, width), plane.dtype)  # twice as fast as np.pad
-    rows = out[_PAD : _PAD + h]
-    rows[:, :_PAD], rows[:, _PAD : _PAD + w], rows[:, _PAD + w :] = plane[:, :1], plane, plane[:, -1:]
-    out[:_PAD], out[_PAD + h :] = rows[0], rows[-1]
-    return out
 
 
 def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> DisplacementField:
@@ -214,7 +167,7 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
     nby, nbx = grid_shape((h, w))
     stride = -(-(w + 2 * _PAD) // BLOCK) * BLOCK
     # one spare row: a run that starts past column 0 ends in the row below
-    ref = _edge_padded(prev_recon, nby * BLOCK + 2 * _PAD + 1, stride).astype(np.float32).reshape(-1)
+    ref = edge_padded(prev_recon, nby * BLOCK + 2 * _PAD + 1, stride, _PAD).astype(np.float32).reshape(-1)
     cur = np.pad(cur, ((0, nby * BLOCK - h), (0, stride - w))).astype(np.float32).reshape(-1)
     dy, dx = _OFFSETS[False]
     starts = (_PAD - dy) * stride + _PAD - dx
@@ -242,7 +195,7 @@ def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offs
 
     With halve_offsets, shift amounts are halved toward zero (4:2:0 chroma
     reuse of a luma field).  Pixel (i, j) of a block shifted by (dy, dx)
-    reads prev_recon at (clip(i - dy), clip(j - dx)), as shift_plane does:
+    reads prev_recon at (clip(i - dy), clip(j - dx)), replicating the border:
     each block is one 8x8 window of the edge-padded plane.  One slice of
     it, at the offset most blocks take, fills the plane; then each block
     whose offset (not catalogue entry) differs takes its own window.  The
@@ -255,7 +208,7 @@ def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offs
     dy, dx = _OFFSETS[halve_offsets]
     common = np.bincount(field.indices.reshape(-1)).argmax()
     y0, x0 = _PAD - dy[common], _PAD - dx[common]
-    padded = _edge_padded(prev_recon, nby * BLOCK + 2 * _PAD, nbx * BLOCK + 2 * _PAD)
+    padded = edge_padded(prev_recon, nby * BLOCK + 2 * _PAD, nbx * BLOCK + 2 * _PAD, _PAD)
     out = padded[y0 : y0 + nby * BLOCK, x0 : x0 + nbx * BLOCK].copy()
     moved = np.flatnonzero(((dy != dy[common]) | (dx != dx[common])).take(field.indices))
     k = field.indices.take(moved)

@@ -17,7 +17,7 @@ from .foveation import (
     _csf_grid,
     display_nyquist,
 )
-from .transform import BLOCK, grid_shape, tile_reduce
+from .transform import BLOCK, edge_padded, grid_shape, tile_reduce
 from .video_io import FramePlane
 
 SSIM_WINDOW = 11
@@ -87,7 +87,7 @@ def mean_ssim(ref, test) -> float:
 
 def haar_lowpass_2x2(values: np.ndarray) -> np.ndarray:
     """2x2 box average, stride 1, replicating the bottom/right border."""
-    padded = np.pad(values, ((0, 1), (0, 1)), mode="edge")
+    padded = edge_padded(values, values.shape[0] + 1, values.shape[1] + 1, 0)
     return (
         padded[:-1, :-1] + padded[:-1, 1:] + padded[1:, :-1] + padded[1:, 1:]
     ) / 4.0

@@ -11,6 +11,11 @@ from .errors import ContractViolation, IoError, ParseError, TruncatedStream, Uns
 
 Y4M_SIGNATURE = b"YUV4MPEG2 "
 _ACCEPTED_CHROMA_TAGS = {"420", "420jpeg", "420mpeg2", "420paldv"}
+# An fmvc stream's header stores W and H in 16-bit fields.
+_MAX_SIDE = 65535
+# The most asked of one read, so planes a header declares over a short file
+# are never allocated whole by a file object.
+_READ_CHUNK = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +163,15 @@ def _parse_header(line: bytes) -> tuple[int, int, int, int]:
         # A (aspect) and X (comment) tokens are ignored.
     if width is None or height is None or width <= 0 or height <= 0:
         raise ParseError("header does not declare positive W and H")
+    if max(width, height) > _MAX_SIDE:
+        raise UnsupportedFormat(f"{width}x{height} frames exceed the {_MAX_SIDE}-sample sides an fmvc stream holds")
     return width, height, fps_num, fps_den
 
 
 def _read_exact(stream, count: int, what: str) -> bytes:
-    data = stream.read(count)
+    data = stream.read(min(count, _READ_CHUNK))
+    while len(data) < count and (more := stream.read(min(count - len(data), _READ_CHUNK))):
+        data += more
     if len(data) != count:
         raise TruncatedStream(f"stream ended inside {what}: wanted {count} bytes, got {len(data)}")
     return data
@@ -179,17 +188,10 @@ def read_y4m(source) -> VideoSequence:
     head = stream.read(len(Y4M_SIGNATURE))
     if head != Y4M_SIGNATURE:
         raise ParseError(f"not a YUV4MPEG2 stream (signature {head!r})")
-    line = bytearray()
-    while True:
-        c = stream.read(1)
-        if not c:
-            raise ParseError("unterminated stream header")
-        if c == b"\n":
-            break
-        line += c
-        if len(line) > 4096:
-            raise ParseError("stream header exceeds 4096 bytes")
-    width, height, fps_num, fps_den = _parse_header(bytes(line))
+    line = stream.readline(4097)
+    if not line.endswith(b"\n"):
+        raise ParseError("stream header exceeds 4096 bytes" if len(line) > 4096 else "unterminated stream header")
+    width, height, fps_num, fps_den = _parse_header(line[:-1])
 
     cw, ch = chroma_dims(width, height)
     ysize, csize = width * height, cw * ch
@@ -200,12 +202,9 @@ def read_y4m(source) -> VideoSequence:
             break
         if marker != b"FRAME":
             raise ParseError(f"expected FRAME marker at frame {len(frames)}, got {marker!r}")
-        while True:  # optional per-frame parameters, ignored
-            c = stream.read(1)
-            if not c:
+        while not (part := stream.readline(4097)).endswith(b"\n"):  # optional parameters, ignored
+            if not part:
                 raise TruncatedStream("stream ended inside a FRAME header")
-            if c == b"\n":
-                break
         y = _read_exact(stream, ysize, f"frame {len(frames)} luma")
         cb = _read_exact(stream, csize, f"frame {len(frames)} cb")
         cr = _read_exact(stream, csize, f"frame {len(frames)} cr")

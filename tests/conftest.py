@@ -170,6 +170,60 @@ def frame_payloads(draw, max_size=120):
     return w, h, bytes(data[: draw(st.integers(0, len(data)))]) + draw(st.binary(max_size=4))
 
 
+_NUMBERS = st.integers(-(2**70), 2**70)  # zero, negative and past every field width
+_HUGE = st.sampled_from([2**16 - 1, 2**16, 2**31, 2**32, 2**63, 10**20]) | st.integers(2**16, 2**70)
+
+
+@st.composite
+def y4m_files(draw):
+    """A YUV4MPEG2 file, and (width, height, fps, payloads) when it was drawn
+    well formed, else None.  Half the files are well formed.  The rest have
+    one part drawn from bad values, or all of them: W or H huge, zero,
+    negative or any text (non-ASCII included); F, C or I invalid or any
+    text; FRAME lines whose parameters may hold a newline, and payloads cut
+    short or running long."""
+    mode = draw(st.just("valid") | st.sampled_from(["W", "H", "F", "C", "I", "frames", "all"]))
+
+    def bad(part):
+        return mode in (part, "all")
+
+    def side(part):
+        return draw((_HUGE | _NUMBERS | st.text(max_size=4)) if bad(part) else st.integers(1, 12))
+
+    def token(tag, good, invalid):
+        if bad(tag):
+            return tag + draw(invalid | st.text(max_size=4))
+        return draw(st.just("") | good.map(lambda v: tag + v))  # left out, or valid
+
+    w, h = side("W"), side("H")
+    fps = token("F", st.sampled_from(["25:1", "30000:1001", "1:1"]),
+                st.tuples(_NUMBERS, _NUMBERS).map(lambda f: f"{f[0]}:{f[1]}"))
+    chroma = token("C", st.sampled_from(["420jpeg", "420", "420mpeg2", "420paldv"]),
+                   st.sampled_from(["444", "422", "mono", "420p10"]))
+    scan = token("I", st.just("p"), st.sampled_from(["t", "b", "m", "?"]))
+    tokens = draw(st.permutations([f"W{w}", f"H{h}", fps, chroma, scan]))
+    data = ("YUV4MPEG2 " + " ".join(tokens) + "\n").encode("utf-8")
+    known = isinstance(w, int) and isinstance(h, int) and 1 <= w <= 12 and 1 <= h <= 12
+    payloads = []
+    for _ in range(draw(st.integers(0 if bad("frames") else 1, 3))):
+        params = draw(st.sampled_from([b"", b" Ixyz", b" X=1"]) | st.binary(max_size=6))
+        if not bad("frames"):
+            params = params.replace(b"\n", b"")
+        if known:
+            cw, ch = chroma_dims(w, h)
+            cut = draw(st.sampled_from([0, -1, -3, 1, 2])) if bad("frames") else 0
+            size = max(w * h + 2 * cw * ch + cut, 0)
+            payload = draw(st.binary(min_size=size, max_size=size))
+        else:
+            payload = draw(st.binary(max_size=40))
+        payloads.append(payload)
+        data += b"FRAME" + params + b"\n" + payload
+    if mode != "valid":
+        return data, None
+    num, den = map(int, fps[1:].split(":")) if fps else (25, 1)
+    return data, (w, h, (num, den), payloads)
+
+
 # Container layout: a 47-byte sequence header, 43 bytes of fields with the
 # quantizer base (f64) at byte 34 and the level count (u8) at byte 42, then
 # their CRC-32; per frame a 13-byte head, 9 bytes of fields with the u32

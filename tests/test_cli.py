@@ -1,8 +1,13 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fmvc import cli, codec
 from fmvc.cli import build_parser, densify_gaze, main, parse_fmsc, read_gaze_track
@@ -12,7 +17,7 @@ from fmvc.foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, g
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
 from bitref import PayloadWriter
-from conftest import HEADER_BYTES, LENGTH_AT, Q_BASE_AT, frame_payloads, pan_clip, reseal
+from conftest import HEADER_BYTES, LENGTH_AT, Q_BASE_AT, frame_payloads, pan_clip, reseal, y4m_files
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +353,95 @@ def test_zero_frame_rate_input_is_parse_error(tmp_path, capsys):
     assert main(["encode", "--input", str(clip), "--output", str(out)]) == 4
     assert "frame-rate" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- every parser the CLI feeds ends in an FmvcError --------------------------
+
+# Fields of gaze rows and FMSC specs: numbers of every kind, and any text.
+_FIELDS = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1_0", " 7 ", "0x10", ""]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def gaze_texts(draw):
+    """Any text, rows of any fields, or well-formed rows with increasing frame indices."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text())
+    if kind == 1:
+        return "\n".join(",".join(row) for row in draw(st.lists(st.lists(_FIELDS, min_size=2, max_size=4))))
+    coord = st.one_of(st.integers(-100, 100).map(str), st.floats(-1e3, 1e3).map(repr))
+    return "\n".join(f"{i}, {draw(coord)},{draw(coord)}" for i in sorted(draw(st.sets(st.integers(0, 30)))))
+
+
+@given(gaze_texts())
+def test_gaze_track_parsing_is_total(text):
+    try:
+        track = read_gaze_track(text)
+    except ParseError:
+        return
+    assert all(type(v) is int for row in track for v in row)
+    assert [row[0] for row in track] == sorted({row[0] for row in track})
+
+
+@given(gaze_texts(), st.integers(0, 20), st.integers(1, 64), st.integers(1, 64))
+def test_densify_of_any_parsed_track(text, frame_count, width, height):
+    try:
+        track = read_gaze_track(text)
+    except ParseError:
+        return
+    try:
+        gazes = densify_gaze(track, frame_count, width, height)
+    except ConfigError:
+        assert track == []
+        return
+    for frame, gaze in enumerate(gazes):
+        earlier = [row for row in track if row[0] <= frame]
+        _, x, y = earlier[-1] if earlier else track[0]
+        assert gaze == (min(max(x, 0), width - 1), min(max(y, 0), height - 1))
+    assert len(gazes) == frame_count
+
+
+@given(st.one_of(st.text(), st.tuples(st.sampled_from(["", "H/", "h/", " H/"]), _FIELDS).map("".join)),
+       st.integers(1, 4096))
+def test_fmsc_parsing_is_total(text, height):
+    try:
+        sigma, code = parse_fmsc(text, height)
+    except ConfigError:
+        return
+    assert sigma > 0 and type(code) is int and 0 <= code <= 255
+    if code:
+        assert sigma == height / code
+
+
+# tmp_path and capsys are shared by the examples, as in the decode test above.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=y4m_files())
+def test_encode_of_any_y4m_exits_cleanly(tmp_path, capsys, case):
+    data, expected = case
+    clip = tmp_path / "any.y4m"
+    clip.write_bytes(data)
+    code = main(["encode", "--input", str(clip), "--output", str(tmp_path / "any.fmvc")])
+    err = capsys.readouterr().err
+    assert code in ((0,) if expected is not None else (0, 2, 3, 4))
+    assert "Traceback" not in err
+    if code:
+        assert "error: " in err
+
+
+def test_oversized_frame_header_exits_4_without_traceback(tmp_path):
+    clip = tmp_path / "huge.y4m"
+    clip.write_bytes(b"YUV4MPEG2 W99999999999999999999 H2 F1:1\nFRAME\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "fmvc.cli", "encode", "--input", str(clip), "--output", str(tmp_path / "x.fmvc")]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 4
+    assert run.stderr.startswith("input error: ") and "Traceback" not in run.stderr
 
 
 def test_encode_builds_each_map_as_its_frame_is_coded(clip_path, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from fmvc.displacement import (
     reconstruct_frame,
     residual_set,
     select_displacement_per_block,
-    shift_plane,
 )
 from fmvc.errors import ContractViolation
 from fmvc.video_io import FramePlane
@@ -103,6 +102,8 @@ def test_residual_set_contents(rng):
     assert keys[0] == ZERO_DISPLACEMENT
     hor = [d.s for d in keys if d.axis is Axis.HORIZONTAL]
     assert hor == sorted(hor)  # s ascending within axis
+    steps = [-7, -5, -3, 3, 5, 7]
+    assert keys[1:] == [Displacement(axis, s) for axis in (Axis.HORIZONTAL, Axis.VERTICAL) for s in steps]
 
 
 def test_identical_frames_all_zero_planes():
@@ -236,9 +237,3 @@ def test_reconstruct_dimension_mismatch():
     with pytest.raises(ContractViolation):
         reconstruct_frame(prev, field, bad)
 
-
-def test_shift_plane_accepts_halved_offsets(rng):
-    arr = rng.integers(0, 256, (9, 9), dtype=np.uint8)
-    out = shift_plane(arr, Axis.HORIZONTAL, 1)
-    assert np.array_equal(out[:, 1:], arr[:, :-1])
-    assert np.array_equal(out[:, 0], arr[:, 0])

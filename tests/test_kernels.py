@@ -18,13 +18,12 @@ import kernelref as ref
 from fmvc.codec import MAX_Q_BASE, QuantSchedule, _ENVELOPE, _SAD_MARGIN, _T32, _round_div_half_away
 from fmvc.displacement import (
     CATALOGUE,
-    CATALOGUE_INDEX,
     Axis,
     Displacement,
     DisplacementField,
     choose_displacements,
+    displaced_difference,
     predicted_plane,
-    shift_plane,
 )
 from fmvc.errors import ContractViolation
 from fmvc.foveation import DEFAULT_CSF, CsfParams, DisplayGeometry, display_nyquist, foveation_map, gaussian_map
@@ -38,11 +37,13 @@ from fmvc.transform import (
     _fwd8,
     _inv8,
     _lifting_input,
+    edge_padded,
     forward_blocks,
     grid_shape,
     inverse_blocks,
     tile_reduce,
 )
+from fmvc.video_io import FramePlane
 
 sides = st.integers(1, 40)
 seeds = st.integers(0, 2**32 - 1)
@@ -64,14 +65,28 @@ def test_tile_reduce_matches_double_reduceat(h, w, seed, dtype):
         assert np.array_equal(got, want)
 
 
-@given(sides, sides, seeds, st.sampled_from(list(Axis)), st.integers(-45, 45))
-def test_shift_plane_matches_gather(h, w, seed, axis, s):
-    plane = _rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
-    if axis is Axis.NONE:
-        s = 0
-    got = shift_plane(plane, axis, s)
-    assert np.array_equal(got, ref.shift_plane(plane, axis, s))
-    assert got is plane or not np.shares_memory(got, plane)
+@given(sides, sides, seeds, st.sampled_from([0, 7]), st.integers(0, 9), st.integers(0, 9),
+       st.sampled_from([np.uint8, np.int16, np.float64]))
+def test_edge_padded_matches_np_pad(h, w, seed, before, below, right, dtype):
+    plane = _rng(seed).integers(-300, 300, (h, w)).astype(dtype)
+    got = edge_padded(plane, before + h + below, before + w + right, before)
+    want = np.pad(plane, ((before, below), (before, right)), mode="edge")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous and not np.shares_memory(got, plane)
+
+
+@given(sides, sides, seeds)
+def test_displaced_difference_matches_gather(h, w, seed):
+    # every entry, on planes shorter and longer than the shift, against the gather oracle
+    rng = _rng(seed)
+    cur = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    prev = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    for d in CATALOGUE:
+        got = displaced_difference(FramePlane.from_array(cur), FramePlane.from_array(prev), d).samples
+        want = cur.astype(np.int16) - ref.shift_plane(prev, d.axis, d.s)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want)
 
 
 @given(sides, sides, seeds)
@@ -143,7 +158,7 @@ def test_predicted_plane_matches_tile_oracle(h, w, seed, halve):
 # offset, but a halved +-7 reads where an unhalved +-3 does; these pairs mix
 # the two entries of one axis and sign in a field.
 _PAIRED = [
-    [CATALOGUE_INDEX[Displacement(axis, sign * 3)], CATALOGUE_INDEX[Displacement(axis, sign * 7)]]
+    [CATALOGUE.index(Displacement(axis, sign * 3)), CATALOGUE.index(Displacement(axis, sign * 7))]
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL)
     for sign in (1, -1)
 ]

@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fmvc.errors import ContractViolation, FmvcError, ParseError, TruncatedStream, UnsupportedFormat
 from fmvc.video_io import Frame, FramePlane, VideoSequence, chroma_dims, read_y4m, write_y4m
 
-from conftest import frame_from_planes
+from conftest import frame_from_planes, y4m_files
 
 
 def build_y4m(header: bytes, frames: list[bytes]) -> bytes:
@@ -174,3 +176,92 @@ def test_chroma_dims_must_match():
             FramePlane.filled(4, 4, 0),
             FramePlane.filled(2, 2, 0),
         )
+
+
+def _outcome(source):
+    try:
+        return read_y4m(source)
+    except FmvcError as exc:
+        return type(exc)
+
+
+@given(y4m_files())
+def test_read_y4m_of_any_file(case):
+    data, expected = case
+    got = _outcome(data)
+    assert got == _outcome(io.BytesIO(data))  # bytes and a file object read alike
+    if expected is not None:
+        w, h, (num, den), payloads = expected
+        cw, ch = chroma_dims(w, h)
+        planes = [np.frombuffer(p, np.uint8) for p in payloads]
+        frames = [
+            frame_from_planes(p[: w * h].reshape(h, w), p[w * h : w * h + cw * ch].reshape(ch, cw),
+                              p[w * h + cw * ch :].reshape(ch, cw))
+            for p in planes
+        ]
+        assert got == VideoSequence(tuple(frames), num, den)
+
+
+class RecordingStream(io.BytesIO):
+    """A binary file object that records the size asked of every read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+    def readline(self, size=-1):
+        self.sizes.append(size)
+        return super().readline(size)
+
+
+@given(st.integers(2**8, 2**70), st.integers(1, 2**70), st.binary(max_size=64))
+def test_declared_planes_are_never_read_whole(w, h, payload):
+    # a short file behind a header that declares huge planes: no read may ask
+    # for them at once, as a file object would allocate what it is asked for
+    stream = RecordingStream(b"YUV4MPEG2 W%d H%d F25:1\nFRAME\n" % (w, h) + payload)
+    with pytest.raises((UnsupportedFormat, TruncatedStream)):
+        read_y4m(stream)
+    assert all(0 <= size <= 1 << 24 for size in stream.sizes)
+
+
+@pytest.mark.parametrize("dims", [b"W99999999999999999999 H2", b"W65536 H2", b"W2 H65536"])
+def test_sides_a_stream_cannot_hold_are_unsupported(dims):
+    data = b"YUV4MPEG2 " + dims + b" F1:1\nFRAME\n"
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(UnsupportedFormat):
+            read_y4m(source)
+
+
+def test_largest_side_is_read_until_the_file_ends():
+    with pytest.raises(TruncatedStream):
+        read_y4m(b"YUV4MPEG2 W65535 H65535 F1:1\nFRAME\n" + bytes(100))
+
+
+@pytest.mark.parametrize(
+    "length, error", [(4096, None), (4097, "exceeds 4096 bytes"), (9000, "exceeds 4096 bytes")]
+)
+def test_stream_header_length_bound(length, error):
+    head = b"YUV4MPEG2 "
+    line = b"W2 H2 X" + b"x" * (length - 7)  # the header after the signature
+    data = head + line + b"\nFRAME\n" + bytes(6)
+    if error is None:
+        assert len(read_y4m(data)) == 1
+    else:
+        with pytest.raises(ParseError, match=error):
+            read_y4m(data)
+
+
+def test_unterminated_stream_header():
+    with pytest.raises(ParseError, match="unterminated"):
+        read_y4m(b"YUV4MPEG2 W2 H2")
+
+
+def test_frame_parameters_of_any_length_are_skipped():
+    data = b"YUV4MPEG2 W2 H2\nFRAME" + b" X" * 5000 + b"\n" + bytes(6) + b"FRAME\n" + bytes(6)
+    assert len(read_y4m(io.BytesIO(data))) == 2
+    with pytest.raises(TruncatedStream, match="FRAME header"):
+        read_y4m(b"YUV4MPEG2 W2 H2\nFRAME" + b" X" * 5000)

@@ -49,6 +49,8 @@ def parse_fmsc(text: str, frame_height: int) -> tuple[float, int]:
             raise ConfigError(f"bad FMSC divisor in {text!r}") from None
         if not (math.isfinite(divisor) and divisor > 0):
             raise ConfigError(f"FMSC divisor must be positive and finite, got {text!r}")
+        if not math.isfinite(frame_height / divisor):
+            raise ConfigError(f"FMSC divisor in {text!r} is too small for a finite sigma")
         code = int(divisor) if divisor == int(divisor) and 1 <= divisor <= 255 else 0
         return frame_height / divisor, code
     try:
@@ -189,8 +191,9 @@ def cmd_decode(args) -> int:
 _REPORT_PREAMBLE = "# fw_ssim weighted by the continuous foveation map"
 
 
-def _scores(ref: metrics.FrameReference, test, fmap, gaze, geom) -> tuple[float, float, float]:
-    """Mean SSIM, foveation-weighted SSIM and FWQI of one test plane against a reference."""
+def _scores(ref, test, fmap, gaze, geom) -> tuple[float, float, float]:
+    """Mean SSIM, foveation-weighted SSIM and FWQI of one test plane against a
+    reference plane or a FrameReference."""
     smap = metrics.ssim_map(ref, test)
     fwqi = metrics.fwqi_approx(ref, test, gaze, geom, DEFAULT_CSF)
     return float(smap.mean()), metrics.fw_ssim_from_map(smap, fmap), fwqi
@@ -205,7 +208,7 @@ def _frame_reports(
     reports = []
     for i, (ref, test) in enumerate(zip(ref_seq.frames, test_seq.frames)):
         fmap = foveation_map(geom, gazes[i], DEFAULT_CSF)
-        scores = _scores(metrics.FrameReference(ref.y), test.y, fmap, gazes[i], geom)
+        scores = _scores(ref.y, test.y, fmap, gazes[i], geom)  # scored once, so nothing to keep
         reports.append(metrics.QualityReport(i, 0.0, *scores))
     return reports
 

@@ -36,19 +36,59 @@ def _gaussian_kernel_1d() -> np.ndarray:
 _SSIM_KERNEL = _gaussian_kernel_1d()
 
 
-def _windowed(img: np.ndarray) -> np.ndarray:
-    """Separable gaussian filter with zero padding (renormalized by caller)."""
-    tmp = convolve1d(img, _SSIM_KERNEL, axis=0, mode="constant", cval=0.0)
-    return convolve1d(tmp, _SSIM_KERNEL, axis=1, mode="constant", cval=0.0)
+# Scoring works in row strips of STRIP_ROWS output rows, so its temporaries
+# grow with the frame width, not its area: beyond what it returns, what a
+# FrameReference keeps and the arrays the sums below need, it makes no
+# frame-sized float plane.  Each strip reads _HALO rows either side of its
+# own, the SSIM window's half, and is bit-identical to whole-frame scoring:
+# scipy's correlate1d computes each output sample from the same taps in the
+# same order whatever the line length, and a halo row past the frame edge is
+# absent just as the zero padding is, so a strip's own rows equal the full
+# frame's; every other step works sample by sample; and every reduction
+# (smap.mean(), the FW-SSIM weighted sum, each FWQI band sum) still runs over
+# one whole array, so numpy's pairwise summation sees the same array.
+STRIP_ROWS = 64
+_HALO = SSIM_WINDOW // 2
 
 
-def _as_float_plane(plane) -> np.ndarray:
-    if isinstance(plane, FramePlane):
-        return plane.samples.astype(np.float64)
-    arr = np.asarray(plane, dtype=np.float64)
+def _plane(plane) -> np.ndarray:
+    """The samples of a FramePlane or a 2-D array, not converted."""
+    arr = plane.samples if isinstance(plane, FramePlane) else np.asarray(plane)
     if arr.ndim != 2:
         raise ContractViolation(f"expected a 2-D plane, got shape {arr.shape}")
     return arr
+
+
+def _strips(plane: np.ndarray):
+    """(rows, own, strip) per STRIP_ROWS output rows: the float64 samples of
+    those rows and up to _HALO rows either side, own selecting the strip's own."""
+    h = plane.shape[0]
+    for r0 in range(0, h, STRIP_ROWS):
+        r1, a = min(r0 + STRIP_ROWS, h), max(r0 - _HALO, 0)
+        yield slice(r0, r1), slice(r0 - a, r1 - a), np.asarray(plane[a : r1 + _HALO], dtype=np.float64)
+
+
+def _windowed(strip: np.ndarray, own: slice) -> np.ndarray:
+    """The strip's own rows of a separable zero-padded gaussian filter (renormalized by caller)."""
+    tmp = convolve1d(strip, _SSIM_KERNEL, axis=0, mode="constant", cval=0.0)[own]
+    return convolve1d(tmp, _SSIM_KERNEL, axis=1, mode="constant", cval=0.0)
+
+
+def _local_moments(x: np.ndarray, own: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window weight, local mean and local variance of a strip's own rows."""
+    weight = _windowed(np.ones_like(x), own)
+    mu_x = _windowed(x, own) / weight
+    var_x = _windowed(x * x, own) / weight
+    var_x -= mu_x * mu_x
+    return weight, mu_x, var_x
+
+
+def _plane_pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
+    """The reference's and the test plane's samples, checked to agree in shape."""
+    x, y = ref.plane if isinstance(ref, FrameReference) else _plane(ref), _plane(test)
+    if x.shape != y.shape:
+        raise ContractViolation(f"plane shapes differ: {x.shape} vs {y.shape}")
+    return x, y
 
 
 def ssim_map(ref, test) -> np.ndarray:
@@ -58,27 +98,19 @@ def ssim_map(ref, test) -> np.ndarray:
     dividing zero-padded filter responses by the filtered all-ones plane.
     ``ref`` is a plane or a FrameReference, which keeps its moments.
     """
-    ref = ref if isinstance(ref, FrameReference) else FrameReference(ref)
-    y = _as_float_plane(test)
-    if ref.plane.shape != y.shape:
-        raise ContractViolation(f"plane shapes differ: {ref.plane.shape} vs {y.shape}")
-
-    # Each window sum is taken and centred in turn and every plane dropped
-    # once used, so beyond the reference's four planes at most five are
-    # alive at a time (this step sets the codec bench's peak memory).
-    x, (weight, mu_x, var_x) = ref.plane, ref.moments()
-    mu_y = _windowed(y) / weight
-    cov = _windowed(x * y) / weight
-    cov -= mu_x * mu_y
-    y = y * y
-    var_y = _windowed(y) / weight
-    var_y -= mu_y * mu_y
-    del ref, x, y, weight
-
-    num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
-    del cov
-    num /= (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
-    return num
+    x, y = _plane_pair(ref, test)
+    kept = ref.moments() if isinstance(ref, FrameReference) else None
+    smap = np.empty(y.shape)
+    for (rows, own, xs), (_, _, ys) in zip(_strips(x), _strips(y)):
+        weight, mu_x, var_x = _local_moments(xs, own) if kept is None else (m[rows] for m in kept)
+        mu_y = _windowed(ys, own) / weight
+        cov = _windowed(xs * ys, own) / weight
+        cov -= mu_x * mu_y
+        var_y = _windowed(ys * ys, own) / weight
+        var_y -= mu_y * mu_y
+        num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
+        np.divide(num, (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2), out=smap[rows])
+    return smap
 
 
 def mean_ssim(ref, test) -> float:
@@ -102,8 +134,13 @@ def fw_ssim_from_map(smap: np.ndarray, fmap: FoveationMap) -> float:
     total = fmap.values.sum()
     if total == 0:
         raise ContractViolation("foveation map has zero mass")
-    smooth = haar_lowpass_2x2(smap)
-    return float((smooth * fmap.values).sum() / total)
+    h, weighted = smap.shape[0], np.empty(smap.shape)
+    for r0 in range(0, h, STRIP_ROWS):
+        rows = slice(r0, min(r0 + STRIP_ROWS, h))
+        # one row past the strip, so only the frame's last row is replicated
+        smooth = haar_lowpass_2x2(smap[r0 : rows.stop + 1])[: rows.stop - r0]
+        np.multiply(smooth, fmap.values[rows], out=weighted[rows])
+    return float(weighted.sum() / total)
 
 
 def foveation_weighted_ssim(ref, test, fmap: FoveationMap) -> float:
@@ -114,29 +151,35 @@ def foveation_weighted_ssim(ref, test, fmap: FoveationMap) -> float:
 # --- wavelet-domain foveated quality -------------------------------------
 
 FWQI_LEVELS = 4
+_HAAR_GAIN = 1.0 / np.sqrt(2.0)
+# (across columns, across rows) of each orthonormal Haar band, in scoring order
+_LH, _HL, _HH, _LL = (np.add, np.subtract), (np.subtract, np.add), (np.subtract, np.subtract), (np.add, np.add)
 
 
-def _haar_dwt2(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One orthonormal Haar analysis step: returns (LL, LH, HL, HH)."""
-    s = 1.0 / np.sqrt(2.0)
-    lo_r = (img[:, 0::2] + img[:, 1::2]) * s
-    hi_r = (img[:, 0::2] - img[:, 1::2]) * s
-    ll = (lo_r[0::2, :] + lo_r[1::2, :]) * s
-    lh = (lo_r[0::2, :] - lo_r[1::2, :]) * s
-    hl = (hi_r[0::2, :] + hi_r[1::2, :]) * s
-    hh = (hi_r[0::2, :] - hi_r[1::2, :]) * s
-    return ll, lh, hl, hh
+def _haar_band(plane: np.ndarray, ops) -> np.ndarray:
+    """One band of one orthonormal Haar analysis step, built from row strips."""
+    band = np.empty((plane.shape[0] // 2, plane.shape[1] // 2))
+    for r0 in range(0, plane.shape[0], STRIP_ROWS):
+        img = np.asarray(plane[r0 : r0 + STRIP_ROWS], dtype=np.float64)
+        half = ops[0](img[:, 0::2], img[:, 1::2]) * _HAAR_GAIN
+        band[r0 // 2 : (r0 + STRIP_ROWS) // 2] = ops[1](half[0::2, :], half[1::2, :]) * _HAAR_GAIN
+    return band
 
 
-def _haar_decompose(img: np.ndarray, levels: int):
-    """Full decomposition: [(scale, subband array), ...] plus the final LL."""
-    bands = []
-    ll = img
-    for s in range(1, levels + 1):
-        ll, lh, hl, hh = _haar_dwt2(ll)
-        bands.extend([(s, lh), (s, hl), (s, hh)])
-    bands.append((levels, ll))
-    return bands
+def _haar_bands(plane: np.ndarray):
+    """(scale, band) of the decomposition of the plane's top-left part whose
+    sides are multiples of 2**FWQI_LEVELS: LH, HL and HH at each scale, then
+    the final LL.  Each band is built only when asked for."""
+    unit = 2 ** FWQI_LEVELS
+    ch, cw = (plane.shape[0] // unit) * unit, (plane.shape[1] // unit) * unit
+    if ch == 0 or cw == 0:
+        raise ContractViolation(f"frames of shape {plane.shape} cannot host a {FWQI_LEVELS}-level decomposition")
+    ll = plane[:ch, :cw]
+    for scale in range(1, FWQI_LEVELS + 1):
+        for ops in (_LH, _HL, _HH):
+            yield scale, _haar_band(ll, ops)
+        ll = _haar_band(ll, _LL)
+    yield FWQI_LEVELS, ll
 
 
 def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry, params: CsfParams) -> np.ndarray:
@@ -156,30 +199,26 @@ class FrameReference:
     """A reference plane plus the scoring work that depends on it alone, each
     part built on first use and then kept: the SSIM window weight, local mean
     and variance; the cropped Haar bands, and their weights and weighted
-    energy for the last gaze and geometry FWQI was asked for."""
+    energy for the last gaze and geometry FWQI was asked for.  The plane's
+    samples are kept as given and converted a strip at a time."""
 
     def __init__(self, plane):
-        self.plane = _as_float_plane(plane)
+        self.plane = _plane(plane)
         self._moments = self._bands = self._weighted = None
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Window weight, local mean and local variance."""
         if self._moments is None:
-            weight = _windowed(np.ones_like(self.plane))
-            mu_x = _windowed(self.plane) / weight
-            var_x = _windowed(self.plane * self.plane) / weight
-            var_x -= mu_x * mu_x
-            self._moments = weight, mu_x, var_x
+            self._moments = tuple(np.empty(self.plane.shape) for _ in range(3))
+            for rows, own, strip in _strips(self.plane):
+                for kept, part in zip(self._moments, _local_moments(strip, own)):
+                    kept[rows] = part
         return self._moments
 
     def weighted_bands(self, gaze, geom: DisplayGeometry, params: CsfParams = DEFAULT_CSF):
         """(bands, weights by scale, weighted energy); rejects a plane FWQI cannot score."""
         if self._bands is None:
-            shape, unit = self.plane.shape, 2 ** FWQI_LEVELS
-            ch, cw = (shape[0] // unit) * unit, (shape[1] // unit) * unit
-            if ch == 0 or cw == 0:
-                raise ContractViolation(f"frames of shape {shape} cannot host a {FWQI_LEVELS}-level decomposition")
-            self._bands = _haar_decompose(self.plane[:ch, :cw], FWQI_LEVELS)
+            self._bands = list(_haar_bands(self.plane))
         key = (tuple(gaze), geom, params)
         if self._weighted is None or self._weighted[0] != key:
             # a band's weights depend on its scale and shape alone, so each scale's are built once
@@ -206,18 +245,22 @@ def fwqi_approx(
     A declared approximation: 4-level Haar decomposition, each subband
     weighted by error sensitivity at its center frequency, scored as
     1 - ||weighted difference|| / ||weighted reference||.  ``ref`` is a
-    plane or a FrameReference, which keeps its bands and weights.
+    plane or a FrameReference, which keeps its bands and weights; a plane's
+    bands, like the test plane's, are built and dropped one at a time.
     """
-    ref = ref if isinstance(ref, FrameReference) else FrameReference(ref)
-    y = _as_float_plane(test)
-    if ref.plane.shape != y.shape:
-        raise ContractViolation(f"plane shapes differ: {ref.plane.shape} vs {y.shape}")
-    bands, weights, ref_energy = ref.weighted_bands(gaze, geom, params)
-    ch, cw = (n << FWQI_LEVELS for n in bands[-1][1].shape)  # the final LL band's crop
-
+    x, y = _plane_pair(ref, test)
+    shared = isinstance(ref, FrameReference)
+    bands, weights, ref_energy = ref.weighted_bands(gaze, geom, params) if shared else (_haar_bands(x), {}, 0.0)
     err_energy = 0.0
-    for (scale, ref_band), (_, test_band) in zip(bands, _haar_decompose(y[:ch, :cw], FWQI_LEVELS)):
+    for (scale, ref_band), (_, test_band) in zip(bands, _haar_bands(y)):
+        if scale not in weights:  # a plain reference's, built a scale at a time
+            weights = {scale: _subband_weights(scale, ref_band.shape, gaze, geom, params)}
         err_energy += float(((weights[scale] * (ref_band - test_band)) ** 2).sum())
+        if not shared:
+            ref_energy += float(((weights[scale] * ref_band) ** 2).sum())
+        del ref_band, test_band  # so only zip still holds them while it builds the next pair
+    if ref_energy == 0.0:  # a plain reference's; a FrameReference has checked its own
+        raise ContractViolation("weighted reference energy is zero")
     score = 1.0 - np.sqrt(err_energy) / np.sqrt(ref_energy)
     return float(min(max(score, 0.0), 1.0))
 

@@ -1,26 +1,69 @@
-"""Reference scoring: SSIM maps and FWQI computed from the two planes alone.
+"""Reference scoring: SSIM maps, FW-SSIM and FWQI computed from whole planes.
 
 These are the module-level ``ssim_map`` and ``fwqi_approx`` as they stood
 before ``fmvc.metrics.FrameReference`` shared the reference-side work across
-test planes, kept verbatim as the oracle for it.  Every call filters and
-decomposes both planes from scratch.
+test planes and before scoring went in row strips, kept as the oracle for
+both.  The filter, the Haar step and the 2x2 low-pass are this module's own
+whole-frame copies, so the oracle does not change with the code under test.
+Every call filters and decomposes both planes from scratch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import convolve1d
 
 from fmvc.errors import ContractViolation
-from fmvc.foveation import DEFAULT_CSF, CsfParams, DisplayGeometry
-from fmvc.metrics import (
-    FWQI_LEVELS,
-    _C1,
-    _C2,
-    _as_float_plane,
-    _haar_decompose,
-    _subband_weights,
-    _windowed,
-)
+from fmvc.foveation import DEFAULT_CSF, CsfParams, DisplayGeometry, FoveationMap
+from fmvc.metrics import FWQI_LEVELS, _C1, _C2, _subband_weights
+from fmvc.video_io import FramePlane
+
+
+def _gaussian_kernel_1d(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    x = np.arange(-(size // 2), size // 2 + 1, dtype=np.float64)
+    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    return k / k.sum()
+
+
+_KERNEL = _gaussian_kernel_1d()
+
+
+def _windowed(img: np.ndarray) -> np.ndarray:
+    """Separable gaussian filter with zero padding, axis 0 then axis 1."""
+    tmp = convolve1d(img, _KERNEL, axis=0, mode="constant", cval=0.0)
+    return convolve1d(tmp, _KERNEL, axis=1, mode="constant", cval=0.0)
+
+
+def _as_float_plane(plane) -> np.ndarray:
+    if isinstance(plane, FramePlane):
+        return plane.samples.astype(np.float64)
+    arr = np.asarray(plane, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ContractViolation(f"expected a 2-D plane, got shape {arr.shape}")
+    return arr
+
+
+def _haar_dwt2(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One orthonormal Haar analysis step: returns (LL, LH, HL, HH)."""
+    s = 1.0 / np.sqrt(2.0)
+    lo_r = (img[:, 0::2] + img[:, 1::2]) * s
+    hi_r = (img[:, 0::2] - img[:, 1::2]) * s
+    ll = (lo_r[0::2, :] + lo_r[1::2, :]) * s
+    lh = (lo_r[0::2, :] - lo_r[1::2, :]) * s
+    hl = (hi_r[0::2, :] + hi_r[1::2, :]) * s
+    hh = (hi_r[0::2, :] - hi_r[1::2, :]) * s
+    return ll, lh, hl, hh
+
+
+def _haar_decompose(img: np.ndarray, levels: int):
+    """Full decomposition: [(scale, subband array), ...] plus the final LL."""
+    bands = []
+    ll = img
+    for s in range(1, levels + 1):
+        ll, lh, hl, hh = _haar_dwt2(ll)
+        bands.extend([(s, lh), (s, hl), (s, hh)])
+    bands.append((levels, ll))
+    return bands
 
 
 def ssim_map(ref, test) -> np.ndarray:
@@ -87,3 +130,11 @@ def fwqi_approx(
         raise ContractViolation("weighted reference energy is zero")
     score = 1.0 - np.sqrt(err_energy) / np.sqrt(ref_energy)
     return float(min(max(score, 0.0), 1.0))
+
+
+def fw_ssim_from_map(smap: np.ndarray, fmap: FoveationMap) -> float:
+    """The SSIM map low-passed by a 2x2 box (bottom and right edges
+    replicated), averaged under the foveation map's weights."""
+    padded = np.pad(smap, ((0, 1), (0, 1)), mode="edge")
+    smooth = (padded[:-1, :-1] + padded[:-1, 1:] + padded[1:, :-1] + padded[1:, 1:]) / 4.0
+    return float((smooth * fmap.values).sum() / fmap.values.sum())

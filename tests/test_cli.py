@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fmvc import cli, codec
@@ -206,6 +206,12 @@ class TestEncodeDecode:
         out = tmp_path / "x.fmvc"
         assert main(["encode", "--input", str(clip_path), "--output", str(out), flag, value]) == 2
         assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_fmsc_divisor_is_rejected_by_parse_fmsc(self, clip_path, tmp_path, capsys):
+        out = tmp_path / "x.fmvc"
+        assert main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/1e-320"]) == 2
+        assert "is too small for a finite sigma" in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_qbase_round_trips(self, clip_path, tmp_path):
@@ -408,12 +414,14 @@ def test_densify_of_any_parsed_track(text, frame_count, width, height):
 
 @given(st.one_of(st.text(), st.tuples(st.sampled_from(["", "H/", "h/", " H/"]), _FIELDS).map("".join)),
        st.integers(1, 4096))
+@example("H/1e-320", 288)  # a finite divisor whose quotient overflows
+@example("H/1e-306", 288)
 def test_fmsc_parsing_is_total(text, height):
     try:
         sigma, code = parse_fmsc(text, height)
     except ConfigError:
         return
-    assert sigma > 0 and type(code) is int and 0 <= code <= 255
+    assert math.isfinite(sigma) and sigma > 0 and type(code) is int and 0 <= code <= 255
     if code:
         assert sigma == height / code
 

@@ -1,9 +1,10 @@
 """Differential tests: scoring through a FrameReference, or through plain
-planes, against the plane-pair oracle in metricref.
+planes, against the whole-plane oracle in metricref.
 
 Sides run from 16 to 48 px, so FWQI crops are partial, and gazes are integer
 and fractional.  One reference is scored against several test planes under
 alternating gazes and geometries, so every kept part is reused and rebuilt.
+Heights of up to three row strips and more cross every strip boundary.
 Every comparison is exact.
 """
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import metricref as oracle
 from fmvc.errors import ContractViolation
 from fmvc.foveation import DisplayGeometry, foveation_map
-from fmvc.metrics import FrameReference, fw_ssim_from_map, fwqi_approx, ssim_map
+from fmvc.metrics import STRIP_ROWS, FrameReference, fw_ssim_from_map, fwqi_approx, ssim_map
 
 
 @st.composite
@@ -46,8 +47,33 @@ def test_scores_match_plane_pair_oracle(shared, case):
         assert np.array_equal(smap, expected)
         for gaze, geom in views:
             fmap = foveation_map(geom, gaze)
-            assert fw_ssim_from_map(smap, fmap) == fw_ssim_from_map(expected, fmap)
+            assert fw_ssim_from_map(smap, fmap) == oracle.fw_ssim_from_map(expected, fmap)
             assert fwqi_approx(ref, test, gaze, geom) == oracle.fwqi_approx(plane, test, gaze, geom)
+
+
+# Heights next to each strip boundary, and last strips shorter than the
+# SSIM halo of five rows, besides any height up to three strips and more.
+_EDGE_HEIGHTS = sorted({k * STRIP_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1, 2, 4)})
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])
+@settings(max_examples=40, deadline=None)
+@given(h=st.one_of(st.sampled_from(_EDGE_HEIGHTS), st.integers(1, 3 * STRIP_ROWS + 11)),
+       w=st.one_of(st.integers(1, 15), st.integers(16, 24)), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_scores_across_strip_boundaries_match_oracle(shared, h, w, seed, data):
+    rng = np.random.default_rng(seed)
+    plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    test = np.clip(plane.astype(np.int16) + rng.integers(-40, 41, (h, w)), 0, 255).astype(np.uint8)
+    ref = FrameReference(plane) if shared else plane
+    smap = ssim_map(ref, test)
+    expected = oracle.ssim_map(plane, test)
+    assert np.array_equal(smap, expected)
+    gaze = (data.draw(st.floats(0.0, w - 1.0)), data.draw(st.floats(0.0, h - 1.0)))
+    geom = DisplayGeometry(0.02, 0.012, w, h)
+    fmap = foveation_map(geom, gaze)
+    assert fw_ssim_from_map(smap, fmap) == oracle.fw_ssim_from_map(expected, fmap)
+    if min(h, w) >= 16:
+        assert fwqi_approx(ref, test, gaze, geom) == oracle.fwqi_approx(plane, test, gaze, geom)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])

@@ -139,15 +139,16 @@ def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tup
 
 def decode_blocks(
     data: bytes, layout: Sequence[tuple[int, np.ndarray | None]]
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Inverse of encode_blocks.
 
     Each layout entry is (block count, allowed prefixes): a 256-entry
     boolean table of the prefix values the plane's blocks may carry, or None
-    when they carry no prefix.  Returns per plane (blocks, prefixes), blocks
-    as (8, 8, n) int16 coefficients.  After the last block fewer than 8 bits
-    may remain, all zero.  Any other payload raises BitstreamError with a
-    byte offset inside it.
+    when they carry no prefix.  Returns (blocks, prefixes): blocks holds
+    every plane's blocks, in layout order, as one (8, 8, n) int16 array,
+    and prefixes, per plane, its blocks' prefixes or None.  After the last
+    block fewer than 8 bits may remain, all zero.  Any other payload raises
+    BitstreamError with a byte offset inside it.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
@@ -214,5 +215,4 @@ def decode_blocks(
     flat = np.zeros((65, n_blocks), dtype=np.int16)
     index = (np.append(ZIGZAG, 64) * n_blocks).take(scan) + np.repeat(np.arange(n_blocks), counts + 1)
     flat.reshape(-1)[index] = signed
-    blocks = np.split(flat[:64].reshape(8, 8, n_blocks), np.cumsum([n for n, _ in layout])[:-1], axis=2)
-    return list(zip(blocks, prefixes))
+    return flat[:64].reshape(8, 8, n_blocks), prefixes

@@ -9,9 +9,13 @@ block to another level.  Before transforming, the encoder proves which
 blocks quantize to all zeros with a float32 pre-test (_may_be_nonzero).
 That test only decides what to skip and is provably conservative: every
 block it skips is zero through the full path, so streams do not depend
-on it.  The decoder's output is bit-exactly the encoder's own
-reconstruction; both sides share one prediction and one reconstruction
-routine so the recurrent frame chain cannot drift.
+on it.  A frame's Y, Cb and Cr residual blocks form one (8, 8, n) block
+array in payload order, Y then Cb then Cr, so the pre-test, the forward
+and inverse transforms and the quantizer each run once per frame; the
+entropy coder takes per-plane views of it.  The decoder's output is
+bit-exactly the encoder's own reconstruction; both sides share one
+prediction and one reconstruction routine so the recurrent frame chain
+cannot drift.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .transform import (
     grid_shape,
     grid_tiles,
     inverse_blocks,
-    to_tiles,
 )
 from .video_io import Frame, FramePlane, VideoSequence
 
@@ -121,7 +124,7 @@ def _round_div_half_away(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
 # --- plane helpers ------------------------------------------------------
 
 
-def _quantize_plane_blocks(coeffs: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule) -> np.ndarray:
+def _quantize_plane_blocks(coeffs: np.ndarray, levels: np.ndarray, sched: QuantSchedule) -> np.ndarray:
     """Quantize (8, 8, ...) coefficients, each block at its level's step.
 
     No value grows in magnitude, so coefficients within the block code's
@@ -129,7 +132,13 @@ def _quantize_plane_blocks(coeffs: np.ndarray, levels_grid: np.ndarray, sched: Q
     """
     if coeffs.size and max(coeffs.max(), -coeffs.min()) >= 1 << 15:
         raise ContractViolation("the block code carries int16 coefficients only")
-    return _round_div_half_away(coeffs, sched.steps_array()[levels_grid])
+    return _round_div_half_away(coeffs, sched.steps_array()[levels])
+
+
+def _most(blocks: np.ndarray) -> bool:
+    """Whether at least 3/4 of a frame's blocks are flagged: then one pass
+    over every block costs less than gathering the flagged ones."""
+    return 4 * np.count_nonzero(blocks) >= 3 * blocks.size
 
 
 # The all-zero pre-test (_may_be_nonzero).  A block's coefficients are
@@ -152,9 +161,10 @@ def _quantize_plane_blocks(coeffs: np.ndarray, levels_grid: np.ndarray, sched: Q
 # below 2**15, so its float32 sum z is within 2**-10 of exact, and |c| < z.
 # A block whose every 2z is below its step is all zeros.  z is at least
 # the envelope, so only blocks with a step above _MATMUL_STEP can pass; the
-# others skip the matmul.  A plane where stage 1 clears no block is busy
-# (CIF luma at q_base 4 is one): there the matmul clears too few blocks to
-# pay for itself and the gather, so the whole plane is transformed.
+# others skip the matmul.  A frame where stage 1 keeps at least 3/4 of the
+# blocks is busy (every CIF frame at q_base 4 keeps over 9/10; 720p frames
+# at q_base 32 keep about 3/10): _quantized_frame then transforms every
+# block, so the matmul is skipped, as its result would change nothing.
 #
 # The float arithmetic only decides what to skip.  A skipped block is
 # provably zero, and every other block is transformed and quantized as
@@ -170,7 +180,7 @@ def _may_be_nonzero(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     coefficient at their steps (n,); the others provably quantize to zeros."""
     live = np.abs(blocks).sum(axis=0, dtype=blocks.dtype) >= (steps - _SAD_MARGIN + 1) // 2
     tested = np.flatnonzero(live & (steps > _MATMUL_STEP))
-    if tested.size and not live.all():
+    if tested.size and not _most(live):
         z = _T32 @ blocks[:, tested].astype(np.float32)
         np.abs(z, out=z)
         z += _ENVELOPE
@@ -178,21 +188,27 @@ def _may_be_nonzero(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
-def _quantized_residual(
-    cur: np.ndarray, pred: np.ndarray, levels_grid: np.ndarray, sched: QuantSchedule
-) -> np.ndarray:
-    """Transform and quantize one plane's residual against its raster prediction.
+def _quantized_frame(planes, preds, levels: np.ndarray, sched: QuantSchedule) -> np.ndarray:
+    """Transform and quantize the residuals of planes against their raster
+    predictions, as one (8, 8, n) block array in plane order, each block at
+    its level in levels (n,).
 
-    The residual is the one plane tiled.  Only the blocks _may_be_nonzero
-    keeps are transformed and quantized; the rest stay zero.
+    Only the blocks _may_be_nonzero keeps are transformed and quantized, and
+    the rest stay zero; but with at least 3/4 of the blocks kept, the whole
+    array is transformed, as that costs less than gathering them.
     """
-    residual = to_tiles(np.subtract(cur, pred, dtype=np.int16))
-    steps = sched.steps_array()[levels_grid]
-    live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), steps.reshape(-1)).reshape(steps.shape)
-    if live.all():
-        return _quantize_plane_blocks(forward_blocks(residual), levels_grid, sched)
+    residual = np.empty((BLOCK, BLOCK, len(levels)), dtype=np.int16)
+    start = 0
+    for cur, pred in zip(planes, preds):
+        tiles = grid_tiles(np.subtract(cur, pred, dtype=np.int16))[1]
+        stop = start + tiles[0, 0].size
+        residual[:, :, start:stop].reshape(tiles.shape)[...] = tiles
+        start = stop
+    live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), sched.steps_array()[levels])
+    if _most(live):
+        return _quantize_plane_blocks(forward_blocks(residual), levels, sched)
     qblocks = np.zeros(residual.shape, dtype=np.int16)
-    qblocks[:, :, live] = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), levels_grid[live], sched)
+    qblocks[:, :, live] = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), levels[live], sched)
     return qblocks
 
 
@@ -213,10 +229,10 @@ def _block_counts(width: int, height: int) -> tuple[int, int]:
     return nby * nbx, ((nby + 1) // 2) * ((nbx + 1) // 2)  # the size of _chroma_grid
 
 
-def _level_grids(luma_levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block levels of Y, Cb and Cr; chroma takes the luma choices."""
-    chroma_levels = _chroma_grid(luma_levels)
-    return luma_levels, chroma_levels, chroma_levels
+def _frame_levels(luma_levels: np.ndarray) -> np.ndarray:
+    """Per-block levels of Y, Cb and Cr, in payload order; chroma takes the luma choices."""
+    chroma_levels = _chroma_grid(luma_levels).reshape(-1)
+    return np.concatenate([luma_levels.reshape(-1), chroma_levels, chroma_levels])
 
 
 def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,23 +248,30 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _reconstruct(qplanes, preds, level_grids, sched: QuantSchedule) -> Frame:
-    """Rebuild the frame from its Y, Cb, Cr blocks and raster predictions; must stay bit-deterministic.
+def _reconstruct(qblocks: np.ndarray, levels: np.ndarray, preds, sched: QuantSchedule) -> Frame:
+    """Rebuild the frame from its (8, 8, n) Y, Cb, Cr blocks and raster predictions; must stay bit-deterministic.
 
     Each prediction, padded to whole tiles, becomes its plane in place
     through a tile view.  Only blocks with a nonzero coefficient are
     dequantized, inverse transformed and added, as a zero block's residual
-    is exactly zero; but a plane with at least 3/4 of its blocks coded
-    takes the view whole, as that costs less than gathering the blocks.
+    is exactly zero; but a frame with at least 3/4 of its blocks coded
+    transforms them all, as that costs less than gathering them.  Either
+    way, one inverse transform serves the three planes.
     """
-    planes = []
-    for qblocks, pred, levels_grid in zip(qplanes, preds, level_grids):
+    coded = qblocks.any(axis=(0, 1))
+    whole = _most(coded)
+    at = np.s_[:] if whole else coded
+    residual = inverse_blocks(qblocks[:, :, at] * sched.steps_array()[levels[at]])
+    planes, start, done = [], 0, 0
+    for pred in preds:
         plane, tiles = grid_tiles(pred)
-        coded = qblocks.any(axis=(0, 1))
-        at = np.s_[...] if 4 * np.count_nonzero(coded) >= 3 * coded.size else coded
-        residual = inverse_blocks(qblocks[:, :, at] * sched.steps_array()[levels_grid[at]])
-        tiles[:, :, at] = np.clip(residual + tiles[:, :, at], 0, 255)
+        stop = start + tiles[0, 0].size
+        mine = np.s_[...] if whole else coded[start:stop].reshape(tiles.shape[2:])
+        dest = tiles[:, :, mine]
+        taken = done + dest[0, 0].size
+        tiles[:, :, mine] = np.clip(residual[:, :, done:taken].reshape(dest.shape) + dest, 0, 255)
         planes.append(FramePlane.from_array(np.ascontiguousarray(plane[: pred.shape[0], : pred.shape[1]])))
+        start, done = stop, taken
     return Frame(*planes)
 
 
@@ -277,13 +300,14 @@ class FrameBitstream:
 
 
 def _block_bits(luma_bits: np.ndarray, chroma_bits: np.ndarray) -> np.ndarray:
-    """Each luma block's bits plus an even split of its chroma block's bits.
+    """Each luma block's bits (a grid) plus an even split of its chroma
+    block's bits (in raster order).
 
     Shares are integers over 1, 2 or 4, so every sum is exact.
     """
     rows, cols = (np.arange(n) // 2 for n in luma_bits.shape)  # covering chroma block
     span = np.bincount(rows)[:, None] * np.bincount(cols)[None, :]
-    return luma_bits + (chroma_bits / span)[rows[:, None], cols[None, :]]
+    return luma_bits + (chroma_bits.reshape(span.shape) / span)[rows[:, None], cols[None, :]]
 
 
 def encode_frame(
@@ -314,21 +338,17 @@ def encode_frame(
         fld = DisplacementField.uniform(CATALOGUE[0], *grid_shape((h, w)))
     else:
         fld = choose_displacements(cur.y.samples, prev_recon.y.samples)
-    level_grids = _level_grids(block_levels(level_map))
+    luma_levels = block_levels(level_map)
+    levels = _frame_levels(luma_levels)
     preds = _predict(prev_recon, fld)
-    qplanes = [
-        _quantized_residual(plane.samples, pred, levels_grid, sched)
-        for plane, pred, levels_grid in zip((cur.y, cur.cb, cur.cr), preds, level_grids)
-    ]
-    prefixes = (fld.indices.astype(np.uint8) << 4 | level_grids[0].astype(np.uint8)).reshape(-1)
-    payload, (bits_y, bits_cb, bits_cr) = encode_blocks(
-        [(qplanes[0], prefixes), (qplanes[1], None), (qplanes[2], None)]
-    )
-    block_bits = _block_bits(
-        bits_y.reshape(level_grids[0].shape), (bits_cb + bits_cr).reshape(level_grids[1].shape)
-    )
+    qblocks = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, levels, sched)
+    n_luma, n_chroma = _block_counts(w, h)
+    q_y, q_cb, q_cr = np.split(qblocks, [n_luma, n_luma + n_chroma], axis=2)
+    prefixes = (fld.indices.astype(np.uint8) << 4 | luma_levels.astype(np.uint8)).reshape(-1)
+    payload, (bits_y, bits_cb, bits_cr) = encode_blocks([(q_y, prefixes), (q_cb, None), (q_cr, None)])
+    block_bits = _block_bits(bits_y.reshape(luma_levels.shape), bits_cb + bits_cr)
     stream = FrameBitstream(payload, block_bits, int(bits_y.sum() + bits_cb.sum() + bits_cr.sum()))
-    return stream, _reconstruct(qplanes, preds, level_grids, sched)
+    return stream, _reconstruct(qblocks, levels, preds, sched)
 
 
 def decode_frame(
@@ -342,13 +362,12 @@ def decode_frame(
         raise ContractViolation("frame payload records zero blocks")
     grid = grid_shape(prev_recon.y.samples.shape)
     n_luma, n_chroma = _block_counts(prev_recon.y.width, prev_recon.y.height)
-    (q_y, prefixes), (q_cb, _), (q_cr, _) = decode_blocks(
+    qblocks, (prefixes, _, _) = decode_blocks(
         payload, [(n_luma, _prefix_table(sched)), (n_chroma, None), (n_chroma, None)]
     )
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
-    level_grids = _level_grids((prefixes & 0x0F).reshape(grid))
-    qplanes = [q.reshape(8, 8, *g.shape) for q, g in zip((q_y, q_cb, q_cr), level_grids)]
-    return _reconstruct(qplanes, _predict(prev_recon, fld), level_grids, sched)
+    levels = _frame_levels((prefixes & 0x0F).reshape(grid))
+    return _reconstruct(qblocks, levels, _predict(prev_recon, fld), sched)
 
 
 # --- sequence container -------------------------------------------------

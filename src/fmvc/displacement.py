@@ -165,6 +165,10 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
     """
     h, w = cur.shape
     nby, nbx = grid_shape((h, w))
+    if prev_recon.min() == prev_recon.max():
+        # Every window of a constant plane holds that constant, so each block's
+        # 13 integer SSEs are equal and the first minimum, index 0, is the choice.
+        return DisplacementField(np.zeros((nby, nbx), dtype=np.int8))
     stride = -(-(w + 2 * _PAD) // BLOCK) * BLOCK
     # one spare row: a run that starts past column 0 ends in the row below
     ref = edge_padded(prev_recon, nby * BLOCK + 2 * _PAD + 1, stride, _PAD).astype(np.float32).reshape(-1)

@@ -252,15 +252,6 @@ def grid_tiles(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plane, plane.reshape(nby, BLOCK, nbx, BLOCK).transpose(1, 3, 0, 2)
 
 
-def to_tiles(plane: np.ndarray) -> np.ndarray:
-    """Split a plane into tiles laid out (8, 8, nby, nbx), edge-replicating partial tiles.
-
-    One transposing copy makes each (i, j) slab contiguous, and the tiles
-    never share memory with the plane.
-    """
-    return grid_tiles(plane)[1].copy()
-
-
 def tile_reduce(plane: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     """Reduce each tile to one value with a ufunc such as np.add or np.maximum.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from fmvc.displacement import CATALOGUE, Axis, DisplacementField
 from fmvc.foveation import display_nyquist, eccentricity, error_sensitivity
-from fmvc.transform import _EVEN_P, _EVEN_U, _FP, _HALF, _ODD_OPS, BLOCK, grid_shape, to_tiles
+from fmvc.transform import _EVEN_P, _EVEN_U, _FP, _HALF, _ODD_OPS, BLOCK, grid_shape, grid_tiles
 
 
 def planes(blocks: np.ndarray) -> np.ndarray:
@@ -31,7 +31,7 @@ def stack(blocks: np.ndarray) -> np.ndarray:
 
 
 def from_tiles(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of to_tiles: reassemble a (height, width) plane, cropping the padding."""
+    """Inverse of grid_tiles' tile view: reassemble a (height, width) plane, cropping the padding."""
     nby, nbx = grid_shape(shape)
     return tiles.transpose(2, 0, 3, 1).reshape(nby * BLOCK, nbx * BLOCK)[: shape[0], : shape[1]]
 
@@ -71,7 +71,7 @@ def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offs
         d = CATALOGUE[int(k)]
         s = int(d.s / 2) if halve_offsets else d.s
         picked = choice == k
-        tiles[:, :, picked] = to_tiles(shift_plane(prev_recon, d.axis, s))[:, :, picked]
+        tiles[:, :, picked] = grid_tiles(shift_plane(prev_recon, d.axis, s))[1][:, :, picked]
     return from_tiles(tiles, prev_recon.shape)
 
 

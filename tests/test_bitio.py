@@ -13,6 +13,13 @@ from bitref import BitReader, BitWriter, PayloadWriter, decode_stack, encode_sta
 from kernelref import planes as as_planes
 
 
+def decode_planes(data, layout):
+    """decode_blocks' one block array split per plane: per plane (blocks, prefixes), as decode_stack gives them."""
+    blocks, prefixes = decode_blocks(data, layout)
+    assert blocks.shape == (8, 8, sum(n for n, _ in layout))
+    return list(zip(np.split(blocks, np.cumsum([n for n, _ in layout])[:-1], axis=2), prefixes))
+
+
 def test_ue_codewords():
     assert ue_bits(0) == "1"
     assert ue_bits(1) == "010"
@@ -139,7 +146,7 @@ def test_array_encoder_matches_reference(planes):
 @given(block_planes())
 def test_array_decoder_inverts_encoder(planes):
     payload, _ = encode_blocks(planes)
-    decoded = decode_blocks(payload, layout_of(planes))
+    decoded = decode_planes(payload, layout_of(planes))
     assert len(decoded) == len(planes)
     for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decoded, planes):
         assert np.array_equal(blocks, want_blocks)
@@ -181,7 +188,7 @@ def payloads_and_layouts(draw):
 @given(payloads_and_layouts())
 def test_array_decoder_rejects_exactly_when_reference_does(case):
     data, layout = case
-    got = outcome(decode_blocks, data, layout)
+    got = outcome(decode_planes, data, layout)
     want = outcome(decode_stack, data, layout)
     assert isinstance(got, BitstreamError) == isinstance(want, BitstreamError)
     if isinstance(got, BitstreamError):
@@ -204,12 +211,12 @@ def test_decoder_rejects_trailing_bits():
     block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits
     payload, [bits] = encode_blocks([(block, None)])
     assert bits.tolist() == [6] and payload == bytes([0b00111100])
-    assert np.array_equal(decode_blocks(payload, [(1, None)])[0][0], block)
+    assert np.array_equal(decode_planes(payload, [(1, None)])[0][0], block)
     with pytest.raises(BitstreamError, match="zero padding") as info:
-        decode_blocks(bytes([0b00111101]), [(1, None)])  # a set pad bit
+        decode_planes(bytes([0b00111101]), [(1, None)])  # a set pad bit
     assert info.value.byte_offset == 0
     with pytest.raises(BitstreamError, match="zero padding") as info:
-        decode_blocks(payload + b"\x00", [(1, None)])  # a whole byte more
+        decode_planes(payload + b"\x00", [(1, None)])  # a whole byte more
     assert info.value.byte_offset == 0
 
 
@@ -231,7 +238,7 @@ def test_decoder_bounds_codewords_by_the_int16_range():
         w = PayloadWriter()
         w.write_ue(signed_to_symbol(value) + 1)
         w.write_ue(0)
-        for decode in (decode_blocks, decode_stack):
+        for decode in (decode_planes, decode_stack):
             if accepted:
                 [(blocks, _)] = decode(w.getvalue(), [(1, None)])
                 assert blocks[0, 0, 0] == value
@@ -243,17 +250,17 @@ def test_decoder_bounds_codewords_by_the_int16_range():
     w.write_ue(2**70)  # a 141-bit codeword
     w.write_ue(0)
     with pytest.raises(BitstreamError, match="int16") as info:
-        decode_blocks(w.getvalue(), [(1, None)])
+        decode_planes(w.getvalue(), [(1, None)])
     assert info.value.byte_offset == 0
 
 
 def test_decoder_checks_prefixes_against_the_table():
     payload, _ = encode_blocks([(np.zeros((8, 8, 2), np.int64), np.array([7, 9], np.uint8))])
     allowed = np.ones(256, bool)
-    assert decode_blocks(payload, [(2, allowed)])[0][1].tolist() == [7, 9]
+    assert decode_planes(payload, [(2, allowed)])[0][1].tolist() == [7, 9]
     allowed[9] = False
     with pytest.raises(BitstreamError, match="0x09") as info:
-        decode_blocks(payload, [(2, allowed)])
+        decode_planes(payload, [(2, allowed)])
     assert info.value.byte_offset == 1  # the second prefix byte
 
 
@@ -312,7 +319,7 @@ def test_decoder_outcomes_on_corrupt_payloads_are_pinned(int32_bits, monkeypatch
     digest = hashlib.sha256()
     for data, layout in corrupt_payloads():
         try:
-            decoded = decode_blocks(data, layout)
+            decoded = decode_planes(data, layout)
         except BitstreamError as exc:
             digest.update(f"{type(exc).__name__}: {exc} at {exc.byte_offset}\n".encode())
             continue
@@ -338,13 +345,13 @@ def test_int64_positions_code_exactly_as_int32(rng, monkeypatch):
         blocks[0, :3] = INT16_EXTREMES[[0, 1, 0]]
         planes.append((blocks.reshape(8, 8, n), rng.integers(0, 256, n).astype(np.uint8) if prefixed else None))
     payload, bits = encode_blocks(planes)
-    decoded = decode_blocks(payload, layout_of(planes))
+    decoded = decode_planes(payload, layout_of(planes))
     monkeypatch.setattr(bitio, "_INT32_BITS", 8)
     assert bitio._index_dtype(len(payload)) is np.int64
     wide_payload, wide_bits = encode_blocks(planes)
     assert wide_payload == payload
     assert [b.tolist() for b in wide_bits] == [b.tolist() for b in bits]
-    for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decode_blocks(payload, layout_of(planes)), decoded):
+    for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decode_planes(payload, layout_of(planes)), decoded):
         assert np.array_equal(blocks, want_blocks)
         assert np.array_equal(prefixes, want_prefixes) if want_prefixes is not None else prefixes is None
 
@@ -390,7 +397,7 @@ def aligned_field_payloads(draw):
 @given(aligned_field_payloads())
 def test_decoder_reads_fields_of_every_width_at_every_alignment(case):
     data, layout = case
-    got = outcome(decode_blocks, data, layout)
+    got = outcome(decode_planes, data, layout)
     want = outcome(decode_stack, data, layout)
     assert isinstance(got, BitstreamError) == isinstance(want, BitstreamError)
     if not isinstance(got, BitstreamError):

@@ -154,17 +154,24 @@ def _adversarial_blocks(steps) -> np.ndarray:
 
 
 def _quantized_residual_of(residual, levels_grid, sched):
-    """codec._quantized_residual on planes whose difference is residual (8, 8, nby, nbx)."""
+    """codec._quantized_frame on one plane pair whose difference is residual (8, 8, nby, nbx)."""
     shape = (8 * residual.shape[2], 8 * residual.shape[3])
     cur, pred = (from_tiles(np.maximum(r, 0).astype(np.uint8), shape) for r in (residual, -residual))
-    return codec._quantized_residual(cur, pred, levels_grid, sched)
+    return codec._quantized_frame([cur], [pred], levels_grid.reshape(-1), sched).reshape(residual.shape)
 
 
 def _check_against_unskipped_path(blocks, sched):
     """Code residual blocks (8, 8, n) at every level of sched; the pre-test
-    may skip only blocks that quantize to zero through the full integer path."""
+    may skip only blocks that quantize to zero through the full integer path.
+
+    As many zero blocks again sit at level 0, whose step is the largest:
+    where that step exceeds the matmul's floor, the SAD stage clears half of
+    the frame, so the matmul stage runs on the rest.
+    """
     residual = np.broadcast_to(blocks[:, :, None], (8, 8, sched.n_levels, blocks.shape[2]))
-    levels_grid = np.broadcast_to(np.arange(sched.n_levels)[:, None], residual.shape[2:])
+    residual = np.concatenate([residual, np.zeros_like(residual)], axis=2)
+    levels = np.concatenate([np.arange(sched.n_levels), np.zeros(sched.n_levels, int)])
+    levels_grid = np.broadcast_to(levels[:, None], residual.shape[2:])
     got = _quantized_residual_of(residual, levels_grid, sched)
     full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), levels_grid, sched)
     assert got.dtype == np.int16
@@ -246,7 +253,7 @@ class TestAllZeroPretest:
         level_map = LevelMap(np.random.default_rng(1).integers(0, 2, (h, w), dtype=np.uint8), 2)
         counts = self._lockstep_blocks_transformed(monkeypatch, random_clip(w, h, 3, seed=8), sched, level_map)
         n_luma, n_chroma = codec._block_counts(w, h)
-        assert counts == [n_luma, n_chroma, n_chroma] * 3
+        assert counts == [n_luma + 2 * n_chroma] * 3  # one call per frame, over its three planes
 
 
 def _reconstruction_oracle(payload, prev, sched):
@@ -270,36 +277,43 @@ def _reconstruction_oracle(payload, prev, sched):
 
 
 class TestReconstructPaths:
-    """_reconstruct takes a plane's tile view whole, or gathers its coded
+    """_reconstruct takes a frame's blocks whole, or gathers its coded
     blocks, or finds none; each way, the encoder's reconstruction, the
     decoder's output and the oracle agree."""
 
     def _lockstep(self, monkeypatch, clip, sched, level_map):
-        """Code clip frame by frame against the oracle; return how each
-        inverse_blocks call was fed: "whole", "some" blocks or "none"."""
+        """Code clip frame by frame against the oracle; return, per frame,
+        how its one inverse_blocks call was fed on each side: "whole",
+        "some" blocks or "none"."""
         seen = []
         inverse = codec.inverse_blocks
+        n_luma, n_chroma = codec._block_counts(clip.width, clip.height)
 
         def spy(coeffs):
-            seen.append("whole" if coeffs.ndim == 4 else "some" if coeffs.shape[2] else "none")
+            n = coeffs.shape[2]
+            seen.append("whole" if n == n_luma + 2 * n_chroma else "some" if n else "none")
             return inverse(coeffs)
 
         monkeypatch.setattr(codec, "inverse_blocks", spy)
         enc = dec = midgray_frame(clip.width, clip.height)
+        paths = []
         for frame in clip.frames:
+            seen.clear()
             stream, recon = encode_frame(frame, enc, level_map, sched)
             dec = decode_frame(stream.payload, dec, sched)
             assert dec == recon
             want = _reconstruction_oracle(stream.payload, enc, sched)
             assert all(np.array_equal(p.samples, o) for p, o in zip((recon.y, recon.cb, recon.cr), want))
+            assert len(seen) == 2 and seen[0] == seen[1]  # the encoder's call, then the decoder's
+            paths.append(seen[0])
             enc = recon
-        return set(seen)
+        return paths
 
     @pytest.mark.parametrize(
         "w, h, coding",
         [(37, 29, "all"), (37, 29, "none"), (37, 29, "mixed"), (9, 17, "all"), (9, 17, "none"),
          (9, 17, "mixed"), (1, 1, "all"), (1, 1, "none")],
-    )  # a 1x1 plane is one block, so it cannot be mixed
+    )  # a 1x1 frame has one block per plane
     def test_each_path_matches_the_oracle(self, monkeypatch, w, h, coding):
         clip = random_clip(w, h, 3, seed=8)
         rng = np.random.default_rng(1)
@@ -316,13 +330,35 @@ class TestReconstructPaths:
         if coding == "mixed":
             assert "some" in paths
         else:
-            assert paths == {"all": {"whole"}, "none": {"none"}}[coding]
+            assert paths == [{"all": "whole", "none": "none"}[coding]] * len(clip.frames)
+
+
+class TestPerFrameKernels:
+    """A frame's three planes are one block array: each kernel runs once per frame."""
+
+    @pytest.mark.parametrize("w, h, q_base", [(37, 29, 1), (37, 29, 64), (64, 48, 8), (9, 17, MAX_Q_BASE)])
+    def test_one_transform_call_per_frame_and_side(self, monkeypatch, w, h, q_base):
+        calls = []
+        for name in ("forward_blocks", "inverse_blocks"):
+            original = getattr(codec, name)
+            monkeypatch.setattr(codec, name, lambda blocks, _f=original, _n=name: calls.append(_n) or _f(blocks))
+        sched = QuantSchedule(q_base=q_base)
+        level_map = quantize_map(gaussian_map((w // 3, h // 3), w / 4, w, h), sched.n_levels)
+        enc = dec = midgray_frame(w, h)
+        for frame in pan_clip(w, h, 3, step=3).frames:
+            calls.clear()
+            stream, enc = encode_frame(frame, enc, level_map, sched)
+            assert calls.count("forward_blocks") <= 1 and calls.count("inverse_blocks") <= 1
+            calls.clear()
+            dec = decode_frame(stream.payload, dec, sched)
+            assert calls in ([], ["inverse_blocks"])
+            assert dec == enc
 
 
 class TestEntropyCode:
     def roundtrip(self, block):
         payload, _ = encode_blocks([(block[:, :, None], None)])
-        [(blocks, _)] = decode_blocks(payload, [(1, None)])
+        blocks, _ = decode_blocks(payload, [(1, None)])
         return blocks[:, :, 0]
 
     def test_all_zero_block_is_one_bit(self):
@@ -347,7 +383,7 @@ class TestEntropyCode:
         blocks[rows, rng.integers(0, 64, len(rows))] = rng.integers(-30_000, 30_000, len(rows))
         blocks = planes(blocks.reshape(n, 8, 8))
         payload, _ = encode_blocks([(blocks, None)])
-        [(decoded, _)] = decode_blocks(payload, [(n, None)])
+        decoded, _ = decode_blocks(payload, [(n, None)])
         assert np.array_equal(decoded, blocks)
 
     def test_decode_rejects_overlong_block(self):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fmvc import displacement
 from fmvc.displacement import (
     CATALOGUE,
     Axis,
@@ -191,6 +194,33 @@ def test_encoder_choice_matches_residual_set_selection(rng):
         rset = residual_set(plane(cur), plane(prev))
         assert choose_displacements(cur, prev) == select_displacement_per_block(rset, 8)
         assert np.array_equal(choose_displacements(cur, prev).indices, brute_force_selection(rset, 8))
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 255), st.integers(0, 2**32 - 1))
+def test_flat_reference_chooses_no_displacement(h, w, value, seed):
+    # every window of a constant plane holds the constant, so all 13 SSEs tie in every block
+    cur = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+    prev = np.full((h, w), value, np.uint8)
+    got = choose_displacements(cur, prev)
+    assert not got.indices.any()
+    assert got == select_displacement_per_block(residual_set(plane(cur), plane(prev)))
+
+
+def test_flat_reference_runs_no_search(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    cur = rng.integers(0, 256, (29, 37), dtype=np.uint8)
+    prev = np.full(cur.shape, 128, np.uint8)
+    bumped = prev.copy()
+    bumped[13, 21] = 129  # a single sample differs: the reference is no longer flat
+    want = select_displacement_per_block(residual_set(plane(cur), plane(bumped)))
+    monkeypatch.setattr(displacement, "edge_padded", refuse)
+    assert not choose_displacements(cur, prev).indices.any()
+    with pytest.raises(AssertionError, match="the search ran"):
+        choose_displacements(cur, bumped)
+    monkeypatch.undo()
+    assert choose_displacements(cur, bumped) == want
 
 
 def test_block_size_other_than_8_rejected():

@@ -109,6 +109,27 @@ def test_choose_displacements_at_the_sse_bound(h, w):
     assert not choose_displacements(cur, prev).indices.any()
 
 
+@given(sides, sides)
+def test_choose_displacements_at_the_sse_bound_on_a_searched_reference(h, w):
+    # a 0/255 checkerboard reference is not flat, so the search runs; against its
+    # complement every zero-shift difference is 255, and each full block's SSE the largest
+    prev = (np.indices((h, w)).sum(axis=0) % 2 * 255).astype(np.uint8)
+    cur = 255 - prev
+    assert choose_displacements(cur, prev) == ref.choose_displacements(cur, prev)
+
+
+@given(st.integers(2, 40), sides, seeds)
+def test_choose_displacements_ties_on_a_searched_reference(h, w, seed):
+    # rows of the reference are constant but differ, so the search runs and every
+    # horizontal shift ties with the zero shift in every block: none of them may win
+    rng = _rng(seed)
+    prev = np.repeat(rng.permutation(256)[:h, None], w, axis=1).astype(np.uint8)
+    cur = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    got = choose_displacements(cur, prev)
+    assert got == ref.choose_displacements(cur, prev)
+    assert not np.isin(got.indices, [i for i, d in enumerate(CATALOGUE) if d.axis is Axis.HORIZONTAL]).any()
+
+
 @given(sides, sides, st.integers(0, 255), st.integers(0, 255))
 def test_choose_displacements_ties_go_to_zero_shift(h, w, a, b):
     # on constant planes every candidate has the same SSE in every block

@@ -7,10 +7,10 @@ from fmvc.transform import (
     ZIGZAG,
     forward_blocks,
     grid_shape,
+    grid_tiles,
     inverse_blocks,
     require_block,
     tile_reduce,
-    to_tiles,
 )
 
 from bitref import zigzag_scan, zigzag_unscan
@@ -108,13 +108,13 @@ class TestBlockGrid:
     def test_tiles_round_trip_with_edge_replication(self, rng):
         for h, w in ((1, 1), (5, 7), (13, 23), (16, 24)):
             plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
-            tiles = to_tiles(plane)
+            tiles = grid_tiles(plane)[1]
             nby, nbx = grid_shape((h, w))
             assert tiles.shape == (8, 8, nby, nbx)
             assert np.array_equal(from_tiles(tiles, (h, w)), plane)
         plane = np.arange(9 * 10).reshape(9, 10)
         padded = np.pad(plane, ((0, 7), (0, 6)), mode="edge")
-        tiles = to_tiles(plane)
+        tiles = grid_tiles(plane)[1]
         for k, (bi, bj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):  # raster order
             assert np.array_equal(tiles[:, :, bi, bj], padded[bi * 8 : bi * 8 + 8, bj * 8 : bj * 8 + 8])
             assert np.array_equal(stack(tiles)[k], tiles[:, :, bi, bj])

@@ -261,7 +261,10 @@ def _reconstruct(qblocks: np.ndarray, levels: np.ndarray, preds, sched: QuantSch
     coded = qblocks.any(axis=(0, 1))
     whole = _most(coded)
     at = np.s_[:] if whole else coded
-    residual = inverse_blocks(qblocks[:, :, at] * sched.steps_array()[levels[at]])
+    # Coefficients are int16, so |q| <= 2**15, and 2**15 * (2**16 - 1) < 2**31:
+    # below 2**16 every step dequantizes exactly in int32.
+    steps = np.asarray(sched.steps, np.int32 if max(sched.steps) < 1 << 16 else np.int64)
+    residual = inverse_blocks(qblocks[:, :, at] * steps[levels[at]])
     planes, start, done = [], 0, 0
     for pred in preds:
         plane, tiles = grid_tiles(pred)
@@ -269,7 +272,9 @@ def _reconstruct(qblocks: np.ndarray, levels: np.ndarray, preds, sched: QuantSch
         mine = np.s_[...] if whole else coded[start:stop].reshape(tiles.shape[2:])
         dest = tiles[:, :, mine]
         taken = done + dest[0, 0].size
-        tiles[:, :, mine] = np.clip(residual[:, :, done:taken].reshape(dest.shape) + dest, 0, 255)
+        share = residual[:, :, done:taken].reshape(dest.shape)
+        share += dest
+        tiles[:, :, mine] = np.clip(share, 0, 255, out=share)
         planes.append(FramePlane.from_array(np.ascontiguousarray(plane[: pred.shape[0], : pred.shape[1]])))
         start, done = stop, taken
     return Frame(*planes)

@@ -19,12 +19,12 @@ Outputs approximate the true DCT-II scaled per 1-D index by
 (sqrt(8), sqrt(2), 2, sqrt(2), sqrt(8), sqrt(2), 2, sqrt(2)); the 2-D gain
 is the outer product (8 at DC).  Constants use 12-bit fixed point.
 
-The lifting runs in int32 whenever that is exact, else in int64: the
-intermediates of the forward pass stay below 6.6e7 for residuals in
-+-255, and those of the inverse below 1.26e9 for coefficients in +-32640,
-the largest dequantized value an encoder emits (|coefficient| <= 16320 plus
-half of a step that does not zero it).  Both bounds come from propagating
-magnitudes through the butterflies and _ODD_OPS.
+The lifting runs in int32 whenever that is exact, else in int64, and its
+result stays in that lane: the intermediates of the forward pass stay below
+6.6e7 for residuals in +-255, and those of the inverse below 1.26e9 for
+coefficients in +-32640, the largest dequantized value an encoder emits
+(|coefficient| <= 16320 plus half of a step that does not zero it).  Both
+bounds come from propagating magnitudes through the butterflies and _ODD_OPS.
 
 FORWARD_MATRIX and FORWARD_ROUNDING describe forward_blocks as a linear
 map plus bounded rounding, for the encoder's all-zero pre-test.  Both are
@@ -103,16 +103,18 @@ def _rot_fwd(a, b, p, u, shear=_shear):
 
 
 def _rot_inv(y3, y2, p, u):
-    y1 = y3 - _shear(p, y2)
-    b = y2 - _shear(u, y1)
-    a = y1 - _shear(p, b)
+    y1 = _shear(p, y2)
+    np.subtract(y3, y1, out=y1)
+    b = _shear(u, y1)
+    np.subtract(y2, b, out=b)
+    a = _shear(p, b)
+    np.subtract(y1, a, out=a)
     return a, b
 
 
-def _fwd8(x: np.ndarray, dtype=None, shear=_shear) -> np.ndarray:
-    """Forward transform along the leading axis (length 8), in x's integer
-    dtype; the result is stacked in dtype if given.  shear(k, v) stands in
-    for each rounded shear, so the same steps can run unrounded."""
+def _fwd8(x: np.ndarray, shear=_shear) -> np.ndarray:
+    """Forward transform along the leading axis (length 8), in x's dtype; shear(k, v)
+    stands in for each rounded shear, so the same steps can run unrounded."""
     lo, hi = x[:4], x[4:][::-1]
     s = lo + hi
     o = [lo[i] - hi[i] for i in range(4)]
@@ -133,7 +135,7 @@ def _fwd8(x: np.ndarray, dtype=None, shear=_shear) -> np.ndarray:
             _, i, j = op
             o[i], o[j] = -o[i], -o[j]
 
-    return np.stack([x0, o[0], x2, o[1], x4, o[2], -neg_x6, o[3]], dtype=dtype)
+    return np.stack([x0, o[0], x2, o[1], x4, o[2], -neg_x6, o[3]])
 
 
 def _inv8(c: np.ndarray) -> np.ndarray:
@@ -148,14 +150,17 @@ def _inv8(c: np.ndarray) -> np.ndarray:
             o[i], o[j] = -o[i], -o[j]
 
     a3, a2 = _rot_inv(c[2], -c[6], _EVEN_P, _EVEN_U)
-    a0 = (c[0] + c[4]) >> 1  # forward butterflies share parity,
-    a1 = (c[0] - c[4]) >> 1  # so these halvings are exact
-    s = [(a0 + a3) >> 1, (a1 + a2) >> 1, (a1 - a2) >> 1, (a0 - a3) >> 1]
+    a0, a1 = c[0] + c[4], c[0] - c[4]
+    a0 >>= 1  # forward butterflies share parity,
+    a1 >>= 1  # so these halvings are exact
+    s = [a0 + a3, a1 + a2, a1 - a2, a0 - a3]
 
     out = np.empty(c.shape, dtype=c.dtype)
     for i in range(4):
-        out[i] = (s[i] + o[i]) >> 1
-        out[7 - i] = (s[i] - o[i]) >> 1
+        s[i] >>= 1
+        np.add(s[i], o[i], out=out[i])
+        np.subtract(s[i], o[i], out=out[7 - i])
+    out >>= 1
     return out
 
 
@@ -172,20 +177,20 @@ def _lifting_input(values, limit: int) -> np.ndarray:
 
 
 def forward_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Transform blocks laid out (8, 8, ...): rows first, then columns; int64 out.
+    """Transform blocks laid out (8, 8, ...): rows first, then columns; out in the lane the lifting ran in.
 
     Axis 0 is the row in the block and axis 1 the column; out[l, k, ...] is
     the coefficient of vertical frequency l and horizontal frequency k.
     """
     b = _lifting_input(blocks, FORWARD_INT32_LIMIT)
     rows = _fwd8(b.swapaxes(0, 1))  # (k, row, ...)
-    return _fwd8(rows.swapaxes(0, 1), dtype=np.int64)
+    return _fwd8(rows.swapaxes(0, 1))
 
 
 def inverse_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse of forward_blocks (column pass undone first); int64 out."""
+    """Exact inverse of forward_blocks (column pass undone first); out in the lane the lifting ran in."""
     cols = _inv8(_lifting_input(coeffs, INVERSE_INT32_LIMIT))  # (row, k, ...)
-    return _inv8(cols.swapaxes(0, 1)).swapaxes(0, 1).astype(np.int64)
+    return _inv8(cols.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 def _linear_forward() -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import struct
@@ -25,7 +26,7 @@ from fmvc.codec import (
     midgray_frame,
 )
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
-from fmvc.displacement import DisplacementField
+from fmvc.displacement import CATALOGUE, DisplacementField
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
 from fmvc.video_io import Frame, VideoSequence
@@ -211,6 +212,23 @@ class TestAllZeroPretest:
         assert (sad_kept & ~kept).any()
         assert not full.reshape(64, -1)[:, ~kept].any()
 
+    def test_matmul_stage_keeps_blocks_past_a_quarter_envelope(self):
+        # the matmul stage's whole envelope is needed: random +-255 blocks
+        # whose true coefficients sit more than a quarter envelope off T x,
+        # each at a step that keeps one of them nonzero but that |T x| plus
+        # a quarter envelope (and the float32 error bound) would clear
+        blocks = np.random.default_rng(1).integers(-255, 256, (64, 4096))
+        coeffs = kernelref.forward_blocks(blocks.reshape(8, 8, -1)).reshape(64, -1)
+        linear = np.abs(codec.FORWARD_MATRIX @ blocks) + codec._ENVELOPE / 4
+        steps = np.floor(2 * (linear.max(axis=0) + np.abs(blocks).sum(axis=0) * 2.0**-16) + 0.01).astype(int) + 1
+        picked = 2 * np.abs(coeffs).max(axis=0) >= steps
+        assert picked.sum() >= 50 and (steps[picked] > codec._MATMUL_STEP).all()
+        k = int(picked.sum())
+        # three zero blocks per picked one: the SAD stage clears them, so the frame is not busy
+        padded = np.concatenate([blocks[:, picked], np.zeros((64, 3 * k), int)], axis=1)
+        live = codec._may_be_nonzero(padded, np.tile(steps[picked], 4))
+        assert live[:k].all() and not live[k:].any()
+
     def _lockstep_blocks_transformed(self, monkeypatch, clip, sched, level_map):
         """Code clip frame by frame; return the block count of each forward_blocks call.
 
@@ -331,6 +349,66 @@ class TestReconstructPaths:
             assert "some" in paths
         else:
             assert paths == [{"all": "whole", "none": "none"}[coding]] * len(clip.frames)
+
+
+def _lane_boundary(n_levels):
+    """The smallest base step whose schedule holds a step of 2**16 or more."""
+    bases = range(1, MAX_Q_BASE + 1)
+    i = bisect.bisect_left(bases, True, key=lambda q: max(QuantSchedule(n_levels, q).steps) >= 1 << 16)
+    return bases[i]
+
+
+def _hand_built_payload(rng, w, h, sched, dc):
+    """A payload of sparse int16 codewords, extremes among them, at random
+    levels and displacements; the first luma block carries dc at level 0."""
+    n_luma, n_chroma = codec._block_counts(w, h)
+    shape = (8, 8, n_luma + 2 * n_chroma)
+    q = rng.integers(-(2**15), 2**15, shape) * (rng.random(shape) < 0.05)
+    q[rng.random(q.shape) < 0.02] = rng.choice([-(2**15), 2**15 - 1])
+    q[0, 0, 0] = dc
+    prefixes = rng.integers(0, len(CATALOGUE), n_luma) << 4 | rng.integers(0, sched.n_levels, n_luma)
+    prefixes[0] &= 0xF0
+    planes = np.split(q, [n_luma, n_luma + n_chroma], axis=2)
+    return encode_blocks(list(zip(planes, [prefixes, None, None])))[0]
+
+
+def _decodes_as_the_oracle(payload, prev, sched):
+    got = decode_frame(payload, prev, sched)
+    want = _reconstruction_oracle(payload, prev, sched)
+    return all(np.array_equal(p.samples, o) for p, o in zip((got.y, got.cb, got.cr), want))
+
+
+class TestDequantizationLanes:
+    """_reconstruct dequantizes in int32 while every step is below 2**16 and
+    in int64 from there on; hostile int16 codewords decode as the int64
+    oracle does on both sides of that boundary."""
+
+    @settings(max_examples=40)
+    @given(
+        n_levels=st.integers(2, MAX_LEVELS),
+        offset=st.integers(-2, 1),
+        w=st.integers(1, 24),
+        h=st.integers(1, 24),
+        dc=st.sampled_from([-(2**15), 2**15 - 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_with_the_int64_oracle_across_the_boundary(self, n_levels, offset, w, h, dc, seed):
+        rng = np.random.default_rng(seed)
+        sched = QuantSchedule(n_levels, _lane_boundary(n_levels) + offset)
+        payload = _hand_built_payload(rng, w, h, sched, dc)
+        assert _decodes_as_the_oracle(payload, random_clip(w, h, 1, seed).frames[0], sched)
+
+    @pytest.mark.parametrize("q_base, step, lane", [(362, 65529, np.int32), (363, 65710, np.int64)])
+    def test_most_negative_codeword_at_level_0(self, monkeypatch, q_base, step, lane):
+        # -32768 * 65710 is beyond int32; -32768 * 65529 is not
+        sched = QuantSchedule(16, q_base)
+        assert max(sched.steps) == step and _lane_boundary(16) == 363
+        dequantized = []
+        inverse = codec.inverse_blocks
+        monkeypatch.setattr(codec, "inverse_blocks", lambda c: dequantized.append(c.dtype) or inverse(c))
+        payload = _hand_built_payload(np.random.default_rng(5), 24, 16, sched, -(2**15))
+        assert _decodes_as_the_oracle(payload, random_clip(24, 16, 1, seed=5).frames[0], sched)
+        assert dequantized == [lane]
 
 
 class TestPerFrameKernels:

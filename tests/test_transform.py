@@ -61,7 +61,7 @@ def test_inverse_is_total_and_deterministic(rng):
     first = inverse_blocks(coeffs)
     second = inverse_blocks(coeffs)
     assert np.array_equal(first, second)
-    assert first.dtype == np.int64
+    assert first.dtype == np.int32
 
 
 def test_approximates_scaled_dct(rng):

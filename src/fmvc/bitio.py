@@ -1,31 +1,29 @@
-"""Order-0 exponential-Golomb block code over whole planes of 8x8 blocks.
+"""Order-0 exponential-Golomb block code over one array of 8x8 blocks.
 
 A block is coded as its zigzag-ordered values up to the last nonzero
 coefficient, each as the exp-Golomb codeword (ITU-T H.264 section 9.1) of
 its signed symbol + 1, then the codeword of 0, a single '1' bit, as the
 end-of-block marker; the +1 shift keeps in-run zeros distinct from the
-marker.  A block may carry a raw 8-bit prefix.
+marker.  The first m blocks each carry a raw 8-bit prefix.
 
 A payload holds three runs, MSB first and zero-padded to a whole byte:
-every block prefix, one byte each; then the first half of every codeword
+the m prefixes, one byte each; then the first half of every codeword
 in stream order, its leadingZeroBits zeros and its '1'; then the second
 half of every codeword, its leadingZeroBits info bits.  The end-of-block
 codeword is the only one without leading zeros, so a block ends at every
 '1' of the second run that directly follows a '1' (or opens the run).
 
-Both directions work on arrays, with a plane's blocks laid out (8, 8, ...)
-as the transform leaves them: viewed as (64, n), each column is a block in
-raster order and the zigzag scan is a permutation of the rows.  The encoder
-scans only the blocks that hold a nonzero value, sets the second run's '1's
-in a bit array and sums the third run's fields into 32-bit words.  The
-decoder finds every codeword as a set bit of the second run, its zero count
-as the gap to the one before, and its info field in the 24-bit window from
-the field's first byte, then scatters all values to their blocks at once.
+Both directions work on a frame's one (8, 8, n) block array, as the
+transform leaves it: viewed as (64, n), each column is a block and the
+zigzag scan is a permutation of the rows.  The encoder scans only the
+blocks that hold a nonzero value, sets the second run's '1's in a bit
+array and sums the third run's fields into 32-bit words.  The decoder
+finds every codeword as a set bit of the second run, its zero count as the
+gap to the one before, and its info field in the 24-bit window from the
+field's first byte, then scatters all values to their blocks at once.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -67,18 +65,21 @@ def _index_dtype(n_bits: int) -> type:
 # --- encode ------------------------------------------------------------
 
 
-def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
-    """Values of one plane's coefficient codewords in stream order, and each
-    block's count of them."""
-    blocks = np.asarray(blocks)
+def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Code n blocks, in order, into one payload.
+
+    blocks holds int16 coefficients laid out (8, 8, n); prefixes holds the
+    8-bit prefixes of the first m blocks.  Returns the payload and each
+    block's bit count, prefix included; the counts sum to the payload's
+    length in bits before padding.
+    """
+    blocks, prefixes = np.asarray(blocks), np.asarray(prefixes)
     if blocks.shape[:2] != (8, 8):
         raise ContractViolation(f"expected leading 8x8 block axes, got {blocks.shape}")
     raster = blocks.reshape(64, -1)
     n = raster.shape[1]
-    if prefixes is not None:
-        prefixes = np.asarray(prefixes)
-        if prefixes.shape != (n,) or ((prefixes < 0) | (prefixes > 255)).any():
-            raise ContractViolation("need one 8-bit prefix per block")
+    if prefixes.ndim != 1 or len(prefixes) > n or ((prefixes < 0) | (prefixes > 255)).any():
+        raise ContractViolation("need one 8-bit prefix per block")
     coded = np.flatnonzero(raster.any(axis=0))
     scans = raster.take(coded, axis=1)
     if scans.size and not -(1 << 15) <= scans.min() <= scans.max() < 1 << 15:
@@ -87,40 +88,25 @@ def _plane_codewords(blocks: np.ndarray, prefixes: np.ndarray | None):
     counts = np.zeros(n, dtype=np.intp)
     counts[coded] = 64 - np.argmax(scans[::-1] != 0, axis=0)
     # the transposed views walk block by block, each in scan order
-    coeffs = scans.T[np.arange(64) < counts[coded, None]].astype(np.int32)
-    return signed_to_symbol(coeffs) + 2, counts
+    values = signed_to_symbol(scans.T[np.arange(64) < counts[coded, None]].astype(np.int32)) + 2
 
-
-def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tuple[bytes, list[np.ndarray]]:
-    """Code planes of blocks, in order, into one payload.
-
-    Each plane is (blocks, prefixes): blocks holds int16 coefficients laid
-    out (8, 8, ...), the trailing axes running over the plane's n blocks in
-    raster order; prefixes holds each block's 8-bit prefix, or is None for
-    none.  Returns the payload and, per plane, each block's bit count,
-    prefix included; the counts sum to the payload's length in bits before
-    padding.
-    """
-    coded = [_plane_codewords(blocks, prefixes) for blocks, prefixes in planes]
-    values = np.concatenate([values for values, _ in coded])
-    counts = np.concatenate([counts for _, counts in coded])
     zeros = np.frexp(values.astype(np.float32))[1] - 1  # bit lengths, exact below 2**24, less one
-    n_codes, n_info = len(values) + len(counts), int(zeros.sum())
+    n_codes, n_info = len(values) + n, int(zeros.sum())
     n_bits = n_codes + 2 * n_info
     pos = _index_dtype(n_bits)
     ends = np.zeros(len(values) + 1, dtype=pos)
     np.cumsum(zeros, out=ends[1:])  # where each coefficient's info bits end
     through = np.cumsum(counts)  # coefficients up to each block's end
     block_zeros = ends[through]
-    # a block's bits: its zeros, once more as info bits, and a '1' per codeword
+    # a block's bits: its prefix, its zeros, once more as info bits, and a '1' per codeword
     block_bits = 2 * np.diff(block_zeros, prepend=pos(0)) + counts + 1
-    block_bits = np.split(block_bits, np.cumsum([len(c) for _, c in coded])[:-1])
+    block_bits[: len(prefixes)] += 8
 
     # codeword i's '1' follows its own zeros and every earlier codeword's zeros and '1';
     # coefficient k in block b is codeword k + b, and b's end-of-block codeword through[b] + b
     unary = np.zeros(n_codes + n_info, dtype=np.uint8)
-    unary[ends[1:] + np.arange(len(values)) + np.repeat(np.arange(len(counts)), counts)] = 1
-    unary[block_zeros + through + np.arange(len(counts))] = 1
+    unary[ends[1:] + np.arange(len(values)) + np.repeat(np.arange(n), counts)] = 1
+    unary[block_zeros + through + np.arange(n)] = 1
     # info field k ends at bit `last`; placed below 2**47 in the 64 bits ending with that bit's 32-bit word,
     # it adds its low half to the word and its high half to the one before, and float64 sums stay exact
     last = ends[1:] + (n_codes + n_info - 1)
@@ -129,46 +115,31 @@ def encode_blocks(planes: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> tup
     payload = ((sums[:-1] & 0xFFFFFFFF) + (sums[1:] >> 32)).astype(">u4").view(np.uint8)
     packed = np.packbits(unary)
     payload[: len(packed)] |= packed
-    head = b"".join(np.asarray(p, dtype=np.uint8).tobytes() for _, p in planes if p is not None)
-    block_bits = [bits + (0 if p is None else 8) for bits, (_, p) in zip(block_bits, planes)]
-    return head + payload[: (n_bits + 7) // 8].tobytes(), block_bits
+    return prefixes.astype(np.uint8).tobytes() + payload[: (n_bits + 7) // 8].tobytes(), block_bits
 
 
 # --- decode ------------------------------------------------------------
 
 
-def decode_blocks(
-    data: bytes, layout: Sequence[tuple[int, np.ndarray | None]]
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Inverse of encode_blocks.
+def decode_blocks(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of encode_blocks for n_blocks blocks, the first m with a prefix.
 
-    Each layout entry is (block count, allowed prefixes): a 256-entry
-    boolean table of the prefix values the plane's blocks may carry, or None
-    when they carry no prefix.  Returns (blocks, prefixes): blocks holds
-    every plane's blocks, in layout order, as one (8, 8, n) int16 array,
-    and prefixes, per plane, its blocks' prefixes or None.  After the last
-    block fewer than 8 bits may remain, all zero.  Any other payload raises
-    BitstreamError with a byte offset inside it.
+    allowed is a 256-entry boolean table of the prefix values those blocks
+    may carry.  Returns the (8, 8, n_blocks) int16 blocks and the m
+    prefixes.  After the last block fewer than 8 bits may remain, all zero.
+    Any other payload raises BitstreamError with a byte offset inside it.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
-    prefixes, head = [], 0
-    for n, allowed in layout:
-        if allowed is None:
-            prefixes.append(None)
-            continue
-        if head + n > len(raw):
-            raise short
-        bad = np.flatnonzero(~np.asarray(allowed)[raw[head : head + n]])
-        if len(bad):
-            at = head + int(bad[0])
-            raise BitstreamError(f"block prefix {int(raw[at]):#04x} not allowed", byte_offset=at)
-        prefixes.append(raw[head : head + n].copy())
-        head += n
+    if m > len(raw):
+        raise short
+    bad = np.flatnonzero(~np.asarray(allowed)[raw[:m]])
+    if len(bad):
+        raise BitstreamError(f"block prefix {int(raw[bad[0]]):#04x} not allowed", byte_offset=int(bad[0]))
+    prefixes = raw[:m].copy()
 
-    n_blocks = sum(n for n, _ in layout)
     pos = _index_dtype(8 * len(data))
-    bits = np.unpackbits(raw[head:]).view(bool)  # bit positions count from here on
+    bits = np.unpackbits(raw[m:]).view(bool)  # bit positions count from after the prefixes
     ends = np.flatnonzero(bits).astype(pos)  # the '1' after each codeword's zeros
     zeros = np.diff(ends, prepend=pos(-1)) - 1
     eob = np.flatnonzero(zeros == 0)[:n_blocks].astype(pos)
@@ -181,20 +152,20 @@ def decode_blocks(
     over = np.flatnonzero(counts > _MAX_COEFFS)
     if len(over):
         extra = int(starts[eob[over[0]] - counts[over[0]] + _MAX_COEFFS])  # where the 65th coefficient starts
-        raise BitstreamError(f"block carries more than {_MAX_COEFFS} coefficients", byte_offset=head + extra // 8)
+        raise BitstreamError(f"block carries more than {_MAX_COEFFS} coefficients", byte_offset=m + extra // 8)
     info_start = n_codes + int(zeros.sum())  # where the unary run ends
     end = 2 * info_start - n_codes  # the info run has a bit per zero of the unary run
     if end > len(bits):
         raise short
     if len(bits) - end >= 8 or bits[end:].any():
         excess = len(bits) - end
-        raise BitstreamError(f"{excess} bits after the last block are not zero padding", byte_offset=head + end // 8)
+        raise BitstreamError(f"{excess} bits after the last block are not zero padding", byte_offset=m + end // 8)
     del bits, ends
 
     # info field k starts after the info bits of the codewords before it; the 24 bits
     # from its byte on hold it, as a field of up to 17 bits from bit 7 ends at bit 23,
     # and a wider one reads as too large
-    at = starts - np.arange(n_codes, dtype=pos) + (8 * head + info_start)
+    at = starts - np.arange(n_codes, dtype=pos) + (8 * m + info_start)
     padded = np.frombuffer(data + bytes(3), dtype=np.uint8).astype(np.int32)
     windows = padded[:-2] << 16 | padded[1:-1] << 8 | padded[2:]
     width = np.minimum(zeros, _MAX_ZEROS + 1)
@@ -206,7 +177,7 @@ def decode_blocks(
     signed = symbol_to_signed(values - 2)
     if len(signed) and not -(1 << 15) <= signed.min() <= signed.max() < 1 << 15:
         bad = int(np.argmax((signed < -(1 << 15)) | (signed >= 1 << 15)))
-        raise BitstreamError("coefficient codeword beyond the int16 range", byte_offset=head + int(starts[bad]) // 8)
+        raise BitstreamError("coefficient codeword beyond the int16 range", byte_offset=m + int(starts[bad]) // 8)
     del windows, width, at, starts, values
 
     # each codeword goes to its zigzag row in its block's column; an end-of-block

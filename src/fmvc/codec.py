@@ -347,12 +347,11 @@ def encode_frame(
     levels = _frame_levels(luma_levels)
     preds = _predict(prev_recon, fld)
     qblocks = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, levels, sched)
-    n_luma, n_chroma = _block_counts(w, h)
-    q_y, q_cb, q_cr = np.split(qblocks, [n_luma, n_luma + n_chroma], axis=2)
     prefixes = (fld.indices.astype(np.uint8) << 4 | luma_levels.astype(np.uint8)).reshape(-1)
-    payload, (bits_y, bits_cb, bits_cr) = encode_blocks([(q_y, prefixes), (q_cb, None), (q_cr, None)])
-    block_bits = _block_bits(bits_y.reshape(luma_levels.shape), bits_cb + bits_cr)
-    stream = FrameBitstream(payload, block_bits, int(bits_y.sum() + bits_cb.sum() + bits_cr.sum()))
+    payload, bits = encode_blocks(qblocks, prefixes)
+    n_luma = len(prefixes)
+    block_bits = _block_bits(bits[:n_luma].reshape(luma_levels.shape), bits[n_luma:].reshape(2, -1).sum(axis=0))
+    stream = FrameBitstream(payload, block_bits, int(bits.sum()))
     return stream, _reconstruct(qblocks, levels, preds, sched)
 
 
@@ -367,9 +366,7 @@ def decode_frame(
         raise ContractViolation("frame payload records zero blocks")
     grid = grid_shape(prev_recon.y.samples.shape)
     n_luma, n_chroma = _block_counts(prev_recon.y.width, prev_recon.y.height)
-    qblocks, (prefixes, _, _) = decode_blocks(
-        payload, [(n_luma, _prefix_table(sched)), (n_chroma, None), (n_chroma, None)]
-    )
+    qblocks, prefixes = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     levels = _frame_levels((prefixes & 0x0F).reshape(grid))
     return _reconstruct(qblocks, levels, _predict(prev_recon, fld), sched)
@@ -431,6 +428,8 @@ class SequenceBitstream:
     def __post_init__(self):
         if len(self.frames) < 1:
             raise ContractViolation("a sequence bitstream must contain at least one frame")
+        if 0 in (self.width, self.height, self.fps_num, self.fps_den):  # from_bytes rejects them
+            raise ContractViolation("width, height, fps_num and fps_den must not be 0")
         _check_schedule(self.n_levels, self.q_base)  # so that from_bytes accepts what to_bytes writes
 
     @property

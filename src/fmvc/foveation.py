@@ -140,6 +140,8 @@ class FoveationMap:
     gaze: tuple[float, float]  # (x, y) pixel coordinates
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.gaze)):
+            raise ContractViolation(f"gaze {self.gaze} must be finite")
         if self.values.ndim != 2:
             raise ContractViolation(f"map values must be 2-D, got shape {self.values.shape}")
         if self.values.size == 0:

@@ -3,8 +3,6 @@ eccentricity-weighted quality score, and per-column bit/SSIM profiles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import convolve1d
 
@@ -282,22 +280,3 @@ def bits_ssim_profile(block_bits: np.ndarray, smap: np.ndarray) -> tuple[np.ndar
         )
     widths = tile_reduce(np.ones((1, w), dtype=np.int64), np.add)[0]  # columns per block
     return np.repeat(block_bits.sum(axis=0) / widths, widths), smap.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    """Per-frame evaluation record, one CSV row."""
-
-    frame_idx: int
-    bpp: float
-    mean_ssim: float
-    fw_ssim: float
-    fwqi: float
-
-    CSV_HEADER = "frame_idx,bpp,mean_ssim,fw_ssim,fwqi_approx"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.frame_idx},{self.bpp:.6f},{self.mean_ssim:.6f},"
-            f"{self.fw_ssim:.6f},{self.fwqi:.6f}"
-        )

@@ -5,8 +5,10 @@ verbatim as the oracle for the array coder in ``fmvc.bitio``.  The block
 code and the stack helpers below restate, one block and one symbol at a
 time, what ``encode_blocks`` and ``decode_blocks`` must produce, in the
 payload's three runs: the 8-bit prefixes, then every codeword's zeros and
-its '1', then every codeword's info bits.  They take and give blocks in the
-codec's (8, 8, n) layout and walk them as an (n, 8, 8) stack.
+its '1', then every codeword's info bits.  They take and give planes of
+blocks in the codec's (8, 8, n) layout, each with its prefixes or None, and
+walk them as (n, 8, 8) stacks; the tests split fmvc.bitio's one block array
+into its m prefixed blocks and the rest.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def read_block_info(reader: BitReader, block_zeros: list[int]) -> np.ndarray:
     return zigzag_unscan(flat)
 
 
-# --- stacks, with the same arguments as fmvc.bitio ----------------------
+# --- stacks, as lists of planes ----------------------------------------
 
 
 def encode_stack(coded_planes) -> tuple[bytes, list[np.ndarray]]:

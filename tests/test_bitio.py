@@ -13,13 +13,6 @@ from bitref import BitReader, BitWriter, PayloadWriter, decode_stack, encode_sta
 from kernelref import planes as as_planes
 
 
-def decode_planes(data, layout):
-    """decode_blocks' one block array split per plane: per plane (blocks, prefixes), as decode_stack gives them."""
-    blocks, prefixes = decode_blocks(data, layout)
-    assert blocks.shape == (8, 8, sum(n for n, _ in layout))
-    return list(zip(np.split(blocks, np.cumsum([n for n, _ in layout])[:-1], axis=2), prefixes))
-
-
 def test_ue_codewords():
     assert ue_bits(0) == "1"
     assert ue_bits(1) == "010"
@@ -106,129 +99,136 @@ def test_reader_truncated_codeword():
 # --- the array block coder against the reference ------------------------
 
 INT16_EXTREMES = np.array([-(1 << 15), (1 << 15) - 1])
+ALL_PREFIXES = np.ones(256, bool)
+
+
+def split(blocks, prefixes):
+    """The one block array as bitref's plane list: the m prefixed blocks, then the rest."""
+    m = len(prefixes)
+    return [(blocks[..., :m], prefixes), (blocks[..., m:], None)]
+
+
+def decode_reference(data, n, m, allowed):
+    """decode_stack on the split, joined back into decode_blocks' (blocks, prefixes)."""
+    (head, prefixes), (rest, _) = decode_stack(data, [(m, allowed), (n - m, None)])
+    return np.concatenate([head, rest], axis=2), prefixes
 
 
 @st.composite
-def block_planes(draw, max_blocks=300):
-    """1-3 planes of random blocks laid out (8, 8, n), 0-300 blocks in all, each plane with or
-    without 8-bit prefixes.  Coefficients mix zero runs, small values, the
-    whole int16 range and its two extremes."""
+def coded_blocks(draw, max_blocks=300):
+    """n random blocks laid out (8, 8, n), n in 0-300, and 8-bit prefixes
+    for the first m, m anywhere in 0..n.  Coefficients mix zero runs, small
+    values, the whole int16 range and its two extremes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    total = draw(st.integers(0, max_blocks))
-    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=2)))
-    planes = []
-    for n in np.diff([0, *cuts, total]):
-        blocks = np.zeros((n, 64), np.int64)
-        density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
-        nonzero = rng.random((n, 64)) < density
-        kind = rng.integers(0, 3, (n, 64))
-        small = rng.integers(-5, 6, (n, 64))
-        wide = rng.integers(-(1 << 15), 1 << 15, (n, 64))
-        extreme = INT16_EXTREMES[rng.integers(0, 2, (n, 64))]
-        blocks[nonzero] = np.choose(kind, [small, wide, extreme])[nonzero]
-        prefixes = rng.integers(0, 256, n).astype(np.uint8) if draw(st.booleans()) else None
-        planes.append((as_planes(blocks.reshape(n, 8, 8)), prefixes))
-    return planes
+    n = draw(st.integers(0, max_blocks))
+    m = draw(st.integers(0, n))
+    blocks = np.zeros((n, 64), np.int64)
+    density = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=1, max_size=3)))
+    nonzero = rng.random((n, 64)) < density[rng.integers(0, len(density), (n, 1))]
+    kind = rng.integers(0, 3, (n, 64))
+    small = rng.integers(-5, 6, (n, 64))
+    wide = rng.integers(-(1 << 15), 1 << 15, (n, 64))
+    extreme = INT16_EXTREMES[rng.integers(0, 2, (n, 64))]
+    blocks[nonzero] = np.choose(kind, [small, wide, extreme])[nonzero]
+    return as_planes(blocks.reshape(n, 8, 8)), rng.integers(0, 256, m).astype(np.uint8)
 
 
-def layout_of(planes):
-    return [(b.shape[2], None if p is None else np.ones(256, bool)) for b, p in planes]
-
-
-@given(block_planes())
-def test_array_encoder_matches_reference(planes):
-    payload, bits = encode_blocks(planes)
-    ref_payload, ref_bits = encode_stack(planes)
+@given(coded_blocks())
+def test_array_encoder_matches_reference(case):
+    blocks, prefixes = case
+    payload, bits = encode_blocks(blocks, prefixes)
+    ref_payload, ref_bits = encode_stack(split(blocks, prefixes))
     assert payload == ref_payload
-    assert [b.tolist() for b in bits] == [b.tolist() for b in ref_bits]
+    assert bits.shape == (blocks.shape[2],)
+    assert bits.tolist() == np.concatenate(ref_bits).tolist()
 
 
-@given(block_planes())
-def test_array_decoder_inverts_encoder(planes):
-    payload, _ = encode_blocks(planes)
-    decoded = decode_planes(payload, layout_of(planes))
-    assert len(decoded) == len(planes)
-    for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decoded, planes):
-        assert np.array_equal(blocks, want_blocks)
-        assert (prefixes is None) == (want_prefixes is None)
-        if prefixes is not None:
-            assert np.array_equal(prefixes, want_prefixes)
+@given(coded_blocks())
+def test_array_decoder_inverts_encoder(case):
+    blocks, prefixes = case
+    payload, _ = encode_blocks(blocks, prefixes)
+    decoded, decoded_prefixes = decode_blocks(payload, blocks.shape[2], len(prefixes), ALL_PREFIXES)
+    assert decoded.shape == blocks.shape and np.array_equal(decoded, blocks)
+    assert np.array_equal(decoded_prefixes, prefixes)
 
 
-def outcome(decode, data, layout):
+def outcome(decode, data, n, m, allowed):
     try:
-        return decode(data, layout)
+        return decode(data, n, m, allowed)
     except BitstreamError as exc:
         return exc
 
 
 @st.composite
-def payloads_and_layouts(draw):
-    """Small layouts with random prefix tables, and payloads that are random
-    bytes, random bits with long zero or one runs, or a valid payload with
-    bits flipped, bytes cut off or bytes appended."""
-    planes = draw(block_planes(max_blocks=6))
+def corrupt_cases(draw):
+    """Up to 6 blocks with a random prefix table, and payloads that are
+    random bytes, random bits with long zero or one runs, or a valid payload
+    with bits flipped, bytes cut off or bytes appended."""
+    blocks, prefixes = draw(coded_blocks(max_blocks=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    allowed_share = draw(st.sampled_from([1.0, 0.9, 0.5]))
-    layout = [(b.shape[2], None if p is None else rng.random(256) < allowed_share) for b, p in planes]
+    allowed = rng.random(256) < draw(st.sampled_from([1.0, 0.9, 0.5]))
+    args = (blocks.shape[2], len(prefixes), allowed)  # decode_blocks' n, m and table
     kind = draw(st.sampled_from(["bytes", "runs", "mutated"]))
     if kind == "bytes":
-        return draw(st.binary(max_size=40)), layout
+        return draw(st.binary(max_size=40)), *args
     if kind == "runs":
         ones = rng.random(8 * draw(st.integers(0, 60))) < draw(st.sampled_from([0.03, 0.2, 0.8]))
-        return np.packbits(ones).tobytes(), layout
-    data = bytearray(encode_blocks(planes)[0])
+        return np.packbits(ones).tobytes(), *args
+    data = bytearray(encode_blocks(blocks, prefixes)[0])
     for bit in draw(st.lists(st.integers(0, max(8 * len(data) - 1, 0)), max_size=3)) if data else []:
         data[bit // 8] ^= 0x80 >> (bit % 8)
     cut = draw(st.integers(0, len(data)))
-    return bytes(data[:cut]) + draw(st.binary(max_size=3)), layout
+    return bytes(data[:cut]) + draw(st.binary(max_size=3)), *args
 
 
 @settings(max_examples=300)
-@given(payloads_and_layouts())
+@given(corrupt_cases())
 def test_array_decoder_rejects_exactly_when_reference_does(case):
-    data, layout = case
-    got = outcome(decode_planes, data, layout)
-    want = outcome(decode_stack, data, layout)
-    assert isinstance(got, BitstreamError) == isinstance(want, BitstreamError)
+    got = outcome(decode_blocks, *case)
+    want = outcome(decode_reference, *case)
+    assert type(got) is type(want)
     if isinstance(got, BitstreamError):
-        assert 0 <= got.byte_offset < max(len(data), 1)
+        assert 0 <= got.byte_offset < max(len(case[0]), 1)
     else:
-        for (blocks, prefixes), (ref_blocks, ref_prefixes) in zip(got, want):
-            assert np.array_equal(blocks, ref_blocks)
-            assert (prefixes is None and ref_prefixes is None) or np.array_equal(prefixes, ref_prefixes)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_encoder_rejects_coefficients_beyond_int16():
     block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 1 << 15
     with pytest.raises(ContractViolation):
-        encode_blocks([(block, None)])
+        encode_blocks(block, [])
+
+
+def test_encoder_takes_at_most_one_prefix_per_block():
+    with pytest.raises(ContractViolation):
+        encode_blocks(np.zeros((8, 8, 2), np.int64), np.zeros(3, np.uint8))
+    with pytest.raises(ContractViolation):
+        encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([256]))
 
 
 def test_decoder_rejects_trailing_bits():
     block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits
-    payload, [bits] = encode_blocks([(block, None)])
+    payload, bits = encode_blocks(block, [])
     assert bits.tolist() == [6] and payload == bytes([0b00111100])
-    assert np.array_equal(decode_planes(payload, [(1, None)])[0][0], block)
+    assert np.array_equal(decode_blocks(payload, 1, 0, ALL_PREFIXES)[0], block)
     with pytest.raises(BitstreamError, match="zero padding") as info:
-        decode_planes(bytes([0b00111101]), [(1, None)])  # a set pad bit
+        decode_blocks(bytes([0b00111101]), 1, 0, ALL_PREFIXES)  # a set pad bit
     assert info.value.byte_offset == 0
     with pytest.raises(BitstreamError, match="zero padding") as info:
-        decode_planes(payload + b"\x00", [(1, None)])  # a whole byte more
+        decode_blocks(payload + b"\x00", 1, 0, ALL_PREFIXES)  # a whole byte more
     assert info.value.byte_offset == 0
 
 
 def test_payload_runs_are_prefixes_then_zeros_then_info_bits():
-    luma = np.zeros((8, 8, 2), np.int64)
-    luma[0, 0, 0] = 1  # symbol 1 + 1: codeword 011, zeros and '1' 01, info 1
-    chroma = np.zeros((8, 8, 1), np.int64)
-    chroma[0, 0, 0] = -1  # symbol 2 + 1: codeword 00100, zeros and '1' 001, info 00
-    payload, bits = encode_blocks([(luma, np.array([0xA5, 0x3C], np.uint8)), (chroma, None)])
+    blocks = np.zeros((8, 8, 3), np.int64)
+    blocks[0, 0, 0] = 1  # symbol 1 + 1: codeword 011, zeros and '1' 01, info 1
+    blocks[0, 0, 2] = -1  # symbol 2 + 1: codeword 00100, zeros and '1' 001, info 00
+    payload, bits = encode_blocks(blocks, np.array([0xA5, 0x3C], np.uint8))
     # prefixes A5 3C; then 01 1 | 1 | 001 1 (the end-of-block codewords are '1'); then 1 | 00; then padding
     assert payload == bytes([0xA5, 0x3C, 0b01110011, 0b10000000])
-    assert [b.tolist() for b in bits] == [[12, 9], [6]]
+    assert bits.tolist() == [12, 9, 6]
 
 
 def test_decoder_bounds_codewords_by_the_int16_range():
@@ -238,61 +238,65 @@ def test_decoder_bounds_codewords_by_the_int16_range():
         w = PayloadWriter()
         w.write_ue(signed_to_symbol(value) + 1)
         w.write_ue(0)
-        for decode in (decode_planes, decode_stack):
+        for decode in (decode_blocks, decode_reference):
             if accepted:
-                [(blocks, _)] = decode(w.getvalue(), [(1, None)])
+                blocks, _ = decode(w.getvalue(), 1, 0, ALL_PREFIXES)
                 assert blocks[0, 0, 0] == value
             else:
                 with pytest.raises(BitstreamError, match="int16") as info:
-                    decode(w.getvalue(), [(1, None)])
+                    decode(w.getvalue(), 1, 0, ALL_PREFIXES)
                 assert 0 <= info.value.byte_offset < len(w.getvalue())
     w = PayloadWriter()
     w.write_ue(2**70)  # a 141-bit codeword
     w.write_ue(0)
     with pytest.raises(BitstreamError, match="int16") as info:
-        decode_planes(w.getvalue(), [(1, None)])
+        decode_blocks(w.getvalue(), 1, 0, ALL_PREFIXES)
     assert info.value.byte_offset == 0
 
 
 def test_decoder_checks_prefixes_against_the_table():
-    payload, _ = encode_blocks([(np.zeros((8, 8, 2), np.int64), np.array([7, 9], np.uint8))])
+    payload, _ = encode_blocks(np.zeros((8, 8, 3), np.int64), np.array([7, 9], np.uint8))
     allowed = np.ones(256, bool)
-    assert decode_planes(payload, [(2, allowed)])[0][1].tolist() == [7, 9]
+    assert decode_blocks(payload, 3, 2, allowed)[1].tolist() == [7, 9]
     allowed[9] = False
     with pytest.raises(BitstreamError, match="0x09") as info:
-        decode_planes(payload, [(2, allowed)])
+        decode_blocks(payload, 3, 2, allowed)
     assert info.value.byte_offset == 1  # the second prefix byte
 
 
+PREFIX_TABLE = (np.arange(256) >> 4 < 13) & (np.arange(256) & 0x0F < 8)
+
+
 def corrupt_payloads():
-    """About 500 (payload, layout) cases from a seeded rng: bit flips, cuts
-    and appended bytes of a CIF-sized high-rate payload and of small ones,
-    plus random bytes."""
+    """About 500 (payload, luma blocks, chroma blocks per plane) cases from
+    a seeded rng: bit flips, cuts and appended bytes of a CIF-sized
+    high-rate payload and of small ones, plus random bytes.  The luma blocks
+    carry prefixes from PREFIX_TABLE."""
     rng = np.random.default_rng(0xB17)
-    allowed = (np.arange(256) >> 4 < 13) & (np.arange(256) & 0x0F < 8)
-    prefix_values = np.flatnonzero(allowed)
+    prefix_values = np.flatnonzero(PREFIX_TABLE)
+
+    def plane(n, scale):
+        # Laplacian coefficients whose spread falls along the zigzag scan
+        spread = scale * np.exp(-np.arange(64) / 12)[:, None]
+        blocks = np.clip(np.round(rng.laplace(0.0, spread, (64, n))), -(1 << 15), (1 << 15) - 1).astype(np.int64)
+        blocks[:, rng.random(n) < 0.2] = 0
+        return blocks.reshape(8, 8, n)
 
     def payload(n_luma, n_chroma, scale):
-        planes = []
-        for n, prefixed in ((n_luma, True), (n_chroma, False), (n_chroma, False)):
-            # Laplacian coefficients whose spread falls along the zigzag scan
-            spread = scale * np.exp(-np.arange(64) / 12)[:, None]
-            blocks = np.clip(np.round(rng.laplace(0.0, spread, (64, n))), -(1 << 15), (1 << 15) - 1).astype(np.int64)
-            blocks[:, rng.random(n) < 0.2] = 0
-            prefixes = rng.choice(prefix_values, n).astype(np.uint8) if prefixed else None
-            planes.append((blocks.reshape(8, 8, n), prefixes))
-        layout = [(b.shape[2], None if p is None else allowed) for b, p in planes]
-        return encode_blocks(planes)[0], layout
+        luma = plane(n_luma, scale)
+        prefixes = rng.choice(prefix_values, n_luma).astype(np.uint8)
+        blocks = np.concatenate([luma, plane(n_chroma, scale), plane(n_chroma, scale)], axis=2)
+        return encode_blocks(blocks, prefixes)[0], n_luma, n_chroma
 
     sources = [payload(1584, 396, 12.0)] + [
         payload(int(rng.integers(0, 5)), int(rng.integers(0, 3)), scale) for scale in [3.0, 3e5] * 20
     ]
     cases = []
     for i in range(500):
-        data, layout = sources[0] if i % 4 == 0 else sources[int(rng.integers(1, len(sources)))]
+        data, *counts = sources[0] if i % 4 == 0 else sources[int(rng.integers(1, len(sources)))]
         kind = i % 5
         if kind == 4:
-            cases.append((rng.bytes(int(rng.integers(0, 64))), layout))
+            cases.append((rng.bytes(int(rng.integers(0, 64))), *counts))
             continue
         data = bytearray(data)
         if kind in (0, 3) and data:
@@ -303,12 +307,12 @@ def corrupt_payloads():
             del data[int(rng.integers(0, len(data) + 1)) :]
         if kind == 2:
             data += rng.bytes(int(rng.integers(1, 5)))
-        cases.append((bytes(data), layout))
+        cases.append((bytes(data), *counts))
     return cases
 
 
 # SHA-256 over every outcome of corrupt_payloads(): each error's message and
-# byte offset, or the decoded blocks and prefixes.
+# byte offset, or each plane's decoded blocks and the luma prefixes.
 REJECTION_DIGEST = "5cb29401b7665d69d854978b1df8fa793726bc8bcea29c4ae9dc9ac56fcfbcb3"
 
 
@@ -317,16 +321,17 @@ def test_decoder_outcomes_on_corrupt_payloads_are_pinned(int32_bits, monkeypatch
     # the int64 case lowers the bit count up to which positions are int32
     monkeypatch.setattr(bitio, "_INT32_BITS", int32_bits)
     digest = hashlib.sha256()
-    for data, layout in corrupt_payloads():
+    for data, n_luma, n_chroma in corrupt_payloads():
         try:
-            decoded = decode_planes(data, layout)
+            blocks, prefixes = decode_blocks(data, n_luma + 2 * n_chroma, n_luma, PREFIX_TABLE)
         except BitstreamError as exc:
             digest.update(f"{type(exc).__name__}: {exc} at {exc.byte_offset}\n".encode())
             continue
         digest.update(b"blocks\n")
-        for blocks, prefixes in decoded:
-            digest.update(blocks.astype("<i2").tobytes())
-            digest.update(b"-" if prefixes is None else prefixes.tobytes())
+        cb = n_luma + n_chroma
+        for plane, tail in zip((blocks[..., :n_luma], blocks[..., n_luma:cb], blocks[..., cb:]), (prefixes, b"-", b"-")):
+            digest.update(plane.astype("<i2").tobytes())
+            digest.update(bytes(tail))
     assert digest.hexdigest() == REJECTION_DIGEST
 
 
@@ -338,27 +343,26 @@ def test_position_width_follows_the_bit_count():
 
 
 def test_int64_positions_code_exactly_as_int32(rng, monkeypatch):
-    planes = []
-    for n, prefixed in ((300, True), (75, False), (75, False)):
-        blocks = np.round(rng.laplace(0.0, 20.0 * np.exp(-np.arange(64) / 12)[:, None], (64, n))).astype(np.int64)
-        blocks[:, rng.random(n) < 0.3] = 0
-        blocks[0, :3] = INT16_EXTREMES[[0, 1, 0]]
-        planes.append((blocks.reshape(8, 8, n), rng.integers(0, 256, n).astype(np.uint8) if prefixed else None))
-    payload, bits = encode_blocks(planes)
-    decoded = decode_planes(payload, layout_of(planes))
+    blocks = np.round(rng.laplace(0.0, 20.0 * np.exp(-np.arange(64) / 12)[:, None], (64, 450))).astype(np.int64)
+    blocks[:, rng.random(450) < 0.3] = 0
+    blocks[0, :3] = INT16_EXTREMES[[0, 1, 0]]
+    blocks = blocks.reshape(8, 8, 450)
+    prefixes = rng.integers(0, 256, 300).astype(np.uint8)
+    payload, bits = encode_blocks(blocks, prefixes)
+    decoded = decode_blocks(payload, 450, 300, ALL_PREFIXES)
     monkeypatch.setattr(bitio, "_INT32_BITS", 8)
     assert bitio._index_dtype(len(payload)) is np.int64
-    wide_payload, wide_bits = encode_blocks(planes)
+    wide_payload, wide_bits = encode_blocks(blocks, prefixes)
     assert wide_payload == payload
-    assert [b.tolist() for b in wide_bits] == [b.tolist() for b in bits]
-    for (blocks, prefixes), (want_blocks, want_prefixes) in zip(decode_planes(payload, layout_of(planes)), decoded):
-        assert np.array_equal(blocks, want_blocks)
-        assert np.array_equal(prefixes, want_prefixes) if want_prefixes is not None else prefixes is None
+    assert wide_bits.tolist() == bits.tolist()
+    wide_decoded = decode_blocks(payload, 450, 300, ALL_PREFIXES)
+    assert np.array_equal(wide_decoded[0], decoded[0]) and np.array_equal(wide_decoded[0], blocks)
+    assert np.array_equal(wide_decoded[1], decoded[1]) and np.array_equal(wide_decoded[1], prefixes)
 
 
 @st.composite
 def aligned_field_payloads(draw):
-    """One-plane payloads whose info fields take every width from 1 to 16 at
+    """Payloads whose info fields take every width from 1 to 16 at
     every offset mod 8 from the info run's start, and so at all 8 byte
     alignments, however far into its byte the run starts.  End-of-block
     codewords are the width-0 fields.  The last field ends in the payload's
@@ -390,15 +394,14 @@ def aligned_field_payloads(draw):
     for _ in range(draw(st.integers(0, 7))):  # moves the info run's start
         w.write_ue(0)
         n_blocks += 1
-    return w.getvalue(), [(n_blocks, None)]
+    return w.getvalue(), n_blocks, 0, ALL_PREFIXES
 
 
 @settings(max_examples=40)
 @given(aligned_field_payloads())
 def test_decoder_reads_fields_of_every_width_at_every_alignment(case):
-    data, layout = case
-    got = outcome(decode_planes, data, layout)
-    want = outcome(decode_stack, data, layout)
-    assert isinstance(got, BitstreamError) == isinstance(want, BitstreamError)
+    got = outcome(decode_blocks, *case)
+    want = outcome(decode_reference, *case)
+    assert type(got) is type(want)
     if not isinstance(got, BitstreamError):
-        assert np.array_equal(got[0][0], want[0][0])
+        assert np.array_equal(got[0], want[0])

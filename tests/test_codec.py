@@ -368,8 +368,7 @@ def _hand_built_payload(rng, w, h, sched, dc):
     q[0, 0, 0] = dc
     prefixes = rng.integers(0, len(CATALOGUE), n_luma) << 4 | rng.integers(0, sched.n_levels, n_luma)
     prefixes[0] &= 0xF0
-    planes = np.split(q, [n_luma, n_luma + n_chroma], axis=2)
-    return encode_blocks(list(zip(planes, [prefixes, None, None])))[0]
+    return encode_blocks(q, prefixes)[0]
 
 
 def _decodes_as_the_oracle(payload, prev, sched):
@@ -433,20 +432,23 @@ class TestPerFrameKernels:
             assert dec == enc
 
 
+ALL_PREFIXES = np.ones(256, bool)
+
+
 class TestEntropyCode:
     def roundtrip(self, block):
-        payload, _ = encode_blocks([(block[:, :, None], None)])
-        blocks, _ = decode_blocks(payload, [(1, None)])
+        payload, _ = encode_blocks(block[:, :, None], [])
+        blocks, _ = decode_blocks(payload, 1, 0, ALL_PREFIXES)
         return blocks[:, :, 0]
 
     def test_all_zero_block_is_one_bit(self):
-        _, [bits] = encode_blocks([(np.zeros((8, 8, 1), np.int64), None)])
+        _, bits = encode_blocks(np.zeros((8, 8, 1), np.int64), [])
         assert bits.tolist() == [1]  # bare end-of-block marker
 
     def test_single_dc(self):
         block = np.zeros((8, 8), np.int64)
         block[0, 0] = 1
-        _, [bits] = encode_blocks([(block[:, :, None], None)])
+        _, bits = encode_blocks(block[:, :, None], [])
         # +1 maps to symbol 1, shifted to stream symbol 2 ("011"), then EOB ("1")
         assert bits.tolist() == [4]
         assert np.array_equal(self.roundtrip(block), block)
@@ -460,8 +462,8 @@ class TestEntropyCode:
         rows = n // 2 + np.repeat(np.arange(n - n // 2), rng.integers(0, 12, n - n // 2))
         blocks[rows, rng.integers(0, 64, len(rows))] = rng.integers(-30_000, 30_000, len(rows))
         blocks = planes(blocks.reshape(n, 8, 8))
-        payload, _ = encode_blocks([(blocks, None)])
-        decoded, _ = decode_blocks(payload, [(n, None)])
+        payload, _ = encode_blocks(blocks, [])
+        decoded, _ = decode_blocks(payload, n, 0, ALL_PREFIXES)
         assert np.array_equal(decoded, blocks)
 
     def test_decode_rejects_overlong_block(self):
@@ -469,10 +471,10 @@ class TestEntropyCode:
         for _ in range(70):
             w.write_ue(2)
         with pytest.raises(BitstreamError):
-            decode_blocks(w.getvalue(), [(1, None)])
+            decode_blocks(w.getvalue(), 1, 0, ALL_PREFIXES)
         w.write_ue(0)  # now a complete block of 70 coefficients
         with pytest.raises(BitstreamError, match="more than 64"):
-            decode_blocks(w.getvalue(), [(1, None)])
+            decode_blocks(w.getvalue(), 1, 0, ALL_PREFIXES)
 
 
 class TestFrameCodec:
@@ -819,6 +821,27 @@ class TestSequenceCodec:
         parsed = SequenceBitstream.from_bytes(sbs.to_bytes())
         assert parsed == sbs
         assert (parsed.q_base, parsed.n_levels) == (q_base, n_levels)
+
+    @pytest.mark.parametrize("field", ["width", "height", "fps_num", "fps_den"])
+    def test_zero_header_field_rejected(self, field):
+        # to_bytes would write a header that from_bytes rejects, and bpp() would divide by zero
+        with pytest.raises(ContractViolation):
+            replace(self.one_frame_stream(), **{field: 0})
+
+    @given(
+        gaze=st.tuples(st.floats(), st.floats()),
+        gaussian=st.booleans(),
+    )
+    def test_any_float_gaze_is_rejected_or_encodes(self, gaze, gaussian):
+        # a gaze of inf or NaN used to build a valid map and fail in int(round(gaze))
+        seq = random_clip(16, 16, 2, seed=2)
+        try:
+            fmap = gaussian_map(gaze, 4.0, 16, 16) if gaussian else FoveationMap(np.zeros((16, 16)), gaze)
+        except ContractViolation:
+            assert not all(map(math.isfinite, gaze))
+            return
+        sbs, _ = encode_sequence(seq, [fmap] * 2, DEFAULT_SCHED)
+        assert SequenceBitstream.from_bytes(sbs.to_bytes()) == sbs
 
 
 class TestEncodeFrames:

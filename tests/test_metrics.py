@@ -4,7 +4,6 @@ import pytest
 from fmvc.errors import ContractViolation
 from fmvc.foveation import DisplayGeometry, FoveationMap, default_geometry, gaussian_map
 from fmvc.metrics import (
-    QualityReport,
     bits_ssim_profile,
     foveation_weighted_ssim,
     fwqi_approx,
@@ -204,9 +203,3 @@ class TestBitsProfile:
     def test_grid_consistency_checked(self):
         with pytest.raises(ContractViolation):
             bits_ssim_profile(np.ones((2, 2)), np.zeros((8, 8)))
-
-
-def test_quality_report_csv():
-    r = QualityReport(3, 0.25, 0.9, 0.95, 0.97)
-    assert QualityReport.CSV_HEADER.startswith("frame_idx,")
-    assert r.csv_row() == "3,0.250000,0.900000,0.950000,0.970000"

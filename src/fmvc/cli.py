@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedFormat,
 )
 from .foveation import (
-    DEFAULT_CSF,
     DEFAULT_SCREEN_WIDTH_M,
     DEFAULT_VIEWING_DISTANCE_M,
     DisplayGeometry,
@@ -140,7 +139,7 @@ def _maps(seq: VideoSequence, gazes: list[tuple[int, int]], geom: DisplayGeometr
     for g in gazes:
         if g != last:
             if fmsc is None:
-                fmap = foveation_map(geom, g, DEFAULT_CSF)
+                fmap = foveation_map(geom, g)
             else:
                 fmap = gaussian_map(g, fmsc[0], seq.width, seq.height)
             last = g
@@ -195,7 +194,7 @@ def _scores(ref, test, fmap, gaze, geom) -> tuple[float, float, float]:
     """Mean SSIM, foveation-weighted SSIM and FWQI of one test plane against a
     reference plane or a FrameReference."""
     smap = metrics.ssim_map(ref, test)
-    fwqi = metrics.fwqi_approx(ref, test, gaze, geom, DEFAULT_CSF)
+    fwqi = metrics.fwqi_approx(ref, test, gaze, geom)
     return float(smap.mean()), metrics.fw_ssim_from_map(smap, fmap), fwqi
 
 
@@ -222,8 +221,9 @@ def cmd_metrics(args) -> int:
     geom = DisplayGeometry(args.screen_width, args.distance, ref_seq.width, ref_seq.height)
     gazes = _resolve_gazes(args.gaze, len(ref_seq), ref_seq.width, ref_seq.height)
     lines = [_REPORT_PREAMBLE, "frame_idx,bpp,mean_ssim,fw_ssim,fwqi_approx"]
-    for i, (ref, test, gaze) in enumerate(zip(ref_seq.frames, test_seq.frames, gazes)):
-        ms, fw, fq = _scores(ref.y, test.y, foveation_map(geom, gaze, DEFAULT_CSF), gaze, geom)
+    maps = _maps(ref_seq, gazes, geom, None)
+    for i, (ref, test, gaze, fmap) in enumerate(zip(ref_seq.frames, test_seq.frames, gazes, maps)):
+        ms, fw, fq = _scores(ref.y, test.y, fmap, gaze, geom)
         lines.append(f"{i},{0.0:.6f},{ms:.6f},{fw:.6f},{fq:.6f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -243,14 +243,13 @@ def cmd_rd_sweep(args) -> int:
     steps = zip(*[codec.encode_frames(seq, _maps(seq, gazes, geom, fmsc), sched, fmsc_codes=[fmsc[1]] * len(seq))
                   for fmsc in fmscs])
     bits, scores = [0] * len(fmscs), [[] for _ in fmscs]
-    for frame, gaze in zip(seq.frames, gazes):
+    for frame, gaze, fmap in zip(seq.frames, gazes, _maps(seq, gazes, geom, None)):
         ref = metrics.FrameReference(frame.y)
-        ref.weighted_bands(gaze, geom, DEFAULT_CSF)  # rejects a clip FWQI cannot score
-        fmap = foveation_map(geom, gaze, DEFAULT_CSF)
+        ref.weighted_bands(gaze, geom)  # rejects a clip FWQI cannot score
         for k, (rec, recon) in enumerate(next(steps)):
             bits[k] += 8 * len(rec.bitstream.payload)
             scores[k].append(_scores(ref, recon.y, fmap, gaze, geom))
-        del ref, fmap
+        del ref
 
     pixels = seq.width * seq.height * len(seq)
     lines = [_REPORT_PREAMBLE, "fmsc,bpp,mean_ssim,fw_ssim,fwqi_approx"]

@@ -430,6 +430,7 @@ class SequenceBitstream:
             raise ContractViolation("a sequence bitstream must contain at least one frame")
         if 0 in (self.width, self.height, self.fps_num, self.fps_den):  # from_bytes rejects them
             raise ContractViolation("width, height, fps_num and fps_den must not be 0")
+        _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
         _check_schedule(self.n_levels, self.q_base)  # so that from_bytes accepts what to_bytes writes
 
     @property
@@ -443,7 +444,6 @@ class SequenceBitstream:
         return self.payload_bits() / (self.width * self.height * self.frame_count)
 
     def to_bytes(self) -> bytes:
-        _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
         header = _HEADER.pack(
             MAGIC,
             VERSION,

@@ -53,26 +53,12 @@ def default_geometry(width_px: int, height_px: int) -> DisplayGeometry:
     return DisplayGeometry(DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, width_px, height_px)
 
 
-@dataclass(frozen=True)
-class CsfParams:
-    """Contrast-threshold model constants.
-
-    alpha: spatial-frequency decay (per cycle/degree); e2: half-resolution
-    eccentricity in degrees; ct0: minimum contrast threshold.
-    """
-
-    alpha: float = 0.106
-    e2: float = 2.3
-    ct0: float = 1.0 / 64.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.e2 <= 0:
-            raise ContractViolation("alpha and e2 must be positive")
-        if not 0 < self.ct0 < 1:
-            raise ContractViolation(f"ct0 must lie in (0, 1), got {self.ct0}")
-
-
-DEFAULT_CSF = CsfParams()
+# The contrast-threshold model's fixed (Geisler-Perry) constants:
+# spatial-frequency decay per cycle/degree, half-resolution eccentricity
+# in degrees, and minimum contrast threshold.
+ALPHA = 0.106
+E2 = 2.3
+CT0 = 1.0 / 64.0
 
 
 def _check_nonnegative(name, value):
@@ -80,7 +66,7 @@ def _check_nonnegative(name, value):
         raise ContractViolation(f"{name} must be nonnegative")
 
 
-def contrast_threshold(freq_cpd, ecc_deg, params: CsfParams = DEFAULT_CSF):
+def contrast_threshold(freq_cpd, ecc_deg):
     """Minimum detectable contrast at a spatial frequency and eccentricity.
 
     Unclamped: values above 1 mean the signal is invisible at full contrast.
@@ -89,26 +75,26 @@ def contrast_threshold(freq_cpd, ecc_deg, params: CsfParams = DEFAULT_CSF):
     _check_nonnegative("eccentricity", ecc_deg)
     freq_cpd = np.asarray(freq_cpd, dtype=np.float64)
     ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
-    out = params.ct0 * np.exp(params.alpha * freq_cpd * (ecc_deg + params.e2) / params.e2)
+    out = CT0 * np.exp(ALPHA * freq_cpd * (ecc_deg + E2) / E2)
     return out if out.ndim else float(out)
 
 
-def cutoff_frequency(ecc_deg, params: CsfParams = DEFAULT_CSF):
+def cutoff_frequency(ecc_deg):
     """Frequency at which the threshold reaches full contrast; decreasing in e."""
     _check_nonnegative("eccentricity", ecc_deg)
     ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
-    out = params.e2 * math.log(1.0 / params.ct0) / (params.alpha * (ecc_deg + params.e2))
+    out = E2 * math.log(1.0 / CT0) / (ALPHA * (ecc_deg + E2))
     return out if out.ndim else float(out)
 
 
-def error_sensitivity(freq_cpd, ecc_deg, params: CsfParams = DEFAULT_CSF):
+def error_sensitivity(freq_cpd, ecc_deg):
     """Relative error visibility in [0, 1]; zero above the cutoff frequency."""
     _check_nonnegative("frequency", freq_cpd)
     _check_nonnegative("eccentricity", ecc_deg)
     freq_cpd = np.asarray(freq_cpd, dtype=np.float64)
     ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
-    visible = freq_cpd <= cutoff_frequency(ecc_deg, params)
-    out = np.where(visible, np.exp(-params.alpha * freq_cpd * ecc_deg / params.e2), 0.0)
+    visible = freq_cpd <= cutoff_frequency(ecc_deg)
+    out = np.where(visible, np.exp(-ALPHA * freq_cpd * ecc_deg / E2), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -215,7 +201,7 @@ def radial_gather(dx: np.ndarray, dy: np.ndarray, fn) -> np.ndarray:
     return fn(ux[None, :], uy[:, None]).take(iy, axis=0).take(ix, axis=1)
 
 
-def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry, params: CsfParams) -> np.ndarray:
+def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry) -> np.ndarray:
     """error_sensitivity(freq, eccentricity) over the grid of ascending offsets (dx[j], dy[i]),
     evaluated only inside the visibility radius: the rest is exactly 0, as in full."""
     # Why the window is exact.  In real arithmetic a sample is visible iff
@@ -228,19 +214,17 @@ def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry
     # tan's condition number, under 2**-29 while tan < 2**20; widening r* by a relative
     # 2**-20 and 1 px covers that, so no sample outside the window can come out nonzero.
     # Past tan = 2**20 (within 5.5e-5 degrees of 90) the window is unbounded.
-    reach_deg = params.e2 * math.log(1.0 / params.ct0) / (params.alpha * freq) * (1 + 2**-20) - params.e2
+    reach_deg = E2 * math.log(1.0 / CT0) / (ALPHA * freq) * (1 + 2**-20) - E2
     tan = math.tan(math.radians(min(max(reach_deg, 0.0), 90.0)))
     reach = tan * geom.viewing_distance_m / geom.pixel_pitch_m * (1 + 2**-20) + 1 if tan < 2**20 else math.inf
-    fn = lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom), params)
-    if -reach <= min(dx[0], dy[0]) and max(dx[-1], dy[-1]) < reach:
-        return radial_gather(dx, dy, fn)
+    fn = lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom))
     (j0, j1), (i0, i1) = np.searchsorted(dx, (-reach, reach)), np.searchsorted(dy, (-reach, reach))
     values = np.zeros((dy.size, dx.size))
     values[i0:i1, j0:j1] = radial_gather(dx[j0:j1], dy[i0:i1], fn)
     return values
 
 
-def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) -> FoveationMap:
+def foveation_map(geom: DisplayGeometry, gaze) -> FoveationMap:
     """Continuous sensitivity map at the display Nyquist frequency.
 
     Eccentricity depends on the pixel offsets from the gaze only through
@@ -253,7 +237,7 @@ def foveation_map(geom: DisplayGeometry, gaze, params: CsfParams = DEFAULT_CSF) 
             f"gaze ({gx}, {gy}) outside frame {geom.width_px}x{geom.height_px}"
         )
     dx, dy = np.arange(geom.width_px, dtype=np.float64) - gx, np.arange(geom.height_px, dtype=np.float64) - gy
-    return FoveationMap(_csf_grid(dx, dy, display_nyquist(geom), geom, params), (gx, gy))
+    return FoveationMap(_csf_grid(dx, dy, display_nyquist(geom), geom), (gx, gy))
 
 
 # samples per strip of quantize_map: its float buffer (512 KiB) stays in cache

@@ -7,14 +7,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .errors import ContractViolation
-from .foveation import (
-    CsfParams,
-    DEFAULT_CSF,
-    DisplayGeometry,
-    FoveationMap,
-    _csf_grid,
-    display_nyquist,
-)
+from .foveation import DisplayGeometry, FoveationMap, _csf_grid, display_nyquist
 from .transform import BLOCK, edge_padded, grid_shape, tile_reduce
 from .video_io import FramePlane
 
@@ -180,7 +173,7 @@ def _haar_bands(plane: np.ndarray):
     yield FWQI_LEVELS, ll
 
 
-def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry, params: CsfParams) -> np.ndarray:
+def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry) -> np.ndarray:
     """Error sensitivity at the subband's center frequency, per coefficient.
 
     Each coefficient at scale s supports a 2^s x 2^s pixel patch; its weight
@@ -190,7 +183,7 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry, params: Csf
     h, w = shape
     xs = (np.arange(w) + 0.5) * size - 0.5
     ys = (np.arange(h) + 0.5) * size - 0.5
-    return _csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom, params)
+    return _csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom)
 
 
 class FrameReference:
@@ -213,14 +206,14 @@ class FrameReference:
                     kept[rows] = part
         return self._moments
 
-    def weighted_bands(self, gaze, geom: DisplayGeometry, params: CsfParams = DEFAULT_CSF):
+    def weighted_bands(self, gaze, geom: DisplayGeometry):
         """(bands, weights by scale, weighted energy); rejects a plane FWQI cannot score."""
         if self._bands is None:
             self._bands = list(_haar_bands(self.plane))
-        key = (tuple(gaze), geom, params)
+        key = (tuple(gaze), geom)
         if self._weighted is None or self._weighted[0] != key:
             # a band's weights depend on its scale and shape alone, so each scale's are built once
-            weights = {scale: _subband_weights(scale, band.shape, gaze, geom, params)
+            weights = {scale: _subband_weights(scale, band.shape, gaze, geom)
                        for scale, band in dict(self._bands).items()}
             energy = 0.0
             for scale, band in self._bands:
@@ -231,13 +224,7 @@ class FrameReference:
         return self._bands, self._weighted[1], self._weighted[2]
 
 
-def fwqi_approx(
-    ref,
-    test,
-    gaze,
-    geom: DisplayGeometry,
-    params: CsfParams = DEFAULT_CSF,
-) -> float:
+def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
     """Wavelet-domain, eccentricity-weighted relative error score in [0, 1].
 
     A declared approximation: 4-level Haar decomposition, each subband
@@ -248,11 +235,11 @@ def fwqi_approx(
     """
     x, y = _plane_pair(ref, test)
     shared = isinstance(ref, FrameReference)
-    bands, weights, ref_energy = ref.weighted_bands(gaze, geom, params) if shared else (_haar_bands(x), {}, 0.0)
+    bands, weights, ref_energy = ref.weighted_bands(gaze, geom) if shared else (_haar_bands(x), {}, 0.0)
     err_energy = 0.0
     for (scale, ref_band), (_, test_band) in zip(bands, _haar_bands(y)):
         if scale not in weights:  # a plain reference's, built a scale at a time
-            weights = {scale: _subband_weights(scale, ref_band.shape, gaze, geom, params)}
+            weights = {scale: _subband_weights(scale, ref_band.shape, gaze, geom)}
         err_energy += float(((weights[scale] * (ref_band - test_band)) ** 2).sum())
         if not shared:
             ref_energy += float(((weights[scale] * ref_band) ** 2).sum())

@@ -38,7 +38,13 @@ class FramePlane:
 
     @classmethod
     def from_array(cls, arr) -> "FramePlane":
-        arr = np.asarray(arr, dtype=np.uint8)
+        """A plane over a uint8 array as it is, or over a cast of an integer array
+        whose samples all lie in [0, 255]; any other array is rejected."""
+        arr = np.asarray(arr)
+        if arr.dtype != np.uint8:
+            if arr.dtype.kind not in "iu" or not np.all((arr >= 0) & (arr <= 255)):
+                raise ContractViolation(f"plane samples must be integers in [0, 255], got {arr.dtype}")
+            arr = arr.astype(np.uint8)
         if arr.ndim != 2:
             raise ContractViolation(f"plane array must be 2-D, got shape {arr.shape}")
         return cls(width=arr.shape[1], height=arr.shape[0], samples=arr)

@@ -149,10 +149,10 @@ def _pixel_grid(width: int, height: int):
     return xs.astype(np.float64), ys.astype(np.float64)
 
 
-def foveation_map_values(geom, gaze, params) -> np.ndarray:
+def foveation_map_values(geom, gaze) -> np.ndarray:
     xs, ys = _pixel_grid(geom.width_px, geom.height_px)
     ecc = eccentricity((xs, ys), (float(gaze[0]), float(gaze[1])), geom)
-    return np.asarray(error_sensitivity(display_nyquist(geom), ecc, params), dtype=np.float64)
+    return np.asarray(error_sensitivity(display_nyquist(geom), ecc), dtype=np.float64)
 
 
 def gaussian_map_values(gaze, fmsc_px: float, width: int, height: int) -> np.ndarray:
@@ -162,11 +162,11 @@ def gaussian_map_values(gaze, fmsc_px: float, width: int, height: int) -> np.nda
     return np.exp(-r2 / (2.0 * fmsc_px * fmsc_px))
 
 
-def subband_weights(scale: int, shape, gaze, geom, params) -> np.ndarray:
+def subband_weights(scale: int, shape, gaze, geom) -> np.ndarray:
     size = 2**scale
     h, w = shape
     xs = (np.arange(w) + 0.5) * size - 0.5
     ys = (np.arange(h) + 0.5) * size - 0.5
     ecc = eccentricity(np.meshgrid(xs, ys), gaze, geom)
     freq = display_nyquist(geom) / (2.0**scale)
-    return np.asarray(error_sensitivity(freq, ecc, params), dtype=np.float64)
+    return np.asarray(error_sensitivity(freq, ecc), dtype=np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from fmvc.errors import ContractViolation
-from fmvc.foveation import DEFAULT_CSF, CsfParams, DisplayGeometry, FoveationMap
+from fmvc.foveation import DisplayGeometry, FoveationMap
 from fmvc.metrics import FWQI_LEVELS, _C1, _C2, _subband_weights
 from fmvc.video_io import FramePlane
 
@@ -95,13 +95,7 @@ def ssim_map(ref, test) -> np.ndarray:
     return num / den
 
 
-def fwqi_approx(
-    ref,
-    test,
-    gaze,
-    geom: DisplayGeometry,
-    params: CsfParams = DEFAULT_CSF,
-) -> float:
+def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
     """Wavelet-domain, eccentricity-weighted relative error score in [0, 1].
 
     A declared approximation: 4-level Haar decomposition, each subband
@@ -123,7 +117,7 @@ def fwqi_approx(
     for (scale, ref_band), (_, test_band) in zip(
         _haar_decompose(x, FWQI_LEVELS), _haar_decompose(y, FWQI_LEVELS)
     ):
-        wts = _subband_weights(scale, ref_band.shape, gaze, geom, params)
+        wts = _subband_weights(scale, ref_band.shape, gaze, geom)
         err_energy += float(((wts * (ref_band - test_band)) ** 2).sum())
         ref_energy += float(((wts * ref_band) ** 2).sum())
     if ref_energy == 0.0:

@@ -1,6 +1,5 @@
-"""Every public top-level function and class in fmvc is used by something,
-and every private top-level function, class and assignment is used by the
-package itself.
+"""Every public top-level function, class and assigned name in fmvc is used
+by something, and every private one is used by the package itself.
 
 A public name counts as used when it appears, as a whole word, anywhere in
 the package, the benchmark or the acceptance tests other than at its own
@@ -20,29 +19,9 @@ SOURCES = sorted((ROOT / "src" / "fmvc").glob("*.py"))
 CORPUS = SOURCES + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
-def public_definitions():
-    """(name, module) of every top-level public def and class in src/fmvc."""
-    for path in SOURCES:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield node.name, path.stem
-
-
-def test_every_public_name_is_referenced():
-    definitions = list(public_definitions())
-    assert len(definitions) > 20  # the scan found the package
-    texts = [path.read_text(encoding="utf-8") for path in CORPUS]
-    defined = Counter(name for name, _ in definitions)
-    unused = [
-        f"{module}.{name}"
-        for name, module in definitions
-        if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) <= defined[name]
-    ]
-    assert unused == []
-
-
-def private_definitions():
-    """(name, module) of every top-level private def, class and assigned name in src/fmvc."""
+def top_level_definitions(private: bool):
+    """(name, module) of every top-level def, class and assigned name in src/fmvc,
+    the private ones or the public ones; dunder names are neither."""
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -52,7 +31,21 @@ def private_definitions():
                 names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
             else:
                 continue
-            yield from ((name, path.stem) for name in names if name.startswith("_") and not name.startswith("__"))
+            yield from ((name, path.stem) for name in names
+                        if name.startswith("_") == private and not name.startswith("__"))
+
+
+def test_every_public_name_is_referenced():
+    definitions = list(top_level_definitions(private=False))
+    assert len(definitions) > 20  # the scan found the package
+    texts = [path.read_text(encoding="utf-8") for path in CORPUS]
+    defined = Counter(name for name, _ in definitions)
+    unused = [
+        f"{module}.{name}"
+        for name, module in definitions
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) <= defined[name]
+    ]
+    assert unused == []
 
 
 def package_reads():
@@ -68,7 +61,7 @@ def package_reads():
 
 
 def test_every_private_name_is_referenced():
-    definitions = list(private_definitions())
+    definitions = list(top_level_definitions(private=True))
     assert len(definitions) > 20  # the scan found the package
     read = set(package_reads())
     assert [f"{module}.{name}" for name, module in definitions if name not in read] == []

@@ -505,6 +505,18 @@ class TestRdSweep:
         assert main(["rd-sweep", "--input", str(clip), "--out", str(out), "--gaze", "center"]) == 0
         assert calls.count("gaussian_map") == calls.count("quantize_map") == 6
 
+    @pytest.mark.parametrize("command", ["rd-sweep", "metrics"])
+    def test_center_gaze_scores_against_one_csf_map(self, tmp_path, monkeypatch, command):
+        clip = tmp_path / "small.y4m"
+        with open(clip, "wb") as fh:
+            write_y4m(pan_clip(64, 64, 3, step=3, seed=5), fh)
+        calls = []
+        original = cli.foveation_map
+        monkeypatch.setattr(cli, "foveation_map", lambda *a: calls.append(1) or original(*a))
+        inputs = ["--input", str(clip)] if command == "rd-sweep" else ["--ref", str(clip), "--test", str(clip)]
+        assert main([command, *inputs, "--out", str(tmp_path / "out.csv"), "--gaze", "center"]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("fmsc_set", ["H/4,H/nan", "H/inf", "H/4,H/0"])
     def test_every_spec_checked_before_encoding(self, tmp_path, capsys, monkeypatch, fmsc_set):
         clip = tmp_path / "small.y4m"

@@ -707,6 +707,13 @@ class TestSequenceCodec:
         with pytest.raises(ConfigError, match="fmsc_code"):
             replace(sbs, frames=(rec,) + sbs.frames[1:]).to_bytes()
 
+    @pytest.mark.parametrize("field", ["width", "height", "fps_num", "fps_den"])
+    @pytest.mark.parametrize("value", [-16, 1 << 16])
+    def test_header_fields_checked_on_construction(self, field, value):
+        sbs = self.one_frame_stream()
+        with pytest.raises(ConfigError, match=field):
+            replace(sbs, **{field: value})
+
     @pytest.mark.parametrize("q_base", [math.nan, math.inf, -math.inf, 0.0, 2.5, 65536.0, 2.0**63, 1e300])
     def test_quantizer_base_checked(self, q_base):
         data = bytearray(self.one_frame_stream().to_bytes())

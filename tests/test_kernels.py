@@ -26,7 +26,7 @@ from fmvc.displacement import (
     predicted_plane,
 )
 from fmvc.errors import ContractViolation
-from fmvc.foveation import DEFAULT_CSF, CsfParams, DisplayGeometry, display_nyquist, foveation_map, gaussian_map
+from fmvc.foveation import ALPHA, CT0, E2, DisplayGeometry, foveation_map, gaussian_map
 from fmvc.metrics import _subband_weights
 from fmvc.transform import (
     FORWARD_INT32_LIMIT,
@@ -483,7 +483,7 @@ def test_foveation_map_matches_per_pixel_formula(w, h, rng):
         geom = DisplayGeometry(screen, 0.012, w, h)
         for gaze in _gazes(rng, w, h, 20):
             got = foveation_map(geom, gaze).values
-            assert np.array_equal(got, ref.foveation_map_values(geom, gaze, DEFAULT_CSF))
+            assert np.array_equal(got, ref.foveation_map_values(geom, gaze))
 
 
 @pytest.mark.parametrize("w, h", GEOM_SIZES)
@@ -500,27 +500,49 @@ def test_subband_weights_match_per_pixel_formula(w, h, rng):
     for gaze in _gazes(rng, w, h, 10):
         for scale in range(1, 5):
             shape = (max(1, h >> scale), max(1, w >> scale))
-            got = _subband_weights(scale, shape, gaze, geom, DEFAULT_CSF)
-            assert np.array_equal(got, ref.subband_weights(scale, shape, gaze, geom, DEFAULT_CSF))
+            got = _subband_weights(scale, shape, gaze, geom)
+            assert np.array_equal(got, ref.subband_weights(scale, shape, gaze, geom))
+
+
+# The CSF model sees the geometry only through D = viewing distance / pixel pitch: at
+# display_nyquist / 2**s the visibility angle is e*(D) = K * 2**s / D - E2 degrees, and the
+# visibility radius r*(D) = D * tan(e*(D)) px falls monotonically as D grows.
+_K = E2 * math.log(1.0 / CT0) * 360.0 / (math.pi * ALPHA)
+
+
+def _distance_ratio_for_angle(e_star: float, scale: int) -> float:
+    return _K * 2**scale / (e_star + E2)
+
+
+def _distance_ratio_for_radius(r_star: float, scale: int) -> float:
+    """D whose visibility radius is r_star px, by bisection between e* = 90 and e* = 0."""
+    lo, hi = _distance_ratio_for_angle(90.0, scale), _distance_ratio_for_angle(0.0, scale)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid * math.tan(math.radians(_K * 2**scale / mid - E2)) > r_star:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @st.composite
 def csf_crossing_cases(draw, scale):
-    """(geometry, CsfParams, gaze) whose visibility radius at display_nyquist / 2**scale
-    is drawn first, mostly inside the frame diagonal, and alpha solved for it."""
-    w, h = draw(st.integers(1, 200)), draw(st.integers(1, 200))
-    geom = DisplayGeometry(draw(st.floats(0.5e-3, 50e-3)), draw(st.floats(5e-3, 200e-3)), w, h)
-    e2, ct0 = draw(st.floats(0.5, 10.0)), draw(st.floats(1e-3, 0.5))
+    """(geometry, gaze) whose visibility radius at display_nyquist / 2**scale is drawn
+    first, mostly inside the frame diagonal, and the geometry solved for it.  Frames are
+    up to 200 samples wide at the scale, so the radius reaches past 99 px, where a window
+    1% too narrow drops samples, at every scale."""
+    w, h = draw(st.integers(1, 200 << scale)), draw(st.integers(1, 200 << scale))
     kind = draw(st.sampled_from(["crossing", "crossing", "under 1 px", "nothing visible", "near 90 degrees"]))
     if kind == "nothing visible":
-        e_star = -draw(st.floats(0.0, 0.99)) * e2
+        ratio = _distance_ratio_for_angle(-draw(st.floats(0.0, 0.99)) * E2, scale)
     elif kind == "near 90 degrees":
-        e_star = 90.0 - draw(st.floats(1e-9, 1e-3))
+        ratio = _distance_ratio_for_angle(90.0 - draw(st.floats(1e-9, 1e-3)), scale)
     else:
         r_star = draw(st.floats(0.0, 1.0 if kind == "under 1 px" else math.hypot(w, h)))
-        e_star = math.degrees(math.atan(r_star * geom.pixel_pitch_m / geom.viewing_distance_m))
-    freq = display_nyquist(geom) / 2**scale
-    params = CsfParams(e2 * math.log(1.0 / ct0) / (freq * (e_star + e2)), e2, ct0)
+        ratio = _distance_ratio_for_radius(r_star, scale)
+    distance = draw(st.floats(5e-3, 200e-3))
+    geom = DisplayGeometry(distance * w / ratio, distance, w, h)
     gaze = draw(
         st.one_of(
             st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
@@ -528,21 +550,21 @@ def csf_crossing_cases(draw, scale):
             st.sampled_from([(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]),
         )
     )
-    return geom, params, gaze
+    return geom, gaze
 
 
 @settings(max_examples=300)
 @given(csf_crossing_cases(0))
 def test_foveation_map_matches_per_pixel_formula_where_the_radius_crosses_the_frame(case):
-    geom, params, gaze = case
-    got = foveation_map(geom, gaze, params).values
-    assert np.array_equal(got, ref.foveation_map_values(geom, gaze, params))
+    geom, gaze = case
+    got = foveation_map(geom, gaze).values
+    assert np.array_equal(got, ref.foveation_map_values(geom, gaze))
 
 
 @settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda s: st.tuples(st.just(s), csf_crossing_cases(s))))
 def test_subband_weights_match_per_pixel_formula_where_the_radius_crosses_the_frame(scale_case):
-    scale, (geom, params, gaze) = scale_case
+    scale, (geom, gaze) = scale_case
     shape = (max(1, geom.height_px >> scale), max(1, geom.width_px >> scale))
-    got = _subband_weights(scale, shape, gaze, geom, params)
-    assert np.array_equal(got, ref.subband_weights(scale, shape, gaze, geom, params))
+    got = _subband_weights(scale, shape, gaze, geom)
+    assert np.array_equal(got, ref.subband_weights(scale, shape, gaze, geom))

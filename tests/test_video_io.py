@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fmvc.errors import ContractViolation, FmvcError, ParseError, TruncatedStream, UnsupportedFormat
 from fmvc.video_io import Frame, FramePlane, VideoSequence, chroma_dims, read_y4m, write_y4m
@@ -155,6 +156,32 @@ def test_plane_invariants():
         FramePlane(4, 4, np.zeros((4, 4), np.int16))
     with pytest.raises(ContractViolation):
         FramePlane(4, 3, np.zeros((4, 4), np.uint8))
+
+
+_plane_shapes = hnp.array_shapes(min_dims=2, max_dims=2, max_side=4)
+
+
+@given(
+    st.one_of(
+        hnp.arrays(hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(), _plane_shapes),
+        hnp.arrays(st.sampled_from([np.int16, np.uint16, np.int64]), _plane_shapes, elements=st.integers(-2, 257)),
+        hnp.arrays(hnp.floating_dtypes(), _plane_shapes),
+    )
+)
+def test_from_array_keeps_every_sample_or_raises(arr):
+    try:
+        plane = FramePlane.from_array(arr)
+    except ContractViolation:
+        assert arr.dtype.kind == "f" or arr.min() < 0 or arr.max() > 255
+        return
+    assert plane.samples.dtype == np.uint8 and np.array_equal(plane.samples, arr)
+
+
+def test_from_array_takes_uint8_as_it_is_and_rejects_what_it_cannot_hold():
+    samples = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    assert FramePlane.from_array(samples).samples is samples
+    with pytest.raises(ContractViolation):
+        FramePlane.from_array(np.array([[300, -1], [255.7, 0]]))
 
 
 def test_failing_sink_raises_io_error():

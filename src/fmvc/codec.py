@@ -1,21 +1,20 @@
 """Residual codec: level-indexed quantization, entropy coding, bitstreams.
 
-Given the per-block levels, the coding path is integer-exact (transform,
-quantizer, entropy code), so identical inputs produce byte-identical
-streams.  The levels themselves are the one float-to-integer step: they
-come from a foveation map built with libm exp and arctan (or exp for a
-gaussian map), so a platform whose libm rounds differently could move a
+Given the per-block levels, the coding path runs in integers only
+(transform, quantizer, entropy code), so identical inputs produce
+byte-identical streams.  The levels are the one float-to-integer step:
+they come from a foveation map built with libm exp and arctan (or exp for
+a gaussian map), so a platform whose libm rounds differently could move a
 block to another level.  Before transforming, the encoder proves which
 blocks quantize to all zeros with a float32 pre-test (_may_be_nonzero).
 That test only decides what to skip and is provably conservative: every
 block it skips is zero through the full path, so streams do not depend
 on it.  A frame's Y, Cb and Cr residual blocks form one (8, 8, n) block
-array in payload order, Y then Cb then Cr, so the pre-test, the forward
-and inverse transforms and the quantizer each run once per frame; the
-entropy coder takes per-plane views of it.  The decoder's output is
-bit-exactly the encoder's own reconstruction; both sides share one
-prediction and one reconstruction routine so the recurrent frame chain
-cannot drift.
+array in payload order, Y then Cb then Cr, and each side gathers their
+steps once; the pre-test, both transforms, the quantizer and the entropy
+coder each run once per frame.  The decoder's output is bit-exactly the
+encoder's own reconstruction; both sides share one prediction and one
+reconstruction routine so the recurrent frame chain cannot drift.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .allocation import block_levels
 from .bitio import decode_blocks, encode_blocks
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
-from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedVersion
+from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedFormat, UnsupportedVersion
 from .foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, FoveationMap, LevelMap, quantize_map
 from .transform import (
     BLOCK,
@@ -42,7 +41,7 @@ from .transform import (
     grid_tiles,
     inverse_blocks,
 )
-from .video_io import Frame, FramePlane, VideoSequence
+from .video_io import MAX_PIXELS, Frame, FramePlane, VideoSequence
 
 MAGIC = b"FMVC"
 VERSION = 2
@@ -90,7 +89,9 @@ class QuantSchedule:
         object.__setattr__(self, "steps", steps)
 
     def steps_array(self) -> np.ndarray:
-        return np.asarray(self.steps, dtype=np.int64)
+        """The steps in the dequantization lane: an int16 coefficient times a
+        step below 2**16 stays below 2**31, so int32 until then, else int64."""
+        return np.asarray(self.steps, np.int32 if max(self.steps) < 1 << 16 else np.int64)
 
 
 @dataclass(frozen=True)
@@ -100,39 +101,20 @@ class CodecConfig:
     force_zero_displacement: bool = False
 
 
-def _round_div_half_away(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """values / steps rounded half away from zero, as int16: sign(v) * floor((2|v| + s) / 2s).
+def _quantize_plane_blocks(coeffs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Quantize (8, 8, n) coefficients at their blocks' steps (n,), rounding
+    half away from zero: sign(c) * ((2|c| + s) // 2s).
 
-    The quotient is taken in float64 and floors as integer division does:
-    for integers a >= 0 and b > 0 with a + b < 2**53, both convert exactly,
-    a / b lies at least 1/b below floor(a / b) + 1, and rounding moves it by
-    at most (a / b) * 2**-53 < (a + b) / b * 2**-53 < 1/b, so
-    floor(a / b) == a // b.  Here a = 2|v| + s and b = 2s, with |v| <= 16320
-    and every step below 2**24; 2|v| and a are exact in float64 too.  The
-    quotient is built in one buffer and is at most |v|, so it fits int16.
+    Residuals of 8-bit planes keep |c| <= 16320 and no step exceeds
+    11863102, so 2|c| + s stays in the lifting's int32 lane, and the
+    quotient, at most |c|, fits int16.
     """
-    steps = np.asarray(steps, dtype=np.float64)
-    quotient = np.abs(values, dtype=np.float64)
-    quotient *= 2
-    quotient += steps
-    quotient /= 2 * steps
-    np.floor(quotient, out=quotient)
-    np.copysign(quotient, values, out=quotient)
-    return quotient.astype(np.int16)
-
-
-# --- plane helpers ------------------------------------------------------
-
-
-def _quantize_plane_blocks(coeffs: np.ndarray, levels: np.ndarray, sched: QuantSchedule) -> np.ndarray:
-    """Quantize (8, 8, ...) coefficients, each block at its level's step.
-
-    No value grows in magnitude, so coefficients within the block code's
-    int16 range quantize to int16.
-    """
-    if coeffs.size and max(coeffs.max(), -coeffs.min()) >= 1 << 15:
-        raise ContractViolation("the block code carries int16 coefficients only")
-    return _round_div_half_away(coeffs, sched.steps_array()[levels])
+    q = np.abs(coeffs, dtype=np.int32)
+    q *= 2
+    q += steps
+    q //= 2 * steps
+    q *= np.sign(coeffs)
+    return q.astype(np.int16)
 
 
 def _most(blocks: np.ndarray) -> bool:
@@ -188,27 +170,27 @@ def _may_be_nonzero(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
-def _quantized_frame(planes, preds, levels: np.ndarray, sched: QuantSchedule) -> np.ndarray:
+def _quantized_frame(planes, preds, steps: np.ndarray) -> np.ndarray:
     """Transform and quantize the residuals of planes against their raster
     predictions, as one (8, 8, n) block array in plane order, each block at
-    its level in levels (n,).
+    its step in steps (n,).
 
     Only the blocks _may_be_nonzero keeps are transformed and quantized, and
     the rest stay zero; but with at least 3/4 of the blocks kept, the whole
     array is transformed, as that costs less than gathering them.
     """
-    residual = np.empty((BLOCK, BLOCK, len(levels)), dtype=np.int16)
+    residual = np.empty((BLOCK, BLOCK, len(steps)), dtype=np.int16)
     start = 0
     for cur, pred in zip(planes, preds):
         tiles = grid_tiles(np.subtract(cur, pred, dtype=np.int16))[1]
         stop = start + tiles[0, 0].size
         residual[:, :, start:stop].reshape(tiles.shape)[...] = tiles
         start = stop
-    live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), sched.steps_array()[levels])
+    live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), steps)
     if _most(live):
-        return _quantize_plane_blocks(forward_blocks(residual), levels, sched)
+        return _quantize_plane_blocks(forward_blocks(residual), steps)
     qblocks = np.zeros(residual.shape, dtype=np.int16)
-    qblocks[:, :, live] = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), levels[live], sched)
+    qblocks[:, :, live] = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), steps[live])
     return qblocks
 
 
@@ -248,8 +230,9 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _reconstruct(qblocks: np.ndarray, levels: np.ndarray, preds, sched: QuantSchedule) -> Frame:
-    """Rebuild the frame from its (8, 8, n) Y, Cb, Cr blocks and raster predictions; must stay bit-deterministic.
+def _reconstruct(qblocks: np.ndarray, steps: np.ndarray, preds) -> Frame:
+    """Rebuild the frame from its (8, 8, n) Y, Cb, Cr blocks, their steps in
+    the dequantization lane and the raster predictions; must stay bit-deterministic.
 
     Each prediction, padded to whole tiles, becomes its plane in place
     through a tile view.  Only blocks with a nonzero coefficient are
@@ -261,10 +244,7 @@ def _reconstruct(qblocks: np.ndarray, levels: np.ndarray, preds, sched: QuantSch
     coded = qblocks.any(axis=(0, 1))
     whole = _most(coded)
     at = np.s_[:] if whole else coded
-    # Coefficients are int16, so |q| <= 2**15, and 2**15 * (2**16 - 1) < 2**31:
-    # below 2**16 every step dequantizes exactly in int32.
-    steps = np.asarray(sched.steps, np.int32 if max(sched.steps) < 1 << 16 else np.int64)
-    residual = inverse_blocks(qblocks[:, :, at] * steps[levels[at]])
+    residual = inverse_blocks(qblocks[:, :, at] * steps[at])
     planes, start, done = [], 0, 0
     for pred in preds:
         plane, tiles = grid_tiles(pred)
@@ -344,15 +324,15 @@ def encode_frame(
     else:
         fld = choose_displacements(cur.y.samples, prev_recon.y.samples)
     luma_levels = block_levels(level_map)
-    levels = _frame_levels(luma_levels)
+    steps = sched.steps_array()[_frame_levels(luma_levels)]
     preds = _predict(prev_recon, fld)
-    qblocks = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, levels, sched)
+    qblocks = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, steps)
     prefixes = (fld.indices.astype(np.uint8) << 4 | luma_levels.astype(np.uint8)).reshape(-1)
     payload, bits = encode_blocks(qblocks, prefixes)
     n_luma = len(prefixes)
     block_bits = _block_bits(bits[:n_luma].reshape(luma_levels.shape), bits[n_luma:].reshape(2, -1).sum(axis=0))
     stream = FrameBitstream(payload, block_bits, int(bits.sum()))
-    return stream, _reconstruct(qblocks, levels, preds, sched)
+    return stream, _reconstruct(qblocks, steps, preds)
 
 
 def decode_frame(
@@ -368,18 +348,18 @@ def decode_frame(
     n_luma, n_chroma = _block_counts(prev_recon.y.width, prev_recon.y.height)
     qblocks, prefixes = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
-    levels = _frame_levels((prefixes & 0x0F).reshape(grid))
-    return _reconstruct(qblocks, levels, _predict(prev_recon, fld), sched)
+    steps = sched.steps_array()[_frame_levels((prefixes & 0x0F).reshape(grid))]
+    return _reconstruct(qblocks, steps, _predict(prev_recon, fld))
 
 
 # --- sequence container -------------------------------------------------
 
 
 def _check_fits(**fields: tuple[int, int]) -> None:
-    """Reject a (value, bits) pair that its unsigned container field cannot hold."""
+    """Reject a (value, bits) pair that its unsigned integer container field cannot hold."""
     for name, (value, bits) in fields.items():
-        if not 0 <= value < 1 << bits:
-            raise ConfigError(f"{name} {value} does not fit the stream's {bits}-bit field")
+        if not (isinstance(value, Integral) and 0 <= value < 1 << bits):
+            raise ConfigError(f"{name} {value!r} does not fit the stream's {bits}-bit integer field")
 
 
 def _check_crc(data: bytes, at: int, crc: int, what: str) -> None:
@@ -389,6 +369,7 @@ def _check_crc(data: bytes, at: int, crc: int, what: str) -> None:
 
 
 def _check_header_fits(width: int, height: int, fps_num: int, fps_den: int, frame_count: int) -> None:
+    """Reject header fields that their slots cannot hold, and frames over the decode budget."""
     _check_fits(
         width=(width, 16),
         height=(height, 16),
@@ -396,6 +377,8 @@ def _check_header_fits(width: int, height: int, fps_num: int, fps_den: int, fram
         fps_den=(fps_den, 16),
         frame_count=(frame_count, 32),
     )
+    if width * height > MAX_PIXELS:
+        raise UnsupportedFormat(f"{width}x{height} frames exceed the {MAX_PIXELS}-pixel decode budget")
 
 
 @dataclass(frozen=True)
@@ -404,6 +387,10 @@ class FrameRecord:
     gaze_y: int
     fmsc_code: int
     bitstream: FrameBitstream
+
+    def __post_init__(self):
+        _check_fits(gaze_x=(self.gaze_x, 16), gaze_y=(self.gaze_y, 16), fmsc_code=(self.fmsc_code, 8),
+                    payload_bytes=(len(self.bitstream.payload), 32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,12 +446,6 @@ class SequenceBitstream:
         )
         parts = [header, _CRC.pack(zlib.crc32(header))]
         for rec in self.frames:
-            _check_fits(
-                gaze_x=(rec.gaze_x, 16),
-                gaze_y=(rec.gaze_y, 16),
-                fmsc_code=(rec.fmsc_code, 8),
-                payload_bytes=(len(rec.bitstream.payload), 32),
-            )
             head = _FRAME_HEAD.pack(rec.gaze_x, rec.gaze_y, rec.fmsc_code, len(rec.bitstream.payload))
             parts += [head, _CRC.pack(zlib.crc32(rec.bitstream.payload, zlib.crc32(head))), rec.bitstream.payload]
         return b"".join(parts)
@@ -484,6 +465,7 @@ class SequenceBitstream:
         _check_crc(data, _HEADER.size, zlib.crc32(data[: _HEADER.size]), "sequence header")
         if w < 1 or h < 1 or fps_num < 1 or fps_den < 1 or count < 1:
             raise BitstreamError("header declares empty geometry or frame count", byte_offset=6)
+        _check_header_fits(w, h, fps_num, fps_den, count)  # the decode budget, before any frame is read
         # the range test fails NaN and runs before int() could raise
         if not 1 <= q_base <= MAX_Q_BASE or q_base != int(q_base):
             raise BitstreamError(f"invalid quantizer base {q_base}", byte_offset=_HEADER.size - 9)

@@ -13,6 +13,9 @@ Y4M_SIGNATURE = b"YUV4MPEG2 "
 _ACCEPTED_CHROMA_TAGS = {"420", "420jpeg", "420mpeg2", "420paldv"}
 # An fmvc stream's header stores W and H in 16-bit fields.
 _MAX_SIDE = 65535
+# The decode budget: decoding takes about 3.75 bytes per pixel, so frames
+# up to 8K UHD are accepted, and no header can demand gigabytes.
+MAX_PIXELS = 7680 * 4320
 # The most asked of one read, so planes a header declares over a short file
 # are never allocated whole by a file object.
 _READ_CHUNK = 1 << 24
@@ -169,8 +172,8 @@ def _parse_header(line: bytes) -> tuple[int, int, int, int]:
         # A (aspect) and X (comment) tokens are ignored.
     if width is None or height is None or width <= 0 or height <= 0:
         raise ParseError("header does not declare positive W and H")
-    if max(width, height) > _MAX_SIDE:
-        raise UnsupportedFormat(f"{width}x{height} frames exceed the {_MAX_SIDE}-sample sides an fmvc stream holds")
+    if max(width, height) > _MAX_SIDE or width * height > MAX_PIXELS:
+        raise UnsupportedFormat(f"{width}x{height} frames exceed fmvc's {_MAX_SIDE}-sample sides or {MAX_PIXELS} pixels")
     return width, height, fps_num, fps_den
 
 

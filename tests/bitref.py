@@ -237,6 +237,7 @@ def decode_stack(data: bytes, layout) -> list[tuple[np.ndarray, np.ndarray | Non
         for i, block_zeros in enumerate(plane_zeros):
             blocks[i] = read_block_info(r, block_zeros)
         out.append((planes(blocks), plane_prefixes))
+    at = r.bit_position // 8  # the byte where the last block ends, before the padding is read
     if r.bits_left >= 8 or r.read_bits(r.bits_left):
-        raise BitstreamError("trailing data", byte_offset=r.bit_position // 8)
+        raise BitstreamError("trailing data", byte_offset=at)
     return out

@@ -288,6 +288,16 @@ class TestEncodeDecode:
         assert "fps_num 120000" in capsys.readouterr().err
         assert calls == []  # the header is checked before any frame is coded
 
+    def test_header_over_the_decode_budget_exit_code(self, tmp_path, capsys):
+        # a CRC-valid sequence header alone, declaring 65535x65535 frames
+        header = struct.pack("<4sHHHHHI3dB", b"FMVC", codec.VERSION, 65535, 65535, 25, 1, 1, 0.5, 0.6, 4.0, 16)
+        path = tmp_path / "huge.fmvc"
+        path.write_bytes(reseal(header + bytes(4)))
+        assert len(path.read_bytes()) == HEADER_BYTES
+        assert main(["decode", "--input", str(path), "--output", str(tmp_path / "y.y4m")]) == 4
+        err = capsys.readouterr().err
+        assert "decode budget" in err and "Traceback" not in err
+
     def test_future_version_exit_code(self, clip_path, tmp_path, capsys):
         out = tmp_path / "v.fmvc"
         main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmvc import codec
@@ -25,11 +25,11 @@ from fmvc.codec import (
     encode_sequence,
     midgray_frame,
 )
-from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedVersion
+from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedFormat, UnsupportedVersion
 from fmvc.displacement import CATALOGUE, DisplacementField
 from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
-from fmvc.video_io import Frame, VideoSequence
+from fmvc.video_io import MAX_PIXELS, Frame, FramePlane, VideoSequence
 from bitref import PayloadWriter, decode_stack
 import kernelref
 from kernelref import from_tiles, planes
@@ -107,7 +107,7 @@ def quantize_at(values, level):
     """Quantize each value alone in the DC slot of its own block, all at one level."""
     blocks = np.zeros((8, 8, len(values)), dtype=np.int64)
     blocks[0, 0] = values
-    return codec._quantize_plane_blocks(blocks, np.full(len(values), level), DEFAULT_SCHED)[0, 0]
+    return codec._quantize_plane_blocks(blocks, np.full(len(values), DEFAULT_SCHED.steps_array()[level]))[0, 0]
 
 
 class TestQuantizer:
@@ -122,8 +122,9 @@ class TestQuantizer:
 
     def test_coarse_levels_zero_more(self, rng):
         blocks = rng.integers(-400, 400, (8, 8, 50))
-        fine = codec._quantize_plane_blocks(blocks, np.full(50, 15), DEFAULT_SCHED)
-        coarse = codec._quantize_plane_blocks(blocks, np.zeros(50, np.int64), DEFAULT_SCHED)
+        steps = DEFAULT_SCHED.steps_array()
+        fine = codec._quantize_plane_blocks(blocks, np.full(50, steps[15]))
+        coarse = codec._quantize_plane_blocks(blocks, np.full(50, steps[0]))
         assert np.count_nonzero(coarse) <= np.count_nonzero(fine)
 
 
@@ -158,7 +159,7 @@ def _quantized_residual_of(residual, levels_grid, sched):
     """codec._quantized_frame on one plane pair whose difference is residual (8, 8, nby, nbx)."""
     shape = (8 * residual.shape[2], 8 * residual.shape[3])
     cur, pred = (from_tiles(np.maximum(r, 0).astype(np.uint8), shape) for r in (residual, -residual))
-    return codec._quantized_frame([cur], [pred], levels_grid.reshape(-1), sched).reshape(residual.shape)
+    return codec._quantized_frame([cur], [pred], sched.steps_array()[levels_grid.reshape(-1)]).reshape(residual.shape)
 
 
 def _check_against_unskipped_path(blocks, sched):
@@ -174,7 +175,7 @@ def _check_against_unskipped_path(blocks, sched):
     levels = np.concatenate([np.arange(sched.n_levels), np.zeros(sched.n_levels, int)])
     levels_grid = np.broadcast_to(levels[:, None], residual.shape[2:])
     got = _quantized_residual_of(residual, levels_grid, sched)
-    full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), levels_grid, sched)
+    full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), sched.steps_array()[levels_grid])
     assert got.dtype == np.int16
     assert np.array_equal(got, full)
 
@@ -206,7 +207,7 @@ class TestAllZeroPretest:
         blocks = residual.reshape(64, -1)
         sad_kept = np.abs(blocks).sum(axis=0) * 2 + codec._SAD_MARGIN >= steps
         kept = codec._may_be_nonzero(blocks, steps)
-        full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), levels_grid, sched)
+        full = codec._quantize_plane_blocks(kernelref.forward_blocks(residual), steps.reshape(levels_grid.shape))
         assert not (kept & ~sad_kept).any()
         assert (~sad_kept).any()
         assert (sad_kept & ~kept).any()
@@ -288,7 +289,7 @@ def _reconstruction_oracle(payload, prev, sched):
     for q, ref, halve in zip((q_y, q_cb, q_cr), (prev.y, prev.cb, prev.cr), (False, True, True)):
         pick = np.s_[::2, ::2] if halve else np.s_[:, :]
         pred = kernelref.predicted_plane(ref.samples, DisplacementField(luma_field[pick]), halve_offsets=halve)
-        coeffs = q.reshape(8, 8, *levels[pick].shape) * sched.steps_array()[levels[pick]]
+        coeffs = q.reshape(8, 8, *levels[pick].shape) * np.asarray(sched.steps, np.int64)[levels[pick]]
         residual = from_tiles(kernelref.inverse_blocks(coeffs), pred.shape)
         out.append(np.clip(residual + pred, 0, 255).astype(np.uint8))
     return out
@@ -411,7 +412,8 @@ class TestDequantizationLanes:
 
 
 class TestPerFrameKernels:
-    """A frame's three planes are one block array: each kernel runs once per frame."""
+    """A frame's three planes are one block array: each kernel runs once per
+    frame, and each side gathers the blocks' steps once."""
 
     @pytest.mark.parametrize("w, h, q_base", [(37, 29, 1), (37, 29, 64), (64, 48, 8), (9, 17, MAX_Q_BASE)])
     def test_one_transform_call_per_frame_and_side(self, monkeypatch, w, h, q_base):
@@ -419,6 +421,8 @@ class TestPerFrameKernels:
         for name in ("forward_blocks", "inverse_blocks"):
             original = getattr(codec, name)
             monkeypatch.setattr(codec, name, lambda blocks, _f=original, _n=name: calls.append(_n) or _f(blocks))
+        steps_array = QuantSchedule.steps_array
+        monkeypatch.setattr(QuantSchedule, "steps_array", lambda s: calls.append("steps_array") or steps_array(s))
         sched = QuantSchedule(q_base=q_base)
         level_map = quantize_map(gaussian_map((w // 3, h // 3), w / 4, w, h), sched.n_levels)
         enc = dec = midgray_frame(w, h)
@@ -426,9 +430,10 @@ class TestPerFrameKernels:
             calls.clear()
             stream, enc = encode_frame(frame, enc, level_map, sched)
             assert calls.count("forward_blocks") <= 1 and calls.count("inverse_blocks") <= 1
+            assert calls.count("steps_array") == 1
             calls.clear()
             dec = decode_frame(stream.payload, dec, sched)
-            assert calls in ([], ["inverse_blocks"])
+            assert calls in (["steps_array"], ["steps_array", "inverse_blocks"])
             assert dec == enc
 
 
@@ -703,8 +708,8 @@ class TestSequenceCodec:
         for field, value in (("fps_num", 120000), ("width", 1 << 16), ("height", -1)):
             with pytest.raises(ConfigError, match=field):
                 replace(sbs, **{field: value}).to_bytes()
-        rec = replace(sbs.frames[0], fmsc_code=256)
         with pytest.raises(ConfigError, match="fmsc_code"):
+            rec = replace(sbs.frames[0], fmsc_code=256)
             replace(sbs, frames=(rec,) + sbs.frames[1:]).to_bytes()
 
     @pytest.mark.parametrize("field", ["width", "height", "fps_num", "fps_den"])
@@ -713,6 +718,39 @@ class TestSequenceCodec:
         sbs = self.one_frame_stream()
         with pytest.raises(ConfigError, match=field):
             replace(sbs, **{field: value})
+
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [(True, "gaze_x", v) for v in (1.5, 4.0, -1, 1 << 16)]
+        + [(True, "gaze_y", v) for v in (np.float64(2), "2", -1, 1 << 16)]
+        + [(True, "fmsc_code", v) for v in (0.5, None, -1, 256)]
+        + [(False, "width", 16.0), (False, "fps_num", 25.5), (False, "fps_den", np.float32(1))],
+    )
+    def test_fields_are_integers_their_slots_hold_on_construction(self, record, field, value):
+        # so no struct.error can escape to_bytes
+        sbs = self.one_frame_stream()
+        with pytest.raises(ConfigError, match=field):
+            replace(sbs.frames[0] if record else sbs, **{field: value})
+
+    @settings(max_examples=60)
+    @given(w=st.integers(1, 65535), h=st.integers(1, 65535))
+    @example(w=7680, h=4320).via("the budget")
+    @example(w=7680, h=4321).via("one row over")
+    @example(w=65535, h=65535).via("the largest header")
+    def test_decode_budget_is_checked_before_any_frame(self, w, h):
+        data = bytearray(self.one_frame_stream().to_bytes())
+        struct.pack_into("<HH", data, 6, w, h)
+        reached, over = [], False
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
+            try:
+                decode_sequence(reseal(data))
+            except UnsupportedFormat:
+                over = True
+                assert reached == []
+            except FmvcError:  # a payload too short for the declared frames
+                pass
+        assert over == (w * h > MAX_PIXELS)
 
     @pytest.mark.parametrize("q_base", [math.nan, math.inf, -math.inf, 0.0, 2.5, 65536.0, 2.0**63, 1e300])
     def test_quantizer_base_checked(self, q_base):
@@ -784,10 +822,12 @@ class TestSequenceCodec:
             assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
 
     def test_huge_geometry_with_short_payload_rejected(self):
-        # caught in the container, before a 65535x65535 reference frame exists
-        sbs = replace(self.one_frame_stream(), width=65535, height=65535)
-        with pytest.raises(BitstreamError, match="shorter"):
-            SequenceBitstream.from_bytes(sbs.to_bytes())
+        # caught in the container, before a 65535x65535 reference frame exists;
+        # such a stream cannot be constructed, so its header is written directly
+        data = bytearray(self.one_frame_stream().to_bytes())
+        struct.pack_into("<HH", data, 6, 65535, 65535)
+        with pytest.raises(UnsupportedFormat, match="budget"):
+            SequenceBitstream.from_bytes(reseal(data))
 
     @settings(max_examples=150)
     @given(data=st.data())
@@ -907,7 +947,8 @@ class TestEncodeFrames:
 
     @pytest.mark.parametrize(
         "bad, error",
-        [("fps_num", ConfigError), ("map_size", ContractViolation), ("fmsc_codes", ContractViolation)],
+        [("fps_num", ConfigError), ("map_size", ContractViolation), ("fmsc_codes", ContractViolation),
+         ("budget", UnsupportedFormat)],
     )
     def test_every_check_runs_before_the_first_frame(self, monkeypatch, bad, error):
         seq = random_clip(16, 16, 2, seed=1)
@@ -917,6 +958,9 @@ class TestEncodeFrames:
             seq = VideoSequence(seq.frames, 120000, 1001)
         elif bad == "map_size":
             maps = [gaussian_map((8, 8), 4.0, 16, 17)] * 2
+        elif bad == "budget":  # one pixel column over, in broadcast planes that allocate nothing
+            y, c = (FramePlane.from_array(np.broadcast_to(np.uint8(0), s)) for s in ((4320, 7681), (2160, 3841)))
+            seq = VideoSequence((Frame(y, c, c),) * 2, 25, 1)
         else:
             codes = [0]
         calls = []

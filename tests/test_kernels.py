@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelref as ref
-from fmvc.codec import MAX_Q_BASE, QuantSchedule, _ENVELOPE, _SAD_MARGIN, _T32, _round_div_half_away
+from fmvc.codec import MAX_Q_BASE, QuantSchedule, _ENVELOPE, _SAD_MARGIN, _T32, _quantize_plane_blocks
 from fmvc.displacement import (
     CATALOGUE,
     Axis,
@@ -341,18 +341,19 @@ def test_inverse_limit_covers_every_dequantized_coefficient():
     # a coefficient survives quantization only if step <= 2|c|, and then
     # dequantizes to at most |c| + step / 2; q * step is nondecreasing in |c|
     steps = np.arange(1, 3 * 16320, dtype=np.int64)
-    dequantized = _round_div_half_away(np.int64(16320), steps) * steps
+    dequantized = _quantize_plane_blocks(np.full((1, 1, steps.size), 16320, np.int32), steps) * steps
     assert dequantized.max() == INVERSE_INT32_LIMIT
 
 
-def test_float_quotient_matches_integer_division():
-    # every coefficient an encoder can produce, at the smallest step, the
-    # largest step of any schedule and every step of the default schedule
-    values = np.arange(-16320, 16321)
-    largest = max(QuantSchedule(q_base=MAX_Q_BASE).steps)
-    for step in sorted({1, largest, *QuantSchedule().steps}):
-        got = _round_div_half_away(values, np.int64(step))
-        assert np.array_equal(got, ref.round_div_half_away(values, step)), step
+def test_quantizer_matches_the_reference_division():
+    # every coefficient an encoder can produce, in the lifting's int32 lane,
+    # at every step of the schedules with the smallest and the largest steps
+    # and of the default schedule, each in its schedule's lane
+    values = np.arange(-16320, 16321, dtype=np.int32)
+    for sched in (QuantSchedule(2, 1), QuantSchedule(), QuantSchedule(q_base=MAX_Q_BASE)):
+        for step in sched.steps_array():
+            got = _quantize_plane_blocks(values[None, None], np.full(values.size, step))[0, 0]
+            assert np.array_equal(got, ref.round_div_half_away(values, step)), step
 
 
 # --- the linear part and rounding envelope of the forward transform -------

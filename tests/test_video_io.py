@@ -255,7 +255,9 @@ def test_declared_planes_are_never_read_whole(w, h, payload):
     assert all(0 <= size <= 1 << 24 for size in stream.sizes)
 
 
-@pytest.mark.parametrize("dims", [b"W99999999999999999999 H2", b"W65536 H2", b"W2 H65536"])
+@pytest.mark.parametrize(
+    "dims", [b"W99999999999999999999 H2", b"W65536 H2", b"W2 H65536", b"W7681 H4320", b"W65535 H507"]
+)  # the last two are within the sides but over the MAX_PIXELS budget
 def test_sides_a_stream_cannot_hold_are_unsupported(dims):
     data = b"YUV4MPEG2 " + dims + b" F1:1\nFRAME\n"
     for source in (data, io.BytesIO(data)):
@@ -264,8 +266,10 @@ def test_sides_a_stream_cannot_hold_are_unsupported(dims):
 
 
 def test_largest_side_is_read_until_the_file_ends():
-    with pytest.raises(TruncatedStream):
-        read_y4m(b"YUV4MPEG2 W65535 H65535 F1:1\nFRAME\n" + bytes(100))
+    # 65535 x 506 is the widest side's tallest frame within the pixel budget, and 8K UHD the budget itself
+    for dims in (b"W65535 H506", b"W7680 H4320"):
+        with pytest.raises(TruncatedStream):
+            read_y4m(b"YUV4MPEG2 " + dims + b" F1:1\nFRAME\n" + bytes(100))
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,14 @@ def symbol_to_signed(symbol):
 _MAX_ZEROS = (signed_to_symbol(-(1 << 15)) + 2).bit_length() - 1
 
 
+def payload_bounds(n_blocks: int, m: int) -> tuple[int, int]:
+    """The fewest and the most bytes a payload of n_blocks blocks, the first m
+    with a prefix, can take: every block holds its end-of-block bit, and at
+    most 64 codewords of 2 * _MAX_ZEROS + 1 bits before it."""
+    longest = _MAX_COEFFS * (2 * _MAX_ZEROS + 1) + 1
+    return (8 * m + n_blocks + 7) // 8, (8 * m + n_blocks * longest + 7) // 8
+
+
 # Bit positions are int32 while they all fit; a frame payload may reach 2**32 bytes.
 _INT32_BITS = 1 << 31
 
@@ -74,8 +82,8 @@ def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray) -> tuple[bytes, np.n
     length in bits before padding.
     """
     blocks, prefixes = np.asarray(blocks), np.asarray(prefixes)
-    if blocks.shape[:2] != (8, 8):
-        raise ContractViolation(f"expected leading 8x8 block axes, got {blocks.shape}")
+    if blocks.shape[:2] != (8, 8) or blocks.dtype.kind not in "iu":
+        raise ContractViolation(f"expected integer blocks with leading 8x8 axes, got {blocks.dtype} {blocks.shape}")
     raster = blocks.reshape(64, -1)
     n = raster.shape[1]
     if prefixes.ndim != 1 or len(prefixes) > n or ((prefixes < 0) | (prefixes > 255)).any():

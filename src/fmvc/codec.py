@@ -28,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .allocation import block_levels
-from .bitio import decode_blocks, encode_blocks
+from .bitio import decode_blocks, encode_blocks, payload_bounds
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedFormat, UnsupportedVersion
 from .foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, FoveationMap, LevelMap, quantize_map
@@ -324,7 +324,7 @@ def encode_frame(
     else:
         fld = choose_displacements(cur.y.samples, prev_recon.y.samples)
     luma_levels = block_levels(level_map)
-    steps = sched.steps_array()[_frame_levels(luma_levels)]
+    steps = np.take(sched.steps_array(), _frame_levels(luma_levels))
     preds = _predict(prev_recon, fld)
     qblocks = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, steps)
     prefixes = (fld.indices.astype(np.uint8) << 4 | luma_levels.astype(np.uint8)).reshape(-1)
@@ -348,7 +348,7 @@ def decode_frame(
     n_luma, n_chroma = _block_counts(prev_recon.y.width, prev_recon.y.height)
     qblocks, prefixes = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
-    steps = sched.steps_array()[_frame_levels((prefixes & 0x0F).reshape(grid))]
+    steps = np.take(sched.steps_array(), _frame_levels((prefixes & 0x0F).reshape(grid)))
     return _reconstruct(qblocks, steps, _predict(prev_recon, fld))
 
 
@@ -472,9 +472,7 @@ class SequenceBitstream:
         if not 2 <= n_levels <= MAX_LEVELS:
             raise BitstreamError(f"invalid level count {n_levels}", byte_offset=_HEADER.size - 1)
         n_luma, n_chroma = _block_counts(w, h)
-        # at least a prefix byte and an end-of-block bit per luma block and
-        # an end-of-block bit per chroma block
-        min_payload = (9 * n_luma + 2 * n_chroma + 7) // 8
+        fewest, most = payload_bounds(n_luma + 2 * n_chroma, n_luma)
 
         offset = _HEADER.size + _CRC.size
         frames = []
@@ -488,10 +486,10 @@ class SequenceBitstream:
                 raise BitstreamError(f"frame {i} payload truncated", byte_offset=payload_at)
             payload = data[payload_at : payload_at + payload_len]
             _check_crc(data, crc_at, zlib.crc32(payload, zlib.crc32(data[offset:crc_at])), f"frame {i}")
-            if payload_len < min_payload:
+            if not fewest <= payload_len <= most:
+                side = "shorter" if payload_len < fewest else "longer"
                 raise BitstreamError(
-                    f"frame {i} payload of {payload_len} bytes is shorter than {w}x{h} allows",
-                    byte_offset=crc_at - 4,
+                    f"frame {i} payload of {payload_len} bytes is {side} than {w}x{h} allows", byte_offset=crc_at - 4
                 )
             frames.append(FrameRecord(gx, gy, fmsc_code, FrameBitstream(payload)))
             offset = payload_at + payload_len

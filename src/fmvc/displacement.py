@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation
 from .transform import BLOCK, edge_padded, grid_shape, require_block, tile_reduce
-from .video_io import FramePlane
+from .video_io import FramePlane, fields_equal
 
 DISPLACEMENT_STEPS = (3, 5, 7)
 
@@ -108,8 +108,7 @@ class DisplacementField:
         require_block(block_size)
         return cls(np.full((blocks_y, blocks_x), CATALOGUE.index(d), dtype=np.int8))
 
-    def __eq__(self, other):
-        return isinstance(other, DisplacementField) and np.array_equal(self.indices, other.indices)
+    __eq__ = fields_equal
 
 
 def select_displacement_per_block(

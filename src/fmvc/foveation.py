@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .video_io import fields_equal
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,7 @@ class FoveationMap:
     def height(self) -> int:
         return self.values.shape[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FoveationMap)
-            and self.gaze == other.gaze
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = fields_equal
 
 
 def _check_level_count(n: int) -> None:
@@ -179,12 +175,7 @@ class LevelMap:
     def height(self) -> int:
         return self.levels.shape[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LevelMap)
-            and self.n == other.n
-            and np.array_equal(self.levels, other.levels)
-        )
+    __eq__ = fields_equal
 
 
 def radial_gather(dx: np.ndarray, dy: np.ndarray, fn) -> np.ndarray:

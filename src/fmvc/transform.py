@@ -169,7 +169,7 @@ def _lifting_input(values, limit: int) -> np.ndarray:
     int32 while every magnitude is at most limit, otherwise int64."""
     a = np.asarray(values)
     if a.dtype.kind not in "iu":
-        a = a.astype(np.int64)
+        raise ContractViolation(f"the transform takes integer blocks only, got {a.dtype}")
     if a.shape[:2] != (BLOCK, BLOCK):
         raise ContractViolation(f"expected leading 8x8 block axes, got {a.shape}")
     fits = a.size == 0 or (-limit <= int(a.min()) and int(a.max()) <= limit)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,15 @@ MAX_PIXELS = 7680 * 4320
 # The most asked of one read, so planes a header declares over a short file
 # are never allocated whole by a file object.
 _READ_CHUNK = 1 << 24
+
+
+def fields_equal(a, b) -> bool:
+    """The equality of fmvc's array-holding records: b is a record of a's class
+    and every field is equal, arrays by shape and content."""
+    return isinstance(b, type(a)) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,13 +65,7 @@ class FramePlane:
     def filled(cls, width: int, height: int, value: int) -> "FramePlane":
         return cls(width, height, np.full((height, width), value, dtype=np.uint8))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FramePlane)
-            and self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.samples, other.samples)
-        )
+    __eq__ = fields_equal
 
 
 def chroma_dims(width: int, height: int) -> tuple[int, int]:
@@ -70,7 +73,7 @@ def chroma_dims(width: int, height: int) -> tuple[int, int]:
     return (width + 1) // 2, (height + 1) // 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Frame:
     """One 4:2:0 frame: full-resolution luma plus half-resolution Cb/Cr."""
 
@@ -95,16 +98,8 @@ class Frame:
             FramePlane.filled(cw, ch, value),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Frame)
-            and self.y == other.y
-            and self.cb == other.cb
-            and self.cr == other.cr
-        )
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VideoSequence:
     """An ordered run of 4:2:0 frames with a rational frame rate."""
 
@@ -133,14 +128,6 @@ class VideoSequence:
 
     def __len__(self):
         return len(self.frames)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VideoSequence)
-            and (self.fps_num, self.fps_den) == (other.fps_num, other.fps_den)
-            and len(self.frames) == len(other.frames)
-            and all(a == b for a, b in zip(self.frames, other.frames))
-        )
 
 
 def _parse_header(line: bytes) -> tuple[int, int, int, int]:

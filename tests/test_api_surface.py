@@ -65,3 +65,20 @@ def test_every_private_name_is_referenced():
     assert len(definitions) > 20  # the scan found the package
     read = set(package_reads())
     assert [f"{module}.{name}" for name, module in definitions if name not in read] == []
+
+
+def test_records_share_one_equality_rule():
+    """Only the two bitstreams, which compare their wire form, write an __eq__;
+    every other record uses dataclass equality or sets __eq__ = fields_equal."""
+    written, assigned = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(item): f"{path.stem}.{cls.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for item in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__eq__":
+                written.append(owner.get(id(node), f"{path.stem}:{node.lineno}"))
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__eq__" for t in node.targets):
+                assigned.append(ast.unparse(node.value))
+    assert sorted(written) == ["codec.FrameBitstream", "codec.SequenceBitstream"]
+    assert set(assigned) == {"fields_equal"}

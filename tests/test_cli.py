@@ -298,6 +298,16 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert "decode budget" in err and "Traceback" not in err
 
+    def test_oversized_payload_exit_code(self, tmp_path, capsys):
+        # a CRC-valid 16x16 frame whose payload is far longer than six blocks can be
+        rec = FrameRecord(8, 8, 0, FrameBitstream(bytes(4) + b"\xa5" * (1 << 20)))
+        path = tmp_path / "long.fmvc"
+        path.write_bytes(SequenceBitstream(16, 16, 25, 1, 0.5, 0.6, 4, (rec,)).to_bytes())
+        assert main(["decode", "--input", str(path), "--output", str(tmp_path / "y.y4m")]) == 3
+        err = capsys.readouterr().err
+        assert "longer than 16x16 allows" in err and f"byte offset {HEADER_BYTES + LENGTH_AT}" in err
+        assert "Traceback" not in err
+
     def test_future_version_exit_code(self, clip_path, tmp_path, capsys):
         out = tmp_path / "v.fmvc"
         main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmvc import codec
-from fmvc.bitio import decode_blocks, encode_blocks
+from fmvc.bitio import decode_blocks, encode_blocks, payload_bounds
 from fmvc.codec import (
     MAX_LEVELS,
     MAX_Q_BASE,
@@ -820,6 +820,33 @@ class TestSequenceCodec:
             with pytest.raises(BitstreamError, match="shorter") as info:
                 SequenceBitstream.from_bytes(with_payload(size))
             assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
+
+    def test_longest_payload_is_exactly_the_bound(self):
+        # 16x16: six blocks of 64 codewords of -32768, the longest, and four prefixes
+        sbs = self.one_frame_stream()
+        payload, _ = encode_blocks(np.full((8, 8, 6), -(1 << 15), np.int16), np.zeros(4, np.uint8))
+        assert payload_bounds(6, 4) == (5, len(payload)) == (5, 1589)
+
+        def with_payload(data):
+            return replace(sbs, frames=(replace(sbs.frames[0], bitstream=FrameBitstream(data)),))
+
+        longest = with_payload(payload)
+        assert SequenceBitstream.from_bytes(longest.to_bytes()) == longest
+        with pytest.raises(BitstreamError, match="frame 0 payload of 1590 bytes is longer than 16x16") as info:
+            SequenceBitstream.from_bytes(with_payload(payload + b"\0").to_bytes())
+        assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
+
+    def test_oversized_payload_is_rejected_before_decoding(self, monkeypatch):
+        # a CRC-valid 1 MiB payload: valid prefixes, then random bytes
+        sbs = self.one_frame_stream()
+        payload = bytes(4) + np.random.default_rng(1).integers(0, 256, (1 << 20) - 4, dtype=np.uint8).tobytes()
+        data = replace(sbs, frames=(replace(sbs.frames[0], bitstream=FrameBitstream(payload)),)).to_bytes()
+        reached = []
+        monkeypatch.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
+        with pytest.raises(BitstreamError, match="longer than 16x16 allows") as info:
+            decode_sequence(data)
+        assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
+        assert reached == []
 
     def test_huge_geometry_with_short_payload_rejected(self):
         # caught in the container, before a 65535x65535 reference frame exists;

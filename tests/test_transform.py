@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.fftpack import dct
 
+from fmvc.bitio import encode_blocks
 from fmvc.errors import ContractViolation
 from fmvc.transform import (
     ZIGZAG,
@@ -135,3 +136,16 @@ class TestBlockGrid:
         for bad in (0, 4, 16):
             with pytest.raises(ContractViolation):
                 require_block(bad)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [forward_blocks, inverse_blocks, lambda blocks: encode_blocks(blocks, [])],
+    ids=["forward_blocks", "inverse_blocks", "encode_blocks"],
+)
+@pytest.mark.parametrize("value, dtype", [(0.7, np.float64), (1.9, np.float64), (3.5, np.float32), (2.0, np.float64), (1, bool)])
+def test_non_integer_blocks_are_rejected_not_truncated(entry, value, dtype):
+    with pytest.raises(ContractViolation, match="integer"):
+        entry(np.full((8, 8, 2), value, dtype))
+    for integer in (np.int16, np.uint8, np.int64):
+        entry(np.full((8, 8, 2), int(value), integer))

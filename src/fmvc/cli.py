@@ -29,7 +29,7 @@ from .foveation import (
     foveation_map,
     gaussian_map,
 )
-from .video_io import VideoSequence, read_y4m, write_y4m
+from .video_io import read_y4m, write_y4m
 
 DEFAULT_FMSC_DIVISORS = (10, 8, 6, 4, 3, 2)
 
@@ -123,38 +123,35 @@ def _resolve_gazes(gaze_arg: str, frame_count: int, width: int, height: int) -> 
     return densify_gaze(track, frame_count, width, height)
 
 
-def _read(path: str) -> bytes:
+def _read(path: str, parse):
+    """parse(the file at path, opened for binary reading); an OSError from
+    the open or from any read is an IoError."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            return parse(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _maps(seq: VideoSequence, gazes: list[tuple[int, int]], geom: DisplayGeometry, fmsc):
-    """Per-frame maps, each built when taken: gaussian ones for a parsed FMSC
-    (sigma, code), contrast-sensitivity ones when it is None.  While the gaze
-    repeats, the previous frame's map object is yielded again."""
-    last = fmap = None
+def _per_gaze(gazes: list[tuple[int, int]], build):
+    """build(gaze) once per gaze change, yielded for every frame: while the
+    gaze repeats, the previous frame's object is yielded again."""
+    last = built = None
     for g in gazes:
         if g != last:
-            if fmsc is None:
-                fmap = foveation_map(geom, g)
-            else:
-                fmap = gaussian_map(g, fmsc[0], seq.width, seq.height)
-            last = g
-        yield fmap
+            built, last = build(g), g
+        yield built
 
 
 def cmd_encode(args) -> int:
-    seq = read_y4m(_read(args.input))
+    seq = _read(args.input, read_y4m)
     sched = codec.QuantSchedule(q_base=args.qbase)
     geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
     fmsc = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else None
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
     sbs, _ = codec.encode_sequence(
         seq,
-        _maps(seq, gazes, geom, fmsc),
+        _per_gaze(gazes, lambda g: gaussian_map(g, fmsc[0], seq.width, seq.height) if fmsc else foveation_map(geom, g)),
         sched,
         fmsc_codes=[fmsc[1] if fmsc else 0] * len(seq),
         screen_width_m=geom.screen_width_m,
@@ -174,7 +171,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    sbs = codec.SequenceBitstream.from_bytes(_read(args.input))
+    sbs = codec.SequenceBitstream.from_bytes(_read(args.input, lambda fh: fh.read()))
     seq = codec.decode_sequence(sbs)
     try:
         with open(args.output, "wb") as fh:
@@ -210,8 +207,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_metrics(args) -> int:
-    ref_seq = read_y4m(_read(args.ref))
-    test_seq = read_y4m(_read(args.test))
+    ref_seq = _read(args.ref, read_y4m)
+    test_seq = _read(args.test, read_y4m)
     if (ref_seq.width, ref_seq.height, len(ref_seq)) != (
         test_seq.width,
         test_seq.height,
@@ -221,7 +218,7 @@ def cmd_metrics(args) -> int:
     geom = DisplayGeometry(args.screen_width, args.distance, ref_seq.width, ref_seq.height)
     gazes = _resolve_gazes(args.gaze, len(ref_seq), ref_seq.width, ref_seq.height)
     lines = [_REPORT_PREAMBLE, "frame_idx,bpp,mean_ssim,fw_ssim,fwqi_approx"]
-    maps = _maps(ref_seq, gazes, geom, None)
+    maps = _per_gaze(gazes, lambda g: foveation_map(geom, g))
     for i, (ref, test, gaze, fmap) in enumerate(zip(ref_seq.frames, test_seq.frames, gazes, maps)):
         ms, fw, fq = _scores(ref.y, test.y, fmap, gaze, geom)
         lines.append(f"{i},{0.0:.6f},{ms:.6f},{fw:.6f},{fq:.6f}")
@@ -230,7 +227,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_rd_sweep(args) -> int:
-    seq = read_y4m(_read(args.input))
+    seq = _read(args.input, read_y4m)
     specs = args.fmsc_set.split(",") if args.fmsc_set else [f"H/{k}" for k in DEFAULT_FMSC_DIVISORS]
     sched = codec.QuantSchedule(q_base=args.qbase)
     geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
@@ -240,10 +237,13 @@ def cmd_rd_sweep(args) -> int:
     # The chains run in lockstep, one clip frame at a time, so each frame's
     # reference is built once, before any chain codes the frame, scored
     # against every chain's reconstruction and dropped before the next.
-    steps = zip(*[codec.encode_frames(seq, _maps(seq, gazes, geom, fmsc), sched, fmsc_codes=[fmsc[1]] * len(seq))
-                  for fmsc in fmscs])
+    def levels(sigma):  # a chain keeps its level map; the float map is dropped once quantized
+        return lambda g: (codec.quantize_map(gaussian_map(g, sigma, seq.width, seq.height), sched.n_levels), g)
+
+    steps = zip(*[codec.encode_frames(seq, _per_gaze(gazes, levels(sigma)), sched, fmsc_codes=[code] * len(seq))
+                  for sigma, code in fmscs])
     bits, scores = [0] * len(fmscs), [[] for _ in fmscs]
-    for frame, gaze, fmap in zip(seq.frames, gazes, _maps(seq, gazes, geom, None)):
+    for frame, gaze, fmap in zip(seq.frames, gazes, _per_gaze(gazes, lambda g: foveation_map(geom, g))):
         ref = metrics.FrameReference(frame.y)
         ref.weighted_bands(gaze, geom)  # rejects a clip FWQI cannot score
         for k, (rec, recon) in enumerate(next(steps)):

@@ -31,7 +31,8 @@ from .allocation import block_levels
 from .bitio import decode_blocks, encode_blocks, payload_bounds
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedFormat, UnsupportedVersion
-from .foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, FoveationMap, LevelMap, quantize_map
+from .foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, DisplayGeometry, FoveationMap, LevelMap,
+                        quantize_map, viewing_length)
 from .transform import (
     BLOCK,
     FORWARD_MATRIX,
@@ -295,6 +296,14 @@ def _block_bits(luma_bits: np.ndarray, chroma_bits: np.ndarray) -> np.ndarray:
     return luma_bits + (chroma_bits.reshape(span.shape) / span)[rows[:, None], cols[None, :]]
 
 
+def _check_level_map(level_map: LevelMap, w: int, h: int, sched: QuantSchedule) -> None:
+    """Reject a level map whose size is not the frame's or whose level count is not the schedule's."""
+    if (level_map.width, level_map.height) != (w, h):
+        raise ContractViolation(f"level map is {level_map.width}x{level_map.height}, frame is {w}x{h}")
+    if level_map.n != sched.n_levels:
+        raise ContractViolation(f"level map has {level_map.n} levels, schedule has {sched.n_levels}")
+
+
 def encode_frame(
     cur: Frame,
     prev_recon: Frame,
@@ -312,12 +321,7 @@ def encode_frame(
     w, h = cur.y.width, cur.y.height
     if (prev_recon.y.width, prev_recon.y.height) != (w, h):
         raise ContractViolation("current and previous frames disagree on dimensions")
-    if (level_map.width, level_map.height) != (w, h):
-        raise ContractViolation(
-            f"level map is {level_map.width}x{level_map.height}, frame is {w}x{h}"
-        )
-    if level_map.n != sched.n_levels:
-        raise ContractViolation(f"level map has {level_map.n} levels, schedule has {sched.n_levels}")
+    _check_level_map(level_map, w, h, sched)
 
     if cfg.force_zero_displacement:
         fld = DisplacementField.uniform(CATALOGUE[0], *grid_shape((h, w)))
@@ -419,6 +423,10 @@ class SequenceBitstream:
             raise ContractViolation("width, height, fps_num and fps_den must not be 0")
         _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
         _check_schedule(self.n_levels, self.q_base)  # so that from_bytes accepts what to_bytes writes
+        # DisplayGeometry rejects a screen width or viewing distance no display has
+        DisplayGeometry(self.screen_width_m, self.viewing_distance_m, self.width, self.height)
+        if any(rec.gaze_x >= self.width or rec.gaze_y >= self.height for rec in self.frames):
+            raise ContractViolation(f"a frame's gaze lies outside the {self.width}x{self.height} frame")
 
     @property
     def frame_count(self) -> int:
@@ -471,6 +479,10 @@ class SequenceBitstream:
             raise BitstreamError(f"invalid quantizer base {q_base}", byte_offset=_HEADER.size - 9)
         if not 2 <= n_levels <= MAX_LEVELS:
             raise BitstreamError(f"invalid level count {n_levels}", byte_offset=_HEADER.size - 1)
+        for name, value, at in (("screen width", screen_w, _HEADER.size - 25),
+                                ("viewing distance", distance, _HEADER.size - 17)):
+            if not viewing_length(value):
+                raise BitstreamError(f"invalid {name} {value}", byte_offset=at)
         n_luma, n_chroma = _block_counts(w, h)
         fewest, most = payload_bounds(n_luma + 2 * n_chroma, n_luma)
 
@@ -491,6 +503,9 @@ class SequenceBitstream:
                 raise BitstreamError(
                     f"frame {i} payload of {payload_len} bytes is {side} than {w}x{h} allows", byte_offset=crc_at - 4
                 )
+            if gx >= w or gy >= h:
+                at = offset if gx >= w else offset + 2
+                raise BitstreamError(f"frame {i} gaze ({gx}, {gy}) lies outside {w}x{h}", byte_offset=at)
             frames.append(FrameRecord(gx, gy, fmsc_code, FrameBitstream(payload)))
             offset = payload_at + payload_len
         if offset != len(data):
@@ -510,20 +525,19 @@ def midgray_frame(width: int, height: int) -> Frame:
 
 def encode_frames(
     seq: VideoSequence,
-    maps: Iterable[FoveationMap],
+    levels: Iterable[tuple[LevelMap, tuple[float, float]]],
     sched: QuantSchedule,
     cfg: CodecConfig = CodecConfig(),
     fmsc_codes: list[int] | None = None,
 ) -> Iterator[tuple[FrameRecord, Frame]]:
     """Code a sequence one frame at a time, yielding each record and reconstruction.
 
-    Maps are taken one per frame, each dropped once the next is taken; a
-    frame given the previous frame's map object again reuses its
-    quantization.  Maps that run out before the frames raise
-    ContractViolation on the first frame left without one; maps that
-    outlast the frames raise it on the next() after the last frame.  The
-    sequence-level checks run on the first next(), before any frame is
-    coded.
+    Each frame takes one (level map, gaze) pair, when it is coded; its gaze
+    is rounded and clamped into the frame for the record.  Pairs that run
+    out before the frames raise ContractViolation on the first frame left
+    without one; pairs that outlast the frames raise it on the next() after
+    the last frame.  The sequence-level checks run on the first next(), and
+    each level map is checked before its frame is coded.
     """
     if fmsc_codes is None:
         fmsc_codes = [0] * len(seq)
@@ -532,27 +546,20 @@ def encode_frames(
     _check_header_fits(seq.width, seq.height, seq.fps_num, seq.fps_den, len(seq))
 
     w, h = seq.width, seq.height
-
-    def levels(fmap: FoveationMap | None, coded: int) -> tuple[LevelMap, tuple[int, int]]:
-        if fmap is None:
-            raise ContractViolation(f"{coded} foveation maps supplied for {len(seq)} frames")
-        if (fmap.width, fmap.height) != (w, h):
-            raise ContractViolation("foveation map dimensions must match the sequence")
-        gaze = (min(max(int(round(fmap.gaze[0])), 0), w - 1), min(max(int(round(fmap.gaze[1])), 0), h - 1))
-        return quantize_map(fmap, sched.n_levels), gaze
-
-    maps = iter(maps)
+    levels = iter(levels)
     prev = midgray_frame(w, h)
-    fmap = None
     for i, (frame, code) in enumerate(zip(seq.frames, fmsc_codes)):
-        taken = next(maps, None)
-        if taken is None or taken is not fmap:
-            fmap = taken
-            level_map, (gx, gy) = levels(fmap, i)
+        if (taken := next(levels, None)) is None:
+            raise ContractViolation(f"{i} level maps supplied for {len(seq)} frames")
+        level_map, gaze = taken
+        _check_level_map(level_map, w, h, sched)
+        if not np.isfinite(gaze).all():
+            raise ContractViolation(f"gaze {gaze} must be finite")
+        gx, gy = (min(max(int(round(v)), 0), n - 1) for v, n in zip(gaze, (w, h)))
         stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
         yield FrameRecord(gx, gy, int(code), stream), prev
-    if next(maps, None) is not None:
-        raise ContractViolation(f"more foveation maps supplied than the {len(seq)} frames")
+    if next(levels, None) is not None:
+        raise ContractViolation(f"more level maps supplied than the {len(seq)} frames")
 
 
 def encode_sequence(
@@ -564,8 +571,20 @@ def encode_sequence(
     screen_width_m: float = DEFAULT_SCREEN_WIDTH_M,
     viewing_distance_m: float = DEFAULT_VIEWING_DISTANCE_M,
 ) -> tuple[SequenceBitstream, VideoSequence]:
-    """Code a whole sequence; returns the bitstream and the recon chain."""
-    records, recons = zip(*encode_frames(seq, maps, sched, cfg, fmsc_codes))
+    """Code a whole sequence; returns the bitstream and the recon chain.
+
+    Each map is quantized when its frame is coded; a frame given the
+    previous frame's map object again reuses its level map.
+    """
+
+    def levels():
+        fmap = level_map = None
+        for taken in maps:
+            if taken is not fmap:
+                fmap, level_map = taken, quantize_map(taken, sched.n_levels)
+            yield level_map, fmap.gaze
+
+    records, recons = zip(*encode_frames(seq, levels(), sched, cfg, fmsc_codes))
     sbs = SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den,
                             screen_width_m, viewing_distance_m, sched.q_base, records, sched.n_levels)
     return sbs, VideoSequence(recons, seq.fps_num, seq.fps_den)

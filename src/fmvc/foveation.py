@@ -25,6 +25,11 @@ from .errors import ContractViolation
 from .video_io import fields_equal
 
 
+def viewing_length(metres: float) -> bool:
+    """Whether a screen width or viewing distance is positive and finite (false for NaN)."""
+    return 0 < metres < math.inf
+
+
 @dataclass(frozen=True)
 class DisplayGeometry:
     """Physical viewing setup used to convert pixels to visual degrees."""
@@ -35,7 +40,7 @@ class DisplayGeometry:
     height_px: int
 
     def __post_init__(self):
-        if not (0 < self.screen_width_m < math.inf and 0 < self.viewing_distance_m < math.inf):
+        if not (viewing_length(self.screen_width_m) and viewing_length(self.viewing_distance_m)):
             raise ContractViolation("screen width and viewing distance must be positive and finite")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ContractViolation("pixel dimensions must be positive")

@@ -225,10 +225,13 @@ def y4m_files(draw):
 
 
 # Container layout: a 47-byte sequence header, 43 bytes of fields with the
-# quantizer base (f64) at byte 34 and the level count (u8) at byte 42, then
-# their CRC-32; per frame a 13-byte head, 9 bytes of fields with the u32
-# payload length at byte 5, then the CRC-32 over them and the payload.
+# screen width and viewing distance (f64) at bytes 18 and 26, the quantizer
+# base (f64) at byte 34 and the level count (u8) at byte 42, then their
+# CRC-32; per frame a 13-byte head, 9 bytes of fields with the u16 gaze x
+# and y at bytes 0 and 2 and the u32 payload length at byte 5, then the
+# CRC-32 over them and the payload.
 HEADER_BYTES, Q_BASE_AT, N_LEVELS_AT, FRAME_HEAD_BYTES, LENGTH_AT = 47, 34, 42, 13, 5
+SCREEN_WIDTH_AT, DISTANCE_AT = 18, 26
 
 
 def reseal(stream) -> bytes:

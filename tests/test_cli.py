@@ -17,7 +17,8 @@ from fmvc.foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, g
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
 from bitref import PayloadWriter
-from conftest import HEADER_BYTES, LENGTH_AT, Q_BASE_AT, frame_payloads, pan_clip, reseal, y4m_files
+from conftest import HEADER_BYTES, LENGTH_AT, Q_BASE_AT, frame_payloads, natural_clip, pan_clip, reseal, y4m_files
+from test_golden import GAZE_TRACK
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +318,38 @@ class TestEncodeDecode:
         assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
 
 
+def y4m_commands(clip, tmp_path):
+    return {
+        "encode": ["encode", "--input", clip, "--output", str(tmp_path / "x.fmvc")],
+        "metrics": ["metrics", "--ref", clip, "--test", clip, "--out", str(tmp_path / "m.csv")],
+        "rd-sweep": ["rd-sweep", "--input", clip, "--out", str(tmp_path / "s.csv"), "--fmsc-set", "H/4"],
+    }
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
+def test_y4m_is_parsed_from_the_open_file(clip_path, tmp_path, monkeypatch, command):
+    # read_y4m reads plane by plane from the file: no bytes copy of the whole file is made
+    sources = []
+    monkeypatch.setattr(cli, "read_y4m", lambda source: sources.append(source) or read_y4m(source))
+    assert main(y4m_commands(str(clip_path), tmp_path)[command]) == 0
+    assert sources and all(hasattr(s, "readline") and not isinstance(s, (bytes, bytearray)) for s in sources)
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
+@pytest.mark.parametrize("fault", ["open", "read"])
+def test_unreadable_y4m_exits_4(clip_path, tmp_path, capsys, monkeypatch, command, fault):
+    clip = str(tmp_path if fault == "open" else clip_path)  # a directory cannot be opened for reading
+
+    def failing_read(source):
+        source.read(10)
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli, "read_y4m", failing_read if fault == "read" else read_y4m)
+    assert main(y4m_commands(clip, tmp_path)[command]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot read") and "Traceback" not in err
+
+
 class TestMetricsCommand:
     def test_self_comparison(self, clip_path, tmp_path):
         out = tmp_path / "report.csv"
@@ -524,6 +557,29 @@ class TestRdSweep:
         out = tmp_path / "sweep.csv"
         assert main(["rd-sweep", "--input", str(clip), "--out", str(out), "--gaze", "center"]) == 0
         assert calls.count("gaussian_map") == calls.count("quantize_map") == 6
+
+    def test_moving_gaze_builds_one_map_per_chain_per_gaze_change(self, tmp_path, monkeypatch):
+        # the golden rd_sweep_track clip and track: frames 0-3 look at (3, 2), (40, 27), (40, 27), (12, 20)
+        clip = tmp_path / "ref.y4m"
+        with open(clip, "wb") as fh:
+            write_y4m(natural_clip(45, 34, 4, seed=31), fh)
+        track = tmp_path / "gaze.csv"
+        track.write_text(GAZE_TRACK)
+        changes = [(3, 2), (40, 27), (12, 20)]
+        calls = {"gaussian_map": [], "quantize_map": [], "foveation_map": []}
+        for module, name, key in ((cli, "gaussian_map", lambda a: (tuple(a[0]), a[1])),
+                                  (codec, "quantize_map", lambda a: a[0].gaze),
+                                  (cli, "foveation_map", lambda a: tuple(a[1]))):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _f=original, _n=name, _k=key: calls[_n].append(_k(a)) or _f(*a))
+        argv = ["rd-sweep", "--input", str(clip), "--out", str(tmp_path / "sweep.csv"),
+                "--gaze", str(track), "--fmsc-set", "H/4,H/2"]
+        assert main(argv) == 0
+        sigmas = [34 / 4, 34 / 2]
+        assert sorted(calls["gaussian_map"]) == sorted((g, s) for g in changes for s in sigmas)
+        assert sorted(calls["quantize_map"]) == sorted((float(x), float(y)) for x, y in changes for _ in sigmas)
+        assert calls["foveation_map"] == changes
 
     @pytest.mark.parametrize("command", ["rd-sweep", "metrics"])
     def test_center_gaze_scores_against_one_csf_map(self, tmp_path, monkeypatch, command):

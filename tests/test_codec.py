@@ -34,8 +34,10 @@ from bitref import PayloadWriter, decode_stack
 import kernelref
 from kernelref import from_tiles, planes
 from conftest import (
+    DISTANCE_AT,
     FRAME_HEAD_BYTES,
     HEADER_BYTES,
+    SCREEN_WIDTH_AT,
     LENGTH_AT,
     N_LEVELS_AT,
     Q_BASE_AT,
@@ -768,9 +770,32 @@ class TestSequenceCodec:
             SequenceBitstream.from_bytes(reseal(data))
         assert info.value.byte_offset == N_LEVELS_AT
 
+    # a geometry no display has, and a gaze outside the 16x16 frame: each is
+    # rejected when the stream is built and, at its own byte, when it is read
+    @pytest.mark.parametrize("side", ["built", "read"])
+    @pytest.mark.parametrize(
+        "field, at, pack, value",
+        [("screen_width_m", SCREEN_WIDTH_AT, "<d", math.nan), ("viewing_distance_m", DISTANCE_AT, "<d", -1.0),
+         ("gaze_x", HEADER_BYTES, "<H", 65535), ("gaze_y", HEADER_BYTES + 2, "<H", 60000)],
+    )
+    def test_metadata_must_fit_a_display_and_the_frame(self, side, field, at, pack, value):
+        sbs = self.one_frame_stream()
+        if side == "built":
+            with pytest.raises(ContractViolation):
+                if field.startswith("gaze"):
+                    replace(sbs, frames=(replace(sbs.frames[0], **{field: value}),))
+                else:
+                    replace(sbs, **{field: value})
+            return
+        data = bytearray(sbs.to_bytes())
+        struct.pack_into(pack, data, at, value)
+        with pytest.raises(BitstreamError) as info:
+            SequenceBitstream.from_bytes(reseal(data))
+        assert info.value.byte_offset == at
+
     def test_unsealed_field_poke_fails_the_crc(self):
         sbs = self.one_frame_stream()
-        # a valid base step, a gaze the decoder never checks
+        # a valid base step, and a gaze that stays inside the frame
         for at, pack, value, crc_at in (
             (Q_BASE_AT, "<d", 5.0, HEADER_BYTES - 4),
             (HEADER_BYTES, "<H", 3, HEADER_BYTES + FRAME_HEAD_BYTES - 4),
@@ -931,14 +956,14 @@ class TestEncodeFrames:
         maps = [gaussian_map((w // 3, h // 2), max(1.0, h / (k + 2)), w, h) for k in range(len(seq))]
         taken = []
 
-        def lazy_maps():
+        def lazy_levels():
             for fmap in maps:
                 taken.append(fmap)
-                yield fmap
+                yield quantize_map(fmap, sched.n_levels), fmap.gaze
 
         sbs, recon = encode_sequence(seq, maps, sched, fmsc_codes=[3, 4, 5])
         prev = midgray_frame(w, h)
-        frames = encode_frames(seq, lazy_maps(), sched, fmsc_codes=[3, 4, 5])
+        frames = encode_frames(seq, lazy_levels(), sched, fmsc_codes=[3, 4, 5])
         for i, (frame, fmap) in enumerate(zip(seq.frames, maps)):
             rec, out = next(frames)
             assert len(taken) == i + 1  # one map is taken per frame coded
@@ -968,23 +993,27 @@ class TestEncodeFrames:
     def test_mismatched_map_count_rejected(self):
         seq = random_clip(16, 16, 2, seed=1)
         for n_maps in (1, 3):  # maps that run out, maps that outlast the frames
-            maps = [gaussian_map((8, 8), 4.0, 16, 16)] * n_maps
+            levels = [(quantize_map(gaussian_map((8, 8), 4.0, 16, 16)), (8, 8))] * n_maps
             with pytest.raises(ContractViolation, match="maps supplied"):
-                list(encode_frames(seq, iter(maps), DEFAULT_SCHED))
+                list(encode_frames(seq, iter(levels), DEFAULT_SCHED))
 
     @pytest.mark.parametrize(
         "bad, error",
-        [("fps_num", ConfigError), ("map_size", ContractViolation), ("fmsc_codes", ContractViolation),
-         ("budget", UnsupportedFormat)],
+        [("fps_num", ConfigError), ("map_size", ContractViolation), ("map_levels", ContractViolation),
+         ("gaze", ContractViolation), ("fmsc_codes", ContractViolation), ("budget", UnsupportedFormat)],
     )
     def test_every_check_runs_before_the_first_frame(self, monkeypatch, bad, error):
         seq = random_clip(16, 16, 2, seed=1)
         codes = None
-        maps = [gaussian_map((8, 8), 4.0, 16, 16)] * 2
+        levels = [(quantize_map(gaussian_map((8, 8), 4.0, 16, 16)), (8, 8))] * 2
         if bad == "fps_num":
             seq = VideoSequence(seq.frames, 120000, 1001)
         elif bad == "map_size":
-            maps = [gaussian_map((8, 8), 4.0, 16, 17)] * 2
+            levels = [(quantize_map(gaussian_map((8, 8), 4.0, 16, 17)), (8, 8))] * 2
+        elif bad == "map_levels":
+            levels = [(quantize_map(gaussian_map((8, 8), 4.0, 16, 16), 8), (8, 8))] * 2
+        elif bad == "gaze":
+            levels = [(levels[0][0], (8.0, math.nan))] * 2
         elif bad == "budget":  # one pixel column over, in broadcast planes that allocate nothing
             y, c = (FramePlane.from_array(np.broadcast_to(np.uint8(0), s)) for s in ((4320, 7681), (2160, 3841)))
             seq = VideoSequence((Frame(y, c, c),) * 2, 25, 1)
@@ -993,7 +1022,7 @@ class TestEncodeFrames:
         calls = []
         original = codec.encode_frame
         monkeypatch.setattr(codec, "encode_frame", lambda *a, **k: calls.append(1) or original(*a, **k))
-        frames = encode_frames(seq, iter(maps), DEFAULT_SCHED, fmsc_codes=codes)
+        frames = encode_frames(seq, iter(levels), DEFAULT_SCHED, fmsc_codes=codes)
         with pytest.raises(error):
             next(frames)
         assert calls == []

@@ -15,6 +15,11 @@ not multiples of 16, so every FWQI crop and block grid is partial.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +96,21 @@ def test_golden_output(name):
         "recon": GOLDEN_RECON[name],
         "block_bits": GOLDEN_BLOCK_BITS[name],
     }
+
+
+# OpenBLAS reads these when it loads, so each runs in a fresh process.  The
+# float arithmetic only decides which blocks the encoder may skip, and the
+# skip is provably conservative, so no BLAS kernel or thread count may move
+# a stream byte.
+@pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_CORETYPE": "Prescott"}])
+def test_streams_do_not_depend_on_the_blas_path(setting):
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]), **setting)
+    script = ("import json, test_golden as g; "
+              "print(json.dumps({n: g.clip_digests(c())['stream'] for n, c in g.CLIPS.items()}))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == GOLDEN_STREAM
 
 
 GOLDEN_CSV = {

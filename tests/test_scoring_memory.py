@@ -8,8 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fmvc.cli import main
 from fmvc.foveation import DisplayGeometry, foveation_map
 from fmvc.metrics import fw_ssim_from_map, fwqi_approx, ssim_map
+from fmvc.video_io import write_y4m
+
+from conftest import natural_clip
 
 MIB = 2**20
 H, W = 720, 1280
@@ -51,3 +55,20 @@ def test_fw_ssim_from_map_peak(planes):
 
 def test_fwqi_approx_peak(planes):
     assert peak_bytes(fwqi_approx, *planes, GAZE, GEOM) <= 20 * MIB
+
+
+def test_each_sweep_point_costs_less_than_a_float_map(tmp_path):
+    """An FMSC point's encode chain holds its level map and reconstruction,
+    never its W x H float64 gaussian map, so each point beyond the first
+    adds less than one float map to the sweep's traced peak."""
+    w, h = 352, 288
+    clip = tmp_path / "cif.y4m"
+    with open(clip, "wb") as fh:
+        write_y4m(natural_clip(w, h, 3), fh)
+
+    def sweep(specs):
+        assert main(["rd-sweep", "--input", str(clip), "--out", str(tmp_path / "sweep.csv"), "--fmsc-set", specs]) == 0
+
+    sweep("H/4")  # first-use set-up (imports, caches) out of the measured runs
+    one, four = peak_bytes(sweep, "H/4"), peak_bytes(sweep, "H/10,H/6,H/4,H/2")
+    assert (four - one) / 3 < w * h * 8

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .foveation import FoveationMap, LevelMap
-from .transform import tile_reduce
+from .transform import BLOCK, grid_shape, tile_reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,5 +39,10 @@ def expand_masks(fmap: FoveationMap, c: int = 128, L: int = 16) -> MaskStack:
 
 
 def block_levels(levels: LevelMap) -> np.ndarray:
-    """Per-block maxima over the whole 8x8 grid; partial edge blocks included."""
-    return tile_reduce(levels.levels, np.maximum)
+    """Per-block maxima over the whole 8x8 grid; partial edge blocks included.
+    Only the tiles that meet the level map's window are reduced: the rest are 0."""
+    rows, cols = levels._window or np.s_[0 : levels.height, 0 : levels.width]
+    (t0, s0), (t1, s1) = (rows.start // BLOCK, cols.start // BLOCK), grid_shape((rows.stop, cols.stop))
+    out = np.zeros(grid_shape(levels.levels.shape), np.uint8)
+    out[t0:t1, s0:s1] = tile_reduce(levels.levels[t0 * BLOCK : t1 * BLOCK, s0 * BLOCK : s1 * BLOCK], np.maximum)
+    return out

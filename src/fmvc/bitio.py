@@ -86,8 +86,9 @@ def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray) -> tuple[bytes, np.n
         raise ContractViolation(f"expected integer blocks with leading 8x8 axes, got {blocks.dtype} {blocks.shape}")
     raster = blocks.reshape(64, -1)
     n = raster.shape[1]
-    if prefixes.ndim != 1 or len(prefixes) > n or ((prefixes < 0) | (prefixes > 255)).any():
-        raise ContractViolation("need one 8-bit prefix per block")
+    if (prefixes.ndim != 1 or len(prefixes) > n or (prefixes.size and prefixes.dtype.kind not in "iu")
+            or ((prefixes < 0) | (prefixes > 255)).any()):
+        raise ContractViolation("need one integer 8-bit prefix per block")
     coded = np.flatnonzero(raster.any(axis=0))
     scans = raster.take(coded, axis=1)
     if scans.size and not -(1 << 15) <= scans.min() <= scans.max() < 1 << 15:

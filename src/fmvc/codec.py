@@ -32,7 +32,7 @@ from .bitio import decode_blocks, encode_blocks, payload_bounds
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedFormat, UnsupportedVersion
 from .foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, DisplayGeometry, FoveationMap, LevelMap,
-                        quantize_map, viewing_length)
+                        _gaze, quantize_map, viewing_length)
 from .transform import (
     BLOCK,
     FORWARD_MATRIX,
@@ -553,9 +553,7 @@ def encode_frames(
             raise ContractViolation(f"{i} level maps supplied for {len(seq)} frames")
         level_map, gaze = taken
         _check_level_map(level_map, w, h, sched)
-        if not np.isfinite(gaze).all():
-            raise ContractViolation(f"gaze {gaze} must be finite")
-        gx, gy = (min(max(int(round(v)), 0), n - 1) for v, n in zip(gaze, (w, h)))
+        gx, gy = (min(max(int(round(v)), 0), n - 1) for v, n in zip(_gaze(gaze), (w, h)))
         stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
         yield FrameRecord(gx, gy, int(code), stream), prev
     if next(levels, None) is not None:

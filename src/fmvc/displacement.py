@@ -141,7 +141,7 @@ _OFFSETS = {halve: _block_offsets(halve) for halve in (False, True)}
 
 # Windows lie in the plane edge-padded by _PAD, the largest shift: a row or column
 # shifted by s reads at _PAD - s.  A selection strip of 2 block rows holds the 13
-# differences in about 1 MB of float32 at 720p, which stays in a core's L2 cache.
+# differences in about 0.5 MB of int16 at 720p, which stays in a core's L2 cache.
 _PAD = max(DISPLACEMENT_STEPS)
 _STRIP = 2
 
@@ -151,16 +151,17 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
 
     Both planes get one row stride, a multiple of 8, so each candidate's
     rows of a strip are one contiguous run of the flat padded reference.
-    Per strip, the 13 differences are squared in place and block-summed by
-    two matmuls with a ones vector: the 8 rows of each block row, then each
-    8 columns.  Rows and columns past the frame (where a run wraps) are
-    zeroed first, so a partial edge block counts only its own samples.
+    Per strip, the 13 differences are squared in place in int16, then block-summed
+    by two float32 matmuls with a ones vector: the 8 rows of each block row, then
+    each 8 columns.  Rows and columns past the frame (where a run wraps) are zeroed
+    first, so a partial edge block counts only its own samples.  One argmin follows.
 
-    The sums are float32 and exact: |d| <= 255, so a block's SSE is at most
-    64 * 255**2 = 4161600 < 2**24.  Every square and partial sum is a
-    non-negative integer below that bound, so each is exactly representable
-    and any order of summation, FMA included, gives the integer sum; the
-    argmin therefore keeps the first minimum of the integer SSEs.
+    Every step is exact.  A difference lies in [-255, 255]; its int16 square
+    wraps, but read as uint16 it is exact (at most 65025 < 2**16) and
+    converts exactly to float32.  A block's SSE is at most 64 * 65025 =
+    4161600 < 2**24, and every partial sum is a non-negative integer below
+    that bound, so any order of summation, FMA included, gives the integer
+    sum; the argmin therefore keeps the first minimum of the integer SSEs.
     """
     h, w = cur.shape
     nby, nbx = grid_shape((h, w))
@@ -170,13 +171,13 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
         return DisplacementField(np.zeros((nby, nbx), dtype=np.int8))
     stride = -(-(w + 2 * _PAD) // BLOCK) * BLOCK
     # one spare row: a run that starts past column 0 ends in the row below
-    ref = edge_padded(prev_recon, nby * BLOCK + 2 * _PAD + 1, stride, _PAD).astype(np.float32).reshape(-1)
-    cur = np.pad(cur, ((0, nby * BLOCK - h), (0, stride - w))).astype(np.float32).reshape(-1)
+    ref = edge_padded(prev_recon, nby * BLOCK + 2 * _PAD + 1, stride, _PAD).astype(np.int16).reshape(-1)
+    cur = np.pad(cur, ((0, nby * BLOCK - h), (0, stride - w))).astype(np.int16).reshape(-1)
     dy, dx = _OFFSETS[False]
     starts = (_PAD - dy) * stride + _PAD - dx
-    diff = np.empty((len(CATALOGUE), _STRIP * BLOCK * stride), dtype=np.float32)
+    diff = np.empty((len(CATALOGUE), _STRIP * BLOCK * stride), dtype=np.int16)
     ones = np.ones(BLOCK, dtype=np.float32)
-    indices = np.empty((nby, nbx), dtype=np.int8)
+    sse = np.empty((len(CATALOGUE), nby, nbx), dtype=np.float32)
     for by in range(0, nby, _STRIP):
         rows = min(_STRIP, nby - by) * BLOCK
         lo, size = by * BLOCK * stride, rows * stride
@@ -186,11 +187,11 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
         d = d.reshape(len(CATALOGUE), rows, stride)
         d[:, h - by * BLOCK :] = 0
         np.square(d, out=d)
-        column_sums = ones @ d.reshape(-1, BLOCK, stride)
+        column_sums = ones @ d.view(np.uint16).reshape(-1, BLOCK, stride)  # cast to float32 for the matmul
         column_sums[:, w:] = 0
-        sse = (column_sums.reshape(-1, BLOCK) @ ones).reshape(len(CATALOGUE), rows // BLOCK, -1)
-        indices[by : by + rows // BLOCK] = np.argmin(sse[:, :, :nbx], axis=0)  # first minimum wins
-    return DisplacementField(indices)
+        sums = column_sums.reshape(-1, BLOCK) @ ones
+        sse[:, by : by + rows // BLOCK] = sums.reshape(len(CATALOGUE), rows // BLOCK, -1)[..., :nbx]
+    return DisplacementField(np.argmin(sse, axis=0).astype(np.int8))  # first minimum wins
 
 
 def predicted_plane(prev_recon: np.ndarray, field: DisplacementField, halve_offsets: bool = False) -> np.ndarray:

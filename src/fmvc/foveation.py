@@ -17,7 +17,8 @@ the offsets within it are evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -67,9 +68,11 @@ E2 = 2.3
 CT0 = 1.0 / 64.0
 
 
-def _check_nonnegative(name, value):
-    if np.any(np.asarray(value) < 0):
+def _nonnegative(name, value) -> np.ndarray:
+    value = np.asarray(value, dtype=np.float64)
+    if np.any(value < 0):
         raise ContractViolation(f"{name} must be nonnegative")
+    return value
 
 
 def contrast_threshold(freq_cpd, ecc_deg):
@@ -77,28 +80,21 @@ def contrast_threshold(freq_cpd, ecc_deg):
 
     Unclamped: values above 1 mean the signal is invisible at full contrast.
     """
-    _check_nonnegative("frequency", freq_cpd)
-    _check_nonnegative("eccentricity", ecc_deg)
-    freq_cpd = np.asarray(freq_cpd, dtype=np.float64)
-    ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
+    freq_cpd, ecc_deg = _nonnegative("frequency", freq_cpd), _nonnegative("eccentricity", ecc_deg)
     out = CT0 * np.exp(ALPHA * freq_cpd * (ecc_deg + E2) / E2)
     return out if out.ndim else float(out)
 
 
 def cutoff_frequency(ecc_deg):
     """Frequency at which the threshold reaches full contrast; decreasing in e."""
-    _check_nonnegative("eccentricity", ecc_deg)
-    ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
+    ecc_deg = _nonnegative("eccentricity", ecc_deg)
     out = E2 * math.log(1.0 / CT0) / (ALPHA * (ecc_deg + E2))
     return out if out.ndim else float(out)
 
 
 def error_sensitivity(freq_cpd, ecc_deg):
     """Relative error visibility in [0, 1]; zero above the cutoff frequency."""
-    _check_nonnegative("frequency", freq_cpd)
-    _check_nonnegative("eccentricity", ecc_deg)
-    freq_cpd = np.asarray(freq_cpd, dtype=np.float64)
-    ecc_deg = np.asarray(ecc_deg, dtype=np.float64)
+    freq_cpd, ecc_deg = _nonnegative("frequency", freq_cpd), _nonnegative("eccentricity", ecc_deg)
     visible = freq_cpd <= cutoff_frequency(ecc_deg)
     out = np.where(visible, np.exp(-ALPHA * freq_cpd * ecc_deg / E2), 0.0)
     return out if out.ndim else float(out)
@@ -110,18 +106,25 @@ def eccentricity(pixel, gaze, geom: DisplayGeometry):
     Uses atan of the on-screen distance, which stays exact at the very wide
     angles implied by near viewing distances.
     """
-    px = np.asarray(pixel[0], dtype=np.float64)
-    py = np.asarray(pixel[1], dtype=np.float64)
-    r_px = np.hypot(px - gaze[0], py - gaze[1])
-    r_m = r_px * geom.pixel_pitch_m
+    px, py = (np.asarray(p, dtype=np.float64) for p in pixel)
+    r_m = np.hypot(px - gaze[0], py - gaze[1]) * geom.pixel_pitch_m
     out = np.degrees(np.arctan(r_m / geom.viewing_distance_m))
     return out if out.ndim else float(out)
 
 
 def display_nyquist(geom: DisplayGeometry) -> float:
     """Highest spatial frequency (cycles/degree) the display can show."""
-    pixels_per_degree = math.radians(1.0) * geom.viewing_distance_m / geom.pixel_pitch_m
-    return pixels_per_degree / 2.0
+    return math.radians(1.0) * geom.viewing_distance_m / geom.pixel_pitch_m / 2.0  # half the pixels per degree
+
+
+def _gaze(gaze) -> tuple[float, float]:
+    """gaze as (x, y) floats if it is two finite real numbers, else ContractViolation."""
+    try:
+        if len(gaze) == 2 and all(isinstance(v, Real) and -math.inf < v < math.inf for v in gaze):
+            return float(gaze[0]), float(gaze[1])
+    except (TypeError, OverflowError):  # no length, or an int too large for a float
+        pass
+    raise ContractViolation(f"gaze {gaze!r} must be two finite real numbers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +133,15 @@ class FoveationMap:
 
     values: np.ndarray  # float64, shape (height, width)
     gaze: tuple[float, float]  # (x, y) pixel coordinates
+    _built: InitVar[tuple | None] = None  # a built map's _spread arguments, kept as _table; replace drops it
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.gaze)):
-            raise ContractViolation(f"gaze {self.gaze} must be finite")
-        if self.values.ndim != 2:
-            raise ContractViolation(f"map values must be 2-D, got shape {self.values.shape}")
-        if self.values.size == 0:
-            raise ContractViolation("map must not be empty")
-        lo, hi = float(self.values.min()), float(self.values.max())
+    def __post_init__(self, _built):
+        object.__setattr__(self, "_table", _built)
+        _gaze(self.gaze)
+        if self.values.ndim != 2 or self.values.size == 0:
+            raise ContractViolation(f"map values must be a non-empty 2-D grid, got shape {self.values.shape}")
+        checked = self.values if _built is None else _built[0]
+        lo, hi = float(checked.min()), float(checked.max())
         if not (lo >= 0.0 and hi <= 1.0):  # false for NaN too
             raise ContractViolation(f"map values out of [0, 1]: min {lo}, max {hi}")
 
@@ -164,12 +167,14 @@ class LevelMap:
 
     levels: np.ndarray  # uint8, shape (height, width)
     n: int
+    _built: InitVar[tuple[slice, slice] | None] = None  # kept as _window: levels are 0 outside it
 
-    def __post_init__(self):
+    def __post_init__(self, _built):
+        object.__setattr__(self, "_window", _built)
         _check_level_count(self.n)
         if self.levels.dtype != np.uint8 or self.levels.ndim != 2:
             raise ContractViolation("levels must be a 2-D uint8 grid")
-        if int(self.levels.max(initial=0)) > self.n - 1:
+        if int(self.levels[_built or np.s_[:, :]].max(initial=0)) > self.n - 1:
             raise ContractViolation(f"levels exceed n-1 = {self.n - 1}")
 
     @property
@@ -183,23 +188,29 @@ class LevelMap:
     __eq__ = fields_equal
 
 
-def radial_gather(dx: np.ndarray, dy: np.ndarray, fn) -> np.ndarray:
-    """fn over the grid of offsets (dx[j], dy[i]), for fn symmetric in their signs.
+def radial_gather(dx: np.ndarray, dy: np.ndarray, fn):
+    """fn over the grid of offsets (dx[j], dy[i]), for fn symmetric in their signs, as (table, iy, ix).
 
     fn(x, y) gets a row of unique |dx| and a column of unique |dy| and must
-    evaluate elementwise; each unique pair is evaluated once and gathered
-    into the (len(dy), len(dx)) result, which is bit-identical to
-    fn(dx[None, :], dy[:, None]) when fn depends on its arguments only
-    through |x| and |y|.
+    evaluate elementwise; each unique pair is evaluated once, into the table,
+    and table.take(iy, axis=0).take(ix, axis=1) is bit-identical to
+    fn(dx[None, :], dy[:, None]) when fn depends on x and y only through |x| and |y|.
     """
     ux, ix = np.unique(np.abs(dx), return_inverse=True)
     uy, iy = np.unique(np.abs(dy), return_inverse=True)
-    return fn(ux[None, :], uy[:, None]).take(iy, axis=0).take(ix, axis=1)
+    return fn(ux[None, :], uy[:, None]), iy, ix
 
 
-def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry) -> np.ndarray:
-    """error_sensitivity(freq, eccentricity) over the grid of ascending offsets (dx[j], dy[i]),
-    evaluated only inside the visibility radius: the rest is exactly 0, as in full."""
+def _spread(table: np.ndarray, iy: np.ndarray, ix: np.ndarray, window, shape) -> np.ndarray:
+    """A zeroed grid in table's dtype with the gathered table in window, a pair of slices."""
+    out = np.zeros(shape, table.dtype)
+    table.take(iy, axis=0).take(ix, axis=1, out=out[window], mode="clip")  # no W x H temporary; clip never acts
+    return out
+
+
+def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry) -> tuple:
+    """error_sensitivity(freq, eccentricity) over the grid of ascending offsets (dx[j], dy[i]), as
+    _spread's (table, iy, ix, window): the window, past which it is exactly 0, is the visibility radius."""
     # Why the window is exact.  In real arithmetic a sample is visible iff
     # e(r) + e2 <= Q = e2*ln(1/ct0) / (alpha*freq), and e(r) = degrees(atan(r*pitch/d))
     # rises with r, so visibility is monotone in r: visible iff r <= (d/pitch)*tan(Q - e2).
@@ -215,9 +226,7 @@ def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry
     reach = tan * geom.viewing_distance_m / geom.pixel_pitch_m * (1 + 2**-20) + 1 if tan < 2**20 else math.inf
     fn = lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom))
     (j0, j1), (i0, i1) = np.searchsorted(dx, (-reach, reach)), np.searchsorted(dy, (-reach, reach))
-    values = np.zeros((dy.size, dx.size))
-    values[i0:i1, j0:j1] = radial_gather(dx[j0:j1], dy[i0:i1], fn)
-    return values
+    return (*radial_gather(dx[j0:j1], dy[i0:i1], fn), np.s_[i0:i1, j0:j1])
 
 
 def foveation_map(geom: DisplayGeometry, gaze) -> FoveationMap:
@@ -227,23 +236,20 @@ def foveation_map(geom: DisplayGeometry, gaze) -> FoveationMap:
     their magnitudes, so each (|dx|, |dy|) pair is evaluated once, and only
     inside the visibility radius, past which the map is exactly 0.
     """
-    gx, gy = float(gaze[0]), float(gaze[1])
+    gx, gy = _gaze(gaze)
     if not (0 <= gx < geom.width_px and 0 <= gy < geom.height_px):
-        raise ContractViolation(
-            f"gaze ({gx}, {gy}) outside frame {geom.width_px}x{geom.height_px}"
-        )
+        raise ContractViolation(f"gaze ({gx}, {gy}) outside frame {geom.width_px}x{geom.height_px}")
     dx, dy = np.arange(geom.width_px, dtype=np.float64) - gx, np.arange(geom.height_px, dtype=np.float64) - gy
-    return FoveationMap(_csf_grid(dx, dy, display_nyquist(geom), geom), (gx, gy))
+    table = _csf_grid(dx, dy, display_nyquist(geom), geom)
+    return FoveationMap(_spread(*table, (geom.height_px, geom.width_px)), (gx, gy), table)
 
 
-# samples per strip of quantize_map: its float buffer (512 KiB) stays in cache
+# samples per strip of _quantized: its float buffer (512 KiB) stays in cache
 _STRIP_SAMPLES = 1 << 16
 
 
-def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
-    """Floor quantization with top clamp: level = min(floor(value * n), n - 1)."""
-    _check_level_count(n)  # before the cast, which a huge n would overflow
-    values = fmap.values
+def _quantized(values: np.ndarray, n: int) -> np.ndarray:
+    """min(floor(values * n), n - 1) as uint8, computed in strips, for values in [0, 1]."""
     levels = np.empty(values.shape, dtype=np.uint8)
     rows = max(1, _STRIP_SAMPLES // values.shape[1])
     strip = np.empty((rows, values.shape[1]))
@@ -252,7 +258,21 @@ def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
         np.multiply(values[i : i + rows], n, out=part)
         np.minimum(part, n - 1, out=part)
         levels[i : i + rows] = part  # values lie in [0, 1], so the cast's truncation is the floor
-    return LevelMap(levels, n)
+    return levels
+
+
+def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
+    """Floor quantization with top clamp: level = min(floor(value * n), n - 1).
+
+    A map that foveation_map or gaussian_map built has its table quantized,
+    then spread into its window of a zeroed grid, which the level map keeps:
+    quantizing commutes with the gather.  Any other map is quantized in full.
+    """
+    _check_level_count(n)  # before the cast, which a huge n would overflow
+    if fmap._table is None:
+        return LevelMap(_quantized(fmap.values, n), n)
+    table, iy, ix, window = fmap._table
+    return LevelMap(_spread(_quantized(table, n), iy, ix, window, fmap.values.shape), n, window)
 
 
 def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
@@ -262,11 +282,11 @@ def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
         raise ContractViolation(
             f"mask space constant must be positive with a finite, nonzero 2*sigma^2, got {fmsc_px}"
         )
-    gx, gy = float(gaze[0]), float(gaze[1])
+    gx, gy = _gaze(gaze)
     with np.errstate(over="ignore"):  # a tiny denom sends far samples to -inf, and exp(-inf) is exactly 0
-        values = radial_gather(
+        table = *radial_gather(
             np.arange(width, dtype=np.float64) - gx,
             np.arange(height, dtype=np.float64) - gy,
             lambda x, y: np.exp(-(x**2 + y**2) / denom),
-        )
-    return FoveationMap(values, (gx, gy))
+        ), np.s_[0:height, 0:width]
+    return FoveationMap(_spread(*table, (height, width)), (gx, gy), table)

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .errors import ContractViolation
-from .foveation import DisplayGeometry, FoveationMap, _csf_grid, display_nyquist
+from .foveation import DisplayGeometry, FoveationMap, _csf_grid, _spread, display_nyquist
 from .transform import BLOCK, edge_padded, grid_shape, tile_reduce
 from .video_io import FramePlane
 
@@ -183,7 +183,7 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry) -> np.ndarr
     h, w = shape
     xs = (np.arange(w) + 0.5) * size - 0.5
     ys = (np.arange(h) + 0.5) * size - 0.5
-    return _csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom)
+    return _spread(*_csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom), shape)
 
 
 class FrameReference:

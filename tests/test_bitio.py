@@ -220,6 +220,15 @@ def test_encoder_takes_at_most_one_prefix_per_block():
         encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([256]))
 
 
+@pytest.mark.parametrize("prefixes", [np.array([1.7, 200.9]), np.array([True, False]), np.array(["1", "2"])])
+def test_encoder_takes_only_integer_prefixes(prefixes):
+    # a float prefix used to be truncated into the stream, and a bool one taken as 0 or 1
+    with pytest.raises(ContractViolation):
+        encode_blocks(np.zeros((8, 8, 2), np.int64), prefixes)
+    # no prefixes at all need no integer dtype
+    assert encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([]))[1].tolist() == [1, 1]
+
+
 def test_decoder_rejects_trailing_bits():
     block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits

@@ -27,7 +27,7 @@ from fmvc.codec import (
 )
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedFormat, UnsupportedVersion
 from fmvc.displacement import CATALOGUE, DisplacementField
-from fmvc.foveation import FoveationMap, LevelMap, gaussian_map, quantize_map
+from fmvc.foveation import FoveationMap, LevelMap, default_geometry, foveation_map, gaussian_map, quantize_map
 from fmvc.metrics import mean_ssim
 from fmvc.video_io import MAX_PIXELS, Frame, FramePlane, VideoSequence
 from bitref import PayloadWriter, decode_stack
@@ -1026,6 +1026,25 @@ class TestEncodeFrames:
         with pytest.raises(error):
             next(frames)
         assert calls == []
+
+
+    @pytest.mark.parametrize("gaze", [(1.0,), (1.0, 2.0, 3.0), ("a", 1), ("1", "2"), (1, None), 5.0, (math.inf, 1.0)])
+    def test_a_gaze_is_two_finite_real_numbers(self, gaze):
+        # one rule for the maps and the encoder: a short gaze used to fail later in a bare
+        # ValueError, a long one was coded from its first two numbers, and text raised TypeError
+        for build in (lambda: FoveationMap(np.full((16, 16), 0.5), gaze), lambda: gaussian_map(gaze, 4.0, 16, 16),
+                      lambda: foveation_map(default_geometry(16, 16), gaze)):
+            with pytest.raises(ContractViolation, match="two finite real numbers"):
+                build()
+        levels = [(quantize_map(gaussian_map((8, 8), 4.0, 16, 16)), gaze)] * 2
+        with pytest.raises(ContractViolation, match="two finite real numbers"):
+            next(encode_frames(random_clip(16, 16, 2, seed=1), iter(levels), DEFAULT_SCHED))
+
+    def test_a_gaze_of_numpy_numbers_is_accepted(self):
+        levels = [(quantize_map(gaussian_map((8, 8), 4.0, 16, 16)), np.array([8.4, 7.6]))] * 2
+        records = [rec for rec, _ in encode_frames(random_clip(16, 16, 2, seed=1), iter(levels), DEFAULT_SCHED)]
+        assert [(rec.gaze_x, rec.gaze_y) for rec in records] == [(8, 8)] * 2
+        assert FoveationMap(np.zeros((2, 2)), (np.int64(1), np.float32(0.5))).gaze == (1, 0.5)
 
 
 class TestDecodeAnyBytes:

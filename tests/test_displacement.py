@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmvc import displacement
@@ -194,6 +194,23 @@ def test_encoder_choice_matches_residual_set_selection(rng):
         rset = residual_set(plane(cur), plane(prev))
         assert choose_displacements(cur, prev) == select_displacement_per_block(rset, 8)
         assert np.array_equal(choose_displacements(cur, prev).indices, brute_force_selection(rset, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 70), st.floats(0.5, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_search_matches_brute_force_at_the_extremes(h, w, extreme, invert, seed):
+    # samples mostly 0 or 255: differences of +-255, whole blocks at the largest SSE
+    # (64 * 255**2 = 4161600) and exact ties; up to 9 x 9 blocks, so several strips
+    # and partial edge blocks
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return np.where(rng.random((h, w)) < extreme, rng.choice([0, 255], (h, w)), rng.integers(0, 256, (h, w)))
+
+    prev = draw().astype(np.uint8)
+    cur = (255 - prev if invert else draw()).astype(np.uint8)
+    want = brute_force_selection(residual_set(plane(cur), plane(prev)), 8)
+    assert np.array_equal(choose_displacements(cur, prev).indices, want)
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 255), st.integers(0, 2**32 - 1))

@@ -1,12 +1,15 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmvc.allocation
 import fmvc.foveation
+from fmvc.allocation import block_levels
 from fmvc.errors import ContractViolation
 from fmvc.foveation import (
     ALPHA,
@@ -24,8 +27,10 @@ from fmvc.foveation import (
     foveation_map,
     gaussian_map,
     quantize_map,
+    _quantized,
     radial_gather,
 )
+from fmvc.transform import tile_reduce
 
 HD_GEOMETRY = DisplayGeometry(0.02, 0.012, 1920, 1080)
 
@@ -305,3 +310,67 @@ def test_map_values_must_lie_in_unit_range(bad):
     values[2, 3] = bad
     with pytest.raises(ContractViolation):
         FoveationMap(values, (0, 0))
+
+
+def gazes(w, h):
+    """Integer gazes, gazes between samples, and gazes on the frame's edges."""
+    edge = st.sampled_from([0.0, float(np.nextafter(w, 0))]), st.sampled_from([0.0, float(np.nextafter(h, 0))])
+    return st.one_of(
+        st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+        st.tuples(st.floats(0, w, exclude_max=True), st.floats(0, h, exclude_max=True)),
+        st.tuples(*edge),
+        st.tuples(edge[0], st.integers(0, h - 1)),
+    )
+
+
+@st.composite
+def built_maps(draw):
+    """Maps as foveation_map and gaussian_map build them, over geometries, sizes, gazes and widths
+    where the map is 0 nearly everywhere, nowhere, or (an underflowing gaussian) but at one point."""
+    w, h = draw(st.integers(1, 200)), draw(st.integers(1, 150))
+    gaze = draw(gazes(w, h))
+    if draw(st.booleans()):
+        geom = DisplayGeometry(draw(st.floats(0.002, 2.0)), draw(st.floats(0.002, 5.0)), w, h)
+        return foveation_map(geom, gaze)
+    return gaussian_map(gaze, draw(st.one_of(st.floats(0.05, 400.0), st.just(1e-150))), w, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_maps(), st.integers(2, 16))
+def test_built_maps_quantize_as_their_values_do(m, n):
+    # the table path gives the dense path's levels and block levels, and equality ignores the table
+    dense = FoveationMap(m.values.copy(), m.gaze)
+    levels = quantize_map(m, n)
+    assert np.array_equal(levels.levels, quantize_map(dense, n).levels)
+    assert np.array_equal(block_levels(levels), tile_reduce(levels.levels, np.maximum))
+    assert m == dense and levels == quantize_map(dense, n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: foveation_map(default_geometry(1280, 720), (619.5, 336)),
+    lambda: gaussian_map((176, 144), 72.0, 352, 288),
+])
+def test_built_maps_never_take_the_dense_paths(monkeypatch, build):
+    # quantize_map must quantize the map's table, not its W x H values, and block_levels
+    # must reduce no more than the level map's window widened to whole tiles
+    m = build()
+    quantized, reduced = [], []
+    monkeypatch.setattr(fmvc.foveation, "_quantized", lambda v, n: quantized.append(v.shape) or _quantized(v, n))
+    monkeypatch.setattr(fmvc.allocation, "tile_reduce", lambda p, f: reduced.append(p.shape) or tile_reduce(p, f))
+    levels = quantize_map(m, 16)
+    grid = block_levels(levels)
+    table = m._table[0]
+    assert quantized == [table.shape] and table.size < m.values.size / 3
+    rows, cols = m._table[-1]
+    tiles = [-(-stop // 8) * 8 - start // 8 * 8 for start, stop in ((rows.start, rows.stop), (cols.start, cols.stop))]
+    assert len(reduced) == 1 and reduced[0][0] <= tiles[0] and reduced[0][1] <= tiles[1]
+    assert np.array_equal(grid, tile_reduce(levels.levels, np.maximum))
+
+
+def test_a_replaced_map_takes_the_dense_paths():
+    # the table and the window describe the values they were built with: replace must drop them
+    flat = replace(gaussian_map((8, 8), 4.0, 16, 16), values=np.full((16, 16), 0.5))
+    assert (quantize_map(flat, 16).levels == 8).all()
+    levels = quantize_map(foveation_map(default_geometry(640, 360), (5, 5)), 16)
+    assert not block_levels(levels)[-1].any()  # the map is 0 past r*, about 76 px here
+    assert (block_levels(replace(levels, levels=np.full((360, 640), 15, np.uint8))) == 15).all()

@@ -41,7 +41,7 @@ def expand_masks(fmap: FoveationMap, c: int = 128, L: int = 16) -> MaskStack:
 def block_levels(levels: LevelMap) -> np.ndarray:
     """Per-block maxima over the whole 8x8 grid; partial edge blocks included.
     Only the tiles that meet the level map's window are reduced: the rest are 0."""
-    rows, cols = levels._window or np.s_[0 : levels.height, 0 : levels.width]
+    rows, cols = levels._window
     (t0, s0), (t1, s1) = (rows.start // BLOCK, cols.start // BLOCK), grid_shape((rows.stop, cols.stop))
     out = np.zeros(grid_shape(levels.levels.shape), np.uint8)
     out[t0:t1, s0:s1] = tile_reduce(levels.levels[t0 * BLOCK : t1 * BLOCK, s0 * BLOCK : s1 * BLOCK], np.maximum)

@@ -536,13 +536,16 @@ def encode_frames(
     is rounded and clamped into the frame for the record.  Pairs that run
     out before the frames raise ContractViolation on the first frame left
     without one; pairs that outlast the frames raise it on the next() after
-    the last frame.  The sequence-level checks run on the first next(), and
-    each level map is checked before its frame is coded.
+    the last frame.  The sequence-level checks, the fmsc codes' among them,
+    run on the first next(), and each level map is checked before its frame
+    is coded.  Each record keeps its fmsc code as given.
     """
     if fmsc_codes is None:
         fmsc_codes = [0] * len(seq)
     if len(fmsc_codes) != len(seq):
         raise ContractViolation("fmsc codes must match the frame count")
+    if not all(isinstance(code, Integral) and 0 <= code <= 255 for code in fmsc_codes):
+        raise ContractViolation("every fmsc code must be an integer in [0, 255]")
     _check_header_fits(seq.width, seq.height, seq.fps_num, seq.fps_den, len(seq))
 
     w, h = seq.width, seq.height
@@ -555,7 +558,7 @@ def encode_frames(
         _check_level_map(level_map, w, h, sched)
         gx, gy = (min(max(int(round(v)), 0), n - 1) for v, n in zip(_gaze(gaze), (w, h)))
         stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
-        yield FrameRecord(gx, gy, int(code), stream), prev
+        yield FrameRecord(gx, gy, code, stream), prev
     if next(levels, None) is not None:
         raise ContractViolation(f"more level maps supplied than the {len(seq)} frames")
 
@@ -571,18 +574,10 @@ def encode_sequence(
 ) -> tuple[SequenceBitstream, VideoSequence]:
     """Code a whole sequence; returns the bitstream and the recon chain.
 
-    Each map is quantized when its frame is coded; a frame given the
-    previous frame's map object again reuses its level map.
+    Each map is quantized when its frame is coded.
     """
-
-    def levels():
-        fmap = level_map = None
-        for taken in maps:
-            if taken is not fmap:
-                fmap, level_map = taken, quantize_map(taken, sched.n_levels)
-            yield level_map, fmap.gaze
-
-    records, recons = zip(*encode_frames(seq, levels(), sched, cfg, fmsc_codes))
+    levels = ((quantize_map(fmap, sched.n_levels), fmap.gaze) for fmap in maps)
+    records, recons = zip(*encode_frames(seq, levels, sched, cfg, fmsc_codes))
     sbs = SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den,
                             screen_width_m, viewing_distance_m, sched.q_base, records, sched.n_levels)
     return sbs, VideoSequence(recons, seq.fps_num, seq.fps_den)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,6 +29,12 @@ from .video_io import fields_equal
 def viewing_length(metres: float) -> bool:
     """Whether a screen width or viewing distance is positive and finite (false for NaN)."""
     return 0 < metres < math.inf
+
+
+def _check_size(width, height) -> None:
+    """Reject a frame size in pixels that is not two positive integers."""
+    if not all(isinstance(v, Integral) and v > 0 for v in (width, height)):
+        raise ContractViolation(f"pixel dimensions {width!r} x {height!r} must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ class DisplayGeometry:
     def __post_init__(self):
         if not (viewing_length(self.screen_width_m) and viewing_length(self.viewing_distance_m)):
             raise ContractViolation("screen width and viewing distance must be positive and finite")
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ContractViolation("pixel dimensions must be positive")
+        _check_size(self.width_px, self.height_px)
 
     @property
     def pixel_pitch_m(self) -> float:
@@ -133,15 +138,15 @@ class FoveationMap:
 
     values: np.ndarray  # float64, shape (height, width)
     gaze: tuple[float, float]  # (x, y) pixel coordinates
-    _built: InitVar[tuple | None] = None  # a built map's _spread arguments, kept as _table; replace drops it
+    _built: InitVar[tuple | None] = None  # _spread's arguments, kept as _table (values alone: the identity table)
 
     def __post_init__(self, _built):
-        object.__setattr__(self, "_table", _built)
         _gaze(self.gaze)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ContractViolation(f"map values must be a non-empty 2-D grid, got shape {self.values.shape}")
-        checked = self.values if _built is None else _built[0]
-        lo, hi = float(checked.min()), float(checked.max())
+        h, w = self.values.shape
+        object.__setattr__(self, "_table", _built or (self.values, np.arange(h), np.arange(w), np.s_[0:h, 0:w]))
+        lo, hi = float(self._table[0].min()), float(self._table[0].max())
         if not (lo >= 0.0 and hi <= 1.0):  # false for NaN too
             raise ContractViolation(f"map values out of [0, 1]: min {lo}, max {hi}")
 
@@ -167,14 +172,14 @@ class LevelMap:
 
     levels: np.ndarray  # uint8, shape (height, width)
     n: int
-    _built: InitVar[tuple[slice, slice] | None] = None  # kept as _window: levels are 0 outside it
+    _built: InitVar[tuple[slice, slice] | None] = None  # kept as _window: levels are 0 outside it (else the whole grid)
 
     def __post_init__(self, _built):
-        object.__setattr__(self, "_window", _built)
         _check_level_count(self.n)
         if self.levels.dtype != np.uint8 or self.levels.ndim != 2:
             raise ContractViolation("levels must be a 2-D uint8 grid")
-        if int(self.levels[_built or np.s_[:, :]].max(initial=0)) > self.n - 1:
+        object.__setattr__(self, "_window", _built or np.s_[0 : self.height, 0 : self.width])
+        if int(self.levels[self._window].max(initial=0)) > self.n - 1:
             raise ContractViolation(f"levels exceed n-1 = {self.n - 1}")
 
     @property
@@ -244,33 +249,18 @@ def foveation_map(geom: DisplayGeometry, gaze) -> FoveationMap:
     return FoveationMap(_spread(*table, (geom.height_px, geom.width_px)), (gx, gy), table)
 
 
-# samples per strip of _quantized: its float buffer (512 KiB) stays in cache
-_STRIP_SAMPLES = 1 << 16
-
-
 def _quantized(values: np.ndarray, n: int) -> np.ndarray:
-    """min(floor(values * n), n - 1) as uint8, computed in strips, for values in [0, 1]."""
-    levels = np.empty(values.shape, dtype=np.uint8)
-    rows = max(1, _STRIP_SAMPLES // values.shape[1])
-    strip = np.empty((rows, values.shape[1]))
-    for i in range(0, values.shape[0], rows):
-        part = strip[: min(rows, values.shape[0] - i)]
-        np.multiply(values[i : i + rows], n, out=part)
-        np.minimum(part, n - 1, out=part)
-        levels[i : i + rows] = part  # values lie in [0, 1], so the cast's truncation is the floor
-    return levels
+    """min(floor(values * n), n - 1) as uint8, for values in [0, 1]: the cast's truncation is the floor."""
+    return np.minimum(values * n, n - 1).astype(np.uint8)
 
 
 def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
     """Floor quantization with top clamp: level = min(floor(value * n), n - 1).
 
-    A map that foveation_map or gaussian_map built has its table quantized,
-    then spread into its window of a zeroed grid, which the level map keeps:
-    quantizing commutes with the gather.  Any other map is quantized in full.
+    The map's table is quantized, then spread into its window of a zeroed
+    grid, which the level map keeps: quantizing commutes with the gather.
     """
     _check_level_count(n)  # before the cast, which a huge n would overflow
-    if fmap._table is None:
-        return LevelMap(_quantized(fmap.values, n), n)
     table, iy, ix, window = fmap._table
     return LevelMap(_spread(_quantized(table, n), iy, ix, window, fmap.values.shape), n, window)
 
@@ -283,6 +273,7 @@ def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
             f"mask space constant must be positive with a finite, nonzero 2*sigma^2, got {fmsc_px}"
         )
     gx, gy = _gaze(gaze)
+    _check_size(width, height)
     with np.errstate(over="ignore"):  # a tiny denom sends far samples to -inf, and exp(-inf) is exactly 0
         table = *radial_gather(
             np.arange(width, dtype=np.float64) - gx,

@@ -975,20 +975,23 @@ class TestEncodeFrames:
             assert out == prev == recon.frames[i]
         assert next(frames, None) is None
 
-    def test_a_repeated_map_object_is_quantized_once(self, monkeypatch):
+    def test_streams_do_not_depend_on_map_identity(self):
+        # one map object repeated, equal maps that are distinct objects, and the two alternating
         seq = random_clip(24, 16, 4, seed=3)
         fmap = gaussian_map((12, 8), 6.0, 24, 16)
-        same = [fmap] * 4
-        equal = [gaussian_map((12, 8), 6.0, 24, 16) for _ in range(4)]  # equal values, distinct objects
-        calls = []
-        monkeypatch.setattr(codec, "quantize_map", lambda *a: calls.append(a[0]) or quantize_map(*a))
-        reused = encode_sequence(seq, same, DEFAULT_SCHED)[0].to_bytes()
-        assert calls == [fmap]
-        assert encode_sequence(seq, equal, DEFAULT_SCHED)[0].to_bytes() == reused
-        assert calls[1:] == equal
-        alternating = [fmap, equal[0], fmap, fmap]
-        assert encode_sequence(seq, alternating, DEFAULT_SCHED)[0].to_bytes() == reused
-        assert calls[5:] == [fmap, equal[0], fmap]
+        equal = [gaussian_map((12, 8), 6.0, 24, 16) for _ in range(4)]
+        streams = {encode_sequence(seq, maps, DEFAULT_SCHED)[0].to_bytes()
+                   for maps in ([fmap] * 4, equal, [fmap, equal[0], fmap, fmap])}
+        assert len(streams) == 1
+
+    def test_fmsc_codes_are_stored_as_given(self):
+        # a code of 1.7 used to be coded as 1
+        seq = random_clip(16, 16, 2, seed=1)
+        maps = [gaussian_map((8, 8), 4.0, 16, 16)] * 2
+        for codes in ([0, 255], [np.uint8(7), np.int64(200)]):
+            sbs, _ = encode_sequence(seq, maps, DEFAULT_SCHED, fmsc_codes=codes)
+            assert [rec.fmsc_code for rec in sbs.frames] == codes
+            assert [rec.fmsc_code for rec in SequenceBitstream.from_bytes(sbs.to_bytes()).frames] == codes
 
     def test_mismatched_map_count_rejected(self):
         seq = random_clip(16, 16, 2, seed=1)
@@ -1000,7 +1003,8 @@ class TestEncodeFrames:
     @pytest.mark.parametrize(
         "bad, error",
         [("fps_num", ConfigError), ("map_size", ContractViolation), ("map_levels", ContractViolation),
-         ("gaze", ContractViolation), ("fmsc_codes", ContractViolation), ("budget", UnsupportedFormat)],
+         ("gaze", ContractViolation), ("fmsc_codes", ContractViolation), ("budget", UnsupportedFormat),
+         ("code_fraction", ContractViolation), ("code_text", ContractViolation), ("code_range", ContractViolation)],
     )
     def test_every_check_runs_before_the_first_frame(self, monkeypatch, bad, error):
         seq = random_clip(16, 16, 2, seed=1)
@@ -1017,6 +1021,8 @@ class TestEncodeFrames:
         elif bad == "budget":  # one pixel column over, in broadcast planes that allocate nothing
             y, c = (FramePlane.from_array(np.broadcast_to(np.uint8(0), s)) for s in ((4320, 7681), (2160, 3841)))
             seq = VideoSequence((Frame(y, c, c),) * 2, 25, 1)
+        elif bad.startswith("code_"):  # each fmsc code must be an integer in [0, 255]; the bad one comes second
+            codes = [3, {"code_fraction": 1.7, "code_text": "x", "code_range": 256}[bad]]
         else:
             codes = [0]
         calls = []

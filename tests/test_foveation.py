@@ -225,7 +225,7 @@ def test_quantize_matches_floor_formula(n, extra):
 
 @pytest.mark.parametrize("shape", [(300, 257), (3, 70000)])
 def test_quantize_matches_floor_formula_across_strips(shape, rng):
-    # more samples than one strip holds, with a partial last strip, and rows wider than a strip
+    # values-only maps larger than the hypothesis test below draws, one of them with 70000-sample rows
     values = rng.uniform(0, 1, shape)
     values[0, :3] = [0.0, 1.0, np.nextafter(1.0, 0.0)]
     got = quantize_map(FoveationMap(values, (0, 0)), 16).levels
@@ -251,6 +251,18 @@ def test_quantize_rejects_levels_beyond_uint8(rng):
             quantize_map(fmap, n)
     with pytest.raises(ContractViolation):
         LevelMap(np.zeros((4, 5), np.uint8), 257)
+
+
+def test_levels_must_lie_below_n():
+    # checked over the whole grid of a level map given only levels, its last row and column included
+    levels = np.zeros((4, 5), np.uint8)
+    levels[3, 4] = 15
+    assert LevelMap(levels, 16).n == 16
+    levels[3, 4] = 16
+    with pytest.raises(ContractViolation, match="exceed"):
+        LevelMap(levels, 16)
+    with pytest.raises(ContractViolation, match="exceed"):
+        replace(quantize_map(gaussian_map((0, 0), 1.0, 5, 4), 16), levels=levels)
 
 
 def test_gaussian_map_shape():
@@ -338,12 +350,13 @@ def built_maps(draw):
 @settings(max_examples=150, deadline=None)
 @given(built_maps(), st.integers(2, 16))
 def test_built_maps_quantize_as_their_values_do(m, n):
-    # the table path gives the dense path's levels and block levels, and equality ignores the table
-    dense = FoveationMap(m.values.copy(), m.gaze)
+    # a built map's table gives the levels and block levels of the identity table over its
+    # values, and equality ignores the table
+    values_only = FoveationMap(m.values.copy(), m.gaze)
     levels = quantize_map(m, n)
-    assert np.array_equal(levels.levels, quantize_map(dense, n).levels)
+    assert np.array_equal(levels.levels, quantize_map(values_only, n).levels)
     assert np.array_equal(block_levels(levels), tile_reduce(levels.levels, np.maximum))
-    assert m == dense and levels == quantize_map(dense, n)
+    assert m == values_only and levels == quantize_map(values_only, n)
 
 
 @pytest.mark.parametrize("build", [
@@ -351,8 +364,8 @@ def test_built_maps_quantize_as_their_values_do(m, n):
     lambda: gaussian_map((176, 144), 72.0, 352, 288),
 ])
 def test_built_maps_never_take_the_dense_paths(monkeypatch, build):
-    # quantize_map must quantize the map's table, not its W x H values, and block_levels
-    # must reduce no more than the level map's window widened to whole tiles
+    # quantize_map must quantize the map's small table, not an identity table over its W x H
+    # values, and block_levels must reduce no more than the level map's window widened to whole tiles
     m = build()
     quantized, reduced = [], []
     monkeypatch.setattr(fmvc.foveation, "_quantized", lambda v, n: quantized.append(v.shape) or _quantized(v, n))
@@ -369,8 +382,62 @@ def test_built_maps_never_take_the_dense_paths(monkeypatch, build):
 
 def test_a_replaced_map_takes_the_dense_paths():
     # the table and the window describe the values they were built with: replace must drop them
+    # for the identity table over the new values and the whole grid
     flat = replace(gaussian_map((8, 8), 4.0, 16, 16), values=np.full((16, 16), 0.5))
     assert (quantize_map(flat, 16).levels == 8).all()
     levels = quantize_map(foveation_map(default_geometry(640, 360), (5, 5)), 16)
     assert not block_levels(levels)[-1].any()  # the map is 0 past r*, about 76 px here
     assert (block_levels(replace(levels, levels=np.full((360, 640), 15, np.uint8))) == 15).all()
+
+
+@st.composite
+def maps_of_every_kind(draw):
+    """(map, n): a map given only values, a built map, or a built map given new values by replace.
+    New values lie in [0, 1] and hold every j/n and its two float neighbours, as far as the grid has room."""
+    n = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(["values", "built", "replaced"]))
+    if kind == "built":
+        return draw(built_maps()), n
+    built = draw(built_maps()) if kind == "replaced" else None
+    h, w = built.values.shape if built else (draw(st.integers(1, 150)), draw(st.integers(1, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = np.arange(n + 1) / n
+    edges = np.clip(np.concatenate([steps, np.nextafter(steps, -1.0), np.nextafter(steps, 2.0)]), 0.0, 1.0)
+    flat = np.where(rng.random(h * w) < draw(st.floats(0, 1)), rng.choice(edges, h * w), rng.random(h * w))
+    flat[: len(edges)] = rng.permutation(edges)[: h * w]
+    values = rng.permutation(flat).reshape(h, w)
+    return (replace(built, values=values) if built else FoveationMap(values, (0, 0))), n
+
+
+def tile_maxima(levels: np.ndarray) -> np.ndarray:
+    """The maximum of each 8 x 8 tile, partial edge tiles included, by zero padding."""
+    h, w = levels.shape
+    padded = np.zeros((-(-h // 8) * 8, -(-w // 8) * 8), levels.dtype)
+    padded[:h, :w] = levels
+    return padded.reshape(padded.shape[0] // 8, 8, padded.shape[1] // 8, 8).max(axis=(1, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(maps_of_every_kind())
+def test_every_kind_of_map_takes_the_one_path(case):
+    # values-only maps, built maps and replace results all quantize through their table into
+    # min(floor(v * n), n - 1), and block_levels is the tile maximum, for level maps given only levels too
+    m, n = case
+    levels = quantize_map(m, n)
+    expected = np.minimum(np.floor(m.values * n), n - 1)
+    assert levels.levels.dtype == np.uint8 and np.array_equal(levels.levels, expected)
+    assert np.array_equal(block_levels(levels), tile_maxima(expected))
+    flipped = levels.levels[::-1, ::-1].copy()
+    for given_levels in (replace(levels, levels=flipped), LevelMap(flipped, n)):
+        assert np.array_equal(block_levels(given_levels), tile_maxima(flipped))
+
+
+@pytest.mark.parametrize("width, height", [(2.5, 4), (4, 2.5), (4.0, 4), (0, 4), (4, -1), ("4", 4), (None, 4)])
+def test_a_frame_size_is_two_positive_integers(width, height):
+    # a fractional size used to be accepted and fail later in numpy's bare TypeError
+    with pytest.raises(ContractViolation, match="positive integers"):
+        DisplayGeometry(0.02, 0.012, width, height)
+    with pytest.raises(ContractViolation, match="positive integers"):
+        gaussian_map((0, 0), 4.0, width, height)
+    assert DisplayGeometry(0.02, 0.012, np.int64(4), 3).width_px == 4
+    assert gaussian_map((0, 0), 4.0, np.int16(3), 2).values.shape == (2, 3)

@@ -41,24 +41,17 @@ def parse_fmsc(text: str, frame_height: int) -> tuple[float, int]:
     with integer k in [1, 255], else 0.
     """
     text = text.strip()
-    if text.upper().startswith("H/"):
-        try:
-            divisor = float(text[2:])
-        except ValueError:
-            raise ConfigError(f"bad FMSC divisor in {text!r}") from None
-        if not (math.isfinite(divisor) and divisor > 0):
-            raise ConfigError(f"FMSC divisor must be positive and finite, got {text!r}")
-        if not math.isfinite(frame_height / divisor):
-            raise ConfigError(f"FMSC divisor in {text!r} is too small for a finite sigma")
-        code = int(divisor) if divisor == int(divisor) and 1 <= divisor <= 255 else 0
-        return frame_height / divisor, code
+    divided = text.upper().startswith("H/")
     try:
-        pixels = float(text)
+        value = float(text[2:] if divided else text)
     except ValueError:
         raise ConfigError(f"FMSC must be 'H/k' or a pixel count, got {text!r}") from None
-    if not (math.isfinite(pixels) and pixels > 0):
+    if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"FMSC must be positive and finite, got {text!r}")
-    return pixels, 0
+    sigma = frame_height / value if divided else value
+    if not math.isfinite(sigma):
+        raise ConfigError(f"FMSC divisor in {text!r} is too small for a finite sigma")
+    return sigma, int(value) if divided and value == int(value) and 1 <= value <= 255 else 0
 
 
 def read_gaze_track(text: str) -> list[tuple[int, int, int]]:
@@ -133,6 +126,16 @@ def _read(path: str, parse):
         raise IoError(f"cannot read {path!r}: {exc}") from exc
 
 
+def _write(path: str, mode: str, write):
+    """write(the file at path, opened for writing in mode, text as ASCII); an
+    OSError from the open or from any write is an IoError."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "ascii") as fh:
+            return write(fh)
+    except OSError as exc:
+        raise IoError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _per_gaze(gazes: list[tuple[int, int]], build):
     """build(gaze) once per gaze change, yielded for every frame: while the
     gaze repeats, the previous frame's object is yielded again."""
@@ -143,26 +146,28 @@ def _per_gaze(gazes: list[tuple[int, int]], build):
         yield built
 
 
+def _level_maps(gazes: list[tuple[int, int]], sigma: float | None, geom: DisplayGeometry, n_levels: int):
+    """A (level map, gaze) pair for every frame, the map built and quantized
+    once per gaze change, and only its level map kept: a gaussian map of
+    width sigma, or with sigma None the contrast-sensitivity map of geom."""
+    def build(g):
+        return foveation_map(geom, g) if sigma is None else gaussian_map(g, sigma, geom.width_px, geom.height_px)
+
+    return _per_gaze(gazes, lambda g: (codec.quantize_map(build(g), n_levels), g))
+
+
 def cmd_encode(args) -> int:
     seq = _read(args.input, read_y4m)
     sched = codec.QuantSchedule(q_base=args.qbase)
     geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
-    fmsc = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else None
+    sigma, code = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else (None, 0)
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
-    sbs, _ = codec.encode_sequence(
-        seq,
-        _per_gaze(gazes, lambda g: gaussian_map(g, fmsc[0], seq.width, seq.height) if fmsc else foveation_map(geom, g)),
-        sched,
-        fmsc_codes=[fmsc[1] if fmsc else 0] * len(seq),
-        screen_width_m=geom.screen_width_m,
-        viewing_distance_m=geom.viewing_distance_m,
-    )
+    levels = _level_maps(gazes, sigma, geom, sched.n_levels)
+    records = tuple(rec for rec, _ in codec.encode_frames(seq, levels, sched, fmsc_codes=[code] * len(seq)))
+    sbs = codec.SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den, geom.screen_width_m,
+                                  geom.viewing_distance_m, sched.q_base, records, sched.n_levels)
     data = sbs.to_bytes()
-    try:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write {args.output!r}: {exc}") from exc
+    _write(args.output, "wb", lambda fh: fh.write(data))
     print(f"encoded {sbs.frame_count} frames {sbs.width}x{sbs.height} -> {len(data)} bytes")
     print(f"bpp {sbs.bpp():.6f}")
     for i, rec in enumerate(sbs.frames):
@@ -173,11 +178,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     sbs = codec.SequenceBitstream.from_bytes(_read(args.input, lambda fh: fh.read()))
     seq = codec.decode_sequence(sbs)
-    try:
-        with open(args.output, "wb") as fh:
-            count = write_y4m(seq, fh)
-    except OSError as exc:
-        raise IoError(f"cannot write {args.output!r}: {exc}") from exc
+    count = _write(args.output, "wb", lambda fh: write_y4m(seq, fh))
     print(f"decoded {len(seq)} frames {seq.width}x{seq.height} -> {count} bytes")
     return 0
 
@@ -198,12 +199,8 @@ def _scores(ref, test, fmap, gaze, geom) -> tuple[float, float, float]:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
+    else:
+        _write(path, "w", lambda fh: fh.write(text))
 
 
 def cmd_metrics(args) -> int:
@@ -228,7 +225,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_rd_sweep(args) -> int:
     seq = _read(args.input, read_y4m)
-    specs = args.fmsc_set.split(",") if args.fmsc_set else [f"H/{k}" for k in DEFAULT_FMSC_DIVISORS]
+    specs = args.fmsc_set.split(",") if args.fmsc_set is not None else [f"H/{k}" for k in DEFAULT_FMSC_DIVISORS]
     sched = codec.QuantSchedule(q_base=args.qbase)
     geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
     fmscs = [parse_fmsc(spec, seq.height) for spec in specs]  # all checked before the first encode
@@ -237,11 +234,8 @@ def cmd_rd_sweep(args) -> int:
     # The chains run in lockstep, one clip frame at a time, so each frame's
     # reference is built once, before any chain codes the frame, scored
     # against every chain's reconstruction and dropped before the next.
-    def levels(sigma):  # a chain keeps its level map; the float map is dropped once quantized
-        return lambda g: (codec.quantize_map(gaussian_map(g, sigma, seq.width, seq.height), sched.n_levels), g)
-
-    steps = zip(*[codec.encode_frames(seq, _per_gaze(gazes, levels(sigma)), sched, fmsc_codes=[code] * len(seq))
-                  for sigma, code in fmscs])
+    steps = zip(*[codec.encode_frames(seq, _level_maps(gazes, sigma, geom, sched.n_levels), sched,
+                                      fmsc_codes=[code] * len(seq)) for sigma, code in fmscs])
     bits, scores = [0] * len(fmscs), [[] for _ in fmscs]
     for frame, gaze, fmap in zip(seq.frames, gazes, _per_gaze(gazes, lambda g: foveation_map(geom, g))):
         ref = metrics.FrameReference(frame.y)

@@ -349,7 +349,11 @@ def decode_frame(
     if len(payload) == 0:
         raise ContractViolation("frame payload records zero blocks")
     grid = grid_shape(prev_recon.y.samples.shape)
-    n_luma, n_chroma = _block_counts(prev_recon.y.width, prev_recon.y.height)
+    w, h = prev_recon.y.width, prev_recon.y.height
+    n_luma, n_chroma = _block_counts(w, h)
+    most = payload_bounds(n_luma + 2 * n_chroma, n_luma)[1]
+    if len(payload) > most:  # before decode_blocks, whose memory grows with the payload
+        raise BitstreamError(f"payload of {len(payload)} bytes is longer than {w}x{h} allows", byte_offset=most)
     qblocks, prefixes = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     steps = np.take(sched.steps_array(), _frame_levels((prefixes & 0x0F).reshape(grid)))

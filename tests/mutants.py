@@ -88,7 +88,7 @@ MUTANTS = (
     Mutant(
         "no payload length budget", "codec.py",
         "            if not fewest <= payload_len <= most:\n", "            if False:\n",
-        ("tests/test_codec.py::TestSequenceCodec::test_oversized_payload_is_rejected_before_decoding",
+        ("tests/test_codec.py::TestSequenceCodec::test_oversized_payload_is_rejected_before_decoding[container]",
          "tests/test_codec.py::TestSequenceCodec::test_payload_shorter_than_geometry_allows"),
     ),
     Mutant(
@@ -146,6 +146,34 @@ MUTANTS = (
         "level check one level too lax", "foveation.py",
         "max(initial=0)) > self.n - 1:", "max(initial=0)) > self.n:",
         ("tests/test_foveation.py::test_levels_must_lie_below_n",),
+    ),
+    Mutant(
+        "decode_frame without its payload length budget", "codec.py",
+        "    if len(payload) > most:", "    if False:",
+        ("tests/test_codec.py::TestSequenceCodec::test_oversized_payload_is_rejected_before_decoding[decode_frame]",
+         "tests/test_codec.py::TestSequenceCodec::test_longest_payload_is_exactly_the_bound[decode_frame]"),
+    ),
+    Mutant(
+        "an empty FMSC set runs the default points", "cli.py",
+        "if args.fmsc_set is not None else", "if args.fmsc_set else",
+        ("tests/test_cli.py::TestRdSweep::test_every_spec_checked_before_encoding[]",),
+    ),
+    Mutant(
+        "level maps quantized every frame", "cli.py",
+        "    return _per_gaze(gazes, lambda g: (codec.quantize_map(build(g), n_levels), g))\n",
+        "    return ((codec.quantize_map(m, n_levels), g) for m, g in zip(_per_gaze(gazes, build), gazes))\n",
+        ("tests/test_cli.py::test_encode_builds_each_map_as_its_frame_is_coded[center-H/4]",
+         "tests/test_cli.py::test_encode_builds_each_map_as_its_frame_is_coded[center-None]",
+         "tests/test_cli.py::TestRdSweep::test_center_gaze_builds_one_map_per_chain"),
+    ),
+    Mutant(
+        "a failed write is not an IoError", "cli.py",
+        '        raise IoError(f"cannot write {path!r}: {exc}") from exc\n', "        raise\n",
+        ("tests/test_cli.py::test_unwritable_output_exits_4[encode-directory]",
+         "tests/test_cli.py::test_unwritable_output_exits_4[decode-directory]",
+         "tests/test_cli.py::test_unwritable_output_exits_4[metrics-directory]",
+         "tests/test_cli.py::test_unwritable_output_exits_4[rd-sweep-directory]",
+         "tests/test_cli.py::test_unwritable_output_exits_4[decode-write]"),
     ),
 )
 

@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ from fmvc import cli, codec
 from fmvc.cli import build_parser, densify_gaze, main, parse_fmsc, read_gaze_track
 from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
-from fmvc.foveation import DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, gaussian_map
+from fmvc.foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, DisplayGeometry, foveation_map,
+                            gaussian_map)
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
 from bitref import PayloadWriter
@@ -350,6 +353,31 @@ def test_unreadable_y4m_exits_4(clip_path, tmp_path, capsys, monkeypatch, comman
     assert err.startswith("input error: cannot read") and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("command, fault", [("encode", "directory"), ("decode", "directory"), ("metrics", "directory"),
+                                            ("rd-sweep", "directory"), ("decode", "write")])
+def test_unwritable_output_exits_4(clip_path, tmp_path, capsys, monkeypatch, command, fault):
+    clip, stream = str(clip_path), str(tmp_path / "in.fmvc")
+    assert main(["encode", "--input", clip, "--output", stream]) == 0
+    out = str(tmp_path if fault == "directory" else tmp_path / "out.y4m")  # a directory cannot be opened for writing
+
+    def write_first_frame(seq, sink):
+        write_y4m(VideoSequence(seq.frames[:1], seq.fps_num, seq.fps_den), sink)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_y4m", write_first_frame if fault == "write" else write_y4m)
+    argv = {
+        "encode": ["encode", "--input", clip, "--output", out],
+        "decode": ["decode", "--input", stream, "--output", out],
+        "metrics": ["metrics", "--ref", clip, "--test", clip, "--out", out],
+        "rd-sweep": ["rd-sweep", "--input", clip, "--out", out, "--fmsc-set", "H/4"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out!r}") and "Traceback" not in err
+
+
 class TestMetricsCommand:
     def test_self_comparison(self, clip_path, tmp_path):
         out = tmp_path / "report.csv"
@@ -505,29 +533,56 @@ def test_oversized_frame_header_exits_4_without_traceback(tmp_path):
     assert run.stderr.startswith("input error: ") and "Traceback" not in run.stderr
 
 
-def test_encode_builds_each_map_as_its_frame_is_coded(clip_path, tmp_path, monkeypatch):
-    # a gaze that moves every frame: one map build, then that frame's encode, and so on
+@pytest.mark.parametrize("fmsc", ["H/4", None])
+@pytest.mark.parametrize("gaze", ["track", "center"])
+def test_encode_builds_each_map_as_its_frame_is_coded(clip_path, tmp_path, monkeypatch, fmsc, gaze):
+    # a gaze that moves every frame: one map built and quantized, then that frame's encode, and so
+    # on; the centre gaze: one map built and quantized, then every frame's encode
     track = tmp_path / "gaze.csv"
     track.write_text("".join(f"{i},{4 + 5 * i},{3 + 4 * i}\n" for i in range(7)))
+    build = "foveation_map" if fmsc is None else "gaussian_map"
     events = []
-    for owner, name in ((cli, "gaussian_map"), (codec, "encode_frame")):
+    for owner, name in ((cli, build), (codec, "quantize_map"), (codec, "encode_frame")):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k: events.append(_n) or _f(*a, **k))
-    out = tmp_path / "moving.fmvc"
-    argv = ["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4", "--gaze", str(track)]
-    assert main(argv) == 0
-    assert events == ["gaussian_map", "encode_frame"] * 7
+    out = tmp_path / "coded.fmvc"
+    argv = ["encode", "--input", str(clip_path), "--output", str(out), "--gaze", str(track) if gaze == "track" else gaze]
+    assert main(argv + (["--fmsc", fmsc] if fmsc else [])) == 0
+    built = [build, "quantize_map"]
+    assert events == ((built + ["encode_frame"]) * 7 if gaze == "track" else built + ["encode_frame"] * 7)
     monkeypatch.undo()
     # the same bytes as coding from every map built up front
     with open(clip_path, "rb") as fh:
         seq = read_y4m(fh.read())
-    gazes = densify_gaze(read_gaze_track(track.read_text()), len(seq), seq.width, seq.height)
-    maps = [gaussian_map(g, seq.height / 4, seq.width, seq.height) for g in gazes]
+    w, h = seq.width, seq.height
+    if gaze == "track":
+        gazes = densify_gaze(read_gaze_track(track.read_text()), len(seq), w, h)
+    else:
+        gazes = [(w // 2, h // 2)] * len(seq)
+    geom = DisplayGeometry(DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, w, h)
+    maps = [gaussian_map(g, h / 4, w, h) if fmsc else foveation_map(geom, g) for g in gazes]
     listed, _ = codec.encode_sequence(
-        seq, maps, codec.QuantSchedule(q_base=4), fmsc_codes=[4] * len(seq),
+        seq, maps, codec.QuantSchedule(q_base=4), fmsc_codes=[4 if fmsc else 0] * len(seq),
         screen_width_m=DEFAULT_SCREEN_WIDTH_M, viewing_distance_m=DEFAULT_VIEWING_DISTANCE_M,
     )
     assert out.read_bytes() == listed.to_bytes()
+
+
+def test_encode_keeps_no_reconstruction_chain(clip_path, tmp_path, monkeypatch):
+    # when a frame is coded, the only earlier reconstruction still alive is its reference
+    recons, alive = [], []
+    original = codec.encode_frame
+
+    def encode_frame(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in recons))
+        stream, recon = original(*args)
+        recons.append(weakref.ref(recon))
+        return stream, recon
+
+    monkeypatch.setattr(codec, "encode_frame", encode_frame)
+    assert main(["encode", "--input", str(clip_path), "--output", str(tmp_path / "x.fmvc")]) == 0
+    assert alive == [0] + [1] * 6
 
 
 class TestRdSweep:
@@ -593,7 +648,7 @@ class TestRdSweep:
         assert main([command, *inputs, "--out", str(tmp_path / "out.csv"), "--gaze", "center"]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("fmsc_set", ["H/4,H/nan", "H/inf", "H/4,H/0"])
+    @pytest.mark.parametrize("fmsc_set", ["H/4,H/nan", "H/inf", "H/4,H/0", ""])
     def test_every_spec_checked_before_encoding(self, tmp_path, capsys, monkeypatch, fmsc_set):
         clip = tmp_path / "small.y4m"
         with open(clip, "wb") as fh:

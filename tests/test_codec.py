@@ -846,31 +846,42 @@ class TestSequenceCodec:
                 SequenceBitstream.from_bytes(with_payload(size))
             assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
 
-    def test_longest_payload_is_exactly_the_bound(self):
-        # 16x16: six blocks of 64 codewords of -32768, the longest, and four prefixes
+    def payload_decoder(self, entry):
+        """Decode a 16x16 frame's payload through the container or through
+        decode_frame, and the byte offset at which either rejects a payload
+        over the bound: the stream's length field, or the first byte past
+        the bound."""
+        if entry == "decode_frame":
+            return lambda payload: decode_frame(payload, midgray_frame(16, 16), DEFAULT_SCHED), 1589
         sbs = self.one_frame_stream()
+
+        def through_container(payload):
+            rec = replace(sbs.frames[0], bitstream=FrameBitstream(payload))
+            return decode_sequence(replace(sbs, frames=(rec,)).to_bytes())
+
+        return through_container, HEADER_BYTES + LENGTH_AT
+
+    @pytest.mark.parametrize("entry", ["container", "decode_frame"])
+    def test_longest_payload_is_exactly_the_bound(self, entry):
+        # 16x16: six blocks of 64 codewords of -32768, the longest, and four prefixes
         payload, _ = encode_blocks(np.full((8, 8, 6), -(1 << 15), np.int16), np.zeros(4, np.uint8))
         assert payload_bounds(6, 4) == (5, len(payload)) == (5, 1589)
+        decode, offset = self.payload_decoder(entry)
+        decode(payload)
+        with pytest.raises(BitstreamError, match="payload of 1590 bytes is longer than 16x16 allows") as info:
+            decode(payload + b"\0")
+        assert info.value.byte_offset == offset
 
-        def with_payload(data):
-            return replace(sbs, frames=(replace(sbs.frames[0], bitstream=FrameBitstream(data)),))
-
-        longest = with_payload(payload)
-        assert SequenceBitstream.from_bytes(longest.to_bytes()) == longest
-        with pytest.raises(BitstreamError, match="frame 0 payload of 1590 bytes is longer than 16x16") as info:
-            SequenceBitstream.from_bytes(with_payload(payload + b"\0").to_bytes())
-        assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
-
-    def test_oversized_payload_is_rejected_before_decoding(self, monkeypatch):
+    @pytest.mark.parametrize("entry", ["container", "decode_frame"])
+    def test_oversized_payload_is_rejected_before_decoding(self, monkeypatch, entry):
         # a CRC-valid 1 MiB payload: valid prefixes, then random bytes
-        sbs = self.one_frame_stream()
         payload = bytes(4) + np.random.default_rng(1).integers(0, 256, (1 << 20) - 4, dtype=np.uint8).tobytes()
-        data = replace(sbs, frames=(replace(sbs.frames[0], bitstream=FrameBitstream(payload)),)).to_bytes()
+        decode, offset = self.payload_decoder(entry)
         reached = []
         monkeypatch.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
         with pytest.raises(BitstreamError, match="longer than 16x16 allows") as info:
-            decode_sequence(data)
-        assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
+            decode(payload)
+        assert info.value.byte_offset == offset
         assert reached == []
 
     def test_huge_geometry_with_short_payload_rejected(self):

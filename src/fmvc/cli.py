@@ -102,13 +102,9 @@ def densify_gaze(
 def _resolve_gazes(gaze_arg: str, frame_count: int, width: int, height: int) -> list[tuple[int, int]]:
     if gaze_arg == "center":
         return [(width // 2, height // 2)] * frame_count
-    try:
-        # undecodable bytes become lone surrogates, which read_gaze_track
-        # rejects with the line they sit on
-        with open(gaze_arg, "r", encoding="ascii", errors="surrogateescape") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read gaze track {gaze_arg!r}: {exc}") from exc
+    # undecodable bytes become lone surrogates, which read_gaze_track
+    # rejects with the line they sit on
+    text = _read(gaze_arg, lambda fh: fh.read().decode("ascii", "surrogateescape"))
     try:
         track = read_gaze_track(text)
     except ParseError as exc:
@@ -126,11 +122,11 @@ def _read(path: str, parse):
         raise IoError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _write(path: str, mode: str, write):
-    """write(the file at path, opened for writing in mode, text as ASCII); an
-    OSError from the open or from any write is an IoError."""
+def _write(path: str, write):
+    """write(the file at path, opened for binary writing); an OSError from
+    the open or from any write is an IoError."""
     try:
-        with open(path, mode, encoding=None if "b" in mode else "ascii") as fh:
+        with open(path, "wb") as fh:
             return write(fh)
     except OSError as exc:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
@@ -163,11 +159,10 @@ def cmd_encode(args) -> int:
     sigma, code = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else (None, 0)
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
     levels = _level_maps(gazes, sigma, geom, sched.n_levels)
-    records = tuple(rec for rec, _ in codec.encode_frames(seq, levels, sched, fmsc_codes=[code] * len(seq)))
-    sbs = codec.SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den, geom.screen_width_m,
-                                  geom.viewing_distance_m, sched.q_base, records, sched.n_levels)
+    records = (rec for rec, _ in codec.encode_frames(seq, levels, sched, fmsc_codes=[code] * len(seq)))
+    sbs = codec.sequence_bitstream(seq, records, sched, geom.screen_width_m, geom.viewing_distance_m)
     data = sbs.to_bytes()
-    _write(args.output, "wb", lambda fh: fh.write(data))
+    _write(args.output, lambda fh: fh.write(data))
     print(f"encoded {sbs.frame_count} frames {sbs.width}x{sbs.height} -> {len(data)} bytes")
     print(f"bpp {sbs.bpp():.6f}")
     for i, rec in enumerate(sbs.frames):
@@ -178,7 +173,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     sbs = codec.SequenceBitstream.from_bytes(_read(args.input, lambda fh: fh.read()))
     seq = codec.decode_sequence(sbs)
-    count = _write(args.output, "wb", lambda fh: write_y4m(seq, fh))
+    count = _write(args.output, lambda fh: write_y4m(seq, fh))
     print(f"decoded {len(seq)} frames {seq.width}x{seq.height} -> {count} bytes")
     return 0
 
@@ -200,7 +195,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write(path, "w", lambda fh: fh.write(text))
+        _write(path, lambda fh: fh.write(text.encode("ascii")))
 
 
 def cmd_metrics(args) -> int:

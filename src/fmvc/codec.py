@@ -567,6 +567,13 @@ def encode_frames(
         raise ContractViolation(f"more level maps supplied than the {len(seq)} frames")
 
 
+def sequence_bitstream(seq: VideoSequence, records: Iterable[FrameRecord], sched: QuantSchedule,
+                       screen_width_m: float, viewing_distance_m: float) -> SequenceBitstream:
+    """The container of seq's coded frame records, under sched and the display's geometry."""
+    return SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den, screen_width_m, viewing_distance_m,
+                             sched.q_base, tuple(records), sched.n_levels)
+
+
 def encode_sequence(
     seq: VideoSequence,
     maps: Iterable[FoveationMap],
@@ -582,8 +589,7 @@ def encode_sequence(
     """
     levels = ((quantize_map(fmap, sched.n_levels), fmap.gaze) for fmap in maps)
     records, recons = zip(*encode_frames(seq, levels, sched, cfg, fmsc_codes))
-    sbs = SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den,
-                            screen_width_m, viewing_distance_m, sched.q_base, records, sched.n_levels)
+    sbs = sequence_bitstream(seq, records, sched, screen_width_m, viewing_distance_m)
     return sbs, VideoSequence(recons, seq.fps_num, seq.fps_den)
 
 

@@ -339,19 +339,20 @@ def test_y4m_is_parsed_from_the_open_file(clip_path, tmp_path, monkeypatch, comm
 
 
 @pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
-@pytest.mark.parametrize("fault", ["open", "read"])
+@pytest.mark.parametrize("fault", ["open", "read", "gaze"])
 def test_unreadable_y4m_exits_4(clip_path, tmp_path, capsys, monkeypatch, command, fault):
     clip = str(tmp_path if fault == "open" else clip_path)  # a directory cannot be opened for reading
+    gaze = ["--gaze", str(tmp_path)] if fault == "gaze" else []
 
     def failing_read(source):
         source.read(10)
         raise OSError(5, "Input/output error")
 
     monkeypatch.setattr(cli, "read_y4m", failing_read if fault == "read" else read_y4m)
-    assert main(y4m_commands(clip, tmp_path)[command]) == 4
+    assert main(y4m_commands(clip, tmp_path)[command] + gaze) == 4
     err = capsys.readouterr().err
-    assert err.startswith("input error: cannot read") and "Traceback" not in err
-
+    named = f" {str(tmp_path)!r}" if fault == "gaze" else ""  # the gaze track, not the clip
+    assert err.startswith(f"input error: cannot read{named}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, fault", [("encode", "directory"), ("decode", "directory"), ("metrics", "directory"),

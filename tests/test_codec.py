@@ -847,28 +847,32 @@ class TestSequenceCodec:
             assert info.value.byte_offset == HEADER_BYTES + LENGTH_AT
 
     def payload_decoder(self, entry):
-        """Decode a 16x16 frame's payload through the container or through
-        decode_frame, and the byte offset at which either rejects a payload
-        over the bound: the stream's length field, or the first byte past
-        the bound."""
+        """Decode a 16x16 frame's payload through the container, whose stream
+        must first parse back to the one written, or through decode_frame;
+        and the byte offset and message with which either rejects a 1590-byte
+        payload: at the stream's length field naming the frame, or at the
+        first byte past the bound."""
         if entry == "decode_frame":
-            return lambda payload: decode_frame(payload, midgray_frame(16, 16), DEFAULT_SCHED), 1589
+            return (lambda payload: decode_frame(payload, midgray_frame(16, 16), DEFAULT_SCHED), 1589,
+                    "payload of 1590 bytes is longer than 16x16 allows")
         sbs = self.one_frame_stream()
 
         def through_container(payload):
-            rec = replace(sbs.frames[0], bitstream=FrameBitstream(payload))
-            return decode_sequence(replace(sbs, frames=(rec,)).to_bytes())
+            stream = replace(sbs, frames=(replace(sbs.frames[0], bitstream=FrameBitstream(payload)),))
+            parsed = SequenceBitstream.from_bytes(stream.to_bytes())
+            assert parsed == stream
+            return decode_sequence(parsed)
 
-        return through_container, HEADER_BYTES + LENGTH_AT
+        return through_container, HEADER_BYTES + LENGTH_AT, "frame 0 payload of 1590 bytes is longer than 16x16"
 
     @pytest.mark.parametrize("entry", ["container", "decode_frame"])
     def test_longest_payload_is_exactly_the_bound(self, entry):
         # 16x16: six blocks of 64 codewords of -32768, the longest, and four prefixes
         payload, _ = encode_blocks(np.full((8, 8, 6), -(1 << 15), np.int16), np.zeros(4, np.uint8))
         assert payload_bounds(6, 4) == (5, len(payload)) == (5, 1589)
-        decode, offset = self.payload_decoder(entry)
+        decode, offset, message = self.payload_decoder(entry)
         decode(payload)
-        with pytest.raises(BitstreamError, match="payload of 1590 bytes is longer than 16x16 allows") as info:
+        with pytest.raises(BitstreamError, match=message) as info:
             decode(payload + b"\0")
         assert info.value.byte_offset == offset
 
@@ -876,7 +880,7 @@ class TestSequenceCodec:
     def test_oversized_payload_is_rejected_before_decoding(self, monkeypatch, entry):
         # a CRC-valid 1 MiB payload: valid prefixes, then random bytes
         payload = bytes(4) + np.random.default_rng(1).integers(0, 256, (1 << 20) - 4, dtype=np.uint8).tobytes()
-        decode, offset = self.payload_decoder(entry)
+        decode, offset, _ = self.payload_decoder(entry)
         reached = []
         monkeypatch.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
         with pytest.raises(BitstreamError, match="longer than 16x16 allows") as info:

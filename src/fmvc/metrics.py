@@ -4,7 +4,6 @@ eccentricity-weighted quality score, and per-column bit/SSIM profiles."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import ContractViolation
 from .foveation import DisplayGeometry, FoveationMap, _csf_grid, _spread, display_nyquist
@@ -32,12 +31,12 @@ _SSIM_KERNEL = _gaussian_kernel_1d()
 # FrameReference keeps and the arrays the sums below need, it makes no
 # frame-sized float plane.  Each strip reads _HALO rows either side of its
 # own, the SSIM window's half, and is bit-identical to whole-frame scoring:
-# scipy's correlate1d computes each output sample from the same taps in the
-# same order whatever the line length, and a halo row past the frame edge is
-# absent just as the zero padding is, so a strip's own rows equal the full
-# frame's; every other step works sample by sample; and every reduction
-# (smap.mean(), the FW-SSIM weighted sum, each FWQI band sum) still runs over
-# one whole array, so numpy's pairwise summation sees the same array.
+# _filtered_rows sums each sample from the same taps in one order (centre,
+# then the pairs outermost first) whatever the line length, and a halo row
+# past the frame edge is zero just as the padding is, so a strip's own rows
+# equal the full frame's; every other step works sample by sample; and every
+# reduction (smap.mean(), the FW-SSIM weighted sum, each FWQI band sum) still
+# runs over one whole array, so numpy's pairwise summation sees the same array.
 STRIP_ROWS = 64
 _HALO = SSIM_WINDOW // 2
 
@@ -59,10 +58,25 @@ def _strips(plane: np.ndarray):
         yield slice(r0, r1), slice(r0 - a, r1 - a), np.asarray(plane[a : r1 + _HALO], dtype=np.float64)
 
 
+def _filtered_rows(a: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``a`` filtered down its columns by the SSIM kernel over
+    zeros past its ends.  Each sample is summed in one fixed order, the one
+    scipy.ndimage uses for a symmetric kernel: the centre tap's product, then
+    (x[i-j] + x[i+j]) * w[j] added for j from the outermost tap in."""
+    padded = np.zeros((a.shape[0] + 2 * _HALO, a.shape[1]))
+    padded[_HALO : _HALO + a.shape[0]] = a
+    r0, r1 = (r + _HALO for r in rows.indices(a.shape[0])[:2])
+    out = padded[r0:r1] * _SSIM_KERNEL[_HALO]
+    for j in range(_HALO, 0, -1):
+        out += (padded[r0 - j : r1 - j] + padded[r0 + j : r1 + j]) * _SSIM_KERNEL[_HALO - j]
+    return out
+
+
 def _windowed(strip: np.ndarray, own: slice) -> np.ndarray:
-    """The strip's own rows of a separable zero-padded gaussian filter (renormalized by caller)."""
-    tmp = convolve1d(strip, _SSIM_KERNEL, axis=0, mode="constant", cval=0.0)[own]
-    return convolve1d(tmp, _SSIM_KERNEL, axis=1, mode="constant", cval=0.0)
+    """The strip's own rows of a separable zero-padded gaussian filter (renormalized by caller):
+    down the columns, then down the columns of the transposed result, so both passes read whole rows."""
+    tmp = _filtered_rows(strip, own)
+    return _filtered_rows(tmp.T, slice(None)).T
 
 
 def _local_moments(x: np.ndarray, own: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

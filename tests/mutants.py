@@ -12,7 +12,9 @@ fails; it survives when any of them passes.  The exit status is non-zero when
 a mutant survives or a run goes wrong.  The repository is never written to.
 
 tests/test_mutants.py checks in tier-1 that every snippet occurs exactly once
-in its file, so a refactor that moves the code must update this list.
+in its file, so a refactor that moves the code must update this list, and
+that every named test is an id pytest collects, with the [...] part of a
+parametrized test.
 """
 
 from __future__ import annotations
@@ -174,6 +176,14 @@ MUTANTS = (
          "tests/test_cli.py::test_unwritable_output_exits_4[metrics-directory]",
          "tests/test_cli.py::test_unwritable_output_exits_4[rd-sweep-directory]",
          "tests/test_cli.py::test_unwritable_output_exits_4[decode-write]"),
+    ),
+    Mutant(
+        "SSIM filter adds its tap pairs innermost first", "metrics.py",
+        "    for j in range(_HALO, 0, -1):\n", "    for j in range(1, _HALO + 1):\n",
+        ("tests/test_metrics.py::test_ssim_filter_is_scipys_bit_for_bit[axis0]",
+         "tests/test_metrics.py::test_ssim_filter_is_scipys_bit_for_bit[axis1]",
+         "tests/test_metrics.py::test_ssim_filter_is_scipys_bit_for_bit[windowed]",
+         "tests/test_frame_reference.py::test_scores_across_strip_boundaries_match_oracle[plain_plane]"),
     ),
 )
 

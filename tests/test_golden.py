@@ -98,21 +98,6 @@ def test_golden_output(name):
     }
 
 
-# OpenBLAS reads these when it loads, so each runs in a fresh process.  The
-# float arithmetic only decides which blocks the encoder may skip, and the
-# skip is provably conservative, so no BLAS kernel or thread count may move
-# a stream byte.
-@pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_CORETYPE": "Prescott"}])
-def test_streams_do_not_depend_on_the_blas_path(setting):
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]), **setting)
-    script = ("import json, test_golden as g; "
-              "print(json.dumps({n: g.clip_digests(c())['stream'] for n, c in g.CLIPS.items()}))")
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == GOLDEN_STREAM
-
-
 GOLDEN_CSV = {
     "rd_sweep_center": "d8a3dcab657186e09494ae2b001ac126b63cb7db5e4b92e7e131d3720ddf5049",
     "rd_sweep_track": "f0e4f7806dd34fc9215a04e7896a29043bf1415bcc54805880ab0272eabbc8aa",
@@ -149,3 +134,42 @@ def csv_digest(name, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
 def test_golden_csv(name, tmp_path):
     assert csv_digest(name, tmp_path) == GOLDEN_CSV[name]
+
+
+# OpenBLAS and numpy's CPU dispatch read these when they load, so each runs
+# in a fresh process.  In the codec, float arithmetic decides only which
+# blocks the encoder may skip, a provably conservative test, and each
+# block's level, which holds by a margin of about 80 ulps; so no BLAS kernel,
+# thread count or SIMD path may move a stream byte, nor a score at the six
+# decimals the CSVs print.  Each numpy setting names the feature group it
+# switches off, which the child first checks is off.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+SETTINGS = {
+    "openblas-2-threads": ({"OPENBLAS_NUM_THREADS": "2"}, None),
+    "openblas-prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, None),
+    "numpy-no-x86-v4": ({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, "X86_V4"),
+    "numpy-no-x86-v3": ({"NPY_DISABLE_CPU_FEATURES": f"{NO_AVX512} X86_V3"}, "X86_V3"),
+}
+
+
+def cpu_features() -> dict[str, bool]:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return __cpu_features__
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_outputs_do_not_depend_on_the_blas_or_simd_path(name, tmp_path):
+    setting, feature = SETTINGS[name]
+    if feature is not None and not cpu_features().get(feature, False):
+        pytest.skip(f"this CPU has no {feature} kernels to switch off")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]), **setting)
+    script = ("import json, pathlib, sys, test_golden as g; "
+              "assert not any(g.cpu_features()[f] for f in sys.argv[2:]), sys.argv[2:]; "
+              "print(json.dumps([{n: g.clip_digests(c())['stream'] for n, c in g.CLIPS.items()}, "
+              "{n: g.csv_digest(n, pathlib.Path(sys.argv[1])) for n in g.GOLDEN_CSV}]))")
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path), *([feature] if feature else [])],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [GOLDEN_STREAM, GOLDEN_CSV]

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import convolve1d
 
 from fmvc.errors import ContractViolation
 from fmvc.foveation import DisplayGeometry, FoveationMap, default_geometry, gaussian_map
 from fmvc.metrics import (
+    _filtered_rows,
+    _windowed,
     bits_ssim_profile,
     foveation_weighted_ssim,
     fwqi_approx,
@@ -11,6 +17,8 @@ from fmvc.metrics import (
     mean_ssim,
     ssim_map,
 )
+
+from metricref import _KERNEL
 
 C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
@@ -70,6 +78,37 @@ def test_matches_direct_formula_oracle(rng):
         fast = ssim_map(ref, test)
         slow = ssim_direct(ref, test)
         assert np.max(np.abs(fast - slow)) < 1e-9
+
+
+@st.composite
+def strips(draw):
+    """A float64 strip from 1x1 up, often narrower than the 11-tap window
+    along an axis, and a slice of its rows as its own."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    strip = draw(arrays(np.float64, (h, w), elements=st.floats(-1e150, 1e150)))
+    r0 = draw(st.integers(0, h))
+    return strip, slice(r0, draw(st.integers(r0, h)))
+
+
+FILTERS = {
+    "axis0": ((0,), _filtered_rows),
+    "axis1": ((1,), lambda strip, own: _filtered_rows(strip.T, slice(None)).T[own]),
+    "windowed": ((0, 1), _windowed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@given(case=strips())
+def test_ssim_filter_is_scipys_bit_for_bit(name, case):
+    """The numpy filter sums its taps in the order scipy.ndimage.convolve1d
+    sums a symmetric kernel, so the two agree to the last bit: along each
+    axis alone and in the two-pass window, on a strip's own rows."""
+    (strip, own), (axes, fmvc_filter) = case, FILTERS[name]
+    expected = strip
+    for axis in axes:
+        expected = convolve1d(expected, _KERNEL, axis=axis, mode="constant", cval=0.0)
+    got = fmvc_filter(strip, own)
+    assert got.shape == expected[own].shape and got.tobytes() == expected[own].tobytes()
 
 
 def test_dimension_mismatch():

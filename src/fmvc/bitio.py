@@ -81,15 +81,20 @@ def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray) -> tuple[bytes, np.n
     block's bit count, prefix included; the counts sum to the payload's
     length in bits before padding.
     """
-    blocks, prefixes = np.asarray(blocks), np.asarray(prefixes)
+    blocks = np.asarray(blocks)
     if blocks.shape[:2] != (8, 8) or blocks.dtype.kind not in "iu":
         raise ContractViolation(f"expected integer blocks with leading 8x8 axes, got {blocks.dtype} {blocks.shape}")
-    raster = blocks.reshape(64, -1)
+    return _encode_coded(blocks, prefixes, blocks.any(axis=(0, 1)))
+
+
+def _encode_coded(blocks: np.ndarray, prefixes, coded: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """encode_blocks, given the mask of exactly the blocks that hold a nonzero value."""
+    prefixes, raster = np.asarray(prefixes), blocks.reshape(64, -1)
     n = raster.shape[1]
     if (prefixes.ndim != 1 or len(prefixes) > n or (prefixes.size and prefixes.dtype.kind not in "iu")
             or ((prefixes < 0) | (prefixes > 255)).any()):
         raise ContractViolation("need one integer 8-bit prefix per block")
-    coded = np.flatnonzero(raster.any(axis=0))
+    coded = np.flatnonzero(coded)
     scans = raster.take(coded, axis=1)
     if scans.size and not -(1 << 15) <= scans.min() <= scans.max() < 1 << 15:
         raise ContractViolation("the block code carries int16 coefficients only")
@@ -138,6 +143,11 @@ def decode_blocks(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tu
     prefixes.  After the last block fewer than 8 bits may remain, all zero.
     Any other payload raises BitstreamError with a byte offset inside it.
     """
+    return _decode_coded(data, n_blocks, m, allowed)[:2]
+
+
+def _decode_coded(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decode_blocks, and the mask of the blocks with a coefficient codeword (maybe an explicit zero)."""
     raw = np.frombuffer(data, dtype=np.uint8)
     short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
     if m > len(raw):
@@ -195,4 +205,4 @@ def decode_blocks(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tu
     flat = np.zeros((65, n_blocks), dtype=np.int16)
     index = (np.append(ZIGZAG, 64) * n_blocks).take(scan) + np.repeat(np.arange(n_blocks), counts + 1)
     flat.reshape(-1)[index] = signed
-    return flat[:64].reshape(8, 8, n_blocks), prefixes
+    return flat[:64].reshape(8, 8, n_blocks), prefixes, counts > 0

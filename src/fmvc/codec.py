@@ -4,8 +4,11 @@ Given the per-block levels, the coding path runs in integers only
 (transform, quantizer, entropy code), so identical inputs produce
 byte-identical streams.  The levels are the one float-to-integer step:
 they come from a foveation map built with libm exp and arctan (or exp for
-a gaussian map), so a platform whose libm rounds differently could move a
-block to another level.  Before transforming, the encoder proves which
+a gaussian map).  Of every value a whole-pixel gaze reads at CIF and 720p
+(the default CSF tables; gaussians of sigma H/10 to H/2), the closest to a
+level boundary lies 7.7e-10, some 1e8 ulps, from it (tests/level_margin.py),
+so a libm or SIMD kernel off by a few ulps moves no level there: measured,
+not proved.  Before transforming, the encoder proves which
 blocks quantize to all zeros with a float32 pre-test (_may_be_nonzero).
 That test only decides what to skip and is provably conservative: every
 block it skips is zero through the full path, so streams do not depend
@@ -28,7 +31,7 @@ from numbers import Integral
 import numpy as np
 
 from .allocation import block_levels
-from .bitio import decode_blocks, encode_blocks, payload_bounds
+from .bitio import _decode_coded, _encode_coded, payload_bounds
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedFormat, UnsupportedVersion
 from .foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, DisplayGeometry, FoveationMap, LevelMap,
@@ -171,10 +174,11 @@ def _may_be_nonzero(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
-def _quantized_frame(planes, preds, steps: np.ndarray) -> np.ndarray:
+def _quantized_frame(planes, preds, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transform and quantize the residuals of planes against their raster
     predictions, as one (8, 8, n) block array in plane order, each block at
-    its step in steps (n,).
+    its step in steps (n,), and the mask of the blocks that hold a nonzero
+    coefficient, found among those quantized.
 
     Only the blocks _may_be_nonzero keeps are transformed and quantized, and
     the rest stay zero; but with at least 3/4 of the blocks kept, the whole
@@ -189,10 +193,12 @@ def _quantized_frame(planes, preds, steps: np.ndarray) -> np.ndarray:
         start = stop
     live = _may_be_nonzero(residual.reshape(BLOCK * BLOCK, -1), steps)
     if _most(live):
-        return _quantize_plane_blocks(forward_blocks(residual), steps)
+        qblocks = _quantize_plane_blocks(forward_blocks(residual), steps)
+        return qblocks, qblocks.any(axis=(0, 1))
     qblocks = np.zeros(residual.shape, dtype=np.int16)
-    qblocks[:, :, live] = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), steps[live])
-    return qblocks
+    qblocks[:, :, live] = quantized = _quantize_plane_blocks(forward_blocks(residual[:, :, live]), steps[live])
+    live[live] = quantized.any(axis=(0, 1))  # live narrows to the coded blocks
+    return qblocks, live
 
 
 def _chroma_grid(luma_grid: np.ndarray) -> np.ndarray:
@@ -231,18 +237,18 @@ def _predict(prev: Frame, fld: DisplacementField) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _reconstruct(qblocks: np.ndarray, steps: np.ndarray, preds) -> Frame:
-    """Rebuild the frame from its (8, 8, n) Y, Cb, Cr blocks, their steps in
+def _reconstruct(qblocks: np.ndarray, coded: np.ndarray, steps: np.ndarray, preds) -> Frame:
+    """Rebuild the frame from its (8, 8, n) Y, Cb, Cr blocks, a mask that holds
+    every block with a nonzero coefficient (and maybe zero blocks), their steps in
     the dequantization lane and the raster predictions; must stay bit-deterministic.
 
     Each prediction, padded to whole tiles, becomes its plane in place
-    through a tile view.  Only blocks with a nonzero coefficient are
-    dequantized, inverse transformed and added, as a zero block's residual
-    is exactly zero; but a frame with at least 3/4 of its blocks coded
-    transforms them all, as that costs less than gathering them.  Either
-    way, one inverse transform serves the three planes.
+    through a tile view.  Only the masked blocks are dequantized, inverse
+    transformed and added, as a zero block's residual is exactly zero; but
+    a frame with at least 3/4 of its blocks masked transforms them all, as
+    that costs less than gathering them.  Either way, one inverse transform
+    serves the three planes.
     """
-    coded = qblocks.any(axis=(0, 1))
     whole = _most(coded)
     at = np.s_[:] if whole else coded
     residual = inverse_blocks(qblocks[:, :, at] * steps[at])
@@ -298,8 +304,8 @@ def _block_bits(luma_bits: np.ndarray, chroma_bits: np.ndarray) -> np.ndarray:
 
 def _check_level_map(level_map: LevelMap, w: int, h: int, sched: QuantSchedule) -> None:
     """Reject a level map whose size is not the frame's or whose level count is not the schedule's."""
-    if (level_map.width, level_map.height) != (w, h):
-        raise ContractViolation(f"level map is {level_map.width}x{level_map.height}, frame is {w}x{h}")
+    if level_map.levels.shape != (h, w):
+        raise ContractViolation(f"level map is {level_map.levels.shape[1]}x{len(level_map.levels)}, frame is {w}x{h}")
     if level_map.n != sched.n_levels:
         raise ContractViolation(f"level map has {level_map.n} levels, schedule has {sched.n_levels}")
 
@@ -330,13 +336,13 @@ def encode_frame(
     luma_levels = block_levels(level_map)
     steps = np.take(sched.steps_array(), _frame_levels(luma_levels))
     preds = _predict(prev_recon, fld)
-    qblocks = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, steps)
+    qblocks, coded = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, steps)
     prefixes = (fld.indices.astype(np.uint8) << 4 | luma_levels.astype(np.uint8)).reshape(-1)
-    payload, bits = encode_blocks(qblocks, prefixes)
+    payload, bits = _encode_coded(qblocks, prefixes, coded)
     n_luma = len(prefixes)
     block_bits = _block_bits(bits[:n_luma].reshape(luma_levels.shape), bits[n_luma:].reshape(2, -1).sum(axis=0))
     stream = FrameBitstream(payload, block_bits, int(bits.sum()))
-    return stream, _reconstruct(qblocks, steps, preds)
+    return stream, _reconstruct(qblocks, coded, steps, preds)
 
 
 def decode_frame(
@@ -352,12 +358,12 @@ def decode_frame(
     w, h = prev_recon.y.width, prev_recon.y.height
     n_luma, n_chroma = _block_counts(w, h)
     most = payload_bounds(n_luma + 2 * n_chroma, n_luma)[1]
-    if len(payload) > most:  # before decode_blocks, whose memory grows with the payload
+    if len(payload) > most:  # before _decode_coded, whose memory grows with the payload
         raise BitstreamError(f"payload of {len(payload)} bytes is longer than {w}x{h} allows", byte_offset=most)
-    qblocks, prefixes = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
+    qblocks, prefixes, coded = _decode_coded(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     steps = np.take(sched.steps_array(), _frame_levels((prefixes & 0x0F).reshape(grid)))
-    return _reconstruct(qblocks, steps, _predict(prev_recon, fld))
+    return _reconstruct(qblocks, coded, steps, _predict(prev_recon, fld))
 
 
 # --- sequence container -------------------------------------------------

@@ -136,27 +136,28 @@ def _gaze(gaze) -> tuple[float, float]:
 class FoveationMap:
     """Per-pixel weight in [0, 1] plus the gaze it was built around."""
 
-    values: np.ndarray  # float64, shape (height, width)
+    values: np.ndarray  # float64, shape (height, width); a built map gathers them from _table when first read
     gaze: tuple[float, float]  # (x, y) pixel coordinates
     _built: InitVar[tuple | None] = None  # _spread's arguments, kept as _table (values alone: the identity table)
 
     def __post_init__(self, _built):
         _gaze(self.gaze)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise ContractViolation(f"map values must be a non-empty 2-D grid, got shape {self.values.shape}")
-        h, w = self.values.shape
-        object.__setattr__(self, "_table", _built or (self.values, np.arange(h), np.arange(w), np.s_[0:h, 0:w]))
+        if _built is None:
+            if self.values.ndim != 2 or self.values.size == 0:
+                raise ContractViolation(f"map values must be a non-empty 2-D grid, got shape {self.values.shape}")
+            h, w = self.values.shape
+            _built = (self.values, np.arange(h), np.arange(w), np.s_[0:h, 0:w], (h, w))
+        else:  # built, with values None
+            object.__delattr__(self, "values")
+        object.__setattr__(self, "_table", _built)
         lo, hi = float(self._table[0].min()), float(self._table[0].max())
         if not (lo >= 0.0 and hi <= 1.0):  # false for NaN too
             raise ContractViolation(f"map values out of [0, 1]: min {lo}, max {hi}")
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
+    def __getattr__(self, name):  # reached by a built map's values until their first read, then never
+        if name == "values":
+            object.__setattr__(self, "values", _spread(*self._table))
+        return object.__getattribute__(self, name)
 
     __eq__ = fields_equal
 
@@ -178,17 +179,9 @@ class LevelMap:
         _check_level_count(self.n)
         if self.levels.dtype != np.uint8 or self.levels.ndim != 2:
             raise ContractViolation("levels must be a 2-D uint8 grid")
-        object.__setattr__(self, "_window", _built or np.s_[0 : self.height, 0 : self.width])
+        object.__setattr__(self, "_window", _built or np.s_[0 : self.levels.shape[0], 0 : self.levels.shape[1]])
         if int(self.levels[self._window].max(initial=0)) > self.n - 1:
             raise ContractViolation(f"levels exceed n-1 = {self.n - 1}")
-
-    @property
-    def width(self) -> int:
-        return self.levels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.levels.shape[0]
 
     __eq__ = fields_equal
 
@@ -213,9 +206,32 @@ def _spread(table: np.ndarray, iy: np.ndarray, ix: np.ndarray, window, shape) ->
     return out
 
 
-def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry) -> tuple:
+_TABLES: dict = {}  # _gathered's tables by key, each over the widest offsets read, the least recently used first
+_MAX_TABLES = 8
+
+
+def _gathered(dx: np.ndarray, dy: np.ndarray, fn, reach: float = math.inf, key=None) -> tuple:
+    """fn over the grid of ascending offsets (dx[j], dy[i]) within reach, past which it is 0, as _spread's arguments
+    (fn symmetric in their signs): by radial_gather, or for whole offsets from fn's read-only table kept under key."""
+    (j0, j1), (i0, i1) = np.searchsorted(dx, (-reach, reach)), np.searchsorted(dy, (-reach, reach))
+    shape, window, dx, dy = (len(dy), len(dx)), np.s_[i0:i1, j0:j1], dx[j0:j1], dy[i0:i1]
+    if key is None:
+        return (*radial_gather(dx, dy, fn), window, shape)
+    iy, ix = np.abs(dy).astype(np.intp), np.abs(dx).astype(np.intp)
+    table, (ky, kx) = _TABLES.pop(key, np.empty((0, 0))), (iy.max() + 1, ix.max() + 1)
+    if table.shape[0] < ky or table.shape[1] < kx:
+        ty, tx = np.maximum(table.shape, (ky, kx))
+        table = radial_gather(np.arange(tx, dtype=np.float64), np.arange(ty, dtype=np.float64), fn)[0]
+        table.flags.writeable = False
+    _TABLES[key] = table
+    if len(_TABLES) > _MAX_TABLES:
+        del _TABLES[next(iter(_TABLES))]
+    return table[:ky, :kx], iy, ix, window, shape
+
+
+def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry, key=None) -> tuple:
     """error_sensitivity(freq, eccentricity) over the grid of ascending offsets (dx[j], dy[i]), as
-    _spread's (table, iy, ix, window): the window, past which it is exactly 0, is the visibility radius."""
+    _gathered gives it: the window, past which it is exactly 0, is the visibility radius."""
     # Why the window is exact.  In real arithmetic a sample is visible iff
     # e(r) + e2 <= Q = e2*ln(1/ct0) / (alpha*freq), and e(r) = degrees(atan(r*pitch/d))
     # rises with r, so visibility is monotone in r: visible iff r <= (d/pitch)*tan(Q - e2).
@@ -230,23 +246,23 @@ def _csf_grid(dx: np.ndarray, dy: np.ndarray, freq: float, geom: DisplayGeometry
     tan = math.tan(math.radians(min(max(reach_deg, 0.0), 90.0)))
     reach = tan * geom.viewing_distance_m / geom.pixel_pitch_m * (1 + 2**-20) + 1 if tan < 2**20 else math.inf
     fn = lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom))
-    (j0, j1), (i0, i1) = np.searchsorted(dx, (-reach, reach)), np.searchsorted(dy, (-reach, reach))
-    return (*radial_gather(dx[j0:j1], dy[i0:i1], fn), np.s_[i0:i1, j0:j1])
+    return _gathered(dx, dy, fn, reach, key)
 
 
 def foveation_map(geom: DisplayGeometry, gaze) -> FoveationMap:
     """Continuous sensitivity map at the display Nyquist frequency.
 
     Eccentricity depends on the pixel offsets from the gaze only through
-    their magnitudes, so each (|dx|, |dy|) pair is evaluated once, and only
+    their magnitudes: a whole-pixel gaze gathers them from the geometry's
+    table, any other evaluates each (|dx|, |dy|) pair once; either only
     inside the visibility radius, past which the map is exactly 0.
     """
     gx, gy = _gaze(gaze)
     if not (0 <= gx < geom.width_px and 0 <= gy < geom.height_px):
         raise ContractViolation(f"gaze ({gx}, {gy}) outside frame {geom.width_px}x{geom.height_px}")
     dx, dy = np.arange(geom.width_px, dtype=np.float64) - gx, np.arange(geom.height_px, dtype=np.float64) - gy
-    table = _csf_grid(dx, dy, display_nyquist(geom), geom)
-    return FoveationMap(_spread(*table, (geom.height_px, geom.width_px)), (gx, gy), table)
+    key = geom if gx.is_integer() and gy.is_integer() else None
+    return FoveationMap(None, (gx, gy), _csf_grid(dx, dy, display_nyquist(geom), geom, key))
 
 
 def _quantized(values: np.ndarray, n: int) -> np.ndarray:
@@ -261,8 +277,8 @@ def quantize_map(fmap: FoveationMap, n: int = 16) -> LevelMap:
     grid, which the level map keeps: quantizing commutes with the gather.
     """
     _check_level_count(n)  # before the cast, which a huge n would overflow
-    table, iy, ix, window = fmap._table
-    return LevelMap(_spread(_quantized(table, n), iy, ix, window, fmap.values.shape), n, window)
+    table, iy, ix, window, shape = fmap._table
+    return LevelMap(_spread(_quantized(table, n), iy, ix, window, shape), n, window)
 
 
 def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
@@ -274,10 +290,8 @@ def gaussian_map(gaze, fmsc_px: float, width: int, height: int) -> FoveationMap:
         )
     gx, gy = _gaze(gaze)
     _check_size(width, height)
+    whole = gx.is_integer() and gy.is_integer() and 0 <= gx < width and 0 <= gy < height
+    dx, dy = np.arange(width, dtype=np.float64) - gx, np.arange(height, dtype=np.float64) - gy
     with np.errstate(over="ignore"):  # a tiny denom sends far samples to -inf, and exp(-inf) is exactly 0
-        table = *radial_gather(
-            np.arange(width, dtype=np.float64) - gx,
-            np.arange(height, dtype=np.float64) - gy,
-            lambda x, y: np.exp(-(x**2 + y**2) / denom),
-        ), np.s_[0:height, 0:width]
-    return FoveationMap(_spread(*table, (height, width)), (gx, gy), table)
+        built = _gathered(dx, dy, lambda x, y: np.exp(-(x**2 + y**2) / denom), key=float(denom) if whole else None)
+    return FoveationMap(None, (gx, gy), built)

@@ -197,7 +197,7 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry) -> np.ndarr
     h, w = shape
     xs = (np.arange(w) + 0.5) * size - 0.5
     ys = (np.arange(h) + 0.5) * size - 0.5
-    return _spread(*_csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom), shape)
+    return _spread(*_csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom))
 
 
 class FrameReference:

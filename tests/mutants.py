@@ -107,7 +107,7 @@ MUTANTS = (
     ),
     Mutant(
         "identity window one row short", "foveation.py",
-        "np.s_[0 : self.height, 0 : self.width]", "np.s_[0 : self.height - 1, 0 : self.width]",
+        "np.s_[0 : self.levels.shape[0], 0 :", "np.s_[0 : self.levels.shape[0] - 1, 0 :",
         ("tests/test_allocation.py::test_level_for_block_out_of_bounds",
          "tests/test_foveation.py::test_every_kind_of_map_takes_the_one_path",
          "tests/test_foveation.py::test_levels_must_lie_below_n"),
@@ -183,7 +183,23 @@ MUTANTS = (
         ("tests/test_metrics.py::test_ssim_filter_is_scipys_bit_for_bit[axis0]",
          "tests/test_metrics.py::test_ssim_filter_is_scipys_bit_for_bit[axis1]",
          "tests/test_metrics.py::test_ssim_filter_is_scipys_bit_for_bit[windowed]",
-         "tests/test_frame_reference.py::test_scores_across_strip_boundaries_match_oracle[plain_plane]"),
+         "tests/test_frame_reference.py::test_scores_across_strip_boundaries_match_oracle[plain_plane]",
+         "tests/test_golden.py::test_golden_scores[metrics_track]",
+         "tests/test_golden.py::test_golden_scores[rd_sweep_center]",
+         "tests/test_golden.py::test_golden_scores[rd_sweep_track]"),
+    ),
+    Mutant(
+        "offset table cache keyed without the viewing distance", "foveation.py",
+        "    key = geom if gx.is_integer()", "    key = (geom.screen_width_m, geom.width_px, geom.height_px) if gx.is_integer()",
+        ("tests/test_foveation.py::test_whole_pixel_maps_are_the_direct_evaluation_at_every_gaze",),
+    ),
+    Mutant(
+        "decoder's coded set misses blocks of one coefficient", "bitio.py",
+        "prefixes, counts > 0\n", "prefixes, counts > 1\n",
+        ("tests/test_codec.py::TestReconstructPaths::test_explicit_zero_coefficients_leave_a_coded_block_all_zero",
+         "tests/test_codec.py::TestReconstructPaths::test_each_path_matches_the_oracle[9-17-mixed]",
+         "tests/test_codec.py::TestSequenceCodec::test_pan_clip_lockstep_chain",
+         "tests/test_golden.py::test_golden_output[pan_64x64_chroma]"),
     ),
 )
 

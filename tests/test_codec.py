@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmvc import codec
-from fmvc.bitio import decode_blocks, encode_blocks, payload_bounds
+from fmvc.bitio import _decode_coded, decode_blocks, encode_blocks, payload_bounds, signed_to_symbol
 from fmvc.codec import (
     MAX_LEVELS,
     MAX_Q_BASE,
@@ -161,7 +161,8 @@ def _quantized_residual_of(residual, levels_grid, sched):
     """codec._quantized_frame on one plane pair whose difference is residual (8, 8, nby, nbx)."""
     shape = (8 * residual.shape[2], 8 * residual.shape[3])
     cur, pred = (from_tiles(np.maximum(r, 0).astype(np.uint8), shape) for r in (residual, -residual))
-    return codec._quantized_frame([cur], [pred], sched.steps_array()[levels_grid.reshape(-1)]).reshape(residual.shape)
+    qblocks, _ = codec._quantized_frame([cur], [pred], sched.steps_array()[levels_grid.reshape(-1)])
+    return qblocks.reshape(residual.shape)
 
 
 def _check_against_unskipped_path(blocks, sched):
@@ -297,6 +298,32 @@ def _reconstruction_oracle(payload, prev, sched):
     return out
 
 
+ANY_CONFIGURATION = dict(
+    w=st.integers(1, 40),
+    h=st.integers(1, 40),
+    n_levels=st.integers(2, 16),
+    q_base=st.integers(1, 64),
+    force_zero=st.booleans(),
+    pan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def code_in_lockstep(w, h, n_levels, q_base, force_zero, pan, seed):
+    """Code three frames of a drawn configuration; decoding the payload alone
+    rebuilds the encoder's chain, frame by frame."""
+    rng = np.random.default_rng(seed)
+    sched = QuantSchedule(n_levels=n_levels, q_base=q_base)
+    cfg = CodecConfig(force_zero_displacement=force_zero)
+    clip = pan_clip(w, h, 3, step=int(rng.integers(-5, 6)), seed=seed) if pan else random_clip(w, h, 3, seed)
+    enc = dec = midgray_frame(w, h)
+    for frame in clip.frames:
+        lm = LevelMap(rng.integers(0, n_levels, (h, w), dtype=np.uint8), n_levels)
+        stream, enc = encode_frame(frame, enc, lm, sched, cfg)
+        dec = decode_frame(stream.payload, dec, sched)
+        assert dec == enc
+
+
 class TestReconstructPaths:
     """_reconstruct takes a frame's blocks whole, or gathers its coded
     blocks, or finds none; each way, the encoder's reconstruction, the
@@ -329,6 +356,45 @@ class TestReconstructPaths:
             paths.append(seen[0])
             enc = recon
         return paths
+
+    @given(**ANY_CONFIGURATION)
+    def test_each_side_hands_over_a_coded_set_that_rebuilds_the_dense_frame(
+        self, w, h, n_levels, q_base, force_zero, pan, seed
+    ):
+        # the encoder's set is exactly its blocks with a nonzero coefficient, and the decoder's holds
+        # them all; each rebuilds the frame that the mask found by any over the dense array would
+        reconstruct, exact = codec._reconstruct, []
+
+        def checked(qblocks, coded, steps, preds):
+            nonzero = qblocks.any(axis=(0, 1))
+            want = reconstruct(qblocks, nonzero, steps, [p.copy() for p in preds])  # preds become the planes
+            got = reconstruct(qblocks, coded, steps, preds)
+            assert got == want and not (nonzero & ~coded).any()
+            exact.append(np.array_equal(coded, nonzero))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_reconstruct", checked)
+            code_in_lockstep(w, h, n_levels, q_base, force_zero, pan, seed)
+        assert len(exact) == 6 and all(exact[::2])  # the encoder's call, then the decoder's, per frame
+
+    def test_explicit_zero_coefficients_leave_a_coded_block_all_zero(self):
+        # a hand-built 32x32 payload (16 luma blocks, 4 per chroma plane): luma block 0 codes two explicit
+        # zeros and Cb block 0 one, so their counts are above 0 and the blocks all zero; luma block 5 codes
+        # a single 3.  The decoder hands all three to _reconstruct, which takes the gathering path
+        w = PayloadWriter()
+        for _ in range(16):
+            w.write_prefix(0)
+        coded = {0: [0, 0], 5: [3], 16: [0]}
+        for block in range(24):
+            for value in coded.get(block, []):
+                w.write_ue(signed_to_symbol(value) + 1)
+            w.write_ue(0)
+        payload = w.getvalue()
+        blocks, _, mask = _decode_coded(payload, 24, 16, codec._prefix_table(DEFAULT_SCHED))
+        assert np.flatnonzero(mask).tolist() == [0, 5, 16] and np.flatnonzero(blocks.any(axis=(0, 1))).tolist() == [5]
+        prev = random_clip(32, 32, 1, seed=9).frames[0]
+        assert _decodes_as_the_oracle(payload, prev, DEFAULT_SCHED)
 
     @pytest.mark.parametrize(
         "w, h, coding",
@@ -586,27 +652,9 @@ class TestFrameCodec:
         wrong = decode_frame(s1, prev, DEFAULT_SCHED)  # stale reference
         assert wrong != r1
 
-    @given(
-        w=st.integers(1, 40),
-        h=st.integers(1, 40),
-        n_levels=st.integers(2, 16),
-        q_base=st.integers(1, 64),
-        force_zero=st.booleans(),
-        pan=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**ANY_CONFIGURATION)
     def test_lockstep_any_configuration(self, w, h, n_levels, q_base, force_zero, pan, seed):
-        # decoding the payload alone rebuilds the encoder's chain, frame by frame
-        rng = np.random.default_rng(seed)
-        sched = QuantSchedule(n_levels=n_levels, q_base=q_base)
-        cfg = CodecConfig(force_zero_displacement=force_zero)
-        clip = pan_clip(w, h, 3, step=int(rng.integers(-5, 6)), seed=seed) if pan else random_clip(w, h, 3, seed)
-        enc = dec = midgray_frame(w, h)
-        for frame in clip.frames:
-            lm = LevelMap(rng.integers(0, n_levels, (h, w), dtype=np.uint8), n_levels)
-            stream, enc = encode_frame(frame, enc, lm, sched, cfg)
-            dec = decode_frame(stream.payload, dec, sched)
-            assert dec == enc
+        code_in_lockstep(w, h, n_levels, q_base, force_zero, pan, seed)
 
     def test_odd_dimensions_lockstep(self):
         clip = random_clip(23, 13, 2, seed=6)
@@ -744,7 +792,7 @@ class TestSequenceCodec:
         struct.pack_into("<HH", data, 6, w, h)
         reached, over = [], False
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
+            mp.setattr(codec, "_decode_coded", lambda *a: reached.append(1) or _decode_coded(*a))
             try:
                 decode_sequence(reseal(data))
             except UnsupportedFormat:
@@ -882,7 +930,7 @@ class TestSequenceCodec:
         payload = bytes(4) + np.random.default_rng(1).integers(0, 256, (1 << 20) - 4, dtype=np.uint8).tobytes()
         decode, offset, _ = self.payload_decoder(entry)
         reached = []
-        monkeypatch.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
+        monkeypatch.setattr(codec, "_decode_coded", lambda *a: reached.append(1) or _decode_coded(*a))
         with pytest.raises(BitstreamError, match="longer than 16x16 allows") as info:
             decode(payload)
         assert info.value.byte_offset == offset

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,10 @@ import fmvc.foveation
 from fmvc.allocation import block_levels
 from fmvc.errors import ContractViolation
 from fmvc.foveation import (
+    _MAX_TABLES,
     ALPHA,
     CT0,
+    DEFAULT_SCREEN_WIDTH_M,
     E2,
     DisplayGeometry,
     FoveationMap,
@@ -176,6 +178,7 @@ def test_foveation_map_evaluates_only_inside_the_visibility_radius(monkeypatch):
         return radial_gather(dx, dy, fn)
 
     monkeypatch.setattr(fmvc.foveation, "radial_gather", counting_gather)
+    monkeypatch.setattr(fmvc.foveation, "_TABLES", {})  # so the geometry's offset table is built here
     fmap = foveation_map(default_geometry(1280, 720), (640, 360))
     assert len(seen) == 1 and seen[0] <= (2 * 153 + 1) ** 2
     assert fmap.values[360, 640 + 151] > 0.0 and fmap.values[360, 640 + 152] == 0.0
@@ -374,7 +377,7 @@ def test_built_maps_never_take_the_dense_paths(monkeypatch, build):
     grid = block_levels(levels)
     table = m._table[0]
     assert quantized == [table.shape] and table.size < m.values.size / 3
-    rows, cols = m._table[-1]
+    rows, cols = m._table[3]
     tiles = [-(-stop // 8) * 8 - start // 8 * 8 for start, stop in ((rows.start, rows.stop), (cols.start, cols.stop))]
     assert len(reduced) == 1 and reduced[0][0] <= tiles[0] and reduced[0][1] <= tiles[1]
     assert np.array_equal(grid, tile_reduce(levels.levels, np.maximum))
@@ -441,3 +444,106 @@ def test_a_frame_size_is_two_positive_integers(width, height):
         gaussian_map((0, 0), 4.0, width, height)
     assert DisplayGeometry(0.02, 0.012, np.int64(4), 3).width_px == 4
     assert gaussian_map((0, 0), 4.0, np.int16(3), 2).values.shape == (2, 3)
+
+
+# --- whole-pixel gazes read offset tables -------------------------------
+
+# two geometries that differ only in viewing distance: at 3.5 m the map is 0 past about 13 px,
+# so its table is clipped to the visibility radius inside a 24 x 17 frame
+SMALL = (24, 17)
+NEAR, FAR = default_geometry(*SMALL), DisplayGeometry(DEFAULT_SCREEN_WIDTH_M, 3.5, *SMALL)
+
+
+def direct_csf(geom, gaze) -> np.ndarray:
+    """foveation_map's values as radial_gather evaluates them over every offset: no window, no table."""
+    dx, dy = (np.arange(n, dtype=np.float64) - g for n, g in zip((geom.width_px, geom.height_px), gaze))
+    freq = display_nyquist(geom)
+    table, iy, ix = radial_gather(dx, dy, lambda x, y: error_sensitivity(freq, eccentricity((x, y), (0.0, 0.0), geom)))
+    return table.take(iy, axis=0).take(ix, axis=1)
+
+
+def direct_gaussian(gaze, sigma, width, height) -> np.ndarray:
+    """gaussian_map's values as radial_gather evaluates them over every offset, with no table."""
+    dx, dy = np.arange(width, dtype=np.float64) - gaze[0], np.arange(height, dtype=np.float64) - gaze[1]
+    denom = 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):
+        table, iy, ix = radial_gather(dx, dy, lambda x, y: np.exp(-(x**2 + y**2) / denom))
+    return table.take(iy, axis=0).take(ix, axis=1)
+
+
+def from_a_cached_table(m) -> bool:
+    return any(np.shares_memory(m._table[0], table) for table in fmvc.foveation._TABLES.values())
+
+
+def test_whole_pixel_maps_are_the_direct_evaluation_at_every_gaze(monkeypatch):
+    # both geometries' tables, and two gaussians', grow as the gazes walk the frame; every map they
+    # give is byte for byte the direct evaluation, for each geometry with its own viewing distance
+    monkeypatch.setattr(fmvc.foveation, "_TABLES", {})
+    w, h = SMALL
+    assert 0.0 in direct_csf(FAR, (0, 0))[-1] and 0.0 not in direct_csf(NEAR, (0, 0))
+    for gaze in ((x, y) for y in range(h) for x in range(w)):
+        for geom in (NEAR, FAR):
+            m = foveation_map(geom, gaze)
+            assert from_a_cached_table(m) and m.values.tobytes() == direct_csf(geom, gaze).tobytes()
+        for sigma in (2.0, h / 4):
+            m = gaussian_map(gaze, sigma, w, h)
+            assert from_a_cached_table(m) and m.values.tobytes() == direct_gaussian(gaze, sigma, w, h).tobytes()
+
+
+@pytest.mark.parametrize("w, h, stride", [(352, 288, 41), (1280, 720, 213)])
+def test_whole_pixel_maps_are_the_direct_evaluation_on_a_gaze_grid(w, h, stride):
+    geom = default_geometry(w, h)
+    for gaze in ((x, y) for y in [*range(0, h, stride), h - 1] for x in [*range(0, w, stride), w - 1]):
+        assert foveation_map(geom, gaze).values.tobytes() == direct_csf(geom, gaze).tobytes()
+        for k in (10, 4):
+            assert gaussian_map(gaze, h / k, w, h).values.tobytes() == direct_gaussian(gaze, h / k, w, h).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_other_gazes_keep_the_direct_evaluation(data):
+    # a gaze off the pixel grid, or (for a gaussian) off the frame, is evaluated as before the tables
+    w, h = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 40))
+    inside = st.tuples(st.floats(0, w, exclude_max=True), st.floats(0, h, exclude_max=True))
+    gaze = data.draw(inside.filter(lambda g: not (g[0].is_integer() and g[1].is_integer())))
+    geom = data.draw(st.sampled_from([default_geometry(w, h), DisplayGeometry(DEFAULT_SCREEN_WIDTH_M, 3.5, w, h)]))
+    m = foveation_map(geom, gaze)
+    assert not from_a_cached_table(m) and m.values.tobytes() == direct_csf(geom, gaze).tobytes()
+    sigma = data.draw(st.floats(0.05, 400.0))
+    gaze = data.draw(st.one_of(inside, st.tuples(st.integers(-3 * w, 4 * w), st.integers(-3 * h, 4 * h))))
+    m = gaussian_map(gaze, sigma, w, h)
+    whole = all(float(v).is_integer() for v in gaze) and 0 <= gaze[0] < w and 0 <= gaze[1] < h
+    assert from_a_cached_table(m) == whole and m.values.tobytes() == direct_gaussian(gaze, sigma, w, h).tobytes()
+
+
+def test_cached_tables_are_read_only_and_bounded(monkeypatch):
+    monkeypatch.setattr(fmvc.foveation, "_TABLES", {})
+    maps = [gaussian_map((5, 5), 1.0 + k, 16, 12) for k in range(3 * _MAX_TABLES)]
+    maps.append(foveation_map(default_geometry(16, 12), (3, 4)))
+    tables = fmvc.foveation._TABLES
+    assert len(tables) == _MAX_TABLES and from_a_cached_table(maps[-1])
+    for table in [*tables.values(), *(m._table[0] for m in maps)]:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+    # a farther gaze widens the table to every offset read so far; a nearer one reads a slice of it
+    sigma = 3.0 * _MAX_TABLES  # the last gaussian's, built around (5, 5)
+    key = 2.0 * sigma * sigma
+    assert tables[key].shape == (7, 11)
+    gaussian_map((0, 0), sigma, 16, 12)
+    assert tables[key].shape == (12, 16)
+    table = tables[key]
+    assert gaussian_map((8, 6), sigma, 16, 12)._table[0].shape == (7, 9) and tables[key] is table
+
+
+def test_a_built_map_gathers_its_values_on_their_first_read():
+    m = gaussian_map((7, 3), 4.0, 16, 12)
+    assert "values" not in vars(m)
+    values = m.values
+    assert m.values is values and values.dtype == np.float64 and values.shape == (12, 16)
+    assert [f.name for f in fields(m)] == ["values", "gaze"]
+    assert m == FoveationMap(values.copy(), (7.0, 3.0)) == gaussian_map((7, 3), 4.0, 16, 12)
+    moved = replace(gaussian_map((7, 3), 4.0, 16, 12), gaze=(1, 1))
+    assert moved.gaze == (1, 1) and np.array_equal(moved.values, values)
+    with pytest.raises(AttributeError):
+        m.no_such_field

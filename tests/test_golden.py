@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from fmvc import cli
 from fmvc.cli import main
 from fmvc.codec import CodecConfig, QuantSchedule, decode_sequence, encode_sequence
 from fmvc.foveation import gaussian_map
@@ -136,13 +137,39 @@ def test_golden_csv(name, tmp_path):
     assert csv_digest(name, tmp_path) == GOLDEN_CSV[name]
 
 
+# The CSVs print six decimals, so they do not pin scoring's last bits; these digests do, over the
+# unrounded scores of the same runs: float.hex of every (mean SSIM, FW-SSIM, FWQI) that cli._scores
+# returns, in call order, which the CSV rows are the means (rd-sweep) or the values (metrics) of.
+# Map values, which FW-SSIM and FWQI read, differ in their last bits between numpy's AVX-512
+# (X86_V4) kernels for exp and arctan and its others, and so do the sweeps' digests: each is
+# given (with X86_V4, without), as x86 CPUs compute them.
+GOLDEN_SCORES = {
+    "rd_sweep_center": ("7b30f54c96c0356fa0b78a15494e40cbd3eef0b9310b90f04ed31332204f5b03",
+                        "5a54feaf8221716dd865624f0577dad03d680927f35c247f612d3c7411693322"),
+    "rd_sweep_track": ("c4aeaacdcf454adfc8805f7b0f2bcaf5343954f21d32ef8b9bd966532c069f1e",
+                       "4f9bb7cd05956fcfd8896f597b042c289ce44c67bd6623996fec5a2069cf476d"),
+    "metrics_track": ("5f6f00e422eca24777ac29ad23e5555369ed72a0751d01e00d05d54dc1ef46c5",) * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCORES))
+def test_golden_scores(name, tmp_path, monkeypatch):
+    scores, score = [], cli._scores
+    monkeypatch.setattr(cli, "_scores", lambda *args: scores.append(score(*args)) or scores[-1])
+    csv_digest(name, tmp_path)
+    assert scores and all(type(v) is float for row in scores for v in row)
+    text = "\n".join(" ".join(v.hex() for v in row) for row in scores)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_SCORES[name][not cpu_features().get("X86_V4")]
+
+
 # OpenBLAS and numpy's CPU dispatch read these when they load, so each runs
 # in a fresh process.  In the codec, float arithmetic decides only which
 # blocks the encoder may skip, a provably conservative test, and each
-# block's level, which holds by a margin of about 80 ulps; so no BLAS kernel,
-# thread count or SIMD path may move a stream byte, nor a score at the six
-# decimals the CSVs print.  Each numpy setting names the feature group it
-# switches off, which the child first checks is off.
+# block's level, which holds by a measured margin of about 1e8 ulps
+# (tests/level_margin.py); so no BLAS kernel, thread count or SIMD path may
+# move a stream byte, nor a score at the six decimals the CSVs print.  Each
+# numpy setting names the feature group it switches off, which the child
+# first checks is off.
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 SETTINGS = {
     "openblas-2-threads": ({"OPENBLAS_NUM_THREADS": "2"}, None),

@@ -1,13 +1,15 @@
-"""Peak memory of scoring one 1280x720 frame, as tracemalloc sees numpy's
-allocations.  A 720p float64 plane is 7.03 MiB: ssim_map returns one and
-fw_ssim_from_map sums one, and each may add only row strips to it; FWQI on
-plain planes holds a few quarter-size bands at a time."""
+"""Peak memory of scoring one 1280x720 frame, and of an encode's level maps,
+as tracemalloc sees numpy's allocations.  A 720p float64 plane is 7.03 MiB:
+ssim_map returns one and fw_ssim_from_map sums one, and each may add only
+row strips to it; FWQI on plain planes holds a few quarter-size bands at a
+time; a level map of an encode is built without one."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fmvc import cli
 from fmvc.cli import main
 from fmvc.foveation import DisplayGeometry, foveation_map
 from fmvc.metrics import fw_ssim_from_map, fwqi_approx, ssim_map
@@ -50,6 +52,7 @@ def test_ssim_map_peak(planes):
 
 def test_fw_ssim_from_map_peak(planes):
     smap, fmap = ssim_map(*planes), foveation_map(GEOM, GAZE)
+    fmap.values  # a built map gathers its values on their first read: that plane is the map's, not scoring's
     assert peak_bytes(fw_ssim_from_map, smap, fmap) <= 10 * MIB
 
 
@@ -72,3 +75,29 @@ def test_each_sweep_point_costs_less_than_a_float_map(tmp_path):
     sweep("H/4")  # first-use set-up (imports, caches) out of the measured runs
     one, four = peak_bytes(sweep, "H/4"), peak_bytes(sweep, "H/10,H/6,H/4,H/2")
     assert (four - one) / 3 < w * h * 8
+
+
+@pytest.mark.parametrize("fmsc", ["csf", "H/4"])
+def test_a_720p_encode_gathers_no_float_map(tmp_path, monkeypatch, fmsc):
+    """Each (level map, gaze) pair that a 720p encode takes from cli._level_maps, around a
+    moving gaze, costs less than one W x H float64 map on top of what was live: a built map's
+    values are gathered only when read, and the encode path reads its table alone."""
+    clip, track = tmp_path / "hd.y4m", tmp_path / "gaze.csv"
+    with open(clip, "wb") as fh:
+        write_y4m(natural_clip(W, H, 3), fh)
+    track.write_text("0,640,360\n1,601,392\n2,655,331\n")
+    peaks, level_maps = [], cli._level_maps
+
+    def measured(*args):
+        chain = level_maps(*args)
+        while True:
+            taken = []
+            peaks.append(peak_bytes(lambda: taken.append(next(chain, None))))
+            if taken[0] is None:
+                return
+            yield taken[0]
+
+    monkeypatch.setattr(cli, "_level_maps", measured)
+    argv = ["encode", "--input", str(clip), "--output", str(tmp_path / "out.fmvc"), "--gaze", str(track)]
+    assert main(argv + (["--fmsc", fmsc] if fmsc != "csf" else [])) == 0
+    assert len(peaks) == 4 and max(peaks) < W * H * 8

@@ -16,11 +16,24 @@ codeword is the only one without leading zeros, so a block ends at every
 Both directions work on a frame's one (8, 8, n) block array, as the
 transform leaves it: viewed as (64, n), each column is a block and the
 zigzag scan is a permutation of the rows.  The encoder scans only the
-blocks that hold a nonzero value, sets the second run's '1's in a bit
-array and sums the third run's fields into 32-bit words.  The decoder
-finds every codeword as a set bit of the second run, its zero count as the
-gap to the one before, and its info field in the 24-bit window from the
-field's first byte, then scatters all values to their blocks at once.
+blocks of its coded set, a mask of every block with a nonzero value (and
+maybe others), sets the second run's '1's in a bit array and sums the
+third run's fields into 32-bit words.  The decoder finds every codeword
+as a set bit of the second run, its zero count as the gap to the one
+before, and its info field in the 24-bit window from the field's first
+byte, then scatters all values to their blocks at once.
+
+The decoder rejects a payload in four passes, each of which first needs
+its part of the payload whole and then looks at that part in stream
+order: the m prefixes, for a value the table does not allow; the second
+run, for a block of more than 64 coefficients; the third run, for bits
+after it that are not zero padding; and the values, for one outside
+int16.  A rejection's byte_offset names the byte that holds the first bit
+of what it rejects: the prefix, the 65th codeword, the first bit after
+the third run, or the codeword, a codeword's first bit being the first
+zero of its second-run half.  A payload that ends before a pass's part
+does ends inside a block, and the offset names its last byte (0 when it
+is empty).
 """
 
 from __future__ import annotations
@@ -73,22 +86,18 @@ def _index_dtype(n_bits: int) -> type:
 # --- encode ------------------------------------------------------------
 
 
-def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray) -> tuple[bytes, np.ndarray]:
+def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray, coded: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Code n blocks, in order, into one payload.
 
     blocks holds int16 coefficients laid out (8, 8, n); prefixes holds the
-    8-bit prefixes of the first m blocks.  Returns the payload and each
-    block's bit count, prefix included; the counts sum to the payload's
-    length in bits before padding.
+    8-bit prefixes of the first m blocks; coded masks every block with a
+    nonzero value, and maybe all-zero ones, which code as empty.  Returns
+    the payload and each block's bit count, prefix included; the counts sum
+    to the payload's length in bits before padding.
     """
     blocks = np.asarray(blocks)
     if blocks.shape[:2] != (8, 8) or blocks.dtype.kind not in "iu":
         raise ContractViolation(f"expected integer blocks with leading 8x8 axes, got {blocks.dtype} {blocks.shape}")
-    return _encode_coded(blocks, prefixes, blocks.any(axis=(0, 1)))
-
-
-def _encode_coded(blocks: np.ndarray, prefixes, coded: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """encode_blocks, given the mask of exactly the blocks that hold a nonzero value."""
     prefixes, raster = np.asarray(prefixes), blocks.reshape(64, -1)
     n = raster.shape[1]
     if (prefixes.ndim != 1 or len(prefixes) > n or (prefixes.size and prefixes.dtype.kind not in "iu")
@@ -100,7 +109,8 @@ def _encode_coded(blocks: np.ndarray, prefixes, coded: np.ndarray) -> tuple[byte
         raise ContractViolation("the block code carries int16 coefficients only")
     scans = scans.astype(np.int16)[ZIGZAG]
     counts = np.zeros(n, dtype=np.intp)
-    counts[coded] = 64 - np.argmax(scans[::-1] != 0, axis=0)
+    nonzero = scans[::-1] != 0
+    counts[coded] = (64 - nonzero.argmax(axis=0)) * nonzero.any(axis=0)  # a masked all-zero block is empty
     # the transposed views walk block by block, each in scan order
     values = signed_to_symbol(scans.T[np.arange(64) < counts[coded, None]].astype(np.int32)) + 2
 
@@ -135,19 +145,15 @@ def _encode_coded(blocks: np.ndarray, prefixes, coded: np.ndarray) -> tuple[byte
 # --- decode ------------------------------------------------------------
 
 
-def decode_blocks(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def decode_blocks(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of encode_blocks for n_blocks blocks, the first m with a prefix.
 
     allowed is a 256-entry boolean table of the prefix values those blocks
-    may carry.  Returns the (8, 8, n_blocks) int16 blocks and the m
-    prefixes.  After the last block fewer than 8 bits may remain, all zero.
+    may carry.  Returns the (8, 8, n_blocks) int16 blocks, the m prefixes
+    and the mask of the blocks with a coefficient codeword (maybe an explicit
+    zero).  After the last block fewer than 8 bits may remain, all zero.
     Any other payload raises BitstreamError with a byte offset inside it.
     """
-    return _decode_coded(data, n_blocks, m, allowed)[:2]
-
-
-def _decode_coded(data: bytes, n_blocks: int, m: int, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """decode_blocks, and the mask of the blocks with a coefficient codeword (maybe an explicit zero)."""
     raw = np.frombuffer(data, dtype=np.uint8)
     short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
     if m > len(raw):

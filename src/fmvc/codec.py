@@ -31,11 +31,11 @@ from numbers import Integral
 import numpy as np
 
 from .allocation import block_levels
-from .bitio import _decode_coded, _encode_coded, payload_bounds
+from .bitio import decode_blocks, encode_blocks, payload_bounds
 from .displacement import CATALOGUE, DisplacementField, choose_displacements, predicted_plane
 from .errors import BitstreamError, ConfigError, ContractViolation, UnsupportedFormat, UnsupportedVersion
 from .foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, DisplayGeometry, FoveationMap, LevelMap,
-                        _gaze, quantize_map, viewing_length)
+                        _gaze, geometry_in_range, quantize_map, viewing_length)
 from .transform import (
     BLOCK,
     FORWARD_MATRIX,
@@ -338,7 +338,7 @@ def encode_frame(
     preds = _predict(prev_recon, fld)
     qblocks, coded = _quantized_frame((cur.y.samples, cur.cb.samples, cur.cr.samples), preds, steps)
     prefixes = (fld.indices.astype(np.uint8) << 4 | luma_levels.astype(np.uint8)).reshape(-1)
-    payload, bits = _encode_coded(qblocks, prefixes, coded)
+    payload, bits = encode_blocks(qblocks, prefixes, coded)
     n_luma = len(prefixes)
     block_bits = _block_bits(bits[:n_luma].reshape(luma_levels.shape), bits[n_luma:].reshape(2, -1).sum(axis=0))
     stream = FrameBitstream(payload, block_bits, int(bits.sum()))
@@ -358,9 +358,9 @@ def decode_frame(
     w, h = prev_recon.y.width, prev_recon.y.height
     n_luma, n_chroma = _block_counts(w, h)
     most = payload_bounds(n_luma + 2 * n_chroma, n_luma)[1]
-    if len(payload) > most:  # before _decode_coded, whose memory grows with the payload
+    if len(payload) > most:  # before decode_blocks, whose memory grows with the payload
         raise BitstreamError(f"payload of {len(payload)} bytes is longer than {w}x{h} allows", byte_offset=most)
-    qblocks, prefixes, coded = _decode_coded(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
+    qblocks, prefixes, coded = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     steps = np.take(sched.steps_array(), _frame_levels((prefixes & 0x0F).reshape(grid)))
     return _reconstruct(qblocks, coded, steps, _predict(prev_recon, fld))
@@ -493,6 +493,9 @@ class SequenceBitstream:
                                 ("viewing distance", distance, _HEADER.size - 17)):
             if not viewing_length(value):
                 raise BitstreamError(f"invalid {name} {value}", byte_offset=at)
+        if not geometry_in_range(screen_w, distance, w):
+            raise BitstreamError(f"screen width {screen_w} at distance {distance} breaks the geometry rule",
+                                 byte_offset=_HEADER.size - 25)
         n_luma, n_chroma = _block_counts(w, h)
         fewest, most = payload_bounds(n_luma + 2 * n_chroma, n_luma)
 

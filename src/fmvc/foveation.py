@@ -31,6 +31,22 @@ def viewing_length(metres: float) -> bool:
     return 0 < metres < math.inf
 
 
+# The geometry rule.  The model sees a display through two derived quantities:
+# its pixel pitch in metres and its viewing distance in pixels, distance / pitch,
+# to which the display Nyquist frequency is proportional.  Both must lie within
+# [2**-40, 2**40].  Then the distance, the Nyquist frequency and its subband
+# fractions are normal floats, and no on-screen distance, eccentricity or
+# sensitivity formed over the offsets of a 65535 x 65535 frame overflows or
+# divides by zero.
+_SCALE_RANGE = 2.0**40
+
+
+def geometry_in_range(screen_width_m: float, viewing_distance_m: float, width_px: int) -> bool:
+    """Whether a screen this wide in metres and pixels, seen from this far, meets the geometry rule (false for NaN)."""
+    pitch = screen_width_m / width_px
+    return 1 / _SCALE_RANGE <= pitch <= _SCALE_RANGE and 1 / _SCALE_RANGE <= viewing_distance_m / pitch <= _SCALE_RANGE
+
+
 def _check_size(width, height) -> None:
     """Reject a frame size in pixels that is not two positive integers."""
     if not all(isinstance(v, Integral) and v > 0 for v in (width, height)):
@@ -47,9 +63,10 @@ class DisplayGeometry:
     height_px: int
 
     def __post_init__(self):
-        if not (viewing_length(self.screen_width_m) and viewing_length(self.viewing_distance_m)):
-            raise ContractViolation("screen width and viewing distance must be positive and finite")
         _check_size(self.width_px, self.height_px)
+        if not geometry_in_range(self.screen_width_m, self.viewing_distance_m, self.width_px):
+            raise ContractViolation(f"a {self.screen_width_m} m, {self.width_px} px wide screen seen from "
+                                    f"{self.viewing_distance_m} m breaks the geometry rule")
 
     @property
     def pixel_pitch_m(self) -> float:

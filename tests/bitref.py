@@ -166,32 +166,19 @@ def read_zeros(reader: BitReader) -> int:
     return zeros
 
 
-def read_block_zeros(reader: BitReader) -> list[int]:
-    """The zero counts of one block's coefficient codewords, from the second run."""
+def read_block_zeros(reader: BitReader) -> list[tuple[int, int]]:
+    """(first bit, zero count) of each of one block's coefficient codewords, from the second run."""
     block = []
-    while zeros := read_zeros(reader):
-        if len(block) >= 64:
-            raise BitstreamError(
-                "block carries more than 64 coefficients", byte_offset=reader.bit_position // 8
-            )
-        block.append(zeros)
-    return block
+    while True:
+        start = reader.bit_position
+        if not (zeros := read_zeros(reader)):
+            return block
+        block.append((start, zeros))
 
 
-def read_block_info(reader: BitReader, block_zeros: list[int]) -> np.ndarray:
-    """One block from its codewords' info bits in the third run."""
-    values = []
-    for zeros in block_zeros:
-        symbol = ((1 << zeros) | reader.read_bits(zeros)) - 1
-        value = symbol_to_signed(symbol - 1)
-        if not -(1 << 15) <= value < 1 << 15:
-            raise BitstreamError(
-                f"coefficient symbol {symbol} codes {value}, outside int16", byte_offset=reader.bit_position // 8
-            )
-        values.append(value)
-    flat = np.zeros(64, dtype=np.int64)
-    flat[: len(values)] = values
-    return zigzag_unscan(flat)
+def read_block_info(reader: BitReader, block_zeros: list[tuple[int, int]]) -> list[int]:
+    """One block's signed values, in scan order, from its codewords' info bits in the third run."""
+    return [symbol_to_signed(((1 << zeros) | reader.read_bits(zeros)) - 2) for _, zeros in block_zeros]
 
 
 # --- stacks, as lists of planes ----------------------------------------
@@ -218,26 +205,56 @@ def decode_stack(data: bytes, layout) -> list[tuple[np.ndarray, np.ndarray | Non
     """Reference for ``decode_blocks``: per plane (blocks, prefixes).
 
     After the last block fewer than 8 bits may remain, and they must be zero.
+    A payload is rejected as fmvc.bitio's docstring states: in four passes,
+    each of which first needs its part of the payload whole and then looks at
+    that part in stream order, at the byte that holds the first bit of what
+    it rejects, or at the last byte when the payload ends too early.
     """
     r = BitReader(data)
-    prefixes = []
-    for n, allowed in layout:
-        if allowed is None:
-            prefixes.append(None)
-            continue
-        prefixes.append(np.empty(n, dtype=np.uint8))
-        for i in range(n):
-            prefixes[-1][i] = r.read_bits(8)
-            if not allowed[prefixes[-1][i]]:
-                raise BitstreamError("prefix not allowed", byte_offset=r.bit_position // 8 - 1)
-    zeros = [[read_block_zeros(r) for _ in range(n)] for n, _ in layout]
-    out = []
-    for plane_zeros, plane_prefixes in zip(zeros, prefixes):
-        blocks = np.empty((len(plane_zeros), 8, 8), dtype=np.int64)
-        for i, block_zeros in enumerate(plane_zeros):
-            blocks[i] = read_block_info(r, block_zeros)
-        out.append((planes(blocks), plane_prefixes))
-    at = r.bit_position // 8  # the byte where the last block ends, before the padding is read
+    short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))
+
+    # pass 1: the prefixes
+    prefixes = [None if allowed is None else np.empty(n, dtype=np.uint8) for n, allowed in layout]
+    if r.bits_left < 8 * sum(len(p) for p in prefixes if p is not None):
+        raise short
+    for plane_prefixes, (_, allowed) in zip(prefixes, layout):
+        for i in range(0 if plane_prefixes is None else len(plane_prefixes)):
+            at = r.bit_position // 8
+            plane_prefixes[i] = r.read_bits(8)
+            if not allowed[plane_prefixes[i]]:
+                raise BitstreamError("prefix not allowed", byte_offset=at)
+
+    # pass 2: every block's codeword zeros, up to its end of block
+    try:
+        zeros = [[read_block_zeros(r) for _ in range(n)] for n, _ in layout]
+    except BitstreamError:
+        raise short from None
+    for block in (block for plane in zeros for block in plane):
+        if len(block) > 64:
+            raise BitstreamError("block carries more than 64 coefficients", byte_offset=block[64][0] // 8)
+
+    # pass 3: every codeword's info bits, then the padding
+    try:
+        values = [[read_block_info(r, block) for block in plane] for plane in zeros]
+    except BitstreamError:
+        raise short from None
+    at = r.bit_position // 8  # the byte that holds the first bit after the last block
     if r.bits_left >= 8 or r.read_bits(r.bits_left):
-        raise BitstreamError("trailing data", byte_offset=at)
+        raise BitstreamError("trailing data: not zero padding", byte_offset=at)
+
+    # pass 4: the values
+    for plane_zeros, plane_values in zip(zeros, values):
+        for block_zeros, block_values in zip(plane_zeros, plane_values):
+            for (start, _), value in zip(block_zeros, block_values):
+                if not -(1 << 15) <= value < 1 << 15:
+                    raise BitstreamError(f"coefficient {value} outside int16", byte_offset=start // 8)
+
+    out = []
+    for plane_values, plane_prefixes in zip(values, prefixes):
+        blocks = np.empty((len(plane_values), 8, 8), dtype=np.int64)
+        for i, block_values in enumerate(plane_values):
+            flat = np.zeros(64, dtype=np.int64)
+            flat[: len(block_values)] = block_values
+            blocks[i] = zigzag_unscan(flat)
+        out.append((planes(blocks), plane_prefixes))
     return out

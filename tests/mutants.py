@@ -201,6 +201,29 @@ MUTANTS = (
          "tests/test_codec.py::TestSequenceCodec::test_pan_clip_lockstep_chain",
          "tests/test_golden.py::test_golden_output[pan_64x64_chroma]"),
     ),
+    Mutant(
+        "encoder codes a masked all-zero block as 64 coefficients", "bitio.py",
+        "(64 - nonzero.argmax(axis=0)) * nonzero.any(axis=0)", "64 - nonzero.argmax(axis=0)",
+        ("tests/test_bitio.py::test_every_superset_of_the_nonzero_blocks_codes_alike",),
+    ),
+    Mutant(
+        "truncation reported at the payload's first byte", "bitio.py",
+        'short = BitstreamError("payload ends inside a block", byte_offset=max(len(data) - 1, 0))',
+        'short = BitstreamError("payload ends inside a block", byte_offset=0)',
+        ("tests/test_bitio.py::test_array_decoder_rejects_exactly_when_reference_does",
+         "tests/test_bitio.py::test_decoder_outcomes_on_corrupt_payloads_are_pinned[int32]"),
+    ),
+    Mutant(
+        "no geometry rule, only positive finite lengths", "foveation.py",
+        "    return 1 / _SCALE_RANGE <= pitch <= _SCALE_RANGE and 1 / _SCALE_RANGE <= viewing_distance_m / pitch <= _SCALE_RANGE\n",
+        "    return 0 < screen_width_m < math.inf and 0 < viewing_distance_m < math.inf\n",
+        ("tests/test_foveation.py::test_a_geometry_is_rejected_or_maps_and_scores_in_range",
+         "tests/test_cli.py::test_geometry_outside_the_rule_exits_2[pitch-0-encode]",
+         "tests/test_cli.py::test_geometry_outside_the_rule_exits_2[distance-0-metrics]",
+         "tests/test_cli.py::test_geometry_outside_the_rule_exits_2[distance-inf-px-rd-sweep]",
+         "tests/test_codec.py::TestSequenceCodec::test_metadata_must_fit_a_display_and_the_frame[screen_width_m-18-<d-5e-324-built]",
+         "tests/test_codec.py::TestSequenceCodec::test_metadata_must_fit_a_display_and_the_frame[screen_width_m-18-<d-5e-324-read]"),
+    ),
 )
 
 

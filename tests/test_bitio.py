@@ -109,7 +109,7 @@ def split(blocks, prefixes):
 
 
 def decode_reference(data, n, m, allowed):
-    """decode_stack on the split, joined back into decode_blocks' (blocks, prefixes)."""
+    """decode_stack on the split, joined back into the (blocks, prefixes) that decode_blocks returns first."""
     (head, prefixes), (rest, _) = decode_stack(data, [(m, allowed), (n - m, None)])
     return np.concatenate([head, rest], axis=2), prefixes
 
@@ -136,7 +136,7 @@ def coded_blocks(draw, max_blocks=300):
 @given(coded_blocks())
 def test_array_encoder_matches_reference(case):
     blocks, prefixes = case
-    payload, bits = encode_blocks(blocks, prefixes)
+    payload, bits = encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))
     ref_payload, ref_bits = encode_stack(split(blocks, prefixes))
     assert payload == ref_payload
     assert bits.shape == (blocks.shape[2],)
@@ -146,10 +146,25 @@ def test_array_encoder_matches_reference(case):
 @given(coded_blocks())
 def test_array_decoder_inverts_encoder(case):
     blocks, prefixes = case
-    payload, _ = encode_blocks(blocks, prefixes)
-    decoded, decoded_prefixes = decode_blocks(payload, blocks.shape[2], len(prefixes), ALL_PREFIXES)
+    payload, _ = encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))
+    decoded, decoded_prefixes, coded = decode_blocks(payload, blocks.shape[2], len(prefixes), ALL_PREFIXES)
     assert decoded.shape == blocks.shape and np.array_equal(decoded, blocks)
     assert np.array_equal(decoded_prefixes, prefixes)
+    assert np.array_equal(coded, blocks.any(axis=(0, 1)))  # the encoder codes no explicit zero block
+
+
+@given(coded_blocks(), st.integers(0, 2**32 - 1))
+def test_every_superset_of_the_nonzero_blocks_codes_alike(case, seed):
+    """The coded set holds every nonzero block and maybe others: the exact set, every
+    block and random supersets give the same payload and the same bit counts."""
+    blocks, prefixes = case
+    exact = blocks.any(axis=(0, 1))
+    payload, bits = encode_blocks(blocks, prefixes, exact)
+    rng = np.random.default_rng(seed)
+    for coded in (np.ones_like(exact), exact | (rng.random(exact.shape) < 0.5), exact | (rng.random(exact.shape) < 0.05)):
+        superset_payload, superset_bits = encode_blocks(blocks, prefixes, coded)
+        assert superset_payload == payload
+        assert superset_bits.tolist() == bits.tolist()
 
 
 def outcome(decode, data, n, m, allowed):
@@ -177,62 +192,71 @@ def corrupt_cases(draw):
         return np.packbits(ones).tobytes(), *args
     if kind == "padded":
         tail = draw(st.sampled_from([b"\x01", b"\x80", b"\x00\x01"]))
-        return encode_blocks(blocks, prefixes)[0] + tail, blocks.shape[2], len(prefixes), ALL_PREFIXES
-    data = bytearray(encode_blocks(blocks, prefixes)[0])
+        return encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))[0] + tail, blocks.shape[2], len(prefixes), ALL_PREFIXES
+    data = bytearray(encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))[0])
     for bit in draw(st.lists(st.integers(0, max(8 * len(data) - 1, 0)), max_size=3)) if data else []:
         data[bit // 8] ^= 0x80 >> (bit % 8)
     cut = draw(st.integers(0, len(data)))
     return bytes(data[:cut]) + draw(st.binary(max_size=3)), *args
 
 
-# The reference's and the array decoder's messages for the rejections whose
-# byte offsets they share.  Truncation, 64-coefficient and int16 rejections
-# report different offsets by design: the reference reports where its reader
-# stood, the array decoder where the bad codeword starts or the last byte.
-SAME_OFFSET = (("prefix not allowed", "not allowed"), ("trailing data", "not zero padding"))
+# What each rejection is about, as words both decoders' messages hold.
+REJECTION_KINDS = ("ends inside a block", "not allowed", "more than 64", "not zero padding", "int16")
+
+
+def rejection_kind(exc: BitstreamError) -> str:
+    (kind,) = [kind for kind in REJECTION_KINDS if kind in str(exc)]
+    return kind
+
+
+def assert_decoded_as_reference(case):
+    """decode_blocks and the reference reject case for the same fault at the same
+    byte, or decode it to the same blocks and prefixes."""
+    got = outcome(decode_blocks, *case)
+    want = outcome(decode_reference, *case)
+    assert type(got) is type(want)
+    if isinstance(got, BitstreamError):
+        assert rejection_kind(got) == rejection_kind(want)
+        assert got.byte_offset == want.byte_offset
+        assert 0 <= got.byte_offset < max(len(case[0]), 1)
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert not (got[0].any(axis=(0, 1)) & ~got[2]).any()  # the coded set holds every nonzero block
 
 
 @settings(max_examples=300)
 @given(corrupt_cases())
 def test_array_decoder_rejects_exactly_when_reference_does(case):
-    got = outcome(decode_blocks, *case)
-    want = outcome(decode_reference, *case)
-    assert type(got) is type(want)
-    if isinstance(got, BitstreamError):
-        assert 0 <= got.byte_offset < max(len(case[0]), 1)
-        if any(ref in str(want) and mine in str(got) for ref, mine in SAME_OFFSET):
-            assert got.byte_offset == want.byte_offset
-    else:
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert_decoded_as_reference(case)
 
 
 def test_encoder_rejects_coefficients_beyond_int16():
     block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 1 << 15
     with pytest.raises(ContractViolation):
-        encode_blocks(block, [])
+        encode_blocks(block, [], block.any(axis=(0, 1)))
 
 
 def test_encoder_takes_at_most_one_prefix_per_block():
     with pytest.raises(ContractViolation):
-        encode_blocks(np.zeros((8, 8, 2), np.int64), np.zeros(3, np.uint8))
+        encode_blocks(np.zeros((8, 8, 2), np.int64), np.zeros(3, np.uint8), np.zeros(2, bool))
     with pytest.raises(ContractViolation):
-        encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([256]))
+        encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([256]), np.zeros(2, bool))
 
 
 @pytest.mark.parametrize("prefixes", [np.array([1.7, 200.9]), np.array([True, False]), np.array(["1", "2"])])
 def test_encoder_takes_only_integer_prefixes(prefixes):
     # a float prefix used to be truncated into the stream, and a bool one taken as 0 or 1
     with pytest.raises(ContractViolation):
-        encode_blocks(np.zeros((8, 8, 2), np.int64), prefixes)
+        encode_blocks(np.zeros((8, 8, 2), np.int64), prefixes, np.zeros(2, bool))
     # no prefixes at all need no integer dtype
-    assert encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([]))[1].tolist() == [1, 1]
+    assert encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([]), np.zeros(2, bool))[1].tolist() == [1, 1]
 
 
 def test_decoder_rejects_trailing_bits():
     block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits
-    payload, bits = encode_blocks(block, [])
+    payload, bits = encode_blocks(block, [], block.any(axis=(0, 1)))
     assert bits.tolist() == [6] and payload == bytes([0b00111100])
     assert np.array_equal(decode_blocks(payload, 1, 0, ALL_PREFIXES)[0], block)
     with pytest.raises(BitstreamError, match="zero padding") as info:
@@ -247,7 +271,7 @@ def test_payload_runs_are_prefixes_then_zeros_then_info_bits():
     blocks = np.zeros((8, 8, 3), np.int64)
     blocks[0, 0, 0] = 1  # symbol 1 + 1: codeword 011, zeros and '1' 01, info 1
     blocks[0, 0, 2] = -1  # symbol 2 + 1: codeword 00100, zeros and '1' 001, info 00
-    payload, bits = encode_blocks(blocks, np.array([0xA5, 0x3C], np.uint8))
+    payload, bits = encode_blocks(blocks, np.array([0xA5, 0x3C], np.uint8), blocks.any(axis=(0, 1)))
     # prefixes A5 3C; then 01 1 | 1 | 001 1 (the end-of-block codewords are '1'); then 1 | 00; then padding
     assert payload == bytes([0xA5, 0x3C, 0b01110011, 0b10000000])
     assert bits.tolist() == [12, 9, 6]
@@ -262,7 +286,7 @@ def test_decoder_bounds_codewords_by_the_int16_range():
         w.write_ue(0)
         for decode in (decode_blocks, decode_reference):
             if accepted:
-                blocks, _ = decode(w.getvalue(), 1, 0, ALL_PREFIXES)
+                blocks = decode(w.getvalue(), 1, 0, ALL_PREFIXES)[0]
                 assert blocks[0, 0, 0] == value
             else:
                 with pytest.raises(BitstreamError, match="int16") as info:
@@ -277,7 +301,7 @@ def test_decoder_bounds_codewords_by_the_int16_range():
 
 
 def test_decoder_checks_prefixes_against_the_table():
-    payload, _ = encode_blocks(np.zeros((8, 8, 3), np.int64), np.array([7, 9], np.uint8))
+    payload, _ = encode_blocks(np.zeros((8, 8, 3), np.int64), np.array([7, 9], np.uint8), np.zeros(3, bool))
     allowed = np.ones(256, bool)
     assert decode_blocks(payload, 3, 2, allowed)[1].tolist() == [7, 9]
     allowed[9] = False
@@ -308,7 +332,7 @@ def corrupt_payloads():
         luma = plane(n_luma, scale)
         prefixes = rng.choice(prefix_values, n_luma).astype(np.uint8)
         blocks = np.concatenate([luma, plane(n_chroma, scale), plane(n_chroma, scale)], axis=2)
-        return encode_blocks(blocks, prefixes)[0], n_luma, n_chroma
+        return encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))[0], n_luma, n_chroma
 
     sources = [payload(1584, 396, 12.0)] + [
         payload(int(rng.integers(0, 5)), int(rng.integers(0, 3)), scale) for scale in [3.0, 3e5] * 20
@@ -345,7 +369,7 @@ def test_decoder_outcomes_on_corrupt_payloads_are_pinned(int32_bits, monkeypatch
     digest = hashlib.sha256()
     for data, n_luma, n_chroma in corrupt_payloads():
         try:
-            blocks, prefixes = decode_blocks(data, n_luma + 2 * n_chroma, n_luma, PREFIX_TABLE)
+            blocks, prefixes, _ = decode_blocks(data, n_luma + 2 * n_chroma, n_luma, PREFIX_TABLE)
         except BitstreamError as exc:
             digest.update(f"{type(exc).__name__}: {exc} at {exc.byte_offset}\n".encode())
             continue
@@ -370,11 +394,11 @@ def test_int64_positions_code_exactly_as_int32(rng, monkeypatch):
     blocks[0, :3] = INT16_EXTREMES[[0, 1, 0]]
     blocks = blocks.reshape(8, 8, 450)
     prefixes = rng.integers(0, 256, 300).astype(np.uint8)
-    payload, bits = encode_blocks(blocks, prefixes)
+    payload, bits = encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))
     decoded = decode_blocks(payload, 450, 300, ALL_PREFIXES)
     monkeypatch.setattr(bitio, "_INT32_BITS", 8)
     assert bitio._index_dtype(len(payload)) is np.int64
-    wide_payload, wide_bits = encode_blocks(blocks, prefixes)
+    wide_payload, wide_bits = encode_blocks(blocks, prefixes, blocks.any(axis=(0, 1)))
     assert wide_payload == payload
     assert wide_bits.tolist() == bits.tolist()
     wide_decoded = decode_blocks(payload, 450, 300, ALL_PREFIXES)
@@ -422,8 +446,4 @@ def aligned_field_payloads(draw):
 @settings(max_examples=40)
 @given(aligned_field_payloads())
 def test_decoder_reads_fields_of_every_width_at_every_alignment(case):
-    got = outcome(decode_blocks, *case)
-    want = outcome(decode_reference, *case)
-    assert type(got) is type(want)
-    if not isinstance(got, BitstreamError):
-        assert np.array_equal(got[0], want[0])
+    assert_decoded_as_reference(case)

@@ -355,6 +355,19 @@ def test_unreadable_y4m_exits_4(clip_path, tmp_path, capsys, monkeypatch, comman
     assert err.startswith(f"input error: cannot read{named}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["encode", "metrics", "rd-sweep"])
+@pytest.mark.parametrize(
+    "geometry",
+    [["--screen-width", "5e-324"], ["--distance", "5e-324"], ["--screen-width", "1e308", "--distance", "1e-308"],
+     ["--distance", "1e-320"], ["--screen-width", "1e-300", "--distance", "1e300"]],
+    ids=["pitch-0", "distance-0", "distance-0-px", "distance-subnormal", "distance-inf-px"],
+)
+def test_geometry_outside_the_rule_exits_2(clip_path, tmp_path, capsys, command, geometry):
+    assert main(y4m_commands(str(clip_path), tmp_path)[command] + geometry) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "geometry rule" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, fault", [("encode", "directory"), ("decode", "directory"), ("metrics", "directory"),
                                             ("rd-sweep", "directory"), ("decode", "write")])
 def test_unwritable_output_exits_4(clip_path, tmp_path, capsys, monkeypatch, command, fault):

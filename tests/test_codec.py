@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmvc import codec
-from fmvc.bitio import _decode_coded, decode_blocks, encode_blocks, payload_bounds, signed_to_symbol
+from fmvc.bitio import decode_blocks, encode_blocks, payload_bounds, signed_to_symbol
 from fmvc.codec import (
     MAX_LEVELS,
     MAX_Q_BASE,
@@ -27,7 +27,8 @@ from fmvc.codec import (
 )
 from fmvc.errors import BitstreamError, ConfigError, ContractViolation, FmvcError, UnsupportedFormat, UnsupportedVersion
 from fmvc.displacement import CATALOGUE, DisplacementField
-from fmvc.foveation import FoveationMap, LevelMap, default_geometry, foveation_map, gaussian_map, quantize_map
+from fmvc.foveation import (DisplayGeometry, FoveationMap, LevelMap, default_geometry, foveation_map, gaussian_map,
+                            quantize_map)
 from fmvc.metrics import mean_ssim
 from fmvc.video_io import MAX_PIXELS, Frame, FramePlane, VideoSequence
 from bitref import PayloadWriter, decode_stack
@@ -391,7 +392,7 @@ class TestReconstructPaths:
                 w.write_ue(signed_to_symbol(value) + 1)
             w.write_ue(0)
         payload = w.getvalue()
-        blocks, _, mask = _decode_coded(payload, 24, 16, codec._prefix_table(DEFAULT_SCHED))
+        blocks, _, mask = decode_blocks(payload, 24, 16, codec._prefix_table(DEFAULT_SCHED))
         assert np.flatnonzero(mask).tolist() == [0, 5, 16] and np.flatnonzero(blocks.any(axis=(0, 1))).tolist() == [5]
         prev = random_clip(32, 32, 1, seed=9).frames[0]
         assert _decodes_as_the_oracle(payload, prev, DEFAULT_SCHED)
@@ -437,7 +438,7 @@ def _hand_built_payload(rng, w, h, sched, dc):
     q[0, 0, 0] = dc
     prefixes = rng.integers(0, len(CATALOGUE), n_luma) << 4 | rng.integers(0, sched.n_levels, n_luma)
     prefixes[0] &= 0xF0
-    return encode_blocks(q, prefixes)[0]
+    return encode_blocks(q, prefixes, q.any(axis=(0, 1)))[0]
 
 
 def _decodes_as_the_oracle(payload, prev, sched):
@@ -505,23 +506,37 @@ class TestPerFrameKernels:
             assert dec == enc
 
 
+    def test_one_block_code_call_per_frame_and_side(self, monkeypatch):
+        # looked up through fmvc.codec, so a spy or a timer there sees every frame
+        calls = []
+        for name in ("encode_blocks", "decode_blocks"):
+            original = getattr(codec, name)
+            monkeypatch.setattr(codec, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        seq = pan_clip(37, 29, 3, step=3)
+        sbs, recon = encode_sequence(seq, [gaussian_map((12, 9), 9.0, 37, 29)] * 3, DEFAULT_SCHED)
+        assert calls == ["encode_blocks"] * 3
+        calls.clear()
+        assert decode_sequence(sbs.to_bytes()) == recon
+        assert calls == ["decode_blocks"] * 3
+
+
 ALL_PREFIXES = np.ones(256, bool)
 
 
 class TestEntropyCode:
     def roundtrip(self, block):
-        payload, _ = encode_blocks(block[:, :, None], [])
-        blocks, _ = decode_blocks(payload, 1, 0, ALL_PREFIXES)
+        payload, _ = encode_blocks(block[:, :, None], [], np.ones(1, bool))
+        blocks, _, _ = decode_blocks(payload, 1, 0, ALL_PREFIXES)
         return blocks[:, :, 0]
 
     def test_all_zero_block_is_one_bit(self):
-        _, bits = encode_blocks(np.zeros((8, 8, 1), np.int64), [])
+        _, bits = encode_blocks(np.zeros((8, 8, 1), np.int64), [], np.zeros(1, bool))
         assert bits.tolist() == [1]  # bare end-of-block marker
 
     def test_single_dc(self):
         block = np.zeros((8, 8), np.int64)
         block[0, 0] = 1
-        _, bits = encode_blocks(block[:, :, None], [])
+        _, bits = encode_blocks(block[:, :, None], [], np.ones(1, bool))
         # +1 maps to symbol 1, shifted to stream symbol 2 ("011"), then EOB ("1")
         assert bits.tolist() == [4]
         assert np.array_equal(self.roundtrip(block), block)
@@ -535,8 +550,8 @@ class TestEntropyCode:
         rows = n // 2 + np.repeat(np.arange(n - n // 2), rng.integers(0, 12, n - n // 2))
         blocks[rows, rng.integers(0, 64, len(rows))] = rng.integers(-30_000, 30_000, len(rows))
         blocks = planes(blocks.reshape(n, 8, 8))
-        payload, _ = encode_blocks(blocks, [])
-        decoded, _ = decode_blocks(payload, n, 0, ALL_PREFIXES)
+        payload, _ = encode_blocks(blocks, [], blocks.any(axis=(0, 1)))
+        decoded, _, _ = decode_blocks(payload, n, 0, ALL_PREFIXES)
         assert np.array_equal(decoded, blocks)
 
     def test_decode_rejects_overlong_block(self):
@@ -792,7 +807,7 @@ class TestSequenceCodec:
         struct.pack_into("<HH", data, 6, w, h)
         reached, over = [], False
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codec, "_decode_coded", lambda *a: reached.append(1) or _decode_coded(*a))
+            mp.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
             try:
                 decode_sequence(reseal(data))
             except UnsupportedFormat:
@@ -824,6 +839,7 @@ class TestSequenceCodec:
     @pytest.mark.parametrize(
         "field, at, pack, value",
         [("screen_width_m", SCREEN_WIDTH_AT, "<d", math.nan), ("viewing_distance_m", DISTANCE_AT, "<d", -1.0),
+         ("screen_width_m", SCREEN_WIDTH_AT, "<d", 5e-324),
          ("gaze_x", HEADER_BYTES, "<H", 65535), ("gaze_y", HEADER_BYTES + 2, "<H", 60000)],
     )
     def test_metadata_must_fit_a_display_and_the_frame(self, side, field, at, pack, value):
@@ -840,6 +856,25 @@ class TestSequenceCodec:
         with pytest.raises(BitstreamError) as info:
             SequenceBitstream.from_bytes(reseal(data))
         assert info.value.byte_offset == at
+
+    # any two doubles as the screen width and viewing distance, and realistic ones
+    @settings(max_examples=100)
+    @given(screen_width=st.floats() | st.floats(1e-3, 10.0), distance=st.floats() | st.floats(1e-3, 10.0))
+    @example(screen_width=5e-324, distance=0.012).via("a pixel pitch of 0")
+    @example(screen_width=1e308, distance=1e-308).via("a viewing distance of 0 px")
+    @example(screen_width=0.02, distance=1e-320).via("a subnormal viewing distance")
+    @example(screen_width=1e-300, distance=1e300).via("an infinite viewing distance in pixels")
+    def test_header_geometry_is_a_display_geometry_or_a_bitstream_error(self, screen_width, distance):
+        data = bytearray(self.one_frame_stream().to_bytes())
+        struct.pack_into("<dd", data, SCREEN_WIDTH_AT, screen_width, distance)
+        try:
+            DisplayGeometry(screen_width, distance, 16, 16)
+        except ContractViolation:
+            with pytest.raises(BitstreamError) as info:
+                SequenceBitstream.from_bytes(reseal(data))
+            assert info.value.byte_offset in (SCREEN_WIDTH_AT, DISTANCE_AT)
+        else:
+            assert SequenceBitstream.from_bytes(reseal(data)).viewing_distance_m == distance
 
     def test_unsealed_field_poke_fails_the_crc(self):
         sbs = self.one_frame_stream()
@@ -916,7 +951,7 @@ class TestSequenceCodec:
     @pytest.mark.parametrize("entry", ["container", "decode_frame"])
     def test_longest_payload_is_exactly_the_bound(self, entry):
         # 16x16: six blocks of 64 codewords of -32768, the longest, and four prefixes
-        payload, _ = encode_blocks(np.full((8, 8, 6), -(1 << 15), np.int16), np.zeros(4, np.uint8))
+        payload, _ = encode_blocks(np.full((8, 8, 6), -(1 << 15), np.int16), np.zeros(4, np.uint8), np.ones(6, bool))
         assert payload_bounds(6, 4) == (5, len(payload)) == (5, 1589)
         decode, offset, message = self.payload_decoder(entry)
         decode(payload)
@@ -930,7 +965,7 @@ class TestSequenceCodec:
         payload = bytes(4) + np.random.default_rng(1).integers(0, 256, (1 << 20) - 4, dtype=np.uint8).tobytes()
         decode, offset, _ = self.payload_decoder(entry)
         reached = []
-        monkeypatch.setattr(codec, "_decode_coded", lambda *a: reached.append(1) or _decode_coded(*a))
+        monkeypatch.setattr(codec, "decode_blocks", lambda *a: reached.append(1) or decode_blocks(*a))
         with pytest.raises(BitstreamError, match="longer than 16x16 allows") as info:
             decode(payload)
         assert info.value.byte_offset == offset

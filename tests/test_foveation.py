@@ -1,10 +1,11 @@
 import hashlib
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fmvc.allocation
@@ -32,6 +33,7 @@ from fmvc.foveation import (
     _quantized,
     radial_gather,
 )
+from fmvc.metrics import fwqi_approx
 from fmvc.transform import tile_reduce
 
 HD_GEOMETRY = DisplayGeometry(0.02, 0.012, 1920, 1080)
@@ -317,6 +319,35 @@ def test_csf_params_validation():
 def test_geometry_must_be_positive_and_finite(screen_width, distance):
     with pytest.raises(ContractViolation):
         DisplayGeometry(screen_width, distance, 10, 10)
+
+
+POSITIVE_LENGTHS = st.floats(min_value=5e-324, max_value=np.finfo(np.float64).max) | st.floats(1e-4, 10.0)
+FRAME_32 = np.random.default_rng(32).integers(0, 256, (2, 32, 32), dtype=np.uint8)
+
+
+@settings(max_examples=200)
+@given(screen_width=POSITIVE_LENGTHS, distance=POSITIVE_LENGTHS,
+       gaze=st.sampled_from([(16, 16), (0, 31), (3.5, 30.25)]))
+@example(screen_width=5e-324, distance=0.012, gaze=(16, 16)).via("a pixel pitch of 0")
+@example(screen_width=0.02, distance=5e-324, gaze=(16, 16)).via("a display Nyquist frequency of 0")
+@example(screen_width=1e308, distance=1e-308, gaze=(16, 16)).via("a viewing distance of 0 px")
+@example(screen_width=0.02, distance=1e-320, gaze=(16, 16)).via("a subnormal viewing distance")
+@example(screen_width=1e-300, distance=1e300, gaze=(16, 16)).via("an infinite viewing distance in pixels")
+def test_a_geometry_is_rejected_or_maps_and_scores_in_range(screen_width, distance, gaze):
+    try:
+        geom = DisplayGeometry(screen_width, distance, 32, 32)
+    except ContractViolation:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = foveation_map(geom, gaze).values
+        assert 0.0 <= values.min() and values.max() <= 1.0
+        try:
+            score = fwqi_approx(FRAME_32[0], FRAME_32[1], gaze, geom)
+        except ContractViolation as exc:  # a geometry under which the reference shows nothing
+            assert "weighted reference energy is zero" in str(exc)
+        else:
+            assert 0.0 <= score <= 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])

@@ -140,7 +140,7 @@ class TestBlockGrid:
 
 @pytest.mark.parametrize(
     "entry",
-    [forward_blocks, inverse_blocks, lambda blocks: encode_blocks(blocks, [])],
+    [forward_blocks, inverse_blocks, lambda blocks: encode_blocks(blocks, [], np.ones(blocks.shape[2], bool))],
     ids=["forward_blocks", "inverse_blocks", "encode_blocks"],
 )
 @pytest.mark.parametrize("value, dtype", [(0.7, np.float64), (1.9, np.float64), (3.5, np.float32), (2.0, np.float64), (1, bool)])

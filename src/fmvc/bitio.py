@@ -90,10 +90,12 @@ def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray, coded: np.ndarray) -
     """Code n blocks, in order, into one payload.
 
     blocks holds int16 coefficients laid out (8, 8, n); prefixes holds the
-    8-bit prefixes of the first m blocks; coded masks every block with a
-    nonzero value, and maybe all-zero ones, which code as empty.  Returns
-    the payload and each block's bit count, prefix included; the counts sum
-    to the payload's length in bits before padding.
+    8-bit prefixes of the first m blocks; coded, a boolean array of shape
+    (n,), masks every block with a nonzero value, and maybe all-zero ones,
+    which code as empty.  Only coded's form is checked: a nonzero block it
+    misses codes as empty, as finding one would take a pass over every
+    block.  Returns the payload and each block's bit count, prefix included;
+    the counts sum to the payload's length in bits before padding.
     """
     blocks = np.asarray(blocks)
     if blocks.shape[:2] != (8, 8) or blocks.dtype.kind not in "iu":
@@ -103,6 +105,9 @@ def encode_blocks(blocks: np.ndarray, prefixes: np.ndarray, coded: np.ndarray) -
     if (prefixes.ndim != 1 or len(prefixes) > n or (prefixes.size and prefixes.dtype.kind not in "iu")
             or ((prefixes < 0) | (prefixes > 255)).any()):
         raise ContractViolation("need one integer 8-bit prefix per block")
+    coded = np.asarray(coded)
+    if coded.shape != (n,) or coded.dtype != bool:
+        raise ContractViolation(f"coded must be a boolean mask of shape ({n},), got {coded.dtype} {coded.shape}")
     coded = np.flatnonzero(coded)
     scans = raster.take(coded, axis=1)
     if scans.size and not -(1 << 15) <= scans.min() <= scans.max() < 1 << 15:

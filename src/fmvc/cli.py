@@ -142,14 +142,14 @@ def _per_gaze(gazes: list[tuple[int, int]], build):
         yield built
 
 
-def _level_maps(gazes: list[tuple[int, int]], sigma: float | None, geom: DisplayGeometry, n_levels: int):
+def _level_maps(gazes: list[tuple[int, int]], sigma: float | None, geom: DisplayGeometry):
     """A (level map, gaze) pair for every frame, the map built and quantized
     once per gaze change, and only its level map kept: a gaussian map of
     width sigma, or with sigma None the contrast-sensitivity map of geom."""
     def build(g):
         return foveation_map(geom, g) if sigma is None else gaussian_map(g, sigma, geom.width_px, geom.height_px)
 
-    return _per_gaze(gazes, lambda g: (codec.quantize_map(build(g), n_levels), g))
+    return _per_gaze(gazes, lambda g: (codec.quantize_map(build(g), codec.MAX_LEVELS), g))
 
 
 def cmd_encode(args) -> int:
@@ -158,7 +158,7 @@ def cmd_encode(args) -> int:
     geom = DisplayGeometry(args.screen_width, args.distance, seq.width, seq.height)
     sigma, code = parse_fmsc(args.fmsc, seq.height) if args.fmsc is not None else (None, 0)
     gazes = _resolve_gazes(args.gaze, len(seq), seq.width, seq.height)
-    levels = _level_maps(gazes, sigma, geom, sched.n_levels)
+    levels = _level_maps(gazes, sigma, geom)
     records = (rec for rec, _ in codec.encode_frames(seq, levels, sched, fmsc_codes=[code] * len(seq)))
     sbs = codec.sequence_bitstream(seq, records, sched, geom.screen_width_m, geom.viewing_distance_m)
     data = sbs.to_bytes()
@@ -229,8 +229,8 @@ def cmd_rd_sweep(args) -> int:
     # The chains run in lockstep, one clip frame at a time, so each frame's
     # reference is built once, before any chain codes the frame, scored
     # against every chain's reconstruction and dropped before the next.
-    steps = zip(*[codec.encode_frames(seq, _level_maps(gazes, sigma, geom, sched.n_levels), sched,
-                                      fmsc_codes=[code] * len(seq)) for sigma, code in fmscs])
+    steps = zip(*[codec.encode_frames(seq, _level_maps(gazes, sigma, geom), sched, fmsc_codes=[code] * len(seq))
+                  for sigma, code in fmscs])
     bits, scores = [0] * len(fmscs), [[] for _ in fmscs]
     for frame, gaze, fmap in zip(seq.frames, gazes, _per_gaze(gazes, lambda g: foveation_map(geom, g))):
         ref = metrics.FrameReference(frame.y)

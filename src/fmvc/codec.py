@@ -6,9 +6,9 @@ byte-identical streams.  The levels are the one float-to-integer step:
 they come from a foveation map built with libm exp and arctan (or exp for
 a gaussian map).  Of every value a whole-pixel gaze reads at CIF and 720p
 (the default CSF tables; gaussians of sigma H/10 to H/2), the closest to a
-level boundary lies 7.7e-10, some 1e8 ulps, from it (tests/level_margin.py),
-so a libm or SIMD kernel off by a few ulps moves no level there: measured,
-not proved.  Before transforming, the encoder proves which
+level boundary j/16 lies 7.7e-10, some 1e8 ulps, from it
+(tests/level_margin.py), so a libm or SIMD kernel off by a few ulps moves
+no level there: measured, not proved.  Before transforming, the encoder proves which
 blocks quantize to all zeros with a float32 pre-test (_may_be_nonzero).
 That test only decides what to skip and is provably conservative: every
 block it skips is zero through the full path, so streams do not depend
@@ -27,6 +27,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,24 +50,21 @@ from .video_io import MAX_PIXELS, Frame, FramePlane, VideoSequence
 
 MAGIC = b"FMVC"
 VERSION = 2
-_HEADER = struct.Struct("<4sHHHHHI3dB")  # magic, version, W, H, fps, count, geometry, n_levels
+_HEADER = struct.Struct("<4sHHHHHI3dB")  # magic, version, W, H, fps, count, geometry, level count (16)
 _FRAME_HEAD = struct.Struct("<HHBI")  # gaze_x, gaze_y, fmsc_code, payload bytes
 # CRC-32 after the header over it, and after each frame head over it and its payload
 _CRC = struct.Struct("<I")
 
-# Each luma block prefix holds the level in 4 bits.
+# The codec codes 16 levels, and each luma block prefix holds its level in 4 bits.
 MAX_LEVELS = 16
 # Coefficients stay within +-16320, so every base above 32640 already zeroes
 # them all; the bound keeps the stored base an exact, finite integer.
 MAX_Q_BASE = 65535
 
 
-def _check_schedule(n_levels, q_base) -> None:
-    """Reject a level count or base step that no schedule, and so no stream
-    header, can hold: both are integers, the level count fits the prefix's
-    4-bit field and the base step the header's bound."""
-    if not (isinstance(n_levels, Integral) and 2 <= n_levels <= MAX_LEVELS):
-        raise ContractViolation(f"level count must be an integer in [2, {MAX_LEVELS}], got {n_levels}")
+def _check_schedule(q_base) -> None:
+    """Reject a base step that no schedule, and so no stream header, can
+    hold: an integer within the header's bound."""
     if not (isinstance(q_base, Integral) and 1 <= q_base <= MAX_Q_BASE):
         raise ContractViolation(f"base step must be an integer in [1, {MAX_Q_BASE}], got {q_base}")
 
@@ -75,21 +73,18 @@ def _check_schedule(n_levels, q_base) -> None:
 class QuantSchedule:
     """Per-level quantizer steps: geometric in the level, q_base at the top.
 
-    steps[l] = max(1, round(q_base * 2**((n - 1 - l) / 2))) mirrors the
-    exponential falloff of peripheral sensitivity, so each level buys a
-    roughly equal perceptual increment.
+    steps[l] = max(1, round(q_base * 2**((15 - l) / 2))) over the codec's 16
+    levels mirrors the exponential falloff of peripheral sensitivity, so each
+    level buys a roughly equal perceptual increment.
     """
 
-    n_levels: int = 16
+    n_levels: ClassVar[int] = MAX_LEVELS
     q_base: int = 4
     steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        _check_schedule(self.n_levels, self.q_base)
-        steps = tuple(
-            max(1, int(self.q_base * 2.0 ** ((self.n_levels - 1 - l) / 2.0) + 0.5))
-            for l in range(self.n_levels)
-        )
+        _check_schedule(self.q_base)
+        steps = tuple(max(1, int(self.q_base * 2.0 ** ((MAX_LEVELS - 1 - l) / 2.0) + 0.5)) for l in range(MAX_LEVELS))
         object.__setattr__(self, "steps", steps)
 
     def steps_array(self) -> np.ndarray:
@@ -267,10 +262,9 @@ def _reconstruct(qblocks: np.ndarray, coded: np.ndarray, steps: np.ndarray, pred
     return Frame(*planes)
 
 
-def _prefix_table(sched: QuantSchedule) -> np.ndarray:
-    """Which of the 256 luma block prefixes (displacement << 4 | level) are valid."""
-    prefix = np.arange(256)
-    return (prefix >> 4 < len(CATALOGUE)) & (prefix & 0x0F < sched.n_levels)
+# Which of the 256 luma block prefixes (displacement << 4 | level) are valid:
+# those of a catalogue displacement, as every 4-bit level is one of the 16.
+_PREFIX_TABLE = np.arange(256) >> 4 < len(CATALOGUE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,12 +296,12 @@ def _block_bits(luma_bits: np.ndarray, chroma_bits: np.ndarray) -> np.ndarray:
     return luma_bits + (chroma_bits.reshape(span.shape) / span)[rows[:, None], cols[None, :]]
 
 
-def _check_level_map(level_map: LevelMap, w: int, h: int, sched: QuantSchedule) -> None:
-    """Reject a level map whose size is not the frame's or whose level count is not the schedule's."""
+def _check_level_map(level_map: LevelMap, w: int, h: int) -> None:
+    """Reject a level map whose size is not the frame's or whose level count is not the codec's 16."""
     if level_map.levels.shape != (h, w):
         raise ContractViolation(f"level map is {level_map.levels.shape[1]}x{len(level_map.levels)}, frame is {w}x{h}")
-    if level_map.n != sched.n_levels:
-        raise ContractViolation(f"level map has {level_map.n} levels, schedule has {sched.n_levels}")
+    if level_map.n != MAX_LEVELS:
+        raise ContractViolation(f"level map has {level_map.n} levels, the codec codes {MAX_LEVELS}")
 
 
 def encode_frame(
@@ -327,7 +321,7 @@ def encode_frame(
     w, h = cur.y.width, cur.y.height
     if (prev_recon.y.width, prev_recon.y.height) != (w, h):
         raise ContractViolation("current and previous frames disagree on dimensions")
-    _check_level_map(level_map, w, h, sched)
+    _check_level_map(level_map, w, h)
 
     if cfg.force_zero_displacement:
         fld = DisplacementField.uniform(CATALOGUE[0], *grid_shape((h, w)))
@@ -360,7 +354,7 @@ def decode_frame(
     most = payload_bounds(n_luma + 2 * n_chroma, n_luma)[1]
     if len(payload) > most:  # before decode_blocks, whose memory grows with the payload
         raise BitstreamError(f"payload of {len(payload)} bytes is longer than {w}x{h} allows", byte_offset=most)
-    qblocks, prefixes, coded = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _prefix_table(sched))
+    qblocks, prefixes, coded = decode_blocks(payload, n_luma + 2 * n_chroma, n_luma, _PREFIX_TABLE)
     fld = DisplacementField((prefixes >> 4).reshape(grid).astype(np.int8))
     steps = np.take(sched.steps_array(), _frame_levels((prefixes & 0x0F).reshape(grid)))
     return _reconstruct(qblocks, coded, steps, _predict(prev_recon, fld))
@@ -412,8 +406,8 @@ class SequenceBitstream:
     """Coded sequence: header, per-frame gaze records, per-frame payloads.
 
     The third geometry double is a parameter slot; it carries the quantizer
-    base step, and the header records the level count, so streams decode
-    without out-of-band configuration.
+    base step, so streams decode without out-of-band configuration.  The
+    header's last byte holds the level count, always 16.
     """
 
     width: int
@@ -424,7 +418,6 @@ class SequenceBitstream:
     viewing_distance_m: float
     q_base: int
     frames: tuple[FrameRecord, ...]
-    n_levels: int = MAX_LEVELS
 
     def __post_init__(self):
         if len(self.frames) < 1:
@@ -432,7 +425,7 @@ class SequenceBitstream:
         if 0 in (self.width, self.height, self.fps_num, self.fps_den):  # from_bytes rejects them
             raise ContractViolation("width, height, fps_num and fps_den must not be 0")
         _check_header_fits(self.width, self.height, self.fps_num, self.fps_den, self.frame_count)
-        _check_schedule(self.n_levels, self.q_base)  # so that from_bytes accepts what to_bytes writes
+        _check_schedule(self.q_base)  # so that from_bytes accepts what to_bytes writes
         # DisplayGeometry rejects a screen width or viewing distance no display has
         DisplayGeometry(self.screen_width_m, self.viewing_distance_m, self.width, self.height)
         if any(rec.gaze_x >= self.width or rec.gaze_y >= self.height for rec in self.frames):
@@ -460,7 +453,7 @@ class SequenceBitstream:
             self.screen_width_m,
             self.viewing_distance_m,
             float(self.q_base),
-            self.n_levels,
+            MAX_LEVELS,
         )
         parts = [header, _CRC.pack(zlib.crc32(header))]
         for rec in self.frames:
@@ -487,8 +480,8 @@ class SequenceBitstream:
         # the range test fails NaN and runs before int() could raise
         if not 1 <= q_base <= MAX_Q_BASE or q_base != int(q_base):
             raise BitstreamError(f"invalid quantizer base {q_base}", byte_offset=_HEADER.size - 9)
-        if not 2 <= n_levels <= MAX_LEVELS:
-            raise BitstreamError(f"invalid level count {n_levels}", byte_offset=_HEADER.size - 1)
+        if n_levels != MAX_LEVELS:
+            raise BitstreamError(f"invalid level count {n_levels}, not {MAX_LEVELS}", byte_offset=_HEADER.size - 1)
         for name, value, at in (("screen width", screen_w, _HEADER.size - 25),
                                 ("viewing distance", distance, _HEADER.size - 17)):
             if not viewing_length(value):
@@ -525,7 +518,7 @@ class SequenceBitstream:
             raise BitstreamError(
                 f"{len(data) - offset} trailing bytes after the last frame", byte_offset=offset
             )
-        return cls(w, h, fps_num, fps_den, screen_w, distance, int(q_base), tuple(frames), n_levels)
+        return cls(w, h, fps_num, fps_den, screen_w, distance, int(q_base), tuple(frames))
 
     def __eq__(self, other):
         return isinstance(other, SequenceBitstream) and self.to_bytes() == other.to_bytes()
@@ -568,7 +561,7 @@ def encode_frames(
         if (taken := next(levels, None)) is None:
             raise ContractViolation(f"{i} level maps supplied for {len(seq)} frames")
         level_map, gaze = taken
-        _check_level_map(level_map, w, h, sched)
+        _check_level_map(level_map, w, h)
         gx, gy = (min(max(int(round(v)), 0), n - 1) for v, n in zip(_gaze(gaze), (w, h)))
         stream, prev = encode_frame(frame, prev, level_map, sched, cfg)
         yield FrameRecord(gx, gy, code, stream), prev
@@ -580,7 +573,7 @@ def sequence_bitstream(seq: VideoSequence, records: Iterable[FrameRecord], sched
                        screen_width_m: float, viewing_distance_m: float) -> SequenceBitstream:
     """The container of seq's coded frame records, under sched and the display's geometry."""
     return SequenceBitstream(seq.width, seq.height, seq.fps_num, seq.fps_den, screen_width_m, viewing_distance_m,
-                             sched.q_base, tuple(records), sched.n_levels)
+                             sched.q_base, tuple(records))
 
 
 def encode_sequence(
@@ -596,7 +589,7 @@ def encode_sequence(
 
     Each map is quantized when its frame is coded.
     """
-    levels = ((quantize_map(fmap, sched.n_levels), fmap.gaze) for fmap in maps)
+    levels = ((quantize_map(fmap, MAX_LEVELS), fmap.gaze) for fmap in maps)
     records, recons = zip(*encode_frames(seq, levels, sched, cfg, fmsc_codes))
     sbs = sequence_bitstream(seq, records, sched, screen_width_m, viewing_distance_m)
     return sbs, VideoSequence(recons, seq.fps_num, seq.fps_den)
@@ -605,7 +598,7 @@ def encode_sequence(
 def decode_sequence(source: SequenceBitstream | bytes) -> VideoSequence:
     """Decode a sequence bitstream back into frames."""
     sbs = source if isinstance(source, SequenceBitstream) else SequenceBitstream.from_bytes(source)
-    sched = QuantSchedule(sbs.n_levels, sbs.q_base)
+    sched = QuantSchedule(sbs.q_base)
     prev = midgray_frame(sbs.width, sbs.height)
     frames = []
     for rec in sbs.frames:

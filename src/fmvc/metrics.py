@@ -200,6 +200,17 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry) -> np.ndarr
     return _spread(*_csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom))
 
 
+def _zero_energy(shape, gaze, geom: DisplayGeometry) -> ContractViolation:
+    """The error for a plane of this shape whose weighted energy is zero: it
+    names the display when every subband weight is zero, the plane otherwise."""
+    unit = 2 ** FWQI_LEVELS
+    ch, cw = (shape[0] // unit) * unit, (shape[1] // unit) * unit
+    if any(_subband_weights(s, (ch >> s, cw >> s), gaze, geom).any() for s in range(1, FWQI_LEVELS + 1)):
+        return ContractViolation("weighted reference energy is zero")
+    return ContractViolation(f"nothing is visible at any FWQI scale on this display, whose Nyquist frequency is "
+                             f"{display_nyquist(geom):.6g} cycles/degree: every subband weight is zero")
+
+
 class FrameReference:
     """A reference plane plus the scoring work that depends on it alone, each
     part built on first use and then kept: the SSIM window weight, local mean
@@ -233,7 +244,7 @@ class FrameReference:
             for scale, band in self._bands:
                 energy += float(((weights[scale] * band) ** 2).sum())
             if energy == 0.0:
-                raise ContractViolation("weighted reference energy is zero")
+                raise _zero_energy(self.plane.shape, gaze, geom)
             self._weighted = key, weights, energy
         return self._bands, self._weighted[1], self._weighted[2]
 
@@ -259,7 +270,7 @@ def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
             ref_energy += float(((weights[scale] * ref_band) ** 2).sum())
         del ref_band, test_band  # so only zip still holds them while it builds the next pair
     if ref_energy == 0.0:  # a plain reference's; a FrameReference has checked its own
-        raise ContractViolation("weighted reference energy is zero")
+        raise _zero_energy(x.shape, gaze, geom)
     score = 1.0 - np.sqrt(err_energy) / np.sqrt(ref_energy)
     return float(min(max(score, 0.0), 1.0))
 

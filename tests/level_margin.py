@@ -2,15 +2,15 @@
 
     python3 tests/level_margin.py
 
-Levels are the codec's one float-to-integer step: level = min(floor(v * n),
-n - 1) for a map value v, so a libm (or a numpy SIMD kernel) that rounds v
-differently can move a block to another level only when v lies within its
-rounding error of a boundary j/n.  Every whole-pixel gaze reads its values
+Levels are the codec's one float-to-integer step: level = min(floor(v * 16),
+15) for a map value v, as the codec codes 16 levels, so a libm (or a numpy
+SIMD kernel) that rounds v differently can move a block to another level
+only when v lies within its rounding error of a boundary j/16.  Every whole-pixel gaze reads its values
 from one offset table, so this enumerates every value such gazes can read:
 each integer squared radius r^2 of a CIF and a 720p frame through the
 gaussian maps of the default FMSC set (sigma = H/10 to H/2), and each default
 geometry's CSF table over every whole offset.  For each it prints the value
-closest to a boundary j/n, for n = 2 to 16, in absolute terms and in ulps.
+closest to a boundary j/16, in absolute terms and in ulps.
 Values exactly 0 or 1 are exact under any libm and are left out.  Not a
 tier-1 test: it prints a measurement, and runs in seconds.
 """
@@ -31,22 +31,18 @@ from fmvc.foveation import default_geometry, foveation_map  # noqa: E402
 SIZES = ((352, 288), (1280, 720))
 
 
-def closest(values: np.ndarray) -> tuple[float, float, int, int]:
-    """(value, distance, n, j) of the value closest to a level boundary j/n, 0 < j < n <= MAX_LEVELS."""
+def closest(values: np.ndarray) -> tuple[float, float, int]:
+    """(value, distance, j) of the value closest to a level boundary j/MAX_LEVELS, 0 < j < MAX_LEVELS."""
     v = np.unique(values[(values > 0.0) & (values < 1.0)])
-    best = (np.nan, np.inf, 0, 0)
-    for n in range(2, MAX_LEVELS + 1):
-        j = np.clip(np.rint(v * n), 1, n - 1)
-        gap = np.abs(v - j / n)
-        k = int(np.argmin(gap))
-        if gap[k] < best[1]:
-            best = (float(v[k]), float(gap[k]), n, int(j[k]))
-    return best
+    j = np.clip(np.rint(v * MAX_LEVELS), 1, MAX_LEVELS - 1)
+    gap = np.abs(v - j / MAX_LEVELS)
+    k = int(np.argmin(gap))
+    return float(v[k]), float(gap[k]), int(j[k])
 
 
 def report(name: str, values: np.ndarray) -> float:
-    value, gap, n, j = closest(values)
-    print(f"{name:34s} {value:.17g}  {gap:.3g} from {j}/{n}  ({gap / np.spacing(value):.3g} ulps)")
+    value, gap, j = closest(values)
+    print(f"{name:34s} {value:.17g}  {gap:.3g} from {j}/{MAX_LEVELS}  ({gap / np.spacing(value):.3g} ulps)")
     return gap
 
 

@@ -162,8 +162,8 @@ MUTANTS = (
     ),
     Mutant(
         "level maps quantized every frame", "cli.py",
-        "    return _per_gaze(gazes, lambda g: (codec.quantize_map(build(g), n_levels), g))\n",
-        "    return ((codec.quantize_map(m, n_levels), g) for m, g in zip(_per_gaze(gazes, build), gazes))\n",
+        "    return _per_gaze(gazes, lambda g: (codec.quantize_map(build(g), codec.MAX_LEVELS), g))\n",
+        "    return ((codec.quantize_map(m, codec.MAX_LEVELS), g) for m, g in zip(_per_gaze(gazes, build), gazes))\n",
         ("tests/test_cli.py::test_encode_builds_each_map_as_its_frame_is_coded[center-H/4]",
          "tests/test_cli.py::test_encode_builds_each_map_as_its_frame_is_coded[center-None]",
          "tests/test_cli.py::TestRdSweep::test_center_gaze_builds_one_map_per_chain"),
@@ -223,6 +223,28 @@ MUTANTS = (
          "tests/test_cli.py::test_geometry_outside_the_rule_exits_2[distance-inf-px-rd-sweep]",
          "tests/test_codec.py::TestSequenceCodec::test_metadata_must_fit_a_display_and_the_frame[screen_width_m-18-<d-5e-324-built]",
          "tests/test_codec.py::TestSequenceCodec::test_metadata_must_fit_a_display_and_the_frame[screen_width_m-18-<d-5e-324-read]"),
+    ),
+    Mutant(
+        "encode_blocks without its coded-set check", "bitio.py",
+        "    if coded.shape != (n,) or coded.dtype != bool:\n", "    if False:\n",
+        ("tests/test_bitio.py::test_encoder_takes_one_boolean_flag_per_block[too-short]",
+         "tests/test_bitio.py::test_encoder_takes_one_boolean_flag_per_block[too-long]",
+         "tests/test_bitio.py::test_encoder_takes_one_boolean_flag_per_block[integer-dtype]",
+         "tests/test_bitio.py::test_encoder_takes_one_boolean_flag_per_block[2-D]"),
+    ),
+    Mutant(
+        "container accepts level counts below 16", "codec.py",
+        "        if n_levels != MAX_LEVELS:\n", "        if n_levels > MAX_LEVELS:\n",
+        ("tests/test_codec.py::TestSequenceCodec::test_level_count_byte_holds_sixteen_only",),
+    ),
+    Mutant(
+        "FWQI blames the plane for a display that shows nothing", "metrics.py",
+        "    if any(_subband_weights(s, (ch >> s, cw >> s), gaze, geom).any() for s in range(1, FWQI_LEVELS + 1)):\n",
+        "    if True:\n",
+        ("tests/test_frame_reference.py::test_a_display_that_shows_nothing_is_named[frame_reference]",
+         "tests/test_frame_reference.py::test_a_display_that_shows_nothing_is_named[plain_plane]",
+         "tests/test_cli.py::test_a_display_that_shows_nothing_exits_2[metrics]",
+         "tests/test_cli.py::test_a_display_that_shows_nothing_exits_2[rd-sweep]"),
     ),
 )
 

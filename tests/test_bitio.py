@@ -253,6 +253,21 @@ def test_encoder_takes_only_integer_prefixes(prefixes):
     assert encode_blocks(np.zeros((8, 8, 2), np.int64), np.array([]), np.zeros(2, bool))[1].tolist() == [1, 1]
 
 
+@pytest.mark.parametrize(
+    "coded",
+    [np.array([False, True]), np.array([False, True, False, False]), np.array([0, 1, 0]),
+     np.array([[False, True, False]])],
+    ids=["too-short", "too-long", "integer-dtype", "2-D"],
+)
+def test_encoder_takes_one_boolean_flag_per_block(coded):
+    # three blocks, block 1 nonzero: a short mask used to code the missing block as empty, a long one
+    # to raise IndexError, and integers (say the index list [1]) to be read as truthiness
+    blocks = np.zeros((8, 8, 3), np.int64)
+    blocks[0, 0, 1] = 5
+    with pytest.raises(ContractViolation, match=r"boolean mask of shape \(3,\)"):
+        encode_blocks(blocks, [], coded)
+
+
 def test_decoder_rejects_trailing_bits():
     block = np.zeros((8, 8, 1), np.int64)
     block[0, 0, 0] = 3  # symbol 5 + 1, codeword 00111, then end of block: 6 bits, 2 pad bits

@@ -20,7 +20,8 @@ from fmvc.foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, 
 from fmvc.video_io import VideoSequence, read_y4m, write_y4m
 
 from bitref import PayloadWriter
-from conftest import HEADER_BYTES, LENGTH_AT, Q_BASE_AT, frame_payloads, natural_clip, pan_clip, reseal, y4m_files
+from conftest import (HEADER_BYTES, LENGTH_AT, N_LEVELS_AT, Q_BASE_AT, frame_payloads, natural_clip, pan_clip, reseal,
+                      y4m_files)
 from test_golden import GAZE_TRACK
 
 
@@ -235,6 +236,17 @@ class TestEncodeDecode:
         assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
         assert f"byte offset {Q_BASE_AT}" in capsys.readouterr().err
 
+    def test_stream_of_another_level_count_exit_code(self, clip_path, tmp_path, capsys):
+        out = tmp_path / "levels.fmvc"
+        main(["encode", "--input", str(clip_path), "--output", str(out), "--fmsc", "H/4"])
+        data = bytearray(out.read_bytes())
+        data[N_LEVELS_AT] = 8  # the codec codes 16 levels only
+        out.write_bytes(reseal(data))
+        capsys.readouterr()
+        assert main(["decode", "--input", str(out), "--output", str(tmp_path / "y.y4m")]) == 3
+        err = capsys.readouterr().err
+        assert f"byte offset {N_LEVELS_AT}" in err and "level count" in err and "Traceback" not in err
+
     def test_empty_payload_exit_code(self, tmp_path, capsys):
         rec = FrameRecord(4, 4, 0, FrameBitstream(b""))
         out = tmp_path / "empty.fmvc"
@@ -366,6 +378,21 @@ def test_geometry_outside_the_rule_exits_2(clip_path, tmp_path, capsys, command,
     assert main(y4m_commands(str(clip_path), tmp_path)[command] + geometry) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "geometry rule" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["metrics", "rd-sweep"])
+def test_a_display_that_shows_nothing_exits_2(tmp_path, capsys, command):
+    # a 32 * 2**-40 m wide screen seen from 1 m meets the geometry rule, but FWQI sees nothing on it
+    clip = tmp_path / "small.y4m"
+    with open(clip, "wb") as fh:
+        write_y4m(pan_clip(32, 32, 2, step=3, seed=5), fh)
+    out = tmp_path / "scores.csv"
+    inputs = ["--input", str(clip)] if command == "rd-sweep" else ["--ref", str(clip), "--test", str(clip)]
+    display = ["--screen-width", repr(32 * 2**-40), "--distance", "1.0"]
+    assert main([command, *inputs, "--out", str(out), *display]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nothing is visible at any FWQI scale on this display, whose Nyquist frequency is ")
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command, fault", [("encode", "directory"), ("decode", "directory"), ("metrics", "directory"),

@@ -345,7 +345,7 @@ def test_a_geometry_is_rejected_or_maps_and_scores_in_range(screen_width, distan
         try:
             score = fwqi_approx(FRAME_32[0], FRAME_32[1], gaze, geom)
         except ContractViolation as exc:  # a geometry under which the reference shows nothing
-            assert "weighted reference energy is zero" in str(exc)
+            assert "nothing is visible at any FWQI scale on this display" in str(exc)
         else:
             assert 0.0 <= score <= 1.0
 

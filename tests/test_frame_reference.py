@@ -86,6 +86,17 @@ def test_zero_reference_energy_rejected(shared):
             fwqi_approx(ref, np.full((32, 40), 9, np.uint8), (20, 16), geom)
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])
+def test_a_display_that_shows_nothing_is_named(shared):
+    # a 2**-40 m pixel pitch seen from 1 m: the coarsest subband's frequency is far past every cutoff
+    plane = np.random.default_rng(3).integers(0, 256, (32, 32), dtype=np.uint8)
+    ref = FrameReference(plane) if shared else plane
+    geom = DisplayGeometry(32 * 2**-40, 1.0, 32, 32)
+    with pytest.raises(ContractViolation, match="nothing is visible at any FWQI scale on this display, whose "
+                                                 "Nyquist frequency is 9.59505e[+]09 cycles/degree"):
+        fwqi_approx(ref, plane, (16, 16), geom)
+
+
 def test_reference_checks_test_plane_shape():
     ref = FrameReference(np.zeros((16, 16), np.uint8))
     with pytest.raises(ContractViolation):

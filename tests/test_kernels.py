@@ -350,7 +350,7 @@ def test_quantizer_matches_the_reference_division():
     # at every step of the schedules with the smallest and the largest steps
     # and of the default schedule, each in its schedule's lane
     values = np.arange(-16320, 16321, dtype=np.int32)
-    for sched in (QuantSchedule(2, 1), QuantSchedule(), QuantSchedule(q_base=MAX_Q_BASE)):
+    for sched in (QuantSchedule(q_base=1), QuantSchedule(), QuantSchedule(q_base=MAX_Q_BASE)):
         for step in sched.steps_array():
             got = _quantize_plane_blocks(values[None, None], np.full(values.size, step))[0, 0]
             assert np.array_equal(got, ref.round_div_half_away(values, step)), step

@@ -223,26 +223,25 @@ def _spread(table: np.ndarray, iy: np.ndarray, ix: np.ndarray, window, shape) ->
     return out
 
 
-_TABLES: dict = {}  # _gathered's tables by key, each over the widest offsets read, the least recently used first
-_MAX_TABLES = 8
+# One table: encoding builds each chain's map once per gaze change, so a key's builds come in one run.
+_slot: tuple = (None, np.empty((0, 0)))  # _gathered's last key and its table, over the widest offsets read under it
 
 
 def _gathered(dx: np.ndarray, dy: np.ndarray, fn, reach: float = math.inf, key=None) -> tuple:
     """fn over the grid of ascending offsets (dx[j], dy[i]) within reach, past which it is 0, as _spread's arguments
     (fn symmetric in their signs): by radial_gather, or for whole offsets from fn's read-only table kept under key."""
+    global _slot
     (j0, j1), (i0, i1) = np.searchsorted(dx, (-reach, reach)), np.searchsorted(dy, (-reach, reach))
     shape, window, dx, dy = (len(dy), len(dx)), np.s_[i0:i1, j0:j1], dx[j0:j1], dy[i0:i1]
     if key is None:
         return (*radial_gather(dx, dy, fn), window, shape)
     iy, ix = np.abs(dy).astype(np.intp), np.abs(dx).astype(np.intp)
-    table, (ky, kx) = _TABLES.pop(key, np.empty((0, 0))), (iy.max() + 1, ix.max() + 1)
+    table, (ky, kx) = _slot[1] if _slot[0] == key else np.empty((0, 0)), (iy.max() + 1, ix.max() + 1)
     if table.shape[0] < ky or table.shape[1] < kx:
         ty, tx = np.maximum(table.shape, (ky, kx))
         table = radial_gather(np.arange(tx, dtype=np.float64), np.arange(ty, dtype=np.float64), fn)[0]
         table.flags.writeable = False
-    _TABLES[key] = table
-    if len(_TABLES) > _MAX_TABLES:
-        del _TABLES[next(iter(_TABLES))]
+        _slot = key, table
     return table[:ky, :kx], iy, ix, window, shape
 
 

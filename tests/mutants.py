@@ -194,6 +194,13 @@ MUTANTS = (
         ("tests/test_foveation.py::test_whole_pixel_maps_are_the_direct_evaluation_at_every_gaze",),
     ),
     Mutant(
+        "offset table slot read under any key", "foveation.py",
+        "_slot[1] if _slot[0] == key else np.empty((0, 0))", "_slot[1]",
+        ("tests/test_foveation.py::test_whole_pixel_maps_are_the_direct_evaluation_at_every_gaze",
+         "tests/test_foveation.py::test_the_slot_keeps_one_read_only_table_that_grows_for_a_farther_gaze",
+         "tests/test_foveation.py::test_a_centre_gaze_sweep_builds_a_table_per_key_and_keeps_one[H/4,H/2]"),
+    ),
+    Mutant(
         "decoder's coded set misses blocks of one coefficient", "bitio.py",
         "prefixes, counts > 0\n", "prefixes, counts > 1\n",
         ("tests/test_codec.py::TestReconstructPaths::test_explicit_zero_coefficients_leave_a_coded_block_all_zero",

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 import fmvc.allocation
 import fmvc.foveation
 from fmvc.allocation import block_levels
+from fmvc.cli import main
 from fmvc.errors import ContractViolation
 from fmvc.foveation import (
-    _MAX_TABLES,
     ALPHA,
     CT0,
     DEFAULT_SCREEN_WIDTH_M,
@@ -35,6 +37,9 @@ from fmvc.foveation import (
 )
 from fmvc.metrics import fwqi_approx
 from fmvc.transform import tile_reduce
+from fmvc.video_io import write_y4m
+
+from conftest import pan_clip
 
 HD_GEOMETRY = DisplayGeometry(0.02, 0.012, 1920, 1080)
 
@@ -180,7 +185,7 @@ def test_foveation_map_evaluates_only_inside_the_visibility_radius(monkeypatch):
         return radial_gather(dx, dy, fn)
 
     monkeypatch.setattr(fmvc.foveation, "radial_gather", counting_gather)
-    monkeypatch.setattr(fmvc.foveation, "_TABLES", {})  # so the geometry's offset table is built here
+    monkeypatch.setattr(fmvc.foveation, "_slot", EMPTY_SLOT)  # so the geometry's offset table is built here
     fmap = foveation_map(default_geometry(1280, 720), (640, 360))
     assert len(seen) == 1 and seen[0] <= (2 * 153 + 1) ** 2
     assert fmap.values[360, 640 + 151] > 0.0 and fmap.values[360, 640 + 152] == 0.0
@@ -502,14 +507,17 @@ def direct_gaussian(gaze, sigma, width, height) -> np.ndarray:
     return table.take(iy, axis=0).take(ix, axis=1)
 
 
+EMPTY_SLOT = (None, np.empty((0, 0)))
+
+
 def from_a_cached_table(m) -> bool:
-    return any(np.shares_memory(m._table[0], table) for table in fmvc.foveation._TABLES.values())
+    return np.shares_memory(m._table[0], fmvc.foveation._slot[1])
 
 
 def test_whole_pixel_maps_are_the_direct_evaluation_at_every_gaze(monkeypatch):
     # both geometries' tables, and two gaussians', grow as the gazes walk the frame; every map they
     # give is byte for byte the direct evaluation, for each geometry with its own viewing distance
-    monkeypatch.setattr(fmvc.foveation, "_TABLES", {})
+    monkeypatch.setattr(fmvc.foveation, "_slot", EMPTY_SLOT)
     w, h = SMALL
     assert 0.0 in direct_csf(FAR, (0, 0))[-1] and 0.0 not in direct_csf(NEAR, (0, 0))
     for gaze in ((x, y) for y in range(h) for x in range(w)):
@@ -547,24 +555,73 @@ def test_other_gazes_keep_the_direct_evaluation(data):
     assert from_a_cached_table(m) == whole and m.values.tobytes() == direct_gaussian(gaze, sigma, w, h).tobytes()
 
 
-def test_cached_tables_are_read_only_and_bounded(monkeypatch):
-    monkeypatch.setattr(fmvc.foveation, "_TABLES", {})
-    maps = [gaussian_map((5, 5), 1.0 + k, 16, 12) for k in range(3 * _MAX_TABLES)]
-    maps.append(foveation_map(default_geometry(16, 12), (3, 4)))
-    tables = fmvc.foveation._TABLES
-    assert len(tables) == _MAX_TABLES and from_a_cached_table(maps[-1])
-    for table in [*tables.values(), *(m._table[0] for m in maps)]:
-        assert not table.flags.writeable
+def test_the_slot_keeps_one_read_only_table_that_grows_for_a_farther_gaze(monkeypatch):
+    monkeypatch.setattr(fmvc.foveation, "_slot", EMPTY_SLOT)
+    geom = default_geometry(16, 12)
+    maps = [gaussian_map((5, 5), 1.0 + k, 16, 12) for k in range(3)]
+    maps.append(foveation_map(geom, (3, 4)))
+    key, table = fmvc.foveation._slot
+    assert key == geom and [from_a_cached_table(m) for m in maps] == [False, False, False, True]
+    for t in [table, *(m._table[0] for m in maps)]:
+        assert not t.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 0.5
+            t[0, 0] = 0.5
     # a farther gaze widens the table to every offset read so far; a nearer one reads a slice of it
-    sigma = 3.0 * _MAX_TABLES  # the last gaussian's, built around (5, 5)
-    key = 2.0 * sigma * sigma
-    assert tables[key].shape == (7, 11)
-    gaussian_map((0, 0), sigma, 16, 12)
-    assert tables[key].shape == (12, 16)
-    table = tables[key]
-    assert gaussian_map((8, 6), sigma, 16, 12)._table[0].shape == (7, 9) and tables[key] is table
+    gaussian_map((5, 5), 3.0, 16, 12)
+    assert fmvc.foveation._slot[0] == 2.0 * 3.0 * 3.0 and fmvc.foveation._slot[1].shape == (7, 11)
+    gaussian_map((0, 0), 3.0, 16, 12)
+    table = fmvc.foveation._slot[1]
+    assert table.shape == (12, 16)
+    assert gaussian_map((8, 6), 3.0, 16, 12)._table[0].shape == (7, 9) and fmvc.foveation._slot[1] is table
+    # once its maps are gone, no earlier table is kept anywhere
+    built = [weakref.ref(m._table[0].base) for m in maps]
+    del maps, t
+    gc.collect()
+    assert [ref() is None for ref in built] == [True] * 4
+
+
+def table_builds(monkeypatch) -> list:
+    """Weak references to the offset tables built from here on, from an empty slot, as a radial_gather
+    spy sees them: a table is its function over the offsets 0, 1, 2, ... on each axis."""
+    monkeypatch.setattr(fmvc.foveation, "_slot", EMPTY_SLOT)
+    built = []
+
+    def spy(dx, dy, fn):
+        gathered = radial_gather(dx, dy, fn)
+        if all(np.array_equal(d, np.arange(d.size)) for d in (dx, dy)):
+            built.append(weakref.ref(gathered[0]))
+        return gathered
+
+    monkeypatch.setattr(fmvc.foveation, "radial_gather", spy)
+    return built
+
+
+def test_map_traffic_builds_one_table_per_run_of_a_key(monkeypatch):
+    # the benchmark's map traffic: every frame's centre-gaze CIF gaussian at H/4, and the 720p
+    # CSF maps around a walk that starts at the centre and moves 8 to 40 px per axis per frame
+    built = table_builds(monkeypatch)
+    for _ in range(8):
+        assert gaussian_map((176, 144), 288 / 4, 352, 288).values.shape == (288, 352)
+    assert len(built) == 1
+    built.clear()
+    for gaze in [(640, 360), (628, 322), (619, 336), (593, 315)]:
+        assert foveation_map(default_geometry(1280, 720), gaze).values.shape == (720, 1280)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("fmsc_set", ["H/4", "H/4,H/2", "H/10,H/8,H/6,H/4,H/3,H/2"])
+def test_a_centre_gaze_sweep_builds_a_table_per_key_and_keeps_one(monkeypatch, tmp_path, fmsc_set):
+    clip = tmp_path / "small.y4m"
+    with open(clip, "wb") as fh:
+        write_y4m(pan_clip(64, 64, 3, step=3, seed=5), fh)
+    built = table_builds(monkeypatch)
+    argv = ["rd-sweep", "--input", str(clip), "--out", str(tmp_path / "sweep.csv"), "--gaze", "center"]
+    assert main([*argv, "--fmsc-set", fmsc_set]) == 0
+    gc.collect()
+    # the CSF map, then each chain's gaussian, built once for the whole clip
+    assert len(built) == len(fmsc_set.split(",")) + 1
+    assert [ref() is not None for ref in built] == [False] * (len(built) - 1) + [True]
+    assert built[-1]() is fmvc.foveation._slot[1]
 
 
 def test_a_built_map_gathers_its_values_on_their_first_read():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -32,8 +33,8 @@ class MaskStack:
 
 def expand_masks(fmap: FoveationMap, c: int = 128, L: int = 16) -> MaskStack:
     """Channel k is on at (i, j) iff map >= floor(k/(c/L)) / L."""
-    if c < 1 or L < 1 or c % L != 0:
-        raise ContractViolation(f"channel count {c} must be a positive multiple of L={L}")
+    if not (isinstance(c, Integral) and isinstance(L, Integral) and c >= 1 and L >= 1 and c % L == 0):
+        raise ContractViolation(f"channel count {c!r} must be a positive integer multiple of the integer L={L!r}")
     # group j's threshold is j/L; count the thresholds at or below each value
     return MaskStack(c, L, np.searchsorted(np.arange(L) / L, fmap.values, side="right"))
 

@@ -163,6 +163,8 @@ def choose_displacements(cur: np.ndarray, prev_recon: np.ndarray) -> Displacemen
     that bound, so any order of summation, FMA included, gives the integer
     sum; the argmin therefore keeps the first minimum of the integer SSEs.
     """
+    if cur.shape != prev_recon.shape:
+        raise ContractViolation(f"plane shapes differ: {cur.shape} vs {prev_recon.shape}")
     h, w = cur.shape
     nby, nbx = grid_shape((h, w))
     if prev_recon.min() == prev_recon.max():

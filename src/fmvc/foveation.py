@@ -180,8 +180,8 @@ class FoveationMap:
 
 
 def _check_level_count(n: int) -> None:
-    if not 2 <= n <= 256:  # every level must fit the uint8 grid
-        raise ContractViolation(f"level count must lie in [2, 256], got {n}")
+    if not (isinstance(n, Integral) and 2 <= n <= 256):  # every level must fit the uint8 grid
+        raise ContractViolation(f"level count must be an integer in [2, 256], got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .foveation import DisplayGeometry, FoveationMap, _csf_grid, _spread, display_nyquist
+from .foveation import DisplayGeometry, FoveationMap, _csf_grid, _gaze, _spread, display_nyquist
 from .transform import BLOCK, edge_padded, grid_shape, tile_reduce
 from .video_io import FramePlane
 
@@ -233,9 +233,10 @@ class FrameReference:
 
     def weighted_bands(self, gaze, geom: DisplayGeometry):
         """(bands, weights by scale, weighted energy); rejects a plane FWQI cannot score."""
+        gaze = _gaze(gaze)
         if self._bands is None:
             self._bands = list(_haar_bands(self.plane))
-        key = (tuple(gaze), geom)
+        key = (gaze, geom)
         if self._weighted is None or self._weighted[0] != key:
             # a band's weights depend on its scale and shape alone, so each scale's are built once
             weights = {scale: _subband_weights(scale, band.shape, gaze, geom)
@@ -258,6 +259,7 @@ def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
     plane or a FrameReference, which keeps its bands and weights; a plane's
     bands, like the test plane's, are built and dropped one at a time.
     """
+    gaze = _gaze(gaze)
     x, y = _plane_pair(ref, test)
     shared = isinstance(ref, FrameReference)
     bands, weights, ref_energy = ref.weighted_bands(gaze, geom) if shared else (_haar_bands(x), {}, 0.0)

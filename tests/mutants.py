@@ -245,6 +245,39 @@ MUTANTS = (
         ("tests/test_codec.py::TestSequenceCodec::test_level_count_byte_holds_sixteen_only",),
     ),
     Mutant(
+        "level count not checked for an integer", "foveation.py",
+        "if not (isinstance(n, Integral) and 2 <= n <= 256):", "if not 2 <= n <= 256:",
+        ("tests/test_foveation.py::test_a_level_count_is_an_integer[fraction]",
+         "tests/test_foveation.py::test_a_level_count_is_an_integer[float]",
+         "tests/test_foveation.py::test_a_level_count_is_an_integer[text]",
+         "tests/test_foveation.py::test_a_level_count_is_an_integer[none]"),
+    ),
+    Mutant(
+        "expand_masks without its integer check", "allocation.py",
+        "isinstance(c, Integral) and isinstance(L, Integral) and c >= 1", "c >= 1",
+        ("tests/test_allocation.py::test_channel_counts_are_integers[fractions]",
+         "tests/test_allocation.py::test_channel_counts_are_integers[float_c]",
+         "tests/test_allocation.py::test_channel_counts_are_integers[float_L]",
+         "tests/test_allocation.py::test_channel_counts_are_integers[text_c]"),
+    ),
+    Mutant(
+        "choose_displacements without its shape check", "displacement.py",
+        "    if cur.shape != prev_recon.shape:\n", "    if False:\n",
+        ("tests/test_displacement.py::test_choose_displacements_rejects_planes_of_different_shapes[smaller]",
+         "tests/test_displacement.py::test_choose_displacements_rejects_planes_of_different_shapes[wider]",
+         "tests/test_displacement.py::test_choose_displacements_rejects_planes_of_different_shapes[larger]"),
+    ),
+    Mutant(
+        "fwqi_approx without the gaze rule", "metrics.py",
+        "    gaze = _gaze(gaze)\n    x, y = _plane_pair(ref, test)\n", "    x, y = _plane_pair(ref, test)\n",
+        ("tests/test_frame_reference.py::test_fwqi_holds_a_gaze_to_the_one_gaze_rule[plain_plane]",),
+    ),
+    Mutant(
+        "weighted_bands without the gaze rule", "metrics.py",
+        "        gaze = _gaze(gaze)\n        if self._bands is None:\n", "        if self._bands is None:\n",
+        ("tests/test_frame_reference.py::test_fwqi_holds_a_gaze_to_the_one_gaze_rule[frame_reference]",),
+    ),
+    Mutant(
         "FWQI blames the plane for a display that shows nothing", "metrics.py",
         "    if any(_subband_weights(s, (ch >> s, cw >> s), gaze, geom).any() for s in range(1, FWQI_LEVELS + 1)):\n",
         "    if True:\n",

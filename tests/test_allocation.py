@@ -78,6 +78,13 @@ def test_channel_count_must_divide():
         expand_masks(flat_map(0.5), 100, 16)
 
 
+@pytest.mark.parametrize("c, L", [(12.5, 2.5), (128.0, 16), (128, 16.0), ("128", 16)],
+                         ids=["fractions", "float_c", "float_L", "text_c"])
+def test_channel_counts_are_integers(c, L):
+    with pytest.raises(ContractViolation, match="must be a positive integer multiple"):
+        expand_masks(flat_map(0.5), c, L)
+
+
 def test_rate_estimate_trivial_cases():
     # the rate estimate is the map's total mass
     assert flat_map(0.0, 10, 8).values.sum() == 0.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,14 @@ def test_matches_brute_force_oracle(rng):
 def test_dimension_mismatch():
     with pytest.raises(ContractViolation):
         displaced_difference(plane(np.zeros((4, 4))), plane(np.zeros((4, 5))), ZERO_DISPLACEMENT)
+
+
+@pytest.mark.parametrize("cur_shape, ref_shape", [((16, 16), (8, 8)), ((16, 16), (16, 17)), ((8, 8), (16, 24))],
+                         ids=["smaller", "wider", "larger"])
+def test_choose_displacements_rejects_planes_of_different_shapes(rng, cur_shape, ref_shape):
+    cur, prev = (rng.integers(0, 256, shape, dtype=np.uint8) for shape in (cur_shape, ref_shape))
+    with pytest.raises(ContractViolation, match=re.escape(f"plane shapes differ: {cur_shape} vs {ref_shape}")):
+        choose_displacements(cur, prev)
 
 
 def test_residual_set_contents(rng):

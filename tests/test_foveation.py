@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import re
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -42,6 +43,7 @@ from fmvc.video_io import write_y4m
 from conftest import pan_clip
 
 HD_GEOMETRY = DisplayGeometry(0.02, 0.012, 1920, 1080)
+EMPTY_SLOT = (None, np.empty((0, 0)))  # fmvc.foveation._slot before any whole-pixel map is built
 
 
 def bisect_full_contrast_frequency(ecc_deg, tol=1e-12):
@@ -261,6 +263,16 @@ def test_quantize_rejects_levels_beyond_uint8(rng):
             quantize_map(fmap, n)
     with pytest.raises(ContractViolation):
         LevelMap(np.zeros((4, 5), np.uint8), 257)
+
+
+@pytest.mark.parametrize("n", [2.5, 16.0, "16", None], ids=["fraction", "float", "text", "none"])
+def test_a_level_count_is_an_integer(n):
+    fmap = gaussian_map((2, 2), 3.0, 5, 4)
+    with pytest.raises(ContractViolation, match=re.escape(f"level count must be an integer in [2, 256], got {n!r}")):
+        quantize_map(fmap, n)
+    with pytest.raises(ContractViolation, match="level count must be an integer"):
+        LevelMap(np.zeros((4, 5), np.uint8), n)
+    assert quantize_map(fmap, np.int64(16)) == quantize_map(fmap, 16)
 
 
 def test_levels_must_lie_below_n():
@@ -507,16 +519,13 @@ def direct_gaussian(gaze, sigma, width, height) -> np.ndarray:
     return table.take(iy, axis=0).take(ix, axis=1)
 
 
-EMPTY_SLOT = (None, np.empty((0, 0)))
-
-
 def from_a_cached_table(m) -> bool:
     return np.shares_memory(m._table[0], fmvc.foveation._slot[1])
 
 
 def test_whole_pixel_maps_are_the_direct_evaluation_at_every_gaze(monkeypatch):
-    # both geometries' tables, and two gaussians', grow as the gazes walk the frame; every map they
-    # give is byte for byte the direct evaluation, for each geometry with its own viewing distance
+    # the slot's key alternates between both geometries and two gaussian widths as the gazes walk the
+    # frame; every map is byte for byte the direct evaluation, for each geometry with its own viewing distance
     monkeypatch.setattr(fmvc.foveation, "_slot", EMPTY_SLOT)
     w, h = SMALL
     assert 0.0 in direct_csf(FAR, (0, 0))[-1] and 0.0 not in direct_csf(NEAR, (0, 0))

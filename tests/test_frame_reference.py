@@ -8,6 +8,9 @@ Heights of up to three row strips and more cross every strip boundary.
 Every comparison is exact.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,24 @@ def test_scores_across_strip_boundaries_match_oracle(shared, h, w, seed, data):
     assert fw_ssim_from_map(smap, fmap) == oracle.fw_ssim_from_map(expected, fmap)
     if min(h, w) >= 16:
         assert fwqi_approx(ref, test, gaze, geom) == oracle.fwqi_approx(plane, test, gaze, geom)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])
+def test_fwqi_holds_a_gaze_to_the_one_gaze_rule(shared):
+    # a gaze that is not two finite real numbers is named, not blamed on the display or left to numpy
+    plane = np.random.default_rng(5).integers(0, 256, (32, 48), dtype=np.uint8)
+    ref = FrameReference(plane) if shared else plane
+    geom = DisplayGeometry(0.02, 0.012, 48, 32)
+    for gaze in [(math.nan, 3), (math.inf, 3), (1, 2, 3), ("a", 3), None]:
+        named = re.escape(f"gaze {gaze!r} must be two finite real numbers")
+        with pytest.raises(ContractViolation, match=named):
+            fwqi_approx(ref, plane[::-1], gaze, geom)
+        if shared:  # as is the gaze its weights are kept under
+            with pytest.raises(ContractViolation, match=named):
+                ref.weighted_bands(gaze, geom)
+    # a finite gaze off the frame still scores
+    for gaze in [(100, -50), (np.int64(-3), np.float32(40.5))]:
+        assert fwqi_approx(ref, plane[::-1], gaze, geom) == oracle.fwqi_approx(plane, plane[::-1], gaze, geom)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])

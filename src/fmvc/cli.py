@@ -234,7 +234,7 @@ def cmd_rd_sweep(args) -> int:
     bits, scores = [0] * len(fmscs), [[] for _ in fmscs]
     for frame, gaze, fmap in zip(seq.frames, gazes, _per_gaze(gazes, lambda g: foveation_map(geom, g))):
         ref = metrics.FrameReference(frame.y)
-        ref.weighted_bands(gaze, geom)  # rejects a clip FWQI cannot score
+        metrics.fwqi_weights(ref.plane.shape, gaze, geom)  # rejects a clip FWQI cannot score
         for k, (rec, recon) in enumerate(next(steps)):
             bits[k] += 8 * len(rec.bitstream.payload)
             scores[k].append(_scores(ref, recon.y, fmap, gaze, geom))

@@ -171,14 +171,19 @@ def _haar_band(plane: np.ndarray, ops) -> np.ndarray:
     return band
 
 
-def _haar_bands(plane: np.ndarray):
-    """(scale, band) of the decomposition of the plane's top-left part whose
-    sides are multiples of 2**FWQI_LEVELS: LH, HL and HH at each scale, then
-    the final LL.  Each band is built only when asked for."""
+def _crop(shape) -> tuple[int, int]:
+    """The sides of a plane's top-left part that are multiples of 2**FWQI_LEVELS, the part FWQI scores."""
     unit = 2 ** FWQI_LEVELS
-    ch, cw = (plane.shape[0] // unit) * unit, (plane.shape[1] // unit) * unit
+    ch, cw = (shape[0] // unit) * unit, (shape[1] // unit) * unit
     if ch == 0 or cw == 0:
-        raise ContractViolation(f"frames of shape {plane.shape} cannot host a {FWQI_LEVELS}-level decomposition")
+        raise ContractViolation(f"frames of shape {shape} cannot host a {FWQI_LEVELS}-level decomposition")
+    return ch, cw
+
+
+def _haar_bands(plane: np.ndarray):
+    """(scale, band) of the decomposition of the plane's cropped part: LH, HL
+    and HH at each scale, then the final LL.  Each band is built only when asked for."""
+    ch, cw = _crop(plane.shape)
     ll = plane[:ch, :cw]
     for scale in range(1, FWQI_LEVELS + 1):
         for ops in (_LH, _HL, _HH):
@@ -200,27 +205,37 @@ def _subband_weights(scale: int, shape, gaze, geom: DisplayGeometry) -> np.ndarr
     return _spread(*_csf_grid(xs - gaze[0], ys - gaze[1], display_nyquist(geom) / (2.0 ** scale), geom))
 
 
-def _zero_energy(shape, gaze, geom: DisplayGeometry) -> ContractViolation:
-    """The error for a plane of this shape whose weighted energy is zero: it
-    names the display when every subband weight is zero, the plane otherwise."""
-    unit = 2 ** FWQI_LEVELS
-    ch, cw = (shape[0] // unit) * unit, (shape[1] // unit) * unit
-    if any(_subband_weights(s, (ch >> s, cw >> s), gaze, geom).any() for s in range(1, FWQI_LEVELS + 1)):
-        return ContractViolation("weighted reference energy is zero")
-    return ContractViolation(f"nothing is visible at any FWQI scale on this display, whose Nyquist frequency is "
-                             f"{display_nyquist(geom):.6g} cycles/degree: every subband weight is zero")
+# fwqi_weights' last key and its read-only weights.  Not foveation._slot: subband centres sit at half-integer
+# offsets from a whole-pixel gaze, and the four scales a frame asks for would evict the encoder's table.
+_weight_slot: tuple = (None, ())
+
+
+def fwqi_weights(shape, gaze, geom: DisplayGeometry) -> tuple[np.ndarray, ...]:
+    """The read-only subband weights of scales 1 to FWQI_LEVELS for a plane of this shape, built once
+    per (crop, gaze, geometry) in a row; rejects a gaze, a plane or a display that FWQI cannot score."""
+    global _weight_slot
+    gaze, (ch, cw) = _gaze(gaze), _crop(shape)
+    key = ((ch, cw), gaze, geom)
+    if _weight_slot[0] != key:
+        weights = tuple(_subband_weights(s, (ch >> s, cw >> s), gaze, geom) for s in range(1, FWQI_LEVELS + 1))
+        if not any(w.any() for w in weights):
+            raise ContractViolation(f"nothing is visible at any FWQI scale on this display, whose Nyquist frequency "
+                                    f"is {display_nyquist(geom):.6g} cycles/degree: every subband weight is zero")
+        for w in weights:
+            w.flags.writeable = False
+        _weight_slot = key, weights
+    return _weight_slot[1]
 
 
 class FrameReference:
     """A reference plane plus the scoring work that depends on it alone, each
     part built on first use and then kept: the SSIM window weight, local mean
-    and variance; the cropped Haar bands, and their weights and weighted
-    energy for the last gaze and geometry FWQI was asked for.  The plane's
-    samples are kept as given and converted a strip at a time."""
+    and variance, and the cropped Haar bands.  The plane's samples are kept
+    as given and converted a strip at a time."""
 
     def __init__(self, plane):
         self.plane = _plane(plane)
-        self._moments = self._bands = self._weighted = None
+        self._moments = self._bands = None
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Window weight, local mean and local variance."""
@@ -231,23 +246,11 @@ class FrameReference:
                     kept[rows] = part
         return self._moments
 
-    def weighted_bands(self, gaze, geom: DisplayGeometry):
-        """(bands, weights by scale, weighted energy); rejects a plane FWQI cannot score."""
-        gaze = _gaze(gaze)
+    def bands(self) -> list:
+        """The (scale, band) pairs of _haar_bands."""
         if self._bands is None:
             self._bands = list(_haar_bands(self.plane))
-        key = (gaze, geom)
-        if self._weighted is None or self._weighted[0] != key:
-            # a band's weights depend on its scale and shape alone, so each scale's are built once
-            weights = {scale: _subband_weights(scale, band.shape, gaze, geom)
-                       for scale, band in dict(self._bands).items()}
-            energy = 0.0
-            for scale, band in self._bands:
-                energy += float(((weights[scale] * band) ** 2).sum())
-            if energy == 0.0:
-                raise _zero_energy(self.plane.shape, gaze, geom)
-            self._weighted = key, weights, energy
-        return self._bands, self._weighted[1], self._weighted[2]
+        return self._bands
 
 
 def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
@@ -255,24 +258,21 @@ def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
 
     A declared approximation: 4-level Haar decomposition, each subband
     weighted by error sensitivity at its center frequency, scored as
-    1 - ||weighted difference|| / ||weighted reference||.  ``ref`` is a
-    plane or a FrameReference, which keeps its bands and weights; a plane's
+    1 - ||weighted difference|| / ||weighted reference||; a reference whose
+    norm is 0 scores the limit, 1.0 if the difference's is 0 too, else 0.0.
+    ``ref`` is a plane or a FrameReference, which keeps its bands; a plane's
     bands, like the test plane's, are built and dropped one at a time.
     """
-    gaze = _gaze(gaze)
     x, y = _plane_pair(ref, test)
-    shared = isinstance(ref, FrameReference)
-    bands, weights, ref_energy = ref.weighted_bands(gaze, geom) if shared else (_haar_bands(x), {}, 0.0)
-    err_energy = 0.0
+    weights = fwqi_weights(x.shape, gaze, geom)
+    bands = ref.bands() if isinstance(ref, FrameReference) else _haar_bands(x)
+    err_energy = ref_energy = 0.0
     for (scale, ref_band), (_, test_band) in zip(bands, _haar_bands(y)):
-        if scale not in weights:  # a plain reference's, built a scale at a time
-            weights = {scale: _subband_weights(scale, ref_band.shape, gaze, geom)}
-        err_energy += float(((weights[scale] * (ref_band - test_band)) ** 2).sum())
-        if not shared:
-            ref_energy += float(((weights[scale] * ref_band) ** 2).sum())
+        err_energy += float(((weights[scale - 1] * (ref_band - test_band)) ** 2).sum())
+        ref_energy += float(((weights[scale - 1] * ref_band) ** 2).sum())
         del ref_band, test_band  # so only zip still holds them while it builds the next pair
-    if ref_energy == 0.0:  # a plain reference's; a FrameReference has checked its own
-        raise _zero_energy(x.shape, gaze, geom)
+    if ref_energy == 0.0:
+        return 1.0 if err_energy == 0.0 else 0.0
     score = 1.0 - np.sqrt(err_energy) / np.sqrt(ref_energy)
     return float(min(max(score, 0.0), 1.0))
 

@@ -100,7 +100,8 @@ def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
 
     A declared approximation: 4-level Haar decomposition, each subband
     weighted by error sensitivity at its center frequency, scored as
-    1 - ||weighted difference|| / ||weighted reference||.
+    1 - ||weighted difference|| / ||weighted reference||; a reference whose
+    norm is 0 scores the limit, 1.0 if the difference's is 0 too, else 0.0.
     """
     x = _as_float_plane(ref)
     y = _as_float_plane(test)
@@ -120,8 +121,8 @@ def fwqi_approx(ref, test, gaze, geom: DisplayGeometry) -> float:
         wts = _subband_weights(scale, ref_band.shape, gaze, geom)
         err_energy += float(((wts * (ref_band - test_band)) ** 2).sum())
         ref_energy += float(((wts * ref_band) ** 2).sum())
-    if ref_energy == 0.0:
-        raise ContractViolation("weighted reference energy is zero")
+    if ref_energy == 0.0:  # the limit of the clamped score as the reference's norm falls to 0
+        return 1.0 if err_energy == 0.0 else 0.0
     score = 1.0 - np.sqrt(err_energy) / np.sqrt(ref_energy)
     return float(min(max(score, 0.0), 1.0))
 

@@ -269,22 +269,33 @@ MUTANTS = (
     ),
     Mutant(
         "fwqi_approx without the gaze rule", "metrics.py",
-        "    gaze = _gaze(gaze)\n    x, y = _plane_pair(ref, test)\n", "    x, y = _plane_pair(ref, test)\n",
-        ("tests/test_frame_reference.py::test_fwqi_holds_a_gaze_to_the_one_gaze_rule[plain_plane]",),
+        "    gaze, (ch, cw) = _gaze(gaze), _crop(shape)\n", "    ch, cw = _crop(shape)\n",
+        ("tests/test_frame_reference.py::test_fwqi_holds_a_gaze_to_the_one_gaze_rule[frame_reference]",
+         "tests/test_frame_reference.py::test_fwqi_holds_a_gaze_to_the_one_gaze_rule[plain_plane]"),
     ),
     Mutant(
-        "weighted_bands without the gaze rule", "metrics.py",
-        "        gaze = _gaze(gaze)\n        if self._bands is None:\n", "        if self._bands is None:\n",
-        ("tests/test_frame_reference.py::test_fwqi_holds_a_gaze_to_the_one_gaze_rule[frame_reference]",),
-    ),
-    Mutant(
-        "FWQI blames the plane for a display that shows nothing", "metrics.py",
-        "    if any(_subband_weights(s, (ch >> s, cw >> s), gaze, geom).any() for s in range(1, FWQI_LEVELS + 1)):\n",
-        "    if True:\n",
+        "FWQI scores a display that shows nothing", "metrics.py",
+        "        if not any(w.any() for w in weights):\n", "        if False:\n",
         ("tests/test_frame_reference.py::test_a_display_that_shows_nothing_is_named[frame_reference]",
          "tests/test_frame_reference.py::test_a_display_that_shows_nothing_is_named[plain_plane]",
          "tests/test_cli.py::test_a_display_that_shows_nothing_exits_2[metrics]",
          "tests/test_cli.py::test_a_display_that_shows_nothing_exits_2[rd-sweep]"),
+    ),
+    Mutant(
+        "weights slot ignores the gaze", "metrics.py",
+        "    key = ((ch, cw), gaze, geom)\n", "    key = ((ch, cw), geom)\n",
+        ("tests/test_frame_reference.py::test_kept_weights_are_read_only_and_follow_every_gaze_change",
+         "tests/test_cli.py::test_fwqi_weights_are_built_once_per_gaze_change[track-metrics]",
+         "tests/test_cli.py::test_fwqi_weights_are_built_once_per_gaze_change[track-rd-sweep]",
+         "tests/test_golden.py::test_golden_scores[metrics_track]",
+         "tests/test_golden.py::test_golden_scores[rd_sweep_track]"),
+    ),
+    Mutant(
+        "black frame scores 0 when it matches", "metrics.py",
+        "        return 1.0 if err_energy == 0.0 else 0.0\n", "        return 0.0\n",
+        ("tests/test_frame_reference.py::test_a_reference_with_no_weighted_energy_scores_the_limit[frame_reference]",
+         "tests/test_frame_reference.py::test_a_reference_with_no_weighted_energy_scores_the_limit[plain_plane]",
+         "tests/test_cli.py::test_a_black_frame_scores_the_limit_of_fwqi[metrics]"),
     ),
 )
 

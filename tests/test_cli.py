@@ -11,14 +11,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fmvc import cli, codec
+from fmvc import cli, codec, metrics
 from fmvc.cli import build_parser, densify_gaze, main, parse_fmsc, read_gaze_track
 from fmvc.codec import FrameBitstream, FrameRecord, SequenceBitstream, decode_sequence
 from fmvc.errors import ConfigError, ParseError
 from fmvc.foveation import (DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, DisplayGeometry, foveation_map,
                             gaussian_map)
-from fmvc.video_io import VideoSequence, read_y4m, write_y4m
+from fmvc.video_io import Frame, VideoSequence, read_y4m, write_y4m
 
+import metricref as oracle
 from bitref import PayloadWriter
 from conftest import (HEADER_BYTES, LENGTH_AT, N_LEVELS_AT, Q_BASE_AT, frame_payloads, natural_clip, pan_clip, reseal,
                       y4m_files)
@@ -393,6 +394,58 @@ def test_a_display_that_shows_nothing_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: nothing is visible at any FWQI scale on this display, whose Nyquist frequency is ")
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "rd-sweep"])
+def test_a_black_frame_scores_the_limit_of_fwqi(tmp_path, monkeypatch, command):
+    # the black middle frame has no weighted energy: its FWQI is 1.0 against a frame that matches it
+    # wherever a weight is nonzero (every coefficient of a 32 x 32 frame on this display), else 0.0
+    seq = pan_clip(32, 32, 3, step=3, seed=5)
+    clip, lifted = tmp_path / "black.y4m", tmp_path / "lifted.y4m"
+    for path, middle in [(clip, 0), (lifted, 9)]:
+        with open(path, "wb") as fh:
+            write_y4m(VideoSequence([seq.frames[0], Frame.gray(32, 32, middle), seq.frames[2]]), fh)
+    geom = DisplayGeometry(DEFAULT_SCREEN_WIDTH_M, DEFAULT_VIEWING_DISTANCE_M, 32, 32)
+    assert all(w.all() for w in metrics.fwqi_weights((32, 32), (16, 16), geom))
+    scores, score = [], cli._scores
+    monkeypatch.setattr(cli, "_scores",
+                        lambda ref, test, *a: scores.append((test, score(ref, test, *a))) or scores[-1][1])
+    out = tmp_path / "scores.csv"
+    if command == "metrics":
+        for test, fwqi in [(clip, "1.000000"), (lifted, "0.000000")]:
+            assert main(["metrics", "--ref", str(clip), "--test", str(test), "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[3].split(",")[4] == fwqi
+    else:
+        assert main(["rd-sweep", "--input", str(clip), "--out", str(out), "--fmsc-set", "H/4,H/2"]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        black = scores[2:4]  # each chain's score of frame 1
+        assert [fwqi for _, (_, _, fwqi) in black] == [0.0 if test.samples.any() else 1.0 for test, _ in black]
+    assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["metrics", "rd-sweep"])
+@pytest.mark.parametrize("gaze", ["center", "track"])
+def test_fwqi_weights_are_built_once_per_gaze_change(tmp_path, monkeypatch, command, gaze):
+    # a centre gaze builds the four scales' weights once for a 6-frame clip; the golden
+    # rd_sweep_track gazes (3, 2), (40, 27), (40, 27), (12, 20) build one set per change,
+    # and every score from the kept weights is the oracle's
+    monkeypatch.setattr(metrics, "_weight_slot", (None, ()))
+    builds, build = [], metrics._subband_weights
+    monkeypatch.setattr(metrics, "_subband_weights",
+                        lambda s, shape, g, geom: builds.append((s, g)) or build(s, shape, g, geom))
+    scored, score = [], cli._scores
+    monkeypatch.setattr(cli, "_scores", lambda *a: scored.append((a, score(*a))) or scored[-1][1])
+    clip, track = tmp_path / "ref.y4m", tmp_path / "gaze.csv"
+    with open(clip, "wb") as fh:
+        write_y4m(natural_clip(45, 34, 6 if gaze == "center" else 4, seed=31), fh)
+    track.write_text(GAZE_TRACK)
+    inputs = ["--input", str(clip)] if command == "rd-sweep" else ["--ref", str(clip), "--test", str(clip)]
+    argv = [command, *inputs, "--out", str(tmp_path / "out.csv"), "--gaze", gaze if gaze == "center" else str(track)]
+    assert main(argv) == 0
+    changes = [(22.0, 17.0)] if gaze == "center" else [(3.0, 2.0), (40.0, 27.0), (12.0, 20.0)]
+    assert builds == [(s, g) for g in changes for s in range(1, 5)]
+    for (ref, test, _, g, geom), (_, _, fwqi) in scored:
+        assert fwqi == oracle.fwqi_approx(getattr(ref, "plane", ref), test, g, geom)
 
 
 @pytest.mark.parametrize("command, fault", [("encode", "directory"), ("decode", "directory"), ("metrics", "directory"),

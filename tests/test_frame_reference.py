@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import metricref as oracle
 from fmvc.errors import ContractViolation
 from fmvc.foveation import DisplayGeometry, foveation_map
-from fmvc.metrics import STRIP_ROWS, FrameReference, fw_ssim_from_map, fwqi_approx, ssim_map
+from fmvc.metrics import STRIP_ROWS, FrameReference, fw_ssim_from_map, fwqi_approx, fwqi_weights, ssim_map
 
 
 @st.composite
@@ -89,22 +89,25 @@ def test_fwqi_holds_a_gaze_to_the_one_gaze_rule(shared):
         named = re.escape(f"gaze {gaze!r} must be two finite real numbers")
         with pytest.raises(ContractViolation, match=named):
             fwqi_approx(ref, plane[::-1], gaze, geom)
-        if shared:  # as is the gaze its weights are kept under
-            with pytest.raises(ContractViolation, match=named):
-                ref.weighted_bands(gaze, geom)
     # a finite gaze off the frame still scores
     for gaze in [(100, -50), (np.int64(-3), np.float32(40.5))]:
         assert fwqi_approx(ref, plane[::-1], gaze, geom) == oracle.fwqi_approx(plane, plane[::-1], gaze, geom)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])
-def test_zero_reference_energy_rejected(shared):
-    zero = np.zeros((32, 40), np.uint8)
-    ref = FrameReference(zero) if shared else zero
+def test_a_reference_with_no_weighted_energy_scores_the_limit(shared):
+    # the clamped 1 - ||weighted difference|| / ||weighted reference|| as the reference's norm falls to 0:
+    # 1.0 where the planes agree wherever a weight is nonzero, 0.0 otherwise.  Columns 32-39 lie
+    # outside the 32 x 32 part FWQI decomposes, so nothing there is weighted.
+    black, outside = np.zeros((32, 40), np.uint8), np.zeros((32, 40), np.uint8)
+    outside[:, 32:] = 200
     geom = DisplayGeometry(0.02, 0.012, 40, 32)
-    for _ in range(2):  # a rejected reference keeps rejecting
-        with pytest.raises(ContractViolation, match="weighted reference energy is zero"):
-            fwqi_approx(ref, np.full((32, 40), 9, np.uint8), (20, 16), geom)
+    for plane, other in [(black, outside), (outside, black)]:
+        ref = FrameReference(plane) if shared else plane
+        for _ in range(2):  # a FrameReference scores alike from its kept bands
+            for test, score in [(plane, 1.0), (other, 1.0), (np.full((32, 40), 9, np.uint8), 0.0)]:
+                assert fwqi_approx(ref, test, (20, 16), geom) == score
+                assert oracle.fwqi_approx(plane, test, (20, 16), geom) == score
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["frame_reference", "plain_plane"])
@@ -116,6 +119,20 @@ def test_a_display_that_shows_nothing_is_named(shared):
     with pytest.raises(ContractViolation, match="nothing is visible at any FWQI scale on this display, whose "
                                                  "Nyquist frequency is 9.59505e[+]09 cycles/degree"):
         fwqi_approx(ref, plane, (16, 16), geom)
+
+
+def test_kept_weights_are_read_only_and_follow_every_gaze_change():
+    # one FrameReference under the golden rd_sweep_track gazes, which move and return within one geometry
+    rng = np.random.default_rng(8)
+    plane, test = rng.integers(0, 256, (2, 34, 45), dtype=np.uint8)
+    ref, geom = FrameReference(plane), DisplayGeometry(0.02, 0.012, 45, 34)
+    for gaze in [(3, 2), (40, 27), (40, 27), (12, 20), (3, 2), (3.5, 2)]:
+        assert fwqi_approx(ref, test, gaze, geom) == oracle.fwqi_approx(plane, test, gaze, geom)
+        weights = fwqi_weights(plane.shape, gaze, geom)
+        assert [w.shape for w in weights] == [(16, 16), (8, 8), (4, 4), (2, 2)]
+        for w in weights:
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 0.0
 
 
 def test_reference_checks_test_plane_shape():
